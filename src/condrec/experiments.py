@@ -13,7 +13,7 @@ import struct
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,48 +82,29 @@ class SyntheticData:
     sigma_coarse: np.ndarray  # element-averaged exact conductivity
 
 
-def _descend_point(fine_mesh, coarse_mesh, elem_coarse, p):
-    """Locate the fine descendant of a coarse element containing point p."""
-    chain = []
-    m = fine_mesh
-    while m is not coarse_mesh:
-        chain.append(m)
-        m = m.parent_mesh
-    e = elem_coarse
-    for m in reversed(chain):
-        children = range(4 * e, 4 * e + 4)
-        best, best_val = None, -np.inf
-        for ch in children:
-            a, b, c = m.nodes[m.triangles[ch, :3]]
-            T = np.array([[b[0] - a[0], c[0] - a[0]], [b[1] - a[1], c[1] - a[1]]])
-            l23 = np.linalg.solve(T, p - a)
-            lam = np.array([1 - l23.sum(), l23[0], l23[1]])
-            val = lam.min()
-            if val > best_val:
-                best, best_val = ch, val
-        e = best
-    return e
+def _barycentric(mesh, elems, p):
+    """Barycentric coordinates (..., 3) of points p (..., 2) in the given elements."""
+    a = mesh.nodes[mesh.triangles[elems, 0]]
+    return np.einsum("...la,...a->...l", mesh.grad_lambda[elems], p - a) + [1.0, 0.0, 0.0]
 
 
 def _eval_gradient_at(fine_mesh, coarse_mesh, phis, points_per_element):
-    """Gradient of a fine P2 field at given physical points of each coarse element."""
-    nI = phis.shape[1]
+    """Gradient of a fine P2 field at given physical points of each coarse element.
+
+    All points are located in one pass per refinement level: the children of
+    element e are 4e..4e+3, and the one whose smallest barycentric coordinate
+    of the point is largest contains it.
+    """
     nel_c, nq, _ = points_per_element.shape
-    out = np.zeros((nel_c, nq, 2, nI))
-    dl_cache = {}
-    for e in range(nel_c):
-        for q in range(nq):
-            p = points_per_element[e, q]
-            ef = _descend_point(fine_mesh, coarse_mesh, e, p) if fine_mesh is not coarse_mesh else e
-            a, b, c = fine_mesh.nodes[fine_mesh.triangles[ef, :3]]
-            T = np.array([[b[0] - a[0], c[0] - a[0]], [b[1] - a[1], c[1] - a[1]]])
-            l23 = np.linalg.solve(T, p - a)
-            lam = np.array([1 - l23.sum(), l23[0], l23[1]])
-            dl = fem.p2_shape_dl(lam)  # (6, 3)
-            gl = fine_mesh.grad_lambda[ef]  # (3, 2)
-            dN = dl @ gl  # (6, 2)
-            out[e, q] = dN.T @ phis[fine_mesh.triangles[ef]]
-    return out
+    p = points_per_element.reshape(-1, 2)
+    elem = np.repeat(np.arange(nel_c), nq)
+    for m in fem.nested_chain(fine_mesh, coarse_mesh):
+        children = 4 * elem[:, None] + np.arange(4)
+        lam = _barycentric(m, children, p[:, None, :])
+        elem = children[np.arange(len(p)), lam.min(axis=2).argmax(axis=1)]
+    dl = fem.p2_shape_dl(_barycentric(fine_mesh, elem, p))  # (points, 6, 3)
+    g = np.einsum("pnl,pla,pnI->paI", dl, fine_mesh.grad_lambda[elem], phis[fine_mesh.triangles[elem]])
+    return g.reshape(nel_c, nq, 2, phis.shape[1])
 
 
 def generate_synthetic(phantom, excitation, fine_mesh, coarse_mesh, electrodes=None):
@@ -138,14 +119,8 @@ def generate_synthetic(phantom, excitation, fine_mesh, coarse_mesh, electrodes=N
     system = fem.assemble_cem(fine_mesh, sigma_f, electrodes)
     sol = fem.solve_cem(system, excitation)
     H_f = fem.power_density(sigma_f, sol.phi, fine_mesh)  # (nel_f, I)
-    if fine_mesh is coarse_mesh:
-        H_c = H_f
-        sigma_c = sigma_f
-    else:
-        H_c = np.stack(
-            [fem.transfer_cell_field(H_f[:, i], fine_mesh, coarse_mesh) for i in range(H_f.shape[1])], axis=1
-        )
-        sigma_c = fem.transfer_cell_field(sigma_f, fine_mesh, coarse_mesh)
+    H_c = fem.transfer_cell_field(H_f, fine_mesh, coarse_mesh)
+    sigma_c = fem.transfer_cell_field(sigma_f, fine_mesh, coarse_mesh)
     flux = _eval_gradient_at(fine_mesh, coarse_mesh, sol.phi, coarse_mesh.qpoints)
     return SyntheticData(
         H=H_c.T.copy(), voltages=sol.voltages.copy(), flux=flux,
@@ -301,12 +276,9 @@ def run_experiment(cfg):
                                       step_growth=cfg.step_growth)
         report = _stage("solve", solvers.projected_gradient, cost, feasible, x0, gcfg, sink)
     elif cfg.solver == "newton":
-        ncfg = cfg.newton or solvers.NewtonConfig()
-        ncfg.eta = eta
-        ncfg.tau = cfg.tau
-        ncfg.max_iters = cfg.max_iters
-        if ncfg.reg_center is None:
-            ncfg.reg_center = x0
+        base = cfg.newton or solvers.NewtonConfig()
+        center = x0 if base.reg_center is None else base.reg_center
+        ncfg = replace(base, eta=eta, tau=cfg.tau, max_iters=cfg.max_iters, reg_center=center)
         report = _stage("solve", solvers.newton_sqp, cost, feasible, x0, ncfg, sink)
     else:
         raise ExperimentError("solve", f"unknown solver {cfg.solver!r}")

@@ -156,6 +156,7 @@ class Mesh:
         self.electrodes = electrodes
         self.scale = scale
         self.parents = None if parents is None else np.asarray(parents, int)
+        self._cem_layout = None  # (key, S, C0, w) of the last electrode set assembled
         self._build(np.asarray(vertices, float), np.asarray(triangles_p1, int), boundary_loop)
 
     # -- construction -----------------------------------------------------
@@ -498,23 +499,8 @@ def _refine_once(mesh, project_boundary):
     return child
 
 
-def transfer_cell_field(values, fine_mesh, coarse_mesh):
-    """Area-weighted aggregation of per-element values from a refined mesh to an ancestor."""
-    vals = np.asarray(values, float)
-    mesh = fine_mesh
-    while mesh is not coarse_mesh:
-        if getattr(mesh, "parents", None) is None or not hasattr(mesh, "parent_mesh"):
-            raise InvalidMeshError("meshes are not nested")
-        num = np.zeros(mesh.parent_mesh.n_elements)
-        np.add.at(num, mesh.parents, vals * mesh.element_areas)
-        vals = num / mesh.parent_mesh.element_areas
-        mesh = mesh.parent_mesh
-    return vals
-
-
-def prolong_cell_field(values, coarse_mesh, fine_mesh):
-    """Children inherit their parent's per-element value (exact for nested meshes)."""
-    vals = np.asarray(values, float)
+def nested_chain(fine_mesh, coarse_mesh):
+    """The refinements from coarse_mesh down to fine_mesh, coarsest first."""
     chain = []
     mesh = fine_mesh
     while mesh is not coarse_mesh:
@@ -522,8 +508,24 @@ def prolong_cell_field(values, coarse_mesh, fine_mesh):
             raise InvalidMeshError("meshes are not nested")
         chain.append(mesh)
         mesh = mesh.parent_mesh
-    for m in reversed(chain):
-        vals = vals[m.parents]
+    return chain[::-1]
+
+
+def transfer_cell_field(values, fine_mesh, coarse_mesh):
+    """Area-weighted aggregation of per-element values (axis 0) from a refined mesh to an ancestor."""
+    vals = np.asarray(values, float).T
+    for mesh in reversed(nested_chain(fine_mesh, coarse_mesh)):
+        num = np.zeros(vals.shape[:-1] + (mesh.parent_mesh.n_elements,))
+        np.add.at(num.T, mesh.parents, (vals * mesh.element_areas).T)
+        vals = num / mesh.parent_mesh.element_areas
+    return vals.T
+
+
+def prolong_cell_field(values, coarse_mesh, fine_mesh):
+    """Children inherit their parent's per-element value (exact for nested meshes)."""
+    vals = np.asarray(values, float)
+    for mesh in nested_chain(fine_mesh, coarse_mesh):
+        vals = vals[mesh.parents]
     return vals
 
 
@@ -616,6 +618,11 @@ class CemSolution:
     residuals: np.ndarray  # relative linear-solve residual per excitation
 
 
+# Largest relative residual ||A x - b|| / ||b|| a CEM solve may leave: round-off
+# leaves about 1e-14, more means the factor does not belong to the matrix.
+SOLVE_RESIDUAL_BOUND = 1e-8
+
+
 def boundary_matrices(mesh, electrodes):
     """Electrode trace mass matrix M_e, moment vectors m_e, and lengths per electrode."""
     L = electrodes.count
@@ -641,12 +648,47 @@ def boundary_matrices(mesh, electrodes):
     return Ms, ms, np.array(lens)
 
 
+def _cem_layout(mesh, electrodes):
+    """The sigma-independent part (S, C0, w) of the grounded CEM system.
+
+    The matrix for sigma has C0's CSC pattern and the data S @ sigma + C0.data.
+    S has one column per element, holding its stiffness entries (the block is
+    linear in sigma); C0 holds the electrode, grounding and integral-weight
+    blocks; w are the integral weights.  Built once per mesh and impedances.
+    """
+    key = (electrodes.count, electrodes.impedances.tobytes())
+    if mesh._cem_layout is not None and mesh._cem_layout[0] == key:
+        return mesh._cem_layout[1:]
+    L, z = electrodes.count, electrodes.impedances
+    Ms, ms, lens = boundary_matrices(mesh, electrodes)
+    C = np.stack([-ms[l] / z[l] for l in range(L)], axis=1)
+    w = mesh.integral_weights()
+    const = sp.bmat([[sum(Ms[l] / z[l] for l in range(L)), C, w[:, None]],
+                     [C.T, sp.diags(lens / z), None],
+                     [w[None, :], None, None]], format="coo")
+    N = const.shape[0]
+    kref = np.einsum("eq,eqia,eqja->eij", mesh.qweights, mesh.dN, mesh.dN)
+    live = kref != 0  # an entry that is zero here is zero for every sigma
+    t = mesh.triangles
+    # column-major keys col * N + row sort the entries into CSC order
+    kkeys = (t[:, None, :] * N + t[:, :, None])[live]
+    ckeys = const.col.astype(np.int64) * N + const.row
+    keys, pos = np.unique(np.concatenate([kkeys, ckeys]), return_inverse=True)
+    per_element = np.concatenate([[0], np.cumsum(live.sum(axis=(1, 2)))])
+    S = sp.csc_matrix((kref[live], pos[: len(kkeys)], per_element), shape=(len(keys), len(t)))
+    c0 = np.bincount(pos[len(kkeys) :], weights=const.data, minlength=len(keys))
+    C0 = sp.csc_matrix((c0, keys % N, np.searchsorted(keys, np.arange(N + 1) * N)), shape=(N, N))
+    mesh._cem_layout = (key, S, C0, w)
+    return S, C0, w
+
+
 def assemble_cem(mesh, sigma, electrodes=None):
     """Assemble the grounded CEM system for piecewise-constant sigma.
 
     Bilinear form: int sigma grad(phi).grad(p) + sum_l z_l^-1 int_{e_l}
     (phi - v_l)(p - xi_l); the kernel (constants) is removed by appending the
-    zero-mean constraint as a symmetric Lagrange-multiplier row.
+    zero-mean constraint as a symmetric Lagrange-multiplier row.  The matrix
+    data is one sparse matvec on the mesh's cached layout (see _cem_layout).
     """
     electrodes = electrodes or mesh.electrodes
     s = np.asarray(getattr(sigma, "values", sigma), float)
@@ -657,25 +699,14 @@ def assemble_cem(mesh, sigma, electrodes=None):
     if np.any(s <= 0):
         raise CoercivityError("sigma must be strictly positive for coercivity")
 
-    n = mesh.n_nodes
-    L = electrodes.count
-    z = electrodes.impedances
-    K = mesh.stiffness(s)
-    Ms, ms, lens = boundary_matrices(mesh, electrodes)
-    A = K + sum(Ms[l] / z[l] for l in range(L))
-    C = np.stack([-ms[l] / z[l] for l in range(L)], axis=1)  # (n, L)
-    D = np.diag(lens / z)
-    w = mesh.integral_weights()
-
-    top = sp.hstack([A, sp.csr_matrix(C), sp.csr_matrix(w[:, None])])
-    mid = sp.hstack([sp.csr_matrix(C.T), sp.csr_matrix(D), sp.csr_matrix((L, 1))])
-    bot = sp.hstack([sp.csr_matrix(w[None, :]), sp.csr_matrix((1, L + 1))])
-    full = sp.vstack([top, mid, bot]).tocsc()
-    return CemSystem(mesh, electrodes, s.copy(), full, w)
+    S, C0, w = _cem_layout(mesh, electrodes)
+    matrix = sp.csc_matrix((S @ s + C0.data, C0.indices, C0.indptr), shape=C0.shape)
+    return CemSystem(mesh, electrodes, s.copy(), matrix, w)
 
 
 def solve_cem(system, excitation):
-    """Solve the grounded CEM system for every excitation row."""
+    """Solve the grounded CEM system for every excitation row; raises
+    AssemblyError on a non-finite solution or a residual above SOLVE_RESIDUAL_BOUND."""
     if isinstance(excitation, np.ndarray):
         excitation = ExcitationSet(excitation)
     mesh = system.mesh
@@ -687,12 +718,13 @@ def solve_cem(system, excitation):
     rhs = np.zeros((n + L + 1, nI))
     rhs[n : n + L, :] = excitation.currents.T
     sol = system.lu.solve(rhs)
-    res = system.matrix @ sol - rhs
     scale = np.linalg.norm(rhs, axis=0)
     scale[scale == 0] = 1.0
-    rel = np.linalg.norm(res, axis=0) / scale
+    rel = np.linalg.norm(system.matrix @ sol - rhs, axis=0) / scale
     if np.any(~np.isfinite(sol)):
         raise AssemblyError("CEM solve produced non-finite values")
+    if rel.max() > SOLVE_RESIDUAL_BOUND:
+        raise AssemblyError(f"CEM solve residual {rel.max():.3e} exceeds {SOLVE_RESIDUAL_BOUND:g}")
     return CemSolution(phi=sol[:n], voltages=sol[n : n + L].T, residuals=rel)
 
 
@@ -735,10 +767,8 @@ def power_density(sigma, phi, mesh):
     """Per-element quadrature average of sigma |grad phi|^2."""
     s = np.asarray(getattr(sigma, "values", sigma), float)
     g = gradient_field(phi, mesh)
-    w = QUAD_W[None, :]
     if g.ndim == 4:
-        h = np.einsum("q,eqaI->eI", QUAD_W, g**2) * s[:, None]
-        return h
+        return np.einsum("q,eqaI->eI", QUAD_W, g**2) * s[:, None]
     return s * np.einsum("q,eqa->e", QUAD_W, g**2)
 
 

@@ -12,7 +12,6 @@ representatives in the product inner product of core.StateSpace.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -600,18 +599,17 @@ class ReducedCost(CostFunctional):
         self.excitation = excitation
         self.mesh = space.mesh
         self.electrodes = electrodes or space.mesh.electrodes
-        self._cache = {}
+        self._memo = []  # (sigma copy, system, solution) of the last two sigma values solved
 
-    # forward solves are cached on the sigma bytes so value/gradient/hvp share them
+    # forward solves are memoized so value/gradient/hvp at one sigma share them
     def _solve(self, sigma):
-        key = hashlib.sha256(np.ascontiguousarray(sigma).tobytes()).hexdigest()
-        if key not in self._cache:
-            if len(self._cache) > 3:
-                self._cache.clear()
-            system = fem.assemble_cem(self.mesh, sigma, self.electrodes)
-            sol = fem.solve_cem(system, self.excitation)
-            self._cache[key] = (system, sol)
-        return self._cache[key]
+        for s, system, sol in self._memo:
+            if np.array_equal(s, sigma):
+                return system, sol
+        system = fem.assemble_cem(self.mesh, sigma, self.electrodes)
+        sol = fem.solve_cem(system, self.excitation)
+        self._memo = self._memo[-1:] + [(np.array(sigma, float), system, sol)]
+        return system, sol
 
     def _residual(self, sigma, sol):
         """Data residual and helpers in the observation inner product."""

@@ -181,8 +181,8 @@ def armijo_step(cost, x, g, cfg, constraint, J=None, mu_start=None):
         x_next = constraint.project(x - mu * g)
         decrease = constraint.inner(g, x - x_next)
         trials += 1
-        if decrease > 0 and cost.value(x_next) <= J - cfg.armijo_slope * decrease:
-            return ArmijoResult(mu, x_next, cost.value(x_next), False, trials)
+        if decrease > 0 and (J_next := cost.value(x_next)) <= J - cfg.armijo_slope * decrease:
+            return ArmijoResult(mu, x_next, J_next, False, trials)
         mu *= cfg.armijo_shrink
     return ArmijoResult(None, x, J, True, trials)
 

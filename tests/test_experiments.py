@@ -1,10 +1,11 @@
 """Excitations, phantoms, synthetic data, noise model, and orchestration."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from condrec import core, experiments as ex, fem, functionals as fn
+from condrec import core, experiments as ex, fem, functionals as fn, solvers as sv
 from condrec.errors import ExperimentError, InvalidFieldError, UnsupportedOperationError
 
 
@@ -170,6 +171,35 @@ def test_flux_data_matches_fine_gradient_on_matched_mesh():
 
 
 # -- experiment driver ----------------------------------------------------------------------
+
+
+def test_eval_gradient_at_matches_pointwise_search_on_two_level_mesh():
+    coarse = fem.disk_mesh_scale(1)
+    fine = fem.refine_mesh(coarse, 2)
+    phis = np.random.default_rng(6).normal(size=(fine.n_nodes, 2))
+    got = ex._eval_gradient_at(fine, coarse, phis, coarse.qpoints)
+    verts = fine.nodes[fine.triangles[:, :3]]
+    T = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=2)
+    ref = np.empty_like(got)
+    for e in range(coarse.n_elements):
+        for q in range(coarse.qpoints.shape[1]):
+            # the fine element that contains the point, searched among all of them
+            l23 = np.linalg.solve(T, (coarse.qpoints[e, q] - verts[:, 0])[..., None])[..., 0]
+            lam = np.column_stack([1 - l23.sum(axis=1), l23])
+            ef = int(np.argmax(lam.min(axis=1)))
+            dN = fem.p2_shape_dl(lam[ef]) @ fine.grad_lambda[ef]
+            ref[e, q] = dN.T @ phis[fine.triangles[ef]]
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_shared_newton_config_is_not_mutated():
+    shared = sv.NewtonConfig()
+    before = replace(shared)
+    for scale, delta in ((1, 0.01), (2, 0.1)):
+        cfg = ex.ExperimentConfig(formulation="iat-reduced", case="I1", delta=delta, seed=0,
+                                  coarse_scale=scale, solver="newton", max_iters=1, newton=shared)
+        assert ex.run_experiment(cfg).iterations <= 1
+    assert shared == before and shared.reg_center is None
 
 
 def test_experiment_config_validation():

@@ -1,9 +1,11 @@
 """Mesh, assembly, and field-operator tests for the FEM layer."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from condrec import fem
 from condrec.errors import (
+    AssemblyError,
     CoercivityError,
     InvalidExcitationError,
     InvalidFieldError,
@@ -232,6 +234,50 @@ def test_current_conservation():
         assert abs(computed - exc.currents[0, ell - 1]) < 1e-9
         total += computed
     assert abs(total) < 1e-9
+
+
+def _reference_cem_matrix(m, sigma, electrodes):
+    """From-scratch CEM matrix: stiffness plus the boundary blocks, stacked blockwise."""
+    L, z = electrodes.count, electrodes.impedances
+    Ms, ms, lens = fem.boundary_matrices(m, electrodes)
+    A = m.stiffness(sigma) + sum(Ms[l] / z[l] for l in range(L))
+    C = np.stack([-ms[l] / z[l] for l in range(L)], axis=1)
+    w = m.integral_weights()[:, None]
+    return sp.bmat([[A, C, w], [C.T, np.diag(lens / z), None], [w.T, None, np.zeros((1, 1))]]).toarray()
+
+
+def test_assemble_cem_matches_reference_assembly():
+    m = fem.disk_mesh_scale(2)
+    rng = np.random.default_rng(3)
+    for impedances in (0.1, rng.uniform(0.05, 0.5, 8)):
+        ec = fem.ElectrodeConfig(count=8, impedances=impedances)
+        for _ in range(3):
+            sig = rng.uniform(1, 6, m.n_elements)
+            got = fem.assemble_cem(m, sig, ec).matrix
+            ref = _reference_cem_matrix(m, sig, ec)
+            assert got.has_canonical_format
+            assert np.abs(got.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_second_assembly_reuses_boundary_blocks(monkeypatch):
+    calls = []
+    orig = fem.boundary_matrices
+    monkeypatch.setattr(fem, "boundary_matrices", lambda *a: calls.append(1) or orig(*a))
+    m = fem.disk_mesh_scale(1)
+    fem.assemble_cem(m, np.full(m.n_elements, 2.0))
+    fem.assemble_cem(m, np.full(m.n_elements, 3.0))
+    assert len(calls) == 1
+    fem.assemble_cem(m, np.full(m.n_elements, 3.0), fem.ElectrodeConfig(count=8, impedances=0.05))
+    assert len(calls) == 2
+
+
+def test_solve_with_foreign_factor_raises():
+    m = fem.disk_mesh_scale(1)
+    rng = np.random.default_rng(4)
+    sys_ = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+    sys_._lu = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
+    with pytest.raises(AssemblyError, match="residual"):
+        fem.solve_cem(sys_, two_electrode_drive())
 
 
 def test_invalid_inputs_raise():

@@ -296,6 +296,24 @@ def test_reduced_cost_zero_at_truth_matched_mesh(setup):
     assert value <= 1e-16 * max(float(np.sum(v_ex**2)), 1e-30)
 
 
+def test_reduced_cost_memoizes_last_two_sigmas(setup, monkeypatch):
+    mesh, exc, cs, sigma_ex, phi_ex, psi_ex, v_ex, H, flux = setup
+    cost = _all_costs(setup)["eit-reduced"]
+    calls = []
+    orig = fem.assemble_cem
+    monkeypatch.setattr(fem, "assemble_cem", lambda *a: calls.append(1) or orig(*a))
+    a, b, c = (cost.space.state(np.full(mesh.n_elements, v)) for v in (2.0, 3.0, 4.0))
+    for x in (a, b, a, b):
+        cost.value(x)
+    assert len(calls) == 2
+    J, _ = cost.value_and_gradient(b)
+    assert J == cost.value(b) and len(calls) == 2
+    cost.value(c)  # evicts a, the older of the two
+    cost.value(b)
+    cost.value(a)
+    assert len(calls) == 4
+
+
 def test_reduced_forward_regression(setup):
     # self-regression oracle: voltages for the reference phantom pinned at the
     # first verified build (scale-1 mesh, (1,5) drive, z = 0.1)

@@ -51,6 +51,24 @@ def test_armijo_accepts_full_step_on_easy_quadratic():
     assert not res.stagnated and res.mu == 0.5 and res.trials == 1
 
 
+def test_armijo_evaluates_each_trial_once():
+    A, x_true, e, box, cost, x0 = make_instance(3)
+    calls = []
+
+    class Counting(sv.QuadraticLeastSquares):
+        def value(self, x):
+            calls.append(1)
+            return super().value(x)
+
+    counted = Counting(cost.A, cost.b, box)
+    J, g = cost.value_and_gradient(x0)
+    cfg = sv.GradientConfig(mu_max=64.0, tau=2.0, eta=0.0)
+    res = sv.armijo_step(counted, x0, g, cfg, box, J=J)
+    assert res.trials > 1 and len(calls) == res.trials
+    assert res.J_next == cost.value(res.x_next)
+    assert np.array_equal(res.x_next, box.project(x0 - res.mu * g))
+
+
 def test_armijo_zero_gradient_stagnates():
     box = sv.BoxFeasible(-1, 1)
     cost = sv.QuadraticLeastSquares(np.eye(2), np.zeros(2), box)
