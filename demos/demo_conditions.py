@@ -13,7 +13,7 @@ space = core.StateSpace(mesh, n_excitations=1)
 
 sigma_ex = np.full(mesh.n_elements, 3.0)
 phi, psi, _, _, _ = fn.reduced_forward(sigma_ex, mesh, exc)
-flux = fn._grads(mesh, phi)
+flux = fem.gradient_field(phi, mesh)
 x_ref = space.project(space.state(sigma_ex, phi, psi), constraints)
 
 forward = cd.GwfLsForward(space)

@@ -20,7 +20,7 @@ print(f"instance: n={n}, gamma={gamma:.4f}, tau={tau:.2f}, step mu={mu:.5f}")
 
 cost = sv.QuadraticLeastSquares(A, A @ x_true, box)
 x0 = np.clip(x_true + 0.4 * rng.normal(size=n), -1, 1)
-cfg = sv.GradientConfig(mu_min=mu, mu_max=mu, tau=tau, eta=0.0,
+cfg = sv.GradientConfig(mu_max=mu, tau=tau, eta=0.0,
                         max_iters=400, store_iterates=True)
 rep = sv.projected_gradient(cost, box, x0, cfg)
 errs = [np.linalg.norm(x - x_true) for x in rep.iterates]
@@ -38,7 +38,7 @@ gamma_d = 1.0 / (2 * nA2)
 eta = float(e @ e) / 2
 tau_d = 4.0 / gamma_d
 mu_d = 0.9 * 2 * gamma_d / (1 + 1 / (gamma_d * tau_d - 1))
-cfg_d = sv.GradientConfig(mu_min=mu_d, mu_max=mu_d, tau=tau_d, eta=eta, max_iters=100000)
+cfg_d = sv.GradientConfig(mu_max=mu_d, tau=tau_d, eta=eta, max_iters=100000)
 rep_d = sv.projected_gradient(cost_d, box, x0, cfg_d)
 print(f"noisy run: stopped by {rep_d.stop_reason} at k* = {rep_d.k_star}, "
       f"grad^2 = {rep_d.gradnorm_sq_history[-1]:.3e} <= tau*eta = {tau_d * eta:.3e}")

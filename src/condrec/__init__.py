@@ -52,13 +52,11 @@ from .functionals import (
     CostFunctional,
     Observations,
     combined_cost,
-    eit_obs,
     eliminate_sigma,
     gwf_obs,
     iat_obs,
     kv_model,
     ls_model,
-    quadratic_model_at,
     reduced_cost,
     reduced_forward,
 )

@@ -76,7 +76,6 @@ def _experiment_configs(cfg, args):
         max_iters=_get(cfg, "solver", "max_iters", 2000, int),
         tau=_get(cfg, "solver", "tau", 1.5, float),
         eps_mu=_get(cfg, "solver", "eps_mu", 1e-10, float),
-        mu_min=_get(cfg, "solver", "mu_min", 1e-12, float),
         mu_max=_get(cfg, "solver", "mu_max", 1.0, float),
         armijo_shrink=_get(cfg, "solver", "armijo_shrink", 0.5, float),
         armijo_slope=_get(cfg, "solver", "armijo_slope", 1e-4, float),

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
+from . import core, fem
 from .errors import InvalidFieldError
-from .functionals import _dot_grad_basis, _dot_perp_basis, _grads, _perp, _scatter_dual
 
 
 @dataclass
@@ -67,24 +66,24 @@ class GwfLsForward:
         self.mesh = space.mesh
 
     def apply(self, x):
-        E = _grads(self.mesh, x.phis)
-        J = _perp(_grads(self.mesh, x.psis))
+        E = fem.gradient_field(x.phis, self.mesh)
+        J = fem.perp_gradient_field(x.psis, self.mesh)
         return np.stack([x.sigma[:, None, None, None] * E - J, E])
 
     def derivative(self, x, h):
-        E = _grads(self.mesh, x.phis)
-        v = _grads(self.mesh, h.phis)
-        w = _perp(_grads(self.mesh, h.psis))
+        E = fem.gradient_field(x.phis, self.mesh)
+        v = fem.gradient_field(h.phis, self.mesh)
+        w = fem.perp_gradient_field(h.psis, self.mesh)
         return np.stack(
             [h.sigma[:, None, None, None] * E + x.sigma[:, None, None, None] * v - w, v]
         )
 
     def adjoint(self, x, u):
         """Riesz representative of h -> <u, F'(x) h> in the state space."""
-        E = _grads(self.mesh, x.phis)
+        E = fem.gradient_field(x.phis, self.mesh)
         d_sigma = np.einsum("eq,eqI->e", self.mesh.qweights, (u[0] * E).sum(axis=2))
-        d_phi = _scatter_dual(self.mesh, _dot_grad_basis(self.mesh, x.sigma[:, None, None, None] * u[0] + u[1]))
-        d_psi = -_scatter_dual(self.mesh, _dot_perp_basis(self.mesh, u[0]))
+        d_phi = fem.gradient_dual(x.sigma[:, None, None, None] * u[0] + u[1], self.mesh)
+        d_psi = fem.gradient_dual(fem.rotate(u[0]), self.mesh)
         return self.space.riesz(core.State(self.space, d_sigma, d_phi, d_psi))
 
     def data_inner(self, u, v):
@@ -118,7 +117,7 @@ class GwfLsForward:
 
     def coarse_norm_bound(self, x):
         """Pointwise bound sqrt(max|E|^2 + sigma_max^2 + 2) >= ||F'(x)||."""
-        E = _grads(self.mesh, x.phis)
+        E = fem.gradient_field(x.phis, self.mesh)
         e_inf = float(np.sqrt((E**2).sum(axis=2).max()))
         s_max = float(np.abs(x.sigma).max())
         return float(np.sqrt(e_inf**2 + s_max**2 + 2.0))

@@ -307,14 +307,6 @@ class State:
     def __neg__(self):
         return self * -1.0
 
-    @property
-    def phi_fields(self):
-        return [NodalField(self.phis[:, i]) for i in range(self.space.n_excitations)]
-
-    @property
-    def psi_fields(self):
-        return [NodalField(self.psis[:, i]) for i in range(self.space.n_excitations)]
-
 
 def _as_matrix(fields, space):
     if isinstance(fields, np.ndarray):

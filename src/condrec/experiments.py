@@ -165,7 +165,6 @@ class ExperimentConfig:
     max_iters: int = 2000
     tau: float = 1.5
     eps_mu: float = 1e-10
-    mu_min: float = 1e-12
     mu_max: float = 1.0
     armijo_shrink: float = 0.5
     armijo_slope: float = 1e-4
@@ -268,7 +267,7 @@ def run_experiment(cfg):
 
     t_solve = time.perf_counter()
     if cfg.solver == "projected-gradient":
-        gcfg = solvers.GradientConfig(mu_min=cfg.mu_min, mu_max=cfg.mu_max,
+        gcfg = solvers.GradientConfig(mu_max=cfg.mu_max,
                                       armijo_shrink=cfg.armijo_shrink,
                                       armijo_slope=cfg.armijo_slope,
                                       tau=cfg.tau, eta=eta,

@@ -5,6 +5,16 @@ into L electrodes and L gaps with endpoints at mesh vertices.  Assembly covers t
 CEM bilinear form (bulk conduction + contact-impedance coupling + grounding row),
 differential operators for P2 fields, the stream-potential construction, and the
 power density.
+
+Quadrature-point fields have shape (nel, nq, 2[, I]).  Each mesh carries one
+sparse gradient operator ``Mesh.G`` (CSR, n_elements * nq * 2 rows, n_nodes
+columns): row (e * nq + q) * 2 + a holds component a of the six P2 shape
+gradients of element e at quadrature point q, in the columns of its nodes.
+``gradient_field`` is ``G @ u`` reshaped to (nel, nq, 2[, I]).  The
+perp-gradient is the quarter turn (-g2, g1) of the gradient (``rotate``).  The
+dual of a field v, sum_{e,q} w_eq v_eq . grad N_n, is the transpose with the
+quadrature weights, ``G.T @ (w v)`` (``gradient_dual``); the dual against
+perp-grad N_n is minus the dual of the rotated field.
 """
 from __future__ import annotations
 
@@ -225,6 +235,15 @@ class Mesh:
         dl = p2_shape_dl(QUAD_BARY)  # (nq, 6, 3)
         # physical gradients of the 6 shapes at the 6 quad points per element
         self.dN = np.einsum("qnl,ela->eqna", dl, gl)  # (nel, nq, 6, 2)
+        # G: one row per (element, quad point, component), holding that component
+        # of the element's 6 shape gradients in the columns of its nodes
+        nrows = self.n_elements * len(QUAD_W) * 2
+        cols = np.broadcast_to(self.triangles[:, None, None, :], (self.n_elements, len(QUAD_W), 2, 6))
+        self.G = sp.csr_matrix(
+            (self.dN.transpose(0, 1, 3, 2).ravel(), cols.astype(np.int32).ravel(),
+             np.arange(0, 6 * nrows + 1, 6, dtype=np.int32)),
+            shape=(nrows, self.n_nodes),
+        )
         self.qweights = self.element_areas[:, None] * QUAD_W[None, :]  # (nel, nq)
         self.qpoints = np.einsum("qi,eia->eqa", QUAD_BARY, verts)  # (nel, nq, 2)
         self.shapes_q = p2_shape(QUAD_BARY)  # (nq, 6)
@@ -731,11 +750,9 @@ def solve_cem(system, excitation):
 # -- field operators ---------------------------------------------------------
 
 
-def _nodal_matrix(phi, mesh):
-    """Coerce a nodal field (or stack of them) to shape (n_nodes, I)."""
+def _nodal(phi, mesh):
+    """A nodal field (n_nodes,) or stack of them (n_nodes, I) as a float array."""
     a = np.asarray(getattr(phi, "coefficients", phi), float)
-    if a.ndim == 1:
-        a = a[:, None]
     if a.shape[0] != mesh.n_nodes:
         raise InvalidFieldError("nodal field length does not match mesh")
     return a
@@ -743,33 +760,35 @@ def _nodal_matrix(phi, mesh):
 
 def gradient_field(phi, mesh):
     """Gradient of a P2 field at the quadrature points, shape (nel, nq, 2[, I])."""
-    was_1d = np.asarray(getattr(phi, "coefficients", phi)).ndim == 1
-    a = _nodal_matrix(phi, mesh)
-    vals = a[mesh.triangles]  # (nel, 6, I)
-    g = np.einsum("eqna,enI->eqaI", mesh.dN, vals)
-    return g[..., 0] if was_1d else g
+    a = _nodal(phi, mesh)
+    return (mesh.G @ a).reshape(mesh.qweights.shape + (2,) + a.shape[1:])
+
+
+def rotate(v):
+    """The quarter turn (-v2, v1) of a quadrature-point vector field (nel, nq, 2[, I])."""
+    return np.stack([-v[:, :, 1], v[:, :, 0]], axis=2)
 
 
 def perp_gradient_field(psi, mesh):
     """Rotated gradient (-d2, d1) of a P2 field at the quadrature points."""
-    g = gradient_field(psi, mesh)
-    out = np.empty_like(g)
-    if g.ndim == 4:
-        out[:, :, 0, :] = -g[:, :, 1, :]
-        out[:, :, 1, :] = g[:, :, 0, :]
-    else:
-        out[:, :, 0] = -g[:, :, 1]
-        out[:, :, 1] = g[:, :, 0]
-    return out
+    return rotate(gradient_field(psi, mesh))
+
+
+def gradient_dual(v, mesh):
+    """Nodal dual sum_{e,q} w_eq v_eq . grad N_n of a field (nel, nq, 2[, I]): G.T @ (w v).
+
+    The adjoint of gradient_field in the quadrature inner product.  The dual
+    against perp-grad N_n is -gradient_dual(rotate(v)).
+    """
+    v = np.asarray(v, float)
+    w = mesh.qweights.reshape(mesh.qweights.shape + (1,) * (v.ndim - 2))
+    return mesh.G.T @ (w * v).reshape((mesh.G.shape[0],) + v.shape[3:])
 
 
 def power_density(sigma, phi, mesh):
-    """Per-element quadrature average of sigma |grad phi|^2."""
+    """Per-element quadrature average of sigma |grad phi|^2, shape (nel[, I])."""
     s = np.asarray(getattr(sigma, "values", sigma), float)
-    g = gradient_field(phi, mesh)
-    if g.ndim == 4:
-        return np.einsum("q,eqaI->eI", QUAD_W, g**2) * s[:, None]
-    return s * np.einsum("q,eqa->e", QUAD_W, g**2)
+    return (np.einsum("q,eqa...->...e", QUAD_W, gradient_field(phi, mesh) ** 2) * s).T
 
 
 def psi_trace_values(mesh, excitation):
@@ -810,7 +829,8 @@ def stream_potential(sigma, phi, mesh, excitation, index=None):
     perp-grad psi . perp-grad q = grad psi . grad q).  Works columnwise when phi
     carries several excitations; ``index`` selects a single row of the set.
     """
-    a = _nodal_matrix(phi, mesh)
+    phi = _nodal(phi, mesh)
+    a = phi.reshape(mesh.n_nodes, -1)
     exc = excitation
     if index is not None:
         exc = ExcitationSet(excitation.currents[index : index + 1])
@@ -820,15 +840,8 @@ def stream_potential(sigma, phi, mesh, excitation, index=None):
         raise InvalidExcitationError("phi column count does not match excitations")
     s = np.asarray(getattr(sigma, "values", sigma), float)
 
-    g = np.einsum("eqna,enI->eqaI", mesh.dN, a[mesh.triangles])
-    flux = s[:, None, None, None] * g  # sigma grad phi
-    # rhs_n = int flux . perp-grad(N_n) = int (-flux_x dN_y + flux_y dN_x)
-    integrand = (
-        -flux[:, :, 0, :][:, :, None, :] * mesh.dN[..., 1][..., None]
-        + flux[:, :, 1, :][:, :, None, :] * mesh.dN[..., 0][..., None]
-    )  # (nel, nq, 6, I)
-    rhs = np.zeros((mesh.n_nodes, a.shape[1]))
-    np.add.at(rhs, mesh.triangles, np.einsum("eq,eqnI->enI", mesh.qweights, integrand))
+    flux = s[:, None, None, None] * gradient_field(a, mesh)  # sigma grad phi
+    rhs = -gradient_dual(rotate(flux), mesh)  # int flux . perp-grad(N_n)
 
     K = mesh.stiffness()
     trace, bdofs = psi_trace_values(mesh, exc)
@@ -838,4 +851,4 @@ def stream_potential(sigma, phi, mesh, excitation, index=None):
     Kii = K[interior][:, interior].tocsc()
     rhs_i = rhs[interior] - K[interior][:, bdofs] @ trace
     psi[interior] = spla.splu(Kii).solve(rhs_i)
-    return psi if np.asarray(getattr(phi, "coefficients", phi)).ndim > 1 else psi[:, 0]
+    return psi if phi.ndim > 1 else psi[:, 0]

@@ -7,8 +7,14 @@ gradients, and Gauss-Newton quadratic models.
 
 Conventions: sigma is piecewise constant per element; potentials are P2 nodal
 fields stored as (n_nodes, I) matrices; all volume integrals use the mesh
-quadrature; gradients returned by CostFunctional.gradient are Riesz
-representatives in the product inner product of core.StateSpace.
+quadrature.  Gradients at the quadrature points, (nel, nq, 2, I), come from the
+mesh's sparse operator G (fem.gradient_field; rows ordered element, quadrature
+point, component), perp-gradients are their quarter turn (-g2, g1), and the
+nodal dual of a quadrature-point field v is the transpose with the weights,
+G.T @ (w v) (fem.gradient_dual); against perp-grad N_n it is
+-fem.gradient_dual(fem.rotate(v)).  Gradients returned by
+CostFunctional.gradient are Riesz representatives in the product inner product
+of core.StateSpace.
 """
 from __future__ import annotations
 
@@ -59,38 +65,6 @@ class Observations:
             raise UnsupportedOperationError("head misfit supports only Sobolev orders 0 and 1")
 
 
-# -- low-level field helpers ---------------------------------------------------
-
-
-def _grads(mesh, mat):
-    """(n_nodes, I) -> gradients at quadrature points (nel, nq, 2, I)."""
-    return np.einsum("eqna,enI->eqaI", mesh.dN, mat[mesh.triangles])
-
-
-def _perp(g):
-    out = np.empty_like(g)
-    out[:, :, 0] = -g[:, :, 1]
-    out[:, :, 1] = g[:, :, 0]
-    return out
-
-
-def _scatter_dual(mesh, integrand):
-    """Assemble sum_q w * integrand(e,q,n,I) into per-dof duals (n_nodes, I)."""
-    out = np.zeros((mesh.n_nodes, integrand.shape[-1]))
-    np.add.at(out, mesh.triangles, np.einsum("eq,eqnI->enI", mesh.qweights, integrand))
-    return out
-
-
-def _dot_grad_basis(mesh, vec):
-    """integrand (e,q,n,I) = vec(e,q,:,I) . grad N_n."""
-    return np.einsum("eqaI,eqna->eqnI", vec, mesh.dN)
-
-
-def _dot_perp_basis(mesh, vec):
-    """integrand (e,q,n,I) = vec(e,q,:,I) . perp-grad N_n."""
-    return -vec[:, :, 0, None, :] * mesh.dN[..., 1][..., None] + vec[:, :, 1, None, :] * mesh.dN[..., 0][..., None]
-
-
 # -- model terms -----------------------------------------------------------------
 
 
@@ -104,8 +78,8 @@ def kv_model(sigma, phis, psis, mesh, want_gradient=True):
     s = np.asarray(getattr(sigma, "values", sigma), float)
     if np.any(s <= 0):
         raise InvalidFieldError("Kohn-Vogelius model needs strictly positive sigma")
-    E = _grads(mesh, phis)
-    J = _perp(_grads(mesh, psis))
+    E = fem.gradient_field(phis, mesh)
+    J = fem.perp_gradient_field(psis, mesh)
     s4 = s[:, None, None, None]
     r = np.sqrt(s4) * E - J / np.sqrt(s4)
     w = mesh.qweights
@@ -113,16 +87,16 @@ def kv_model(sigma, phis, psis, mesh, want_gradient=True):
     if not want_gradient:
         return value, None
     d_sigma = 0.5 * np.einsum("eq,eqI->e", w, (E**2).sum(axis=2) - (J**2).sum(axis=2) / s[:, None, None] ** 2)
-    d_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, s4 * E - J))
-    d_psi = -_scatter_dual(mesh, _dot_perp_basis(mesh, E - J / s4))
+    d_phi = fem.gradient_dual(s4 * E - J, mesh)
+    d_psi = fem.gradient_dual(fem.rotate(E - J / s4), mesh)
     return value, (d_sigma, d_phi, d_psi)
 
 
 def ls_model(sigma, phis, psis, mesh, want_gradient=True):
     """Output-least-squares misfit 1/2 sum_i int |sigma grad phi - perp-grad psi|^2."""
     s = np.asarray(getattr(sigma, "values", sigma), float)
-    E = _grads(mesh, phis)
-    J = _perp(_grads(mesh, psis))
+    E = fem.gradient_field(phis, mesh)
+    J = fem.perp_gradient_field(psis, mesh)
     s4 = s[:, None, None, None]
     r = s4 * E - J
     w = mesh.qweights
@@ -130,8 +104,8 @@ def ls_model(sigma, phis, psis, mesh, want_gradient=True):
     if not want_gradient:
         return value, None
     d_sigma = np.einsum("eq,eqI->e", w, (r * E).sum(axis=2))
-    d_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, s4 * r))
-    d_psi = -_scatter_dual(mesh, _dot_perp_basis(mesh, r))
+    d_phi = fem.gradient_dual(s4 * r, mesh)
+    d_psi = fem.gradient_dual(fem.rotate(r), mesh)
     return value, (d_sigma, d_phi, d_psi)
 
 
@@ -151,7 +125,7 @@ def iat_obs(sigma, phis, mesh, H, psis=None, variant=2, want_gradient=True):
     H = np.asarray(H, float)
     if H.ndim != 2 or H.shape[1] != mesh.n_elements or H.shape[0] != phis.shape[1]:
         raise InvalidFieldError("power-density data must have shape (n_excitations, n_elements)")
-    E = _grads(mesh, phis)
+    E = fem.gradient_field(phis, mesh)
     areas = mesh.element_areas
     if variant == 2:
         s = np.asarray(getattr(sigma, "values", sigma), float)
@@ -162,20 +136,20 @@ def iat_obs(sigma, phis, mesh, H, psis=None, variant=2, want_gradient=True):
             return value, None
         d_sigma = np.einsum("e,eI->e", areas, rho * avgE2)
         vec = 2.0 * s[:, None, None, None] * rho[:, None, None, :] * E
-        d_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, vec))
+        d_phi = fem.gradient_dual(vec, mesh)
         return value, (d_sigma, d_phi, None)
     if variant == 1:
         if psis is None:
             raise FormulationMismatchError("variant 1 needs stream potentials")
-        J = _perp(_grads(mesh, psis))
+        J = fem.perp_gradient_field(psis, mesh)
         avgJE = np.einsum("q,eqI->eI", fem.QUAD_W, (J * E).sum(axis=2))
         rho = avgJE - H.T
         value = 0.5 * float(np.einsum("e,eI->", areas, rho**2))
         if not want_gradient:
             return value, None
         rb = rho[:, None, None, :]
-        d_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, rb * J))
-        d_psi = _scatter_dual(mesh, _dot_perp_basis(mesh, rb * E))
+        d_phi = fem.gradient_dual(rb * J, mesh)
+        d_psi = -fem.gradient_dual(fem.rotate(rb * E), mesh)
         return value, (None, d_phi, d_psi)
     raise UnsupportedOperationError(f"unknown power-density variant {variant}")
 
@@ -262,13 +236,6 @@ class EitTraceTerm:
         return value, (None, d_phi, d_psi)
 
 
-def eit_obs(phis, psis, mesh, currents, voltages, electrodes=None, want_gradient=True):
-    """Trace-based observation misfit for electrode data (see EitTraceTerm)."""
-    term = EitTraceTerm(mesh, electrodes)
-    jbar, vbar = term.traces_from_data(currents, voltages)
-    return term.value_and_duals(phis, psis, jbar, vbar, want_gradient)
-
-
 def gwf_obs(phis, mesh, flux=None, head=None, head_order=0, want_gradient=True):
     """Head or flux misfit: 1/2 ||phi - p||_{H^s}^2 or ||grad phi - g||_{L2}^2.
 
@@ -276,12 +243,12 @@ def gwf_obs(phis, mesh, flux=None, head=None, head_order=0, want_gradient=True):
     """
     w = mesh.qweights
     if flux is not None:
-        E = _grads(mesh, phis)
+        E = fem.gradient_field(phis, mesh)
         r = E - np.asarray(flux, float)
         value = float(np.einsum("eq,eqaI->", w, r**2))
         if not want_gradient:
             return value, None
-        d_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, 2.0 * r))
+        d_phi = fem.gradient_dual(2.0 * r, mesh)
         return value, (None, d_phi, None)
     if head is not None:
         p = np.asarray(head, float)
@@ -305,8 +272,8 @@ def eliminate_sigma(phis, psis, mesh, lower, upper):
     A = sum_i mean_q |grad phi_i|^2, B = sum_i mean_q |perp-grad psi_i|^2; an
     element with A = 0 returns the upper bound (the cost then only pushes sigma up).
     """
-    E = _grads(mesh, phis)
-    J = _perp(_grads(mesh, psis))
+    E = fem.gradient_field(phis, mesh)
+    J = fem.perp_gradient_field(psis, mesh)
     A = np.einsum("q,eqI->e", fem.QUAD_W, (E**2).sum(axis=2))
     B = np.einsum("q,eqI->e", fem.QUAD_W, (J**2).sum(axis=2))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -437,39 +404,39 @@ class AllAtOnceCost(CostFunctional):
         J0, g = self.value_and_gradient(x)
         mesh = self.mesh
         s = x.sigma
-        E = _grads(mesh, x.phis)
-        J = _perp(_grads(mesh, x.psis))
+        E = fem.gradient_field(x.phis, mesh)
+        J = fem.perp_gradient_field(x.psis, mesh)
         s4 = s[:, None, None, None]
         o = self.obs
 
         def hvp(h):
             # Gauss-Newton product: duals of sum_i int r'(h) . r'(basis)
-            hE = _grads(mesh, h.phis)
-            hJ = _perp(_grads(mesh, h.psis))
+            hE = fem.gradient_field(h.phis, mesh)
+            hJ = fem.perp_gradient_field(h.psis, mesh)
             hs = h.sigma[:, None, None, None]
             if self.model == "kv":
                 t = hs * (E / (2 * np.sqrt(s4)) + J / (2 * s4**1.5)) + np.sqrt(s4) * hE - hJ / np.sqrt(s4)
                 d_sigma = np.einsum("eq,eqI->e", mesh.qweights,
                                     (t * (E / (2 * np.sqrt(s4)) + J / (2 * s4**1.5))).sum(axis=2))
-                d_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, np.sqrt(s4) * t))
-                d_psi = -_scatter_dual(mesh, _dot_perp_basis(mesh, t / np.sqrt(s4)))
+                d_phi = fem.gradient_dual(np.sqrt(s4) * t, mesh)
+                d_psi = fem.gradient_dual(fem.rotate(t / np.sqrt(s4)), mesh)
             else:
                 t = hs * E + s4 * hE - hJ
                 d_sigma = np.einsum("eq,eqI->e", mesh.qweights, (t * E).sum(axis=2))
-                d_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, s4 * t))
-                d_psi = -_scatter_dual(mesh, _dot_perp_basis(mesh, t))
+                d_phi = fem.gradient_dual(s4 * t, mesh)
+                d_psi = fem.gradient_dual(fem.rotate(t), mesh)
             duals_model = (d_sigma, d_phi, d_psi)
 
             if o.variant == "iat" and o.iat_obs_variant == 2:
                 avgE2 = np.einsum("q,eqI->eI", fem.QUAD_W, (E**2).sum(axis=2))
                 tt = h.sigma[:, None] * avgE2 + 2 * np.einsum("q,eqI->eI", fem.QUAD_W, (s4 * E * hE).sum(axis=2))
                 do_sigma = np.einsum("e,eI->e", mesh.element_areas, tt * avgE2)
-                do_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, 2 * s4 * tt[:, None, None, :] * E))
+                do_phi = fem.gradient_dual(2 * s4 * tt[:, None, None, :] * E, mesh)
                 duals_obs = (do_sigma, do_phi, None)
             elif o.variant == "iat":
                 tt = np.einsum("q,eqI->eI", fem.QUAD_W, (hJ * E).sum(axis=2) + (J * hE).sum(axis=2))
-                do_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, tt[:, None, None, :] * J))
-                do_psi = _scatter_dual(mesh, _dot_perp_basis(mesh, tt[:, None, None, :] * E))
+                do_phi = fem.gradient_dual(tt[:, None, None, :] * J, mesh)
+                do_psi = -fem.gradient_dual(fem.rotate(tt[:, None, None, :] * E), mesh)
                 duals_obs = (None, do_phi, do_psi)
             elif o.variant == "eit":
                 # the trace term is quadratic: evaluate its duals on the direction
@@ -478,7 +445,7 @@ class AllAtOnceCost(CostFunctional):
                 )
             else:
                 if o.flux is not None:
-                    do_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, 2.0 * hE))
+                    do_phi = fem.gradient_dual(2.0 * hE, mesh)
                     duals_obs = (None, do_phi, None)
                 else:
                     M = mesh.mass()
@@ -540,13 +507,13 @@ class EliminatedSigmaCost(CostFunctional):
                 ds_dB = np.where(free, s / (2 * B), 0.0)
             ds_dA[~np.isfinite(ds_dA)] = 0.0
             ds_dB[~np.isfinite(ds_dB)] = 0.0
-            E = _grads(mesh, x.phis)
-            J = _perp(_grads(mesh, x.psis))
+            E = fem.gradient_field(x.phis, mesh)
+            J = fem.perp_gradient_field(x.psis, mesh)
             # dA/dphi and dB/dpsi carry element-mean weights QUAD_W = qweights/area
             cA = (dJ_ds * ds_dA / mesh.element_areas)[:, None, None, None]
             cB = (dJ_ds * ds_dB / mesh.element_areas)[:, None, None, None]
-            duals[1] = duals[1] + _scatter_dual(mesh, _dot_grad_basis(mesh, 2 * cA * E))
-            duals[2] = duals[2] + _scatter_dual(mesh, _dot_perp_basis(mesh, 2 * cB * J))
+            duals[1] = duals[1] + fem.gradient_dual(2 * cA * E, mesh)
+            duals[2] = duals[2] - fem.gradient_dual(fem.rotate(2 * cB * J), mesh)
         duals[0] = None
         return value, tuple(duals)
 
@@ -556,25 +523,25 @@ class EliminatedSigmaCost(CostFunctional):
         mesh = self.mesh
         s = self.sigma_of(x)
         s4 = s[:, None, None, None]
-        E = _grads(mesh, x.phis)
-        J = _perp(_grads(mesh, x.psis))
+        E = fem.gradient_field(x.phis, mesh)
+        J = fem.perp_gradient_field(x.psis, mesh)
         o = self.obs
 
         def hvp(h):
-            hE = _grads(mesh, h.phis)
-            hJ = _perp(_grads(mesh, h.psis))
+            hE = fem.gradient_field(h.phis, mesh)
+            hJ = fem.perp_gradient_field(h.psis, mesh)
             t = np.sqrt(s4) * hE - hJ / np.sqrt(s4)
-            d_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, np.sqrt(s4) * t))
-            d_psi = -_scatter_dual(mesh, _dot_perp_basis(mesh, t / np.sqrt(s4)))
+            d_phi = fem.gradient_dual(np.sqrt(s4) * t, mesh)
+            d_psi = fem.gradient_dual(fem.rotate(t / np.sqrt(s4)), mesh)
             duals_model = (None, d_phi, d_psi)
             if o.variant == "iat" and o.iat_obs_variant == 2:
                 tt = 2 * np.einsum("q,eqI->eI", fem.QUAD_W, (s4 * E * hE).sum(axis=2))
-                do_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, 2 * s4 * tt[:, None, None, :] * E))
+                do_phi = fem.gradient_dual(2 * s4 * tt[:, None, None, :] * E, mesh)
                 duals_obs = (None, do_phi, None)
             elif o.variant == "iat":
                 tt = np.einsum("q,eqI->eI", fem.QUAD_W, (hJ * E).sum(axis=2) + (J * hE).sum(axis=2))
-                do_phi = _scatter_dual(mesh, _dot_grad_basis(mesh, tt[:, None, None, :] * J))
-                do_psi = _scatter_dual(mesh, _dot_perp_basis(mesh, tt[:, None, None, :] * E))
+                do_phi = fem.gradient_dual(tt[:, None, None, :] * J, mesh)
+                do_psi = -fem.gradient_dual(fem.rotate(tt[:, None, None, :] * E), mesh)
                 duals_obs = (None, do_phi, do_psi)
             else:
                 _, duals_obs = self.trace_term.value_and_duals(
@@ -615,13 +582,13 @@ class ReducedCost(CostFunctional):
         """Data residual and helpers in the observation inner product."""
         o = self.obs
         if o.variant == "iat":
-            E = _grads(self.mesh, sol.phi)
+            E = fem.gradient_field(sol.phi, self.mesh)
             avgE2 = np.einsum("q,eqI->eI", fem.QUAD_W, (E**2).sum(axis=2))
             rho = sigma[:, None] * avgE2 - o.H.T  # (nel, I)
             return rho, (E, avgE2)
         if o.variant == "eit":
             return sol.voltages - o.voltages, None
-        E = _grads(self.mesh, sol.phi)
+        E = fem.gradient_field(sol.phi, self.mesh)
         return E - o.flux, (E, None)
 
     def value(self, x):
@@ -647,19 +614,18 @@ class ReducedCost(CostFunctional):
             E, avgE2 = aux
             value = 0.5 * self.beta * float(np.einsum("e,eI->", mesh.element_areas, r**2))
             d_sigma += self.beta * np.einsum("e,eI->e", mesh.element_areas, r * avgE2)
-            b = _scatter_dual(mesh, _dot_grad_basis(
-                mesh, 2 * x.sigma[:, None, None, None] * r[:, None, None, :] * E))
+            b = fem.gradient_dual(2 * x.sigma[:, None, None, None] * r[:, None, None, :] * E, mesh)
             rhs[:n] = self.beta * b
         elif o.variant == "eit":
             value = 0.5 * self.beta * float(np.sum(r**2))
             rhs[n : n + L] = self.beta * r.T
         else:
             value = self.beta * float(np.einsum("eq,eqaI->", mesh.qweights, r**2))
-            b = _scatter_dual(mesh, _dot_grad_basis(mesh, 2.0 * r))
+            b = fem.gradient_dual(2.0 * r, mesh)
             rhs[:n] = self.beta * b
         lam = system.lu.solve(rhs)
-        gl = np.einsum("eqna,enI->eqaI", mesh.dN, lam[:n][mesh.triangles])
-        gphi = _grads(mesh, sol.phi)
+        gl = fem.gradient_field(lam[:n], mesh)
+        gphi = fem.gradient_field(sol.phi, mesh)
         d_sigma -= np.einsum("eq,eqI->e", mesh.qweights, (gl * gphi).sum(axis=2))
         dual = core.State(self.space, d_sigma)
         return value, self.space.riesz(dual)
@@ -671,22 +637,17 @@ class ReducedCost(CostFunctional):
         o = self.obs
         n, L = mesh.n_nodes, self.electrodes.count
         nI = self.excitation.n_excitations
-        gphi = _grads(mesh, sol.phi)
+        gphi = fem.gradient_field(sol.phi, mesh)
         sigma = x.sigma
 
         def forward_sens(h):
             rhs = np.zeros((n + L + 1, nI))
-            integrand = np.einsum("e,eqaI,eqna->eqnI", h, gphi, mesh.dN)
-            contrib = np.einsum("eq,eqnI->enI", mesh.qweights, integrand)
-            b = np.zeros((n, nI))
-            np.add.at(b, mesh.triangles, contrib)
-            rhs[:n] = -b
-            du = system.lu.solve(rhs)
-            return du
+            rhs[:n] = -fem.gradient_dual(h[:, None, None, None] * gphi, mesh)
+            return system.lu.solve(rhs)
 
         def hvp(h):
             du = forward_sens(h.sigma)
-            dgrad = np.einsum("eqna,enI->eqaI", mesh.dN, du[:n][mesh.triangles])
+            dgrad = fem.gradient_field(du[:n], mesh)
             rhs = np.zeros((n + L + 1, nI))
             d_sigma = np.zeros(mesh.n_elements)
             if o.variant == "iat":
@@ -694,17 +655,16 @@ class ReducedCost(CostFunctional):
                 t = h.sigma[:, None] * avgE2 + 2 * np.einsum(
                     "q,eqI->eI", fem.QUAD_W, (sigma[:, None, None, None] * gphi * dgrad).sum(axis=2))
                 d_sigma += self.beta * np.einsum("e,eI->e", mesh.element_areas, t * avgE2)
-                b = _scatter_dual(mesh, _dot_grad_basis(
-                    mesh, 2 * sigma[:, None, None, None] * t[:, None, None, :] * gphi))
+                b = fem.gradient_dual(2 * sigma[:, None, None, None] * t[:, None, None, :] * gphi, mesh)
                 rhs[:n] = self.beta * b
             elif o.variant == "eit":
                 dv = du[n : n + L].T
                 rhs[n : n + L] = self.beta * dv.T
             else:
-                b = _scatter_dual(mesh, _dot_grad_basis(mesh, 2.0 * dgrad))
+                b = fem.gradient_dual(2.0 * dgrad, mesh)
                 rhs[:n] = self.beta * b
             lam = system.lu.solve(rhs)
-            gl = np.einsum("eqna,enI->eqaI", mesh.dN, lam[:n][mesh.triangles])
+            gl = fem.gradient_field(lam[:n], mesh)
             d_sigma -= np.einsum("eq,eqI->e", mesh.qweights, (gl * gphi).sum(axis=2))
             return self.space.riesz(core.State(self.space, d_sigma))
 
@@ -745,21 +705,16 @@ def combined_cost(formulation, observations, mesh, excitation, electrodes=None,
     return AllAtOnceCost(formulation, space, cs, observations, beta, electrodes)
 
 
-def quadratic_model_at(cost, x):
-    """Gradient and Gauss-Newton model of a cost at a feasible state."""
-    return cost.quadratic_model(x)
-
-
 # -- full (non-surrogate) Hessian quadratic forms, for the sign-catalogue tests -------
 
 
 def kv_full_hessian_quadform(sigma, phis, psis, mesh, h_sigma, dphis, dpsis):
     """Exact second derivative of the Kohn-Vogelius term along one direction."""
     s = np.asarray(sigma, float)[:, None, None]
-    E = _grads(mesh, phis)
-    J = _perp(_grads(mesh, psis))
-    v = _grads(mesh, dphis)
-    wv = _perp(_grads(mesh, dpsis))
+    E = fem.gradient_field(phis, mesh)
+    J = fem.perp_gradient_field(psis, mesh)
+    v = fem.gradient_field(dphis, mesh)
+    wv = fem.perp_gradient_field(dpsis, mesh)
     h = np.asarray(h_sigma, float)[:, None, None]
     w = mesh.qweights
     J2 = (J**2).sum(axis=2)
@@ -777,8 +732,8 @@ def kv_full_hessian_quadform(sigma, phis, psis, mesh, h_sigma, dphis, dpsis):
 def iat_obs2_full_hessian_quadform(sigma, phis, mesh, H, h_sigma, dphis):
     """Exact second derivative of the power-density term along one direction."""
     s = np.asarray(sigma, float)[:, None]
-    E = _grads(mesh, phis)
-    v = _grads(mesh, dphis)
+    E = fem.gradient_field(phis, mesh)
+    v = fem.gradient_field(dphis, mesh)
     h = np.asarray(h_sigma, float)[:, None]
     aE2 = np.einsum("q,eqI->eI", fem.QUAD_W, (E**2).sum(axis=2))
     aEv = np.einsum("q,eqI->eI", fem.QUAD_W, (E * v).sum(axis=2))

@@ -63,7 +63,6 @@ class FeasibleSet:
 
 @dataclass
 class GradientConfig:
-    mu_min: float = 1e-12
     mu_max: float = 1.0
     armijo_shrink: float = 0.5
     armijo_slope: float = 1e-4
@@ -75,8 +74,8 @@ class GradientConfig:
     store_iterates: bool = False
 
     def __post_init__(self):
-        if not 0 < self.mu_min <= self.mu_max:
-            raise InvalidFieldError("step bounds must satisfy 0 < mu_min <= mu_max")
+        if not self.mu_max > 0:
+            raise InvalidFieldError("step bound mu_max must be positive")
         if not 0 < self.armijo_shrink < 1 or not 0 < self.armijo_slope < 1:
             raise InvalidFieldError("Armijo factors must lie in (0, 1)")
         if self.tau <= 1:

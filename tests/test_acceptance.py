@@ -49,7 +49,7 @@ def test_criterion_2_gradients():
     obs = {
         "iat": fn.Observations("iat", 0.0, H=fem.power_density(sigma_ex, phi_ex, mesh).T),
         "eit": fn.Observations("eit", 0.0, currents=exc.currents, voltages=v_ex),
-        "gwf": fn.Observations("gwf", 0.0, flux=fn._grads(mesh, phi_ex)),
+        "gwf": fn.Observations("gwf", 0.0, flux=fem.gradient_field(phi_ex, mesh)),
     }
     worst = {}
     for tag in fn.FORMULATIONS:
@@ -191,7 +191,7 @@ def test_criterion_6_gradient_theory():
     for seed in range(20):
         A, x_true, e, box, cost, x0 = make_instance(seed, noise=0.01)
         gamma, eta, tau, mu = pg_constants(A, e)
-        cfg = sv.GradientConfig(mu_min=mu, mu_max=mu, tau=tau, eta=eta,
+        cfg = sv.GradientConfig(mu_max=mu, tau=tau, eta=eta,
                                 max_iters=200000, store_iterates=True)
         rep = sv.projected_gradient(cost, box, x0, cfg)
         assert rep.stop_reason == "discrepancy", seed  # finite k* for delta > 0
@@ -202,7 +202,7 @@ def test_criterion_6_gradient_theory():
         # noiseless run for the square-summability bound
         A, x_true, e0, box, cost0, x0 = make_instance(seed)
         gamma, eta0, tau, mu = pg_constants(A, e0)
-        cfg0 = sv.GradientConfig(mu_min=mu, mu_max=mu, tau=tau, eta=0.0,
+        cfg0 = sv.GradientConfig(mu_max=mu, tau=tau, eta=0.0,
                                  max_iters=300, store_iterates=True)
         rep0 = sv.projected_gradient(cost0, box, x0, cfg0)
         bound = np.linalg.norm(rep0.iterates[0] - x_true) ** 2 / (mu * (2 * gamma - mu - 2 / tau))
@@ -275,7 +275,7 @@ def test_criterion_8_gwf_tangential_cone():
     space = core.StateSpace(mesh, n_excitations=1)
     sigma_ex = np.full(mesh.n_elements, 3.0)
     phi, psi, _, _, _ = fn.reduced_forward(sigma_ex, mesh, exc)
-    flux = fn._grads(mesh, phi)
+    flux = fem.gradient_field(phi, mesh)
     x_d = space.project(space.state(sigma_ex, phi, psi), cs)
     fwd = cd.GwfLsForward(space)
     rng = np.random.default_rng(8)

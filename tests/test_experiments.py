@@ -166,7 +166,7 @@ def test_flux_data_matches_fine_gradient_on_matched_mesh():
     data = ex.generate_synthetic(ex.Phantom(), exc, mesh, mesh, electrodes)
     sigma = ex.Phantom().cell_field(mesh)
     sol = fem.solve_cem(fem.assemble_cem(mesh, sigma, electrodes), exc)
-    g = fn._grads(mesh, sol.phi)
+    g = fem.gradient_field(sol.phi, mesh)
     assert np.allclose(data.flux, g, atol=1e-10)
 
 

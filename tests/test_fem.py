@@ -355,6 +355,31 @@ def test_manufactured_solution_convergence():
 # -- field operators -----------------------------------------------------------
 
 
+def _reference_gradient(m, phi, bary):
+    """Gradient of a P2 field at barycentric points of every element, from the
+    shape derivatives and grad(lambda) directly; shape (nel, nq, 2[, I])."""
+    dN = np.einsum("qnl,ela->eqna", fem.p2_shape_dl(bary), m.grad_lambda)
+    return np.einsum("eqna,en...->eqa...", dN, phi[m.triangles])
+
+
+def test_gradient_operator_and_its_dual():
+    # gradient_field is G @ u and gradient_dual is G.T @ (w v): check both, and
+    # the perp dual -gradient_dual(rotate(v)), against the from-scratch gradient
+    m = fem.disk_mesh_scale(2)
+    rng = np.random.default_rng(21)
+    u = rng.normal(size=(m.n_nodes, 3))
+    v = rng.normal(size=(m.n_elements, len(fem.QUAD_W), 2, 3))
+    gu = _reference_gradient(m, u, fem.QUAD_BARY)
+    assert np.abs(fem.gradient_field(u, m) - gu).max() <= 1e-13 * np.abs(gu).max()
+    assert np.allclose(fem.gradient_field(u[:, 1], m), gu[..., 1], rtol=0, atol=1e-13 * np.abs(gu).max())
+    perp_gu = np.stack([-gu[:, :, 1], gu[:, :, 0]], axis=2)
+    d = fem.gradient_dual(v, m)
+    for dual, grad in ((d, gu), (-fem.gradient_dual(fem.rotate(v), m), perp_gu)):
+        terms = m.qweights[:, :, None, None] * v * grad
+        assert abs(np.sum(dual * u) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+    assert np.allclose(fem.gradient_dual(v[..., 1], m), d[:, 1], rtol=0, atol=1e-13 * np.abs(d).max())
+
+
 def test_gradient_linear_and_quadratic_exactness():
     m = fem.disk_mesh_scale(1)
     gx = fem.gradient_field(m.nodes[:, 0], m)
@@ -425,9 +450,7 @@ def test_power_density():
     phi = rng.normal(size=m.n_nodes)
     h = fem.power_density(sig, phi, m)
     mid_bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    dl = fem.p2_shape_dl(mid_bary)
-    dN = np.einsum("qnl,ela->eqna", dl, m.grad_lambda)
-    g = np.einsum("eqna,en->eqa", dN, phi[m.triangles])
+    g = _reference_gradient(m, phi, mid_bary)
     oracle = sig * np.mean(np.sum(g**2, axis=-1), axis=1)
     assert np.allclose(h, oracle, rtol=1e-10)
 

@@ -16,7 +16,7 @@ def setup():
     sigma_ex = rng.uniform(2, 5, mesh.n_elements)
     phi_ex, psi_ex, v_ex, _, _ = fn.reduced_forward(sigma_ex, mesh, exc)
     H = fem.power_density(sigma_ex, phi_ex, mesh).T
-    flux = fn._grads(mesh, phi_ex)
+    flux = fem.gradient_field(phi_ex, mesh)
     return mesh, exc, cs, sigma_ex, phi_ex, psi_ex, v_ex, H, flux
 
 
@@ -68,7 +68,7 @@ def test_kv_model_zero_with_identity_current_field(setup):
     # the reduced formulation's current field sigma grad phi makes the integrand
     # vanish identically; this realizes the model-elimination identity exactly
     mesh, exc, cs, sigma_ex, phi_ex = setup[:5]
-    E = fn._grads(mesh, phi_ex)
+    E = fem.gradient_field(phi_ex, mesh)
     s4 = sigma_ex[:, None, None, None]
     r = np.sqrt(s4) * E - (s4 * E) / np.sqrt(s4)
     val = 0.5 * float(np.einsum("eq,eqaI->", mesh.qweights, r**2))
@@ -160,7 +160,7 @@ def test_gwf_obs_values(setup):
     v, _ = fn.gwf_obs(phis, mesh, head=phis.copy(), head_order=0, want_gradient=False)
     assert v == 0.0
     # flux variant: grad phi - g = (1, 0) everywhere -> area (no 1/2), per excitation
-    g = fn._grads(mesh, phis).copy()
+    g = fem.gradient_field(phis, mesh).copy()
     g[:, :, 0, :] -= 1.0
     v, _ = fn.gwf_obs(phis, mesh, flux=g, want_gradient=False)
     assert abs(v - 2 * mesh.total_area) < 1e-12
@@ -338,7 +338,7 @@ def test_quadratic_model_psd_and_symmetric(setup):
     mesh, exc = setup[0], setup[1]
     costs = _all_costs(setup)
     rng = np.random.default_rng(13)
-    for tag in ("iat-aao", "eit-aao", "gwf-aao-ls", "iat-elim-sigma", "iat-reduced"):
+    for tag in fn.FORMULATIONS:
         cost = costs[tag]
         x = _random_state(cost.space, rng, mesh, 2)
         qm = cost.quadratic_model(x)
@@ -349,6 +349,46 @@ def test_quadratic_model_psd_and_symmetric(setup):
         s1 = cost.space.inner(qm.hvp(a), b)
         s2 = cost.space.inner(a, qm.hvp(b))
         assert abs(s1 - s2) < 1e-8 * max(abs(s1), 1.0)
+
+
+def _hvp_fd_error(cost, x, h, t=1e-4):
+    """Relative gap between hvp(h) and the central difference of the gradient along h."""
+    sp = cost.space
+    h = h * (1.0 / sp.norm(h))
+    fd = (cost.gradient(x + t * h) - cost.gradient(x - t * h)) * (1.0 / (2 * t))
+    hv = cost.quadratic_model(x).hvp(h)
+    return sp.norm(fd - hv) / sp.norm(hv)
+
+
+@pytest.mark.parametrize("tag", ["iat-reduced", "eit-reduced", "gwf-reduced"])
+def test_gauss_newton_product_is_hessian_at_zero_residual_reduced(setup, tag):
+    # matched data at sigma_ex: the residual vanishes, so the Gauss-Newton
+    # product equals the Hessian, which the gradient's central difference gives
+    mesh, sigma_ex = setup[0], setup[3]
+    cost = _all_costs(setup)[tag]
+    x = cost.space.state(sigma_ex)
+    assert cost.value(x) < 1e-28
+    h = cost.space.state(np.random.default_rng(18).uniform(1.5, 5.5, mesh.n_elements))
+    assert _hvp_fd_error(cost, x, h) < 1e-7
+
+
+@pytest.mark.parametrize("tag", ["iat-aao", "gwf-aao-ls", "gwf-aao-kv"])
+def test_gauss_newton_product_is_hessian_at_zero_residual_aao(setup, tag):
+    # the analytic pair sigma = 1, phi = x, psi = -y with data computed from it
+    # zeroes the model and observation residuals
+    mesh, exc, cs = setup[:3]
+    sigma = np.ones(mesh.n_elements)
+    phis = np.repeat(mesh.nodes[:, :1], 2, axis=1)
+    psis = np.repeat(-mesh.nodes[:, 1:2], 2, axis=1)
+    obs = {
+        "iat": fn.Observations("iat", 0.0, H=fem.power_density(sigma, phis, mesh).T),
+        "gwf": fn.Observations("gwf", 0.0, flux=fem.gradient_field(phis, mesh)),
+    }[tag.split("-")[0]]
+    cost = fn.combined_cost(tag, obs, mesh, exc, constraints=cs)
+    x = cost.space.state(sigma, phis, psis)
+    assert cost.value(x) < 1e-28
+    h = _random_state(cost.space, np.random.default_rng(19), mesh, 2)
+    assert _hvp_fd_error(cost, x, h) < 1e-7
 
 
 def test_quadratic_model_exact_in_psi_block(setup):

@@ -94,7 +94,7 @@ def test_pg_error_monotone_noiseless():
     for seed in range(20):
         A, x_true, e, box, cost, x0 = make_instance(seed)
         gamma, eta, tau, mu = pg_constants(A, e)
-        cfg = sv.GradientConfig(mu_min=mu, mu_max=mu, tau=tau, eta=0.0,
+        cfg = sv.GradientConfig(mu_max=mu, tau=tau, eta=0.0,
                                 max_iters=300, store_iterates=True)
         rep = sv.projected_gradient(cost, box, x0, cfg)
         errs = [np.linalg.norm(x - x_true) for x in rep.iterates]
@@ -105,7 +105,7 @@ def test_pg_armijo_descent_and_sum_bound():
     for seed in range(20):
         A, x_true, e, box, cost, x0 = make_instance(seed)
         gamma, eta, tau, mu = pg_constants(A, e)
-        cfg = sv.GradientConfig(mu_min=mu, mu_max=mu, tau=tau, eta=0.0,
+        cfg = sv.GradientConfig(mu_max=mu, tau=tau, eta=0.0,
                                 max_iters=300, store_iterates=True)
         rep = sv.projected_gradient(cost, box, x0, cfg)
         costs = rep.cost_history
@@ -118,7 +118,7 @@ def test_pg_finite_stopping_index_noisy():
     for seed in range(20):
         A, x_true, e, box, cost, x0 = make_instance(seed, noise=0.01)
         gamma, eta, tau, mu = pg_constants(A, e)
-        cfg = sv.GradientConfig(mu_min=mu, mu_max=mu, tau=tau, eta=eta,
+        cfg = sv.GradientConfig(mu_max=mu, tau=tau, eta=eta,
                                 max_iters=200000, store_iterates=True)
         rep = sv.projected_gradient(cost, box, x0, cfg)
         assert rep.stop_reason == "discrepancy", seed
