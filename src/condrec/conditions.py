@@ -8,10 +8,11 @@ non-finite ratios are flagged as violations rather than dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from . import core, fem
+from . import core, fem, functionals
 from .errors import InvalidFieldError
 
 
@@ -57,37 +58,29 @@ def write_report(report, path):
 class GwfLsForward:
     """F(sigma, Phi, Psi) = (sigma grad phi - perp-grad psi, grad phi).
 
-    Residual map of the flux-observed least-squares formulation; data lives at
-    the quadrature points with the L2 weights of the mesh.
+    Residual map of the flux-observed least-squares formulation: the
+    least-squares model term stacked on the flux term with zero data, both with
+    unit weight; data lives at the quadrature points with the L2 weights of the
+    mesh.
     """
 
     def __init__(self, space):
         self.space = space
         self.mesh = space.mesh
+        pairs = [(functionals.LsTerm(self.mesh), 1.0), (functionals.flux_term(self.mesh, 0.0), 1.0)]
+        self.residual = functionals.Residual(pairs, partial(functionals.Point, self.mesh))
 
     def apply(self, x):
-        E = fem.gradient_field(x.phis, self.mesh)
-        J = fem.perp_gradient_field(x.psis, self.mesh)
-        return np.stack([x.sigma[:, None, None, None] * E - J, E])
+        return np.stack(self.residual.linearize(x).r)
 
     def derivative(self, x, h):
-        E = fem.gradient_field(x.phis, self.mesh)
-        v = fem.gradient_field(h.phis, self.mesh)
-        w = fem.perp_gradient_field(h.psis, self.mesh)
-        return np.stack(
-            [h.sigma[:, None, None, None] * E + x.sigma[:, None, None, None] * v - w, v]
-        )
+        return np.stack(self.residual.linearize(x).derivative(self._direction(h)))
 
-    def adjoint(self, x, u):
-        """Riesz representative of h -> <u, F'(x) h> in the state space."""
-        E = fem.gradient_field(x.phis, self.mesh)
-        d_sigma = np.einsum("eq,eqI->e", self.mesh.qweights, (u[0] * E).sum(axis=2))
-        d_phi = fem.gradient_dual(x.sigma[:, None, None, None] * u[0] + u[1], self.mesh)
-        d_psi = fem.gradient_dual(fem.rotate(u[0]), self.mesh)
-        return self.space.riesz(core.State(self.space, d_sigma, d_phi, d_psi))
+    def _direction(self, h):
+        return functionals.Point(self.mesh, h.sigma, h.phis, h.psis)
 
     def data_inner(self, u, v):
-        return float(np.einsum("beqaI,beqaI,eq->", u, v, self.mesh.qweights))
+        return self.residual.inner(u, v)
 
     def data_norm(self, u):
         return float(np.sqrt(max(self.data_inner(u, u), 0.0)))
@@ -97,6 +90,7 @@ class GwfLsForward:
         rng = rng or np.random.default_rng(0)
         mesh = self.mesh
         best = 0.0
+        lin = self.residual.linearize(x)
         for _ in range(restarts):
             h = self.space.state(
                 rng.normal(size=mesh.n_elements),
@@ -106,7 +100,7 @@ class GwfLsForward:
             h = h * (1.0 / self.space.norm(h))
             lam = 0.0
             for _ in range(iters):
-                g = self.adjoint(x, self.derivative(x, h))
+                g = self.space.riesz(core.State(self.space, *lin.adjoint(lin.derivative(self._direction(h)))))
                 lam = self.space.inner(g, h)
                 n = self.space.norm(g)
                 if n == 0:

@@ -1,26 +1,37 @@
-"""Cost functionals for the diffusion-identification formulations.
+"""Cost functionals for the diffusion-identification formulations, as sums of squared residuals.
 
-Model terms (Kohn-Vogelius and output-least-squares), observation terms for the
-three applications (interior power density, electrode traces, head/flux data),
-the sigma-elimination map and the reduced (parameter-only) costs with adjoint
-gradients, and Gauss-Newton quadratic models.
+Every term is a residual r(x) with a weighted inner product <u, v>_W: the
+Kohn-Vogelius and least-squares model terms, the power-density (IAT),
+electrode-trace (EIT) and head/flux (GWF) observation terms, and the reduced
+maps, which compose an observation residual with the CEM solve.  Linearized at
+a point x, a term gives r, the derivative h -> r'h and the adjoint u -> r'^* W u,
+the duals (d_sigma, d_phi, d_psi) of h -> <u, r'h>_W; a potential slot may hold
+a quadrature-point field, and the fields of all terms are assembled once
+(_sum_duals).  A cost is a list of (term, weight) pairs, and its three
+quantities are written once:
+
+    value      sum_k w_k 1/2 <r_k, W r_k>
+    gradient   sum_k w_k r_k'^* W r_k        (Riesz-mapped)
+    product    sum_k w_k r_k'^* W r_k' h     (Gauss-Newton, the quadratic model's hvp)
+
+The all-at-once cost is the pairs (model, 1) and (observation, beta); the flux
+misfit ||grad phi - g||^2 carries no 1/2, so its term has weight 2 beta.  The
+eliminated-sigma cost is that sum at the lifted state (sigma(Phi, Psi), Phi,
+Psi), and the reduced cost is one reduced-map term.
 
 Conventions: sigma is piecewise constant per element; potentials are P2 nodal
-fields stored as (n_nodes, I) matrices; all volume integrals use the mesh
-quadrature.  Gradients at the quadrature points, (nel, nq, 2, I), come from the
-mesh's sparse operator G (fem.gradient_field; rows ordered element, quadrature
-point, component), perp-gradients are their quarter turn (-g2, g1), and the
-nodal dual of a quadrature-point field v is the transpose with the weights,
-G.T @ (w v) (fem.gradient_dual); against perp-grad N_n it is
--fem.gradient_dual(fem.rotate(v)).  Gradients returned by
-CostFunctional.gradient are Riesz representatives in the product inner product
-of core.StateSpace.
+fields stored as (n_nodes, I) matrices; quadrature-point gradients
+(nel, nq, 2, I) come from fem.gradient_field, their duals from
+fem.gradient_dual.  Gradients returned by CostFunctional.gradient are Riesz
+representatives in the product inner product of core.StateSpace.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import core, fem
 from .errors import (
@@ -61,11 +72,382 @@ class Observations:
             raise FormulationMismatchError(f"unknown observation variant {self.variant!r}")
         if self.delta < 0:
             raise InvalidFieldError("noise level must be >= 0")
+        if self.iat_obs_variant not in (1, 2):
+            raise UnsupportedOperationError(f"unknown power-density variant {self.iat_obs_variant}")
         if self.variant == "gwf" and self.head_order not in (0, 1):
             raise UnsupportedOperationError("head misfit supports only Sobolev orders 0 and 1")
 
 
-# -- model terms -----------------------------------------------------------------
+# -- the residual layer ------------------------------------------------------------
+
+
+class Point:
+    """A state or direction (sigma, Phi, Psi) with its quadrature-point gradients,
+    computed on first use and shared by every term linearized there."""
+
+    def __init__(self, mesh, sigma=None, phis=None, psis=None):
+        self.mesh = mesh
+        self.sigma = None if sigma is None else np.asarray(getattr(sigma, "values", sigma), float)
+        self.phis = phis
+        self.psis = psis
+
+    @cached_property
+    def E(self):
+        return fem.gradient_field(self.phis, self.mesh)
+
+    @cached_property
+    def J(self):
+        return fem.perp_gradient_field(self.psis, self.mesh)
+
+    @cached_property
+    def mean_E2(self):
+        """Per-element quadrature average of |grad phi_i|^2, (nel, I)."""
+        return _mean((self.E**2).sum(axis=2))
+
+
+def _plus(a, b):
+    return b if a is None else a + b
+
+
+def _sum_duals(mesh, weighted):
+    """Assembled duals (d_sigma, d_phi, d_psi) of sum_k w_k duals_k.
+
+    A term fills a potential slot with an assembled nodal dual (n_nodes, I) or
+    with a quadrature-point field v (nel, nq, 2, I), the dual of h -> <v, grad h>
+    (phi slot) or h -> <v, perp-grad h> (psi slot) in the quadrature inner
+    product; the fields of all terms are summed and then assembled once.
+    """
+    nodal, fields = [None, None, None], [None, None, None]
+    for duals, w in weighted:
+        for k, d in enumerate(duals):
+            if d is not None:
+                acc = fields if np.ndim(d) == 4 else nodal
+                acc[k] = _plus(acc[k], d if w == 1 else w * d)
+    if fields[1] is not None:
+        nodal[1] = _plus(nodal[1], fem.gradient_dual(fields[1], mesh))
+    if fields[2] is not None:
+        nodal[2] = _plus(nodal[2], -fem.gradient_dual(fem.rotate(fields[2]), mesh))
+    return tuple(nodal)
+
+
+class Linearization:
+    """The (term, weight) pairs of a cost linearized at one point x."""
+
+    def __init__(self, pairs, x):
+        self.pairs = pairs
+        self.x = x
+        self.r = [term.residual(x) for term, _ in pairs]
+
+    @cached_property
+    def value(self):
+        """sum_k w_k 1/2 <r_k, r_k>_W."""
+        return sum(w * (0.5 * term.inner(r, r)) for (term, w), r in zip(self.pairs, self.r))
+
+    def derivative(self, h):
+        """[r_k'(x) h] for a direction Point h."""
+        return [term.derivative(self.x, h) for term, _ in self.pairs]
+
+    def adjoint(self, u):
+        """Assembled duals of sum_k w_k r_k'(x)^* u_k."""
+        return _sum_duals(self.x.mesh, ((term.adjoint(self.x, uk), w) for (term, w), uk in zip(self.pairs, u)))
+
+
+class Residual:
+    """(term, weight) pairs with the map ``lift(sigma, phis, psis) -> Point``.
+
+    linearize(x) memoizes the last two points, so the value, gradient and
+    quadratic model at one x, and an Armijo trial followed by the gradient at
+    the accepted point, share one set of fields, residuals and, for the reduced
+    maps, one CEM factorization.
+    """
+
+    def __init__(self, pairs, lift):
+        self.pairs = pairs
+        self.lift = lift
+        self._memo = []  # (copied blocks, Linearization) of the last two points
+
+    def inner(self, u, v):
+        return sum(w * term.inner(a, b) for (term, w), a, b in zip(self.pairs, u, v))
+
+    def linearize(self, x):
+        blocks = (x.sigma, x.phis, x.psis)
+        for key, lin in self._memo:
+            if all(a is b or np.array_equal(a, b) for a, b in zip(key, blocks)):
+                return lin
+        key = tuple(None if b is None else np.array(b, float) for b in blocks)
+        lin = Linearization(self.pairs, self.lift(*key))
+        self._memo = self._memo[-1:] + [(key, lin)]
+        return lin
+
+
+# -- terms -----------------------------------------------------------------------------
+
+
+def _quad_inner(mesh, u, v):
+    return float(np.einsum("eq,eqaI->", mesh.qweights, u * v))
+
+
+class _QuadTerm:
+    """A model residual at the quadrature points, (nel, nq, 2, I), in the L2 inner product."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.inner = partial(_quad_inner, mesh)
+
+
+class KvTerm(_QuadTerm):
+    """Kohn-Vogelius residual sqrt(sigma) grad phi - perp-grad psi / sqrt(sigma)."""
+
+    def residual(self, x):
+        if np.any(x.sigma <= 0):
+            raise InvalidFieldError("Kohn-Vogelius model needs strictly positive sigma")
+        s4 = x.sigma[:, None, None, None]
+        return np.sqrt(s4) * x.E - x.J / np.sqrt(s4)
+
+    @staticmethod
+    def _d_sigma(x):
+        s4 = x.sigma[:, None, None, None]
+        return x.E / (2 * np.sqrt(s4)) + x.J / (2 * s4**1.5)
+
+    def derivative(self, x, h):
+        s4 = x.sigma[:, None, None, None]
+        return h.sigma[:, None, None, None] * self._d_sigma(x) + np.sqrt(s4) * h.E - h.J / np.sqrt(s4)
+
+    def adjoint(self, x, u):
+        s4 = x.sigma[:, None, None, None]
+        d_sigma = np.einsum("eq,eqI->e", self.mesh.qweights, (u * self._d_sigma(x)).sum(axis=2))
+        return d_sigma, np.sqrt(s4) * u, -u / np.sqrt(s4)
+
+
+class LsTerm(_QuadTerm):
+    """Output-least-squares residual sigma grad phi - perp-grad psi."""
+
+    def residual(self, x):
+        return x.sigma[:, None, None, None] * x.E - x.J
+
+    def derivative(self, x, h):
+        return h.sigma[:, None, None, None] * x.E + x.sigma[:, None, None, None] * h.E - h.J
+
+    def adjoint(self, x, u):
+        d_sigma = np.einsum("eq,eqI->e", self.mesh.qweights, (u * x.E).sum(axis=2))
+        return d_sigma, x.sigma[:, None, None, None] * u, -u
+
+
+def _mean(f):
+    """Per-element quadrature average of a quadrature-point field (nel, nq, I)."""
+    return np.einsum("q,eqI->eI", fem.QUAD_W, f)
+
+
+class PowerTerm:
+    """Power-density residual against piecewise-constant data H (I, n_elements).
+
+    The density is sigma |grad phi_i|^2 (variant 2) or perp-grad psi_i . grad
+    phi_i (variant 1).  It is projected to the space of H too: the residual is
+    its per-element quadrature average minus H, (nel, I), weighted by the
+    element areas, so it vanishes identically when H equals the computed density.
+    """
+
+    def __init__(self, mesh, H, variant=2):
+        if variant not in (1, 2):
+            raise UnsupportedOperationError(f"unknown power-density variant {variant}")
+        self.mesh = mesh
+        self.H = np.asarray(H, float)
+        self.variant = variant
+
+    def inner(self, u, v):
+        return float(np.einsum("e,eI->", self.mesh.element_areas, u * v))
+
+    def residual(self, x):
+        if self.H.shape != (x.phis.shape[1], self.mesh.n_elements):
+            raise InvalidFieldError("power-density data must have shape (n_excitations, n_elements)")
+        if self.variant == 2:
+            return x.sigma[:, None] * x.mean_E2 - self.H.T
+        if x.psis is None:
+            raise FormulationMismatchError("variant 1 needs stream potentials")
+        return _mean((x.J * x.E).sum(axis=2)) - self.H.T
+
+    def derivative(self, x, h):
+        if self.variant == 2:
+            s4 = x.sigma[:, None, None, None]
+            return h.sigma[:, None] * x.mean_E2 + 2 * _mean((s4 * x.E * h.E).sum(axis=2))
+        return _mean((h.J * x.E).sum(axis=2) + (x.J * h.E).sum(axis=2))
+
+    def adjoint(self, x, u):
+        ub = u[:, None, None, :]
+        if self.variant == 2:
+            d_sigma = np.einsum("e,eI->e", self.mesh.element_areas, u * x.mean_E2)
+            return d_sigma, 2.0 * x.sigma[:, None, None, None] * ub * x.E, None
+        return None, ub * x.J, ub * x.E
+
+
+class AffineTerm:
+    """Residual r(x) = A x - y of a linear map A, so r' = A and r'^* = A^* W.
+
+    apply(h) gives A h, transpose(u) the duals of h -> <u, A h>_W, and inner
+    is the W product.
+    """
+
+    def __init__(self, apply, transpose, inner, y):
+        self.apply = apply
+        self.transpose = transpose
+        self.inner = inner
+        self.y = y
+
+    def residual(self, x):
+        return self.apply(x) - self.y
+
+    def derivative(self, x, h):
+        return self.apply(h)
+
+    def adjoint(self, x, u):
+        return self.transpose(u)
+
+
+def flux_term(mesh, flux):
+    """Flux residual grad phi - g; the misfit ||grad phi - g||^2 is this term with weight 2."""
+    return AffineTerm(lambda h: h.E, lambda u: (None, u, None),
+                      partial(_quad_inner, mesh), np.asarray(flux, float))
+
+
+def head_term(mesh, head, order=0):
+    """Head residual phi - p in the H^s inner product: W = M (s = 0) or M + K (s = 1)."""
+    op = mesh.mass() if order == 0 else (mesh.mass() + mesh.stiffness())
+    return AffineTerm(lambda h: h.phis, lambda u: (None, op @ u, None),
+                      lambda u, v: float(np.sum(u * (op @ v))), np.asarray(head, float))
+
+
+def voltage_term(voltages):
+    """Electrode-voltage residual U - V, (I, L), with W the identity.
+
+    It reads the third slot of a ReducedMap point, which holds the voltages.
+    """
+    return AffineTerm(lambda h: h.psis, lambda u: (None, None, u),
+                      lambda u, v: float(np.sum(u * v)), np.asarray(voltages, float))
+
+
+def eit_trace_data(currents, voltages, impedances):
+    """Integrated EIT data: jbar = -cumsum(j) per gap, vbar = (z sum_{k<l} j_k, v) per electrode."""
+    j = np.asarray(currents, float)
+    prev = np.concatenate([np.zeros((j.shape[0], 1)), np.cumsum(j, axis=1)[:, :-1]], axis=1)
+    return -np.cumsum(j, axis=1), (impedances[None, :] * prev, np.asarray(voltages, float))
+
+
+def eit_trace_term(mesh, jbar, vbar, electrodes=None):
+    """Electrode/gap trace residual of the EIT observation functional.
+
+    Per excitation it stacks F(phi) - z psi - vbar at three samples per
+    electrode edge and psi - jbar at three samples per gap edge, with F the
+    running arc-length integral of the phi trace from the electrode start,
+    accumulated trapezoidally over the samples; W is Simpson's rule per edge.
+    """
+    electrodes = electrodes or mesh.electrodes
+    c0, vslope = vbar
+    blocks = []  # (A_phi, A_psi, y, w) of each electrode and each gap
+    for ell in range(electrodes.count):
+        edges = mesh.electrode_edges(ell + 1)
+        S, w = _edge_samples(edges, mesh.n_nodes)
+        # trapezoid increments h/4 (f_{k-1} + f_k) within each edge, accumulated over the samples
+        q = np.repeat([e.length / 4 for e in edges], 3) * (np.arange(S.shape[0]) % 3 != 0)
+        T = np.cumsum(np.diag(q) + np.diag(q[1:], -1), axis=0)
+        d = np.concatenate([e.s_start - edges[0].s_start + e.length * np.array([0.0, 0.5, 1.0]) for e in edges])
+        y = c0[:, ell][None, :] + np.outer(d, vslope[:, ell])
+        blocks.append((sp.csr_matrix(T) @ S, -electrodes.impedances[ell] * S, y, w))
+        S, w = _edge_samples(mesh.gap_edges(ell + 1), mesh.n_nodes)
+        blocks.append((sp.csr_matrix(S.shape), S, np.broadcast_to(jbar[:, ell], (S.shape[0], len(jbar))), w))
+    A_phi, A_psi, y, w = zip(*blocks)
+    A_phi = sp.vstack(A_phi).tocsr()
+    A_psi = sp.vstack(A_psi).tocsr()
+    w = np.concatenate(w)[:, None]
+    return AffineTerm(lambda h: A_phi @ h.phis + A_psi @ h.psis,
+                      lambda u: (None, A_phi.T @ (w * u), A_psi.T @ (w * u)),
+                      lambda u, v: float(np.sum(w * u * v)), np.vstack(y))
+
+
+def _edge_samples(edges, n):
+    """Selection of the three nodes of each boundary edge, and their Simpson weights."""
+    dofs = np.array([e.nodes for e in edges], int).ravel()
+    S = sp.csr_matrix((np.ones(len(dofs)), (np.arange(len(dofs)), dofs)), shape=(len(dofs), n))
+    return S, np.concatenate([e.length / 6 * np.array([1.0, 4.0, 1.0]) for e in edges])
+
+
+class ReducedMap:
+    """An observation residual composed with the CEM solve: sigma -> r_obs(sigma, Phi(sigma), U(sigma)).
+
+    lift(sigma) assembles, factorizes and solves once; its point carries the
+    potentials Phi and, in the third slot (Psi in the all-at-once state), the
+    electrode voltages U (I, L).  The derivative is one forward-sensitivity solve
+    and the adjoint one adjoint solve on that point's factor
+    (discretize-then-optimize: exact derivatives of the discrete map).
+    """
+
+    def __init__(self, obs, mesh, excitation, electrodes=None):
+        self.obs = obs
+        self.inner = obs.inner
+        self.residual = obs.residual
+        self.mesh = mesh
+        self.excitation = excitation
+        self.electrodes = electrodes or mesh.electrodes
+
+    def lift(self, sigma):
+        system = fem.assemble_cem(self.mesh, sigma, self.electrodes)
+        sol = fem.solve_cem(system, self.excitation)
+        x = Point(self.mesh, sigma, sol.phi, sol.voltages)
+        x.lu = system.lu
+        return x
+
+    def _solve(self, x, d_phi, d_volt):
+        """The factor's solve for a right-hand side with potential rows d_phi and electrode rows d_volt."""
+        n, L = self.mesh.n_nodes, self.electrodes.count
+        rhs = np.zeros((n + L + 1, self.excitation.n_excitations))
+        if d_phi is not None:
+            rhs[:n] = d_phi
+        if d_volt is not None:
+            rhs[n : n + L] = d_volt.T
+        u = x.lu.solve(rhs)
+        return u[:n], u[n : n + L].T
+
+    def derivative(self, x, h):
+        du = self._solve(x, -fem.gradient_dual(h.sigma[:, None, None, None] * x.E, self.mesh), None)
+        return self.obs.derivative(x, Point(self.mesh, h.sigma, *du))
+
+    def adjoint(self, x, u):
+        d_sigma, d_phi, d_volt = _sum_duals(self.mesh, [(self.obs.adjoint(x, u), 1.0)])
+        lam, _ = self._solve(x, d_phi, d_volt)
+        d = np.zeros(self.mesh.n_elements) if d_sigma is None else d_sigma
+        # a gradient alone (once per point) does not cache the potential gradients:
+        # holding them in the memo raised eit-reduced-pg's peak RSS by ~10 %
+        E = x.E if "E" in vars(x) else fem.gradient_field(x.phis, self.mesh)
+        d -= np.einsum("eq,eqI->e", self.mesh.qweights, (fem.gradient_field(lam, self.mesh) * E).sum(axis=2))
+        return d, None, None
+
+
+def _observation_term(obs, mesh, electrodes=None, reduced=False):
+    """The observation residual for ``obs`` and its weight relative to beta.
+
+    A reduced map reads the CEM solution, so there EIT data is compared with
+    the electrode voltages, and power-density variant 1, which needs the stream
+    potentials, is not available.
+    """
+    if obs.variant == "iat":
+        if reduced and obs.iat_obs_variant == 1:
+            raise UnsupportedOperationError(
+                "power-density variant 1 needs stream potentials, which the reduced map does not carry")
+        return PowerTerm(mesh, obs.H, obs.iat_obs_variant), 1.0
+    if obs.variant == "eit":
+        if reduced:
+            return voltage_term(obs.voltages), 1.0
+        impedances = (electrodes or mesh.electrodes).impedances
+        return eit_trace_term(mesh, *eit_trace_data(obs.currents, obs.voltages, impedances), electrodes), 1.0
+    if obs.flux is not None:
+        return flux_term(mesh, obs.flux), 2.0
+    if obs.head is not None:
+        return head_term(mesh, obs.head, obs.head_order), 1.0
+    raise FormulationMismatchError("head or flux data required")
+
+
+def _evaluate(term, weight, mesh, sigma, phis, psis, want_gradient):
+    lin = Linearization([(term, weight)], Point(mesh, sigma, phis, psis))
+    return lin.value, (lin.adjoint(lin.r) if want_gradient else None)
 
 
 def kv_model(sigma, phis, psis, mesh, want_gradient=True):
@@ -75,165 +457,21 @@ def kv_model(sigma, phis, psis, mesh, want_gradient=True):
     coefficient derivatives (not yet Riesz-mapped); duals is None when
     want_gradient is False.
     """
-    s = np.asarray(getattr(sigma, "values", sigma), float)
-    if np.any(s <= 0):
-        raise InvalidFieldError("Kohn-Vogelius model needs strictly positive sigma")
-    E = fem.gradient_field(phis, mesh)
-    J = fem.perp_gradient_field(psis, mesh)
-    s4 = s[:, None, None, None]
-    r = np.sqrt(s4) * E - J / np.sqrt(s4)
-    w = mesh.qweights
-    value = 0.5 * float(np.einsum("eq,eqaI->", w, r**2))
-    if not want_gradient:
-        return value, None
-    d_sigma = 0.5 * np.einsum("eq,eqI->e", w, (E**2).sum(axis=2) - (J**2).sum(axis=2) / s[:, None, None] ** 2)
-    d_phi = fem.gradient_dual(s4 * E - J, mesh)
-    d_psi = fem.gradient_dual(fem.rotate(E - J / s4), mesh)
-    return value, (d_sigma, d_phi, d_psi)
+    return _evaluate(KvTerm(mesh), 1.0, mesh, sigma, phis, psis, want_gradient)
 
 
 def ls_model(sigma, phis, psis, mesh, want_gradient=True):
     """Output-least-squares misfit 1/2 sum_i int |sigma grad phi - perp-grad psi|^2."""
-    s = np.asarray(getattr(sigma, "values", sigma), float)
-    E = fem.gradient_field(phis, mesh)
-    J = fem.perp_gradient_field(psis, mesh)
-    s4 = s[:, None, None, None]
-    r = s4 * E - J
-    w = mesh.qweights
-    value = 0.5 * float(np.einsum("eq,eqaI->", w, r**2))
-    if not want_gradient:
-        return value, None
-    d_sigma = np.einsum("eq,eqI->e", w, (r * E).sum(axis=2))
-    d_phi = fem.gradient_dual(s4 * r, mesh)
-    d_psi = fem.gradient_dual(fem.rotate(r), mesh)
-    return value, (d_sigma, d_phi, d_psi)
-
-
-# -- observation terms -------------------------------------------------------------
+    return _evaluate(LsTerm(mesh), 1.0, mesh, sigma, phis, psis, want_gradient)
 
 
 def iat_obs(sigma, phis, mesh, H, psis=None, variant=2, want_gradient=True):
-    """Power-density misfit against piecewise-constant data.
+    """Power-density misfit 1/2 sum_i int_e (mean_e p_i - H_i)^2 against piecewise-constant data.
 
-    The data H (one row per excitation, one value per element) lives in the same
-    space as sigma, so the computed density is projected there too: the misfit
-    compares the per-element quadrature average of sigma |grad phi_i|^2 (variant
-    2, default) or of perp-grad psi_i . grad phi_i (variant 1) with H_i, each
-    squared difference weighted by the element area.  With this projection the
-    misfit vanishes identically when H equals the computed power density.
+    p_i is sigma |grad phi_i|^2 (variant 2, default) or perp-grad psi_i . grad
+    phi_i (variant 1); see PowerTerm.
     """
-    H = np.asarray(H, float)
-    if H.ndim != 2 or H.shape[1] != mesh.n_elements or H.shape[0] != phis.shape[1]:
-        raise InvalidFieldError("power-density data must have shape (n_excitations, n_elements)")
-    E = fem.gradient_field(phis, mesh)
-    areas = mesh.element_areas
-    if variant == 2:
-        s = np.asarray(getattr(sigma, "values", sigma), float)
-        avgE2 = np.einsum("q,eqI->eI", fem.QUAD_W, (E**2).sum(axis=2))
-        rho = s[:, None] * avgE2 - H.T  # (nel, I)
-        value = 0.5 * float(np.einsum("e,eI->", areas, rho**2))
-        if not want_gradient:
-            return value, None
-        d_sigma = np.einsum("e,eI->e", areas, rho * avgE2)
-        vec = 2.0 * s[:, None, None, None] * rho[:, None, None, :] * E
-        d_phi = fem.gradient_dual(vec, mesh)
-        return value, (d_sigma, d_phi, None)
-    if variant == 1:
-        if psis is None:
-            raise FormulationMismatchError("variant 1 needs stream potentials")
-        J = fem.perp_gradient_field(psis, mesh)
-        avgJE = np.einsum("q,eqI->eI", fem.QUAD_W, (J * E).sum(axis=2))
-        rho = avgJE - H.T
-        value = 0.5 * float(np.einsum("e,eI->", areas, rho**2))
-        if not want_gradient:
-            return value, None
-        rb = rho[:, None, None, :]
-        d_phi = fem.gradient_dual(rb * J, mesh)
-        d_psi = -fem.gradient_dual(fem.rotate(rb * E), mesh)
-        return value, (None, d_phi, d_psi)
-    raise UnsupportedOperationError(f"unknown power-density variant {variant}")
-
-
-class EitTraceTerm:
-    """Electrode/gap trace misfit of the observation functional.
-
-    value = 1/2 sum_i sum_l ( int_gap |psi - jbar|^2 + int_elec |F(phi) - z psi
-    - vbar|^2 ), with F the running arc-length integral of the phi trace from the
-    electrode start, accumulated trapezoidally over three samples per boundary
-    edge, and the squares integrated by Simpson's rule per edge.
-    """
-
-    def __init__(self, mesh, electrodes=None):
-        self.mesh = mesh
-        self.electrodes = electrodes or mesh.electrodes
-        L = self.electrodes.count
-        self.L = L
-        elec = []
-        for ell in range(1, L + 1):
-            edges = mesh.electrode_edges(ell)
-            dofs = np.array([list(e.nodes) for e in edges], int)  # (nE, 3)
-            h = np.array([e.length for e in edges])
-            nE = len(edges)
-            ns = 3 * nE
-            # trapezoid accumulation matrix over the flattened samples
-            T = np.zeros((ns, ns))
-            prev = np.zeros(ns)
-            for j in range(nE):
-                base = 3 * j
-                T[base] = prev
-                T[base + 1] = prev.copy()
-                T[base + 1, base] += h[j] / 4
-                T[base + 1, base + 1] += h[j] / 4
-                T[base + 2] = T[base + 1].copy()
-                T[base + 2, base + 1] += h[j] / 4
-                T[base + 2, base + 2] += h[j] / 4
-                prev = T[base + 2].copy()
-            wS = np.concatenate([hj / 6 * np.array([1.0, 4.0, 1.0]) for hj in h])
-            s0 = edges[0].s_start
-            d = np.concatenate([[e.s_start - s0, e.s_start - s0 + e.length / 2, e.s_start - s0 + e.length] for e in edges])
-            elec.append({"dofs": dofs.ravel(), "T": T, "w": wS, "d": d})
-        self.elec = elec
-        gaps = []
-        for ell in range(1, L + 1):
-            edges = mesh.gap_edges(ell)
-            dofs = np.array([list(e.nodes) for e in edges], int).ravel()
-            wS = np.concatenate([e.length / 6 * np.array([1.0, 4.0, 1.0]) for e in edges])
-            gaps.append({"dofs": dofs, "w": wS})
-        self.gaps = gaps
-
-    def traces_from_data(self, currents, voltages):
-        """Integrated data (jbar constants, vbar affine parameters) from (j, v)."""
-        j = np.asarray(currents, float)
-        v = np.asarray(voltages, float)
-        jbar = -np.cumsum(j, axis=1)  # (I, L)
-        z = self.electrodes.impedances
-        prev = np.concatenate([np.zeros((j.shape[0], 1)), np.cumsum(j, axis=1)[:, :-1]], axis=1)
-        c0 = z[None, :] * prev  # -z*(-sum_{k<l} j_k)
-        return jbar, (c0, v)
-
-    def value_and_duals(self, phis, psis, jbar, vbar, want_gradient=True):
-        c0, vslope = vbar
-        n, nI = phis.shape
-        value = 0.0
-        d_phi = np.zeros((n, nI)) if want_gradient else None
-        d_psi = np.zeros((n, nI)) if want_gradient else None
-        for ell in range(self.L):
-            e = self.elec[ell]
-            z = self.electrodes.impedances[ell]
-            Fs = e["T"] @ phis[e["dofs"]]  # (ns, I)
-            target = c0[:, ell][None, :] + np.outer(e["d"], vslope[:, ell])
-            r = Fs - z * psis[e["dofs"]] - target
-            value += 0.5 * float(np.sum(e["w"][:, None] * r**2))
-            if want_gradient:
-                wr = e["w"][:, None] * r
-                np.add.at(d_phi, e["dofs"], e["T"].T @ wr)
-                np.add.at(d_psi, e["dofs"], -z * wr)
-            g = self.gaps[ell]
-            rg = psis[g["dofs"]] - jbar[:, ell][None, :]
-            value += 0.5 * float(np.sum(g["w"][:, None] * rg**2))
-            if want_gradient:
-                np.add.at(d_psi, g["dofs"], g["w"][:, None] * rg)
-        return value, (None, d_phi, d_psi)
+    return _evaluate(PowerTerm(mesh, H, variant), 1.0, mesh, sigma, phis, psis, want_gradient)
 
 
 def gwf_obs(phis, mesh, flux=None, head=None, head_order=0, want_gradient=True):
@@ -241,25 +479,8 @@ def gwf_obs(phis, mesh, flux=None, head=None, head_order=0, want_gradient=True):
 
     The flux variant carries no 1/2 factor (kept as stated).
     """
-    w = mesh.qweights
-    if flux is not None:
-        E = fem.gradient_field(phis, mesh)
-        r = E - np.asarray(flux, float)
-        value = float(np.einsum("eq,eqaI->", w, r**2))
-        if not want_gradient:
-            return value, None
-        d_phi = fem.gradient_dual(2.0 * r, mesh)
-        return value, (None, d_phi, None)
-    if head is not None:
-        p = np.asarray(head, float)
-        diff = phis - p
-        M = mesh.mass()
-        op = M if head_order == 0 else (M + mesh.stiffness())
-        value = 0.5 * float(np.sum(diff * (op @ diff)))
-        if not want_gradient:
-            return value, None
-        return value, (None, op @ diff, None)
-    raise FormulationMismatchError("head or flux data required")
+    term, weight = _observation_term(Observations("gwf", flux=flux, head=head, head_order=head_order), mesh)
+    return _evaluate(term, weight, mesh, None, phis, None, want_gradient)
 
 
 # -- elimination and reduced maps ----------------------------------------------------
@@ -272,8 +493,10 @@ def eliminate_sigma(phis, psis, mesh, lower, upper):
     A = sum_i mean_q |grad phi_i|^2, B = sum_i mean_q |perp-grad psi_i|^2; an
     element with A = 0 returns the upper bound (the cost then only pushes sigma up).
     """
-    E = fem.gradient_field(phis, mesh)
-    J = fem.perp_gradient_field(psis, mesh)
+    return _eliminate(fem.gradient_field(phis, mesh), fem.perp_gradient_field(psis, mesh), lower, upper)
+
+
+def _eliminate(E, J, lower, upper):
     A = np.einsum("q,eqI->e", fem.QUAD_W, (E**2).sum(axis=2))
     B = np.einsum("q,eqI->e", fem.QUAD_W, (J**2).sum(axis=2))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -318,367 +541,116 @@ class QuadraticModel:
 
 
 class CostFunctional:
-    """Base for all formulation costs: value, Riesz gradient, quadratic model."""
+    """Base for all formulation costs: value, Riesz gradient and Gauss-Newton
+    quadratic model of the (term, weight) pairs of ``self.residual``."""
 
-    formulation = "abstract"
-
-    def __init__(self, space, constraints, beta=1.0):
+    def __init__(self, formulation, space, constraints):
+        self.formulation = formulation
         self.space = space
         self.constraints = constraints
-        self.beta = beta
+        self.mesh = space.mesh
 
     def value(self, x):
-        raise NotImplementedError
+        return self.residual.linearize(x).value
 
     def gradient(self, x):
         return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x):
-        raise NotImplementedError
+        lin = self.residual.linearize(x)
+        return lin.value, self._riesz_from_duals(self._gradient_duals(lin))
 
     def quadratic_model(self, x):
-        raise UnsupportedOperationError(f"{self.formulation} provides no quadratic model")
+        J0, g = self.value_and_gradient(x)
+        lin = self.residual.linearize(x)
+
+        def hvp(h):
+            return self._riesz_from_duals(lin.adjoint(lin.derivative(self._direction(h))))
+
+        return QuadraticModel(self.space, x.copy(), J0, g, hvp)
+
+    def _gradient_duals(self, lin):
+        return lin.adjoint(lin.r)
+
+    def _direction(self, h):
+        return Point(self.mesh, h.sigma, h.phis, h.psis)
 
     def _riesz_from_duals(self, duals):
         d_sigma, d_phi, d_psi = duals
-        sp = self.space
-        sig = d_sigma if sp.with_sigma else None
-        if sp.with_potentials:
-            ph = d_phi if d_phi is not None else np.zeros((sp.mesh.n_nodes, sp.n_excitations))
-            ps = d_psi if d_psi is not None else np.zeros((sp.mesh.n_nodes, sp.n_excitations))
-        else:
-            ph = ps = None
-        if sig is None and sp.with_sigma:
-            sig = np.zeros(sp.mesh.n_elements)
-        dual_state = core.State(sp, sig, ph, ps)
-        return sp.riesz(dual_state)
-
-
-def _add_duals(*dual_sets):
-    out = [None, None, None]
-    for duals, scale in dual_sets:
-        if duals is None:
-            continue
-        for k in range(3):
-            if duals[k] is not None:
-                out[k] = scale * duals[k] if out[k] is None else out[k] + scale * duals[k]
-    return tuple(out)
+        return self.space.riesz(core.State(self.space, d_sigma if self.space.with_sigma else None, d_phi, d_psi))
 
 
 class AllAtOnceCost(CostFunctional):
     """J = J_mod + beta * J_obs over x = (sigma, Phi, Psi)."""
 
     def __init__(self, formulation, space, constraints, obs, beta=1.0, electrodes=None):
-        super().__init__(space, constraints, beta)
-        self.formulation = formulation
-        self.obs = obs
-        self.mesh = space.mesh
-        self.model = "ls" if formulation == "gwf-aao-ls" else "kv"
-        if obs.variant == "eit":
-            self.trace_term = EitTraceTerm(self.mesh, electrodes)
-            self.jbar, self.vbar = self.trace_term.traces_from_data(obs.currents, obs.voltages)
-
-    def _model(self, x, want_gradient):
-        f = ls_model if self.model == "ls" else kv_model
-        return f(x.sigma, x.phis, x.psis, self.mesh, want_gradient)
-
-    def _obs(self, x, want_gradient):
-        o = self.obs
-        if o.variant == "iat":
-            return iat_obs(x.sigma, x.phis, self.mesh, o.H, psis=x.psis, variant=o.iat_obs_variant,
-                           want_gradient=want_gradient)
-        if o.variant == "eit":
-            return self.trace_term.value_and_duals(x.phis, x.psis, self.jbar, self.vbar, want_gradient)
-        return gwf_obs(x.phis, self.mesh, o.flux, o.head, o.head_order, want_gradient)
-
-    def value(self, x):
-        return self._model(x, False)[0] + self.beta * self._obs(x, False)[0]
-
-    def value_and_gradient(self, x):
-        vm, dm = self._model(x, True)
-        vo, do = self._obs(x, True)
-        duals = _add_duals((dm, 1.0), (do, self.beta))
-        return vm + self.beta * vo, self._riesz_from_duals(duals)
-
-    def quadratic_model(self, x):
-        J0, g = self.value_and_gradient(x)
-        mesh = self.mesh
-        s = x.sigma
-        E = fem.gradient_field(x.phis, mesh)
-        J = fem.perp_gradient_field(x.psis, mesh)
-        s4 = s[:, None, None, None]
-        o = self.obs
-
-        def hvp(h):
-            # Gauss-Newton product: duals of sum_i int r'(h) . r'(basis)
-            hE = fem.gradient_field(h.phis, mesh)
-            hJ = fem.perp_gradient_field(h.psis, mesh)
-            hs = h.sigma[:, None, None, None]
-            if self.model == "kv":
-                t = hs * (E / (2 * np.sqrt(s4)) + J / (2 * s4**1.5)) + np.sqrt(s4) * hE - hJ / np.sqrt(s4)
-                d_sigma = np.einsum("eq,eqI->e", mesh.qweights,
-                                    (t * (E / (2 * np.sqrt(s4)) + J / (2 * s4**1.5))).sum(axis=2))
-                d_phi = fem.gradient_dual(np.sqrt(s4) * t, mesh)
-                d_psi = fem.gradient_dual(fem.rotate(t / np.sqrt(s4)), mesh)
-            else:
-                t = hs * E + s4 * hE - hJ
-                d_sigma = np.einsum("eq,eqI->e", mesh.qweights, (t * E).sum(axis=2))
-                d_phi = fem.gradient_dual(s4 * t, mesh)
-                d_psi = fem.gradient_dual(fem.rotate(t), mesh)
-            duals_model = (d_sigma, d_phi, d_psi)
-
-            if o.variant == "iat" and o.iat_obs_variant == 2:
-                avgE2 = np.einsum("q,eqI->eI", fem.QUAD_W, (E**2).sum(axis=2))
-                tt = h.sigma[:, None] * avgE2 + 2 * np.einsum("q,eqI->eI", fem.QUAD_W, (s4 * E * hE).sum(axis=2))
-                do_sigma = np.einsum("e,eI->e", mesh.element_areas, tt * avgE2)
-                do_phi = fem.gradient_dual(2 * s4 * tt[:, None, None, :] * E, mesh)
-                duals_obs = (do_sigma, do_phi, None)
-            elif o.variant == "iat":
-                tt = np.einsum("q,eqI->eI", fem.QUAD_W, (hJ * E).sum(axis=2) + (J * hE).sum(axis=2))
-                do_phi = fem.gradient_dual(tt[:, None, None, :] * J, mesh)
-                do_psi = -fem.gradient_dual(fem.rotate(tt[:, None, None, :] * E), mesh)
-                duals_obs = (None, do_phi, do_psi)
-            elif o.variant == "eit":
-                # the trace term is quadratic: evaluate its duals on the direction
-                _, duals_obs = self.trace_term.value_and_duals(
-                    h.phis, h.psis, np.zeros_like(self.jbar), (np.zeros_like(self.vbar[0]), np.zeros_like(self.vbar[1]))
-                )
-            else:
-                if o.flux is not None:
-                    do_phi = fem.gradient_dual(2.0 * hE, mesh)
-                    duals_obs = (None, do_phi, None)
-                else:
-                    M = mesh.mass()
-                    op = M if o.head_order == 0 else (M + mesh.stiffness())
-                    duals_obs = (None, op @ h.phis, None)
-            duals = _add_duals((duals_model, 1.0), (duals_obs, self.beta))
-            return self._riesz_from_duals(duals)
-
-        return QuadraticModel(self.space, x.copy(), J0, g, hvp)
+        super().__init__(formulation, space, constraints)
+        model = LsTerm(self.mesh) if formulation == "gwf-aao-ls" else KvTerm(self.mesh)
+        term, weight = _observation_term(obs, self.mesh, electrodes)
+        self.residual = Residual([(model, 1.0), (term, beta * weight)], partial(Point, self.mesh))
 
 
 class EliminatedSigmaCost(CostFunctional):
-    """J over x = (Phi, Psi) with sigma replaced by its per-element minimizer."""
+    """J over x = (Phi, Psi): the all-at-once Kohn-Vogelius sum at the lifted
+    state (sigma(Phi, Psi), Phi, Psi), sigma the per-element minimizer of the
+    model term.  The quadratic model freezes sigma (the all-at-once product
+    with h_sigma = 0)."""
 
     def __init__(self, formulation, space, constraints, obs, beta=1.0, electrodes=None):
-        super().__init__(space, constraints, beta)
-        self.formulation = formulation
-        self.obs = obs
-        self.mesh = space.mesh
-        if obs.variant == "eit":
-            self.trace_term = EitTraceTerm(self.mesh, electrodes)
-            self.jbar, self.vbar = self.trace_term.traces_from_data(obs.currents, obs.voltages)
+        super().__init__(formulation, space, constraints)
+        term, weight = _observation_term(obs, self.mesh, electrodes)
+        self.residual = Residual([(KvTerm(self.mesh), 1.0), (term, beta * weight)], self._lift)
 
-    def sigma_of(self, x):
-        s, _ = eliminate_sigma(x.phis, x.psis, self.mesh,
-                               self.constraints.sigma_lower, self.constraints.sigma_upper)
-        return s
+    def _lift(self, sigma, phis, psis):
+        x = Point(self.mesh, None, phis, psis)
+        x.sigma, (x.A, x.B) = _eliminate(x.E, x.J, self.constraints.sigma_lower, self.constraints.sigma_upper)
+        return x
 
-    def value(self, x):
-        return self._value_duals(x, False)[0]
+    def _direction(self, h):
+        return Point(self.mesh, np.zeros(self.mesh.n_elements), h.phis, h.psis)
 
-    def value_and_gradient(self, x):
-        v, duals = self._value_duals(x, True)
-        return v, self._riesz_from_duals(duals)
-
-    def _value_duals(self, x, want_gradient):
-        mesh = self.mesh
-        lo, hi = self.constraints.sigma_lower, self.constraints.sigma_upper
-        s, (A, B) = eliminate_sigma(x.phis, x.psis, mesh, lo, hi)
-        vm, dm = kv_model(s, x.phis, x.psis, mesh, want_gradient)
-        o = self.obs
-        if o.variant == "iat":
-            vo, do = iat_obs(s, x.phis, mesh, o.H, psis=x.psis, variant=o.iat_obs_variant,
-                             want_gradient=want_gradient)
-        else:
-            vo, do = self.trace_term.value_and_duals(x.phis, x.psis, self.jbar, self.vbar, want_gradient)
-        value = vm + self.beta * vo
-        if not want_gradient:
-            return value, None
-        duals = list(_add_duals((dm, 1.0), (do, self.beta)))
+    def _gradient_duals(self, lin):
+        (model, _), (obs, weight) = lin.pairs
+        x, mesh = lin.x, self.mesh
+        do = obs.adjoint(x, lin.r[1])
+        weighted = [(model.adjoint(x, lin.r[0]), 1.0), (do, weight)]
         # chain rule through sigma(Phi, Psi): the model term is stationary in sigma
         # (argmin where unclamped, frozen where clamped); only the observation term
         # contributes, and only through unclamped elements.
-        if o.variant == "iat" and do[0] is not None:
+        if do[0] is not None:
+            s, A, B = x.sigma, x.A, x.B
+            lo, hi = self.constraints.sigma_lower, self.constraints.sigma_upper
             free = (s > lo + 1e-14) & (s < hi - 1e-14) & (A > 0) & (B > 0)
-            dJ_ds = self.beta * do[0] * free  # euclidean derivative w.r.t. sigma_e
+            dJ_ds = weight * do[0] * free  # euclidean derivative w.r.t. sigma_e
             with np.errstate(divide="ignore", invalid="ignore"):
                 ds_dA = np.where(free, -s / (2 * A), 0.0)
                 ds_dB = np.where(free, s / (2 * B), 0.0)
-            ds_dA[~np.isfinite(ds_dA)] = 0.0
-            ds_dB[~np.isfinite(ds_dB)] = 0.0
-            E = fem.gradient_field(x.phis, mesh)
-            J = fem.perp_gradient_field(x.psis, mesh)
             # dA/dphi and dB/dpsi carry element-mean weights QUAD_W = qweights/area
             cA = (dJ_ds * ds_dA / mesh.element_areas)[:, None, None, None]
             cB = (dJ_ds * ds_dB / mesh.element_areas)[:, None, None, None]
-            duals[1] = duals[1] + fem.gradient_dual(2 * cA * E, mesh)
-            duals[2] = duals[2] - fem.gradient_dual(fem.rotate(2 * cB * J), mesh)
-        duals[0] = None
-        return value, tuple(duals)
-
-    def quadratic_model(self, x):
-        # Gauss-Newton with sigma frozen at its current eliminated value
-        J0, g = self.value_and_gradient(x)
-        mesh = self.mesh
-        s = self.sigma_of(x)
-        s4 = s[:, None, None, None]
-        E = fem.gradient_field(x.phis, mesh)
-        J = fem.perp_gradient_field(x.psis, mesh)
-        o = self.obs
-
-        def hvp(h):
-            hE = fem.gradient_field(h.phis, mesh)
-            hJ = fem.perp_gradient_field(h.psis, mesh)
-            t = np.sqrt(s4) * hE - hJ / np.sqrt(s4)
-            d_phi = fem.gradient_dual(np.sqrt(s4) * t, mesh)
-            d_psi = fem.gradient_dual(fem.rotate(t / np.sqrt(s4)), mesh)
-            duals_model = (None, d_phi, d_psi)
-            if o.variant == "iat" and o.iat_obs_variant == 2:
-                tt = 2 * np.einsum("q,eqI->eI", fem.QUAD_W, (s4 * E * hE).sum(axis=2))
-                do_phi = fem.gradient_dual(2 * s4 * tt[:, None, None, :] * E, mesh)
-                duals_obs = (None, do_phi, None)
-            elif o.variant == "iat":
-                tt = np.einsum("q,eqI->eI", fem.QUAD_W, (hJ * E).sum(axis=2) + (J * hE).sum(axis=2))
-                do_phi = fem.gradient_dual(tt[:, None, None, :] * J, mesh)
-                do_psi = -fem.gradient_dual(fem.rotate(tt[:, None, None, :] * E), mesh)
-                duals_obs = (None, do_phi, do_psi)
-            else:
-                _, duals_obs = self.trace_term.value_and_duals(
-                    h.phis, h.psis, np.zeros_like(self.jbar), (np.zeros_like(self.vbar[0]), np.zeros_like(self.vbar[1]))
-                )
-            return self._riesz_from_duals(_add_duals((duals_model, 1.0), (duals_obs, self.beta)))
-
-        return QuadraticModel(self.space, x.copy(), J0, g, hvp)
+            weighted.append(((None, 2 * cA * x.E, 2 * cB * x.J), 1.0))
+        return _sum_duals(mesh, weighted)
 
 
 class ReducedCost(CostFunctional):
-    """Parameter-only cost J(sigma) with the potentials eliminated by the CEM solve.
+    """Parameter-only cost J(sigma) = beta J_obs(sigma, Phi(sigma), U(sigma)): one ReducedMap term.
 
-    Gradients use one adjoint solve per excitation against the factorized forward
-    system (discretize-then-optimize: exact gradients of the discrete cost).
+    Gradients use one adjoint solve against the factorized forward system
+    (discretize-then-optimize: exact gradients of the discrete cost).
     """
 
     def __init__(self, formulation, space, constraints, obs, excitation, beta=1.0, electrodes=None):
-        super().__init__(space, constraints, beta)
-        self.formulation = formulation
-        self.obs = obs
-        self.excitation = excitation
-        self.mesh = space.mesh
-        self.electrodes = electrodes or space.mesh.electrodes
-        self._memo = []  # (sigma copy, system, solution) of the last two sigma values solved
-
-    # forward solves are memoized so value/gradient/hvp at one sigma share them
-    def _solve(self, sigma):
-        for s, system, sol in self._memo:
-            if np.array_equal(s, sigma):
-                return system, sol
-        system = fem.assemble_cem(self.mesh, sigma, self.electrodes)
-        sol = fem.solve_cem(system, self.excitation)
-        self._memo = self._memo[-1:] + [(np.array(sigma, float), system, sol)]
-        return system, sol
-
-    def _residual(self, sigma, sol):
-        """Data residual and helpers in the observation inner product."""
-        o = self.obs
-        if o.variant == "iat":
-            E = fem.gradient_field(sol.phi, self.mesh)
-            avgE2 = np.einsum("q,eqI->eI", fem.QUAD_W, (E**2).sum(axis=2))
-            rho = sigma[:, None] * avgE2 - o.H.T  # (nel, I)
-            return rho, (E, avgE2)
-        if o.variant == "eit":
-            return sol.voltages - o.voltages, None
-        E = fem.gradient_field(sol.phi, self.mesh)
-        return E - o.flux, (E, None)
-
-    def value(self, x):
-        system, sol = self._solve(x.sigma)
-        r, _ = self._residual(x.sigma, sol)
-        o = self.obs
-        if o.variant == "iat":
-            return 0.5 * self.beta * float(np.einsum("e,eI->", self.mesh.element_areas, r**2))
-        if o.variant == "eit":
-            return 0.5 * self.beta * float(np.sum(r**2))
-        return self.beta * float(np.einsum("eq,eqaI->", self.mesh.qweights, r**2))
-
-    def value_and_gradient(self, x):
-        system, sol = self._solve(x.sigma)
-        mesh = self.mesh
-        o = self.obs
-        r, aux = self._residual(x.sigma, sol)
-        n, L = mesh.n_nodes, self.electrodes.count
-        nI = self.excitation.n_excitations
-        rhs = np.zeros((n + L + 1, nI))
-        d_sigma = np.zeros(mesh.n_elements)
-        if o.variant == "iat":
-            E, avgE2 = aux
-            value = 0.5 * self.beta * float(np.einsum("e,eI->", mesh.element_areas, r**2))
-            d_sigma += self.beta * np.einsum("e,eI->e", mesh.element_areas, r * avgE2)
-            b = fem.gradient_dual(2 * x.sigma[:, None, None, None] * r[:, None, None, :] * E, mesh)
-            rhs[:n] = self.beta * b
-        elif o.variant == "eit":
-            value = 0.5 * self.beta * float(np.sum(r**2))
-            rhs[n : n + L] = self.beta * r.T
-        else:
-            value = self.beta * float(np.einsum("eq,eqaI->", mesh.qweights, r**2))
-            b = fem.gradient_dual(2.0 * r, mesh)
-            rhs[:n] = self.beta * b
-        lam = system.lu.solve(rhs)
-        gl = fem.gradient_field(lam[:n], mesh)
-        gphi = fem.gradient_field(sol.phi, mesh)
-        d_sigma -= np.einsum("eq,eqI->e", mesh.qweights, (gl * gphi).sum(axis=2))
-        dual = core.State(self.space, d_sigma)
-        return value, self.space.riesz(dual)
-
-    def quadratic_model(self, x):
-        J0, g = self.value_and_gradient(x)
-        system, sol = self._solve(x.sigma)
-        mesh = self.mesh
-        o = self.obs
-        n, L = mesh.n_nodes, self.electrodes.count
-        nI = self.excitation.n_excitations
-        gphi = fem.gradient_field(sol.phi, mesh)
-        sigma = x.sigma
-
-        def forward_sens(h):
-            rhs = np.zeros((n + L + 1, nI))
-            rhs[:n] = -fem.gradient_dual(h[:, None, None, None] * gphi, mesh)
-            return system.lu.solve(rhs)
-
-        def hvp(h):
-            du = forward_sens(h.sigma)
-            dgrad = fem.gradient_field(du[:n], mesh)
-            rhs = np.zeros((n + L + 1, nI))
-            d_sigma = np.zeros(mesh.n_elements)
-            if o.variant == "iat":
-                avgE2 = np.einsum("q,eqI->eI", fem.QUAD_W, (gphi**2).sum(axis=2))
-                t = h.sigma[:, None] * avgE2 + 2 * np.einsum(
-                    "q,eqI->eI", fem.QUAD_W, (sigma[:, None, None, None] * gphi * dgrad).sum(axis=2))
-                d_sigma += self.beta * np.einsum("e,eI->e", mesh.element_areas, t * avgE2)
-                b = fem.gradient_dual(2 * sigma[:, None, None, None] * t[:, None, None, :] * gphi, mesh)
-                rhs[:n] = self.beta * b
-            elif o.variant == "eit":
-                dv = du[n : n + L].T
-                rhs[n : n + L] = self.beta * dv.T
-            else:
-                b = fem.gradient_dual(2.0 * dgrad, mesh)
-                rhs[:n] = self.beta * b
-            lam = system.lu.solve(rhs)
-            gl = fem.gradient_field(lam[:n], mesh)
-            d_sigma -= np.einsum("eq,eqI->e", mesh.qweights, (gl * gphi).sum(axis=2))
-            return self.space.riesz(core.State(self.space, d_sigma))
-
-        return QuadraticModel(self.space, x.copy(), J0, g, hvp)
+        super().__init__(formulation, space, constraints)
+        term, weight = _observation_term(obs, self.mesh, electrodes, reduced=True)
+        rmap = ReducedMap(term, self.mesh, excitation, electrodes)
+        self.residual = Residual([(rmap, beta * weight)], lambda sigma, phis, psis: rmap.lift(sigma))
 
 
 def reduced_cost(sigma, observations, mesh, excitation, formulation="iat-reduced",
                  electrodes=None, beta=1.0, constraints=None):
     """Evaluate a reduced cost and its Riesz gradient at one conductivity."""
-    space = core.StateSpace(mesh, with_potentials=False)
-    cs = constraints or core.ConstraintSet()
-    cost = ReducedCost(formulation, space, cs, observations, excitation, beta, electrodes)
-    x = space.state(np.asarray(getattr(sigma, "values", sigma), float))
-    return cost.value_and_gradient(x)
+    cost = combined_cost(formulation, observations, mesh, excitation, electrodes, beta, constraints)
+    return cost.value_and_gradient(cost.space.state(np.asarray(getattr(sigma, "values", sigma), float)))
 
 
 def combined_cost(formulation, observations, mesh, excitation, electrodes=None,

@@ -218,10 +218,10 @@ def projected_gradient(cost, constraint, x0, cfg, sink=None):
         if res.stagnated:
             report.stop_reason = "stagnation"
             break
-        x = res.x_next
+        x, J = res.x_next, res.J_next
         mu_prev = res.mu
         report.step_history.append(res.mu)
-        J, g = cost.value_and_gradient(x)
+        _, g = cost.value_and_gradient(x)  # a memoizing cost reuses the accepted trial's evaluation
         k += 1
     report.k_star = k
     report.x_final = x

@@ -83,20 +83,6 @@ def test_gwf_tcc_constant_halving_box(gwf_setup):
     assert abs(half["c_tc"] - 0.5 * full["c_tc"]) < 1e-10
 
 
-def test_gwf_operator_norm_adjoint_consistency(gwf_setup):
-    # <u, F' h> = <F'* u, h> for random u, h
-    mesh, exc, cs, space, x_d, flux = gwf_setup
-    fwd = cd.GwfLsForward(space)
-    rng = np.random.default_rng(8)
-    h = space.state(rng.normal(size=mesh.n_elements), rng.normal(size=(mesh.n_nodes, 1)),
-                    rng.normal(size=(mesh.n_nodes, 1)))
-    u = np.stack([rng.normal(size=(mesh.n_elements, 6, 2, 1)),
-                  rng.normal(size=(mesh.n_elements, 6, 2, 1))])
-    lhs = fwd.data_inner(u, fwd.derivative(x_d, h))
-    rhs = space.inner(fwd.adjoint(x_d, u), h)
-    assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
-
-
 # -- check_convex2 ------------------------------------------------------------------
 
 

@@ -213,6 +213,14 @@ def test_experiment_config_validation():
     assert cfg.fine_refine == 0
 
 
+def test_reduced_power_density_variant_1_fails_at_cost_stage():
+    cfg = ex.ExperimentConfig(formulation="iat-reduced", case="I1", delta=0.0, seed=0,
+                              coarse_scale=1, fine_refine=1, max_iters=1, iat_obs_variant=1)
+    with pytest.raises(ExperimentError) as err:
+        ex.run_experiment(cfg)
+    assert err.value.stage == "cost"
+
+
 def test_degenerate_run_stops_immediately():
     # constant phantom equal to the starting value, matched mesh, no noise:
     # the start is the exact minimizer, so k* = 0 and the error vanishes

@@ -1,8 +1,10 @@
 """Cost-functional values, gradients (FD oracles), elimination, and quadratic models."""
+from functools import partial
+
 import numpy as np
 import pytest
 
-from condrec import core, fem, functionals as fn
+from condrec import conditions as cd, core, fem, functionals as fn, solvers as sv
 from condrec.errors import FormulationMismatchError, UnsupportedOperationError
 
 
@@ -116,11 +118,10 @@ def test_eit_obs_zero_on_manufactured_state(setup):
     # state with constant phi trace per electrode and exact psi ramps satisfies the
     # trace identities, so the discrete misfit vanishes at machine precision
     mesh, exc = setup[0], setup[1]
-    term = fn.EitTraceTerm(mesh)
     rng = np.random.default_rng(9)
     j = exc.currents
     v = rng.normal(size=j.shape)
-    jbar, vbar = term.traces_from_data(j, v)
+    term = fn.eit_trace_term(mesh, *fn.eit_trace_data(j, v, mesh.electrodes.impedances))
     z = mesh.electrodes.impedances
     trace, bdofs = fem.psi_trace_values(mesh, exc)
     psis = rng.normal(size=(mesh.n_nodes, exc.n_excitations))
@@ -134,7 +135,7 @@ def test_eit_obs_zero_on_manufactured_state(setup):
             for e in edges:
                 for d in e.nodes:
                     phis[d, i] = v[i, ell - 1] + z[ell - 1] * (-j[i, ell - 1] / stot)
-    val, _ = term.value_and_duals(phis, psis, jbar, vbar, want_gradient=False)
+    val = fn.Linearization([(term, 1.0)], fn.Point(mesh, None, phis, psis)).value
     scale = float(np.sum(v**2)) + 1.0
     assert val <= 1e-16 * scale
 
@@ -142,13 +143,13 @@ def test_eit_obs_zero_on_manufactured_state(setup):
 def test_eit_obs_gap_contribution(setup):
     # psi = 0 with jbar = 1 on one gap of length s contributes s/2
     mesh, exc = setup[0], setup[1]
-    term = fn.EitTraceTerm(mesh)
     jbar = np.zeros((1, 8))
     jbar[0, 2] = 1.0
     vbar = (np.zeros((1, 8)), np.zeros((1, 8)))
+    term = fn.eit_trace_term(mesh, jbar, vbar)
     phis = np.zeros((mesh.n_nodes, 1))
     psis = np.zeros((mesh.n_nodes, 1))
-    val, _ = term.value_and_duals(phis, psis, jbar, vbar, want_gradient=False)
+    val = fn.Linearization([(term, 1.0)], fn.Point(mesh, None, phis, psis)).value
     gap_len = sum(e.length for e in mesh.gap_edges(3))
     assert abs(val - 0.5 * gap_len) < 1e-12
 
@@ -180,6 +181,17 @@ def test_gradient_matches_finite_differences(setup, tag):
     for rep in range(5):
         x = _random_state(cost.space, rng, mesh, 2)
         assert _fd_error(cost, x, rng, mesh, 2) < tol
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_gwf_reduced_head_data_gradient(setup, order):
+    # the reduced map composes any observation term with the CEM solve, head data included
+    mesh, exc, cs, sigma_ex, phi_ex = setup[:5]
+    obs = fn.Observations("gwf", 0.0, head=phi_ex, head_order=order)
+    cost = fn.combined_cost("gwf-reduced", obs, mesh, exc, constraints=cs)
+    assert cost.value(cost.space.state(sigma_ex)) < 1e-28
+    rng = np.random.default_rng(12)
+    assert _fd_error(cost, _random_state(cost.space, rng, mesh, 2), rng, mesh, 2) < 1e-4
 
 
 def test_obs1_variant_gradient(setup):
@@ -464,6 +476,20 @@ def test_combined_cost_validation(setup):
         fn.combined_cost("eit-aao", obs, mesh, exc, constraints=cs)
 
 
+def test_power_density_variant_validation(setup):
+    # the reduced map carries no stream potentials, so variant 1 is refused
+    # rather than silently evaluated as variant 2
+    mesh, exc, cs = setup[:3]
+    H = setup[7]
+    with pytest.raises(UnsupportedOperationError):
+        fn.Observations("iat", 0.0, H=H, iat_obs_variant=3)
+    obs = fn.Observations("iat", 0.0, H=H, iat_obs_variant=1)
+    with pytest.raises(UnsupportedOperationError):
+        fn.combined_cost("iat-reduced", obs, mesh, exc, constraints=cs)
+    for tag in ("iat-aao", "iat-elim-sigma"):
+        fn.combined_cost(tag, obs, mesh, exc, constraints=cs)
+
+
 def test_combined_cost_term_composition(setup):
     # all-at-once value equals model + beta * obs term-by-term
     mesh, exc, cs, sigma_ex, phi_ex, psi_ex, v_ex, H, flux = setup
@@ -475,3 +501,73 @@ def test_combined_cost_term_composition(setup):
     vm, _ = fn.ls_model(x.sigma, x.phis, x.psis, mesh, False)
     vo, _ = fn.gwf_obs(x.phis, mesh, flux=flux, want_gradient=False)
     assert abs(cost.value(x) - (vm + beta * vo)) < 1e-12 * max(vm + beta * vo, 1.0)
+
+
+# -- the residual layer -----------------------------------------------------------------
+
+ADJOINT_CASES = ["kv", "ls", "iat-1", "iat-2", "eit-trace", "gwf-flux", "gwf-head-0", "gwf-head-1",
+                 "reduced-iat", "reduced-eit", "reduced-gwf", "gwf-ls-forward"]
+
+
+def _residual_of(setup, case):
+    mesh, exc, cs, sigma_ex, phi_ex, psi_ex, v_ex, H, flux = setup
+    if case == "gwf-ls-forward":
+        return cd.GwfLsForward(core.StateSpace(mesh, n_excitations=exc.n_excitations)).residual
+    if case.startswith("reduced-"):
+        obs = {"iat": fn.PowerTerm(mesh, H), "eit": fn.voltage_term(v_ex), "gwf": fn.flux_term(mesh, flux)}
+        rmap = fn.ReducedMap(obs[case[len("reduced-"):]], mesh, exc)
+        return fn.Residual([(rmap, 1.0)], lambda sigma, phis, psis: rmap.lift(sigma))
+    head = np.random.default_rng(20).normal(size=phi_ex.shape)
+    term = {
+        "kv": lambda: fn.KvTerm(mesh),
+        "ls": lambda: fn.LsTerm(mesh),
+        "iat-1": lambda: fn.PowerTerm(mesh, H, 1),
+        "iat-2": lambda: fn.PowerTerm(mesh, H, 2),
+        "eit-trace": lambda: fn.eit_trace_term(
+            mesh, *fn.eit_trace_data(exc.currents, v_ex, mesh.electrodes.impedances)),
+        "gwf-flux": lambda: fn.flux_term(mesh, flux),
+        "gwf-head-0": lambda: fn.head_term(mesh, head, 0),
+        "gwf-head-1": lambda: fn.head_term(mesh, head, 1),
+    }[case]()
+    return fn.Residual([(term, 1.0)], partial(fn.Point, mesh))
+
+
+@pytest.mark.parametrize("case", ADJOINT_CASES)
+def test_adjoint_identity(setup, case):
+    # dot-product test at a random point: <r'(x) h, u>_W = <h, r'(x)^* u>, the
+    # right side pairing the assembled duals with the coefficients of h
+    mesh, exc = setup[0], setup[1]
+    rng = np.random.default_rng(21)
+    shape = (mesh.n_nodes, exc.n_excitations)
+    sigma_only = case.startswith("reduced-")
+    x, h = (fn.Point(mesh, sigma, *(() if sigma_only else (rng.normal(size=shape), rng.normal(size=shape))))
+            for sigma in (rng.uniform(1.5, 5.5, mesh.n_elements), rng.normal(size=mesh.n_elements)))
+    residual = _residual_of(setup, case)
+    lin = residual.linearize(x)
+    u = [rng.normal(size=np.shape(r)) for r in lin.r]
+    lhs = residual.inner(lin.derivative(h), u)
+    rhs = sum(float(np.sum(a * d)) for a, d in zip((h.sigma, h.phis, h.psis), lin.adjoint(u)) if d is not None)
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def test_projected_gradient_linearizes_each_point_once(setup, monkeypatch):
+    # the gradient at an accepted point reuses the linearization its Armijo
+    # trial made, and the cost history is what fresh evaluations give
+    mesh, exc, cs, sigma_ex = setup[:4]
+    points = []
+
+    class Counting(fn.Linearization):
+        def __init__(self, pairs, x):
+            points.append(np.concatenate([x.sigma, x.phis.ravel(), x.psis.ravel()]).tobytes())
+            super().__init__(pairs, x)
+
+    monkeypatch.setattr(fn, "Linearization", Counting)
+    cost = _all_costs(setup)["iat-aao"]
+    sigma0 = np.full(mesh.n_elements, 3.5)
+    phi0, psi0, _, _, _ = fn.reduced_forward(sigma0, mesh, exc)
+    cfg = sv.GradientConfig(mu_max=8.0, max_iters=6, store_iterates=True)
+    report = sv.projected_gradient(cost, sv.FeasibleSet(cost.space, cs), cost.space.state(sigma0, phi0, psi0), cfg)
+    assert report.stop_reason == "max-iters"
+    assert len(points) > report.k_star + 1 and len(set(points)) == len(points)
+    fresh = _all_costs(setup)["iat-aao"]
+    assert report.cost_history == [fresh.value(x) for x in report.iterates]
