@@ -9,18 +9,7 @@ P2 complete-electrode-model finite-element forward solver.
 __version__ = "0.1.0"
 
 from . import conditions, core, errors, experiments, fem, functionals, solvers
-from .core import (
-    CellField,
-    ConstraintSet,
-    NodalField,
-    State,
-    StateSpace,
-    VectorQuadField,
-    inner_product,
-    project_box,
-    project_mean_zero,
-    project_state,
-)
+from .core import ConstraintSet, State, StateSpace
 from .experiments import (
     ExperimentConfig,
     Phantom,

@@ -85,29 +85,35 @@ def _experiment_configs(cfg, args):
         log_iterations=_get(cfg, "solver", "log_iterations", True, bool),
         out_dir=out,
     )
-    if common["solver"] == "newton":
-        common["newton"] = solvers.NewtonConfig(
-            schedule=_get(cfg, "solver", "schedule", "a-priori"),
-            alpha0=_get(cfg, "solver", "alpha0", 1.0, float),
-            theta=_get(cfg, "solver", "theta", 0.5, float),
-            sigma_lo=_get(cfg, "solver", "sigma_lo", 0.2, float),
-            sigma_hi=_get(cfg, "solver", "sigma_hi", 0.8, float),
+    # a value the library rejects is a configuration error, not a runtime failure
+    try:
+        if common["solver"] == "newton":
+            common["newton"] = solvers.NewtonConfig(
+                schedule=_get(cfg, "solver", "schedule", "a-priori"),
+                alpha0=_get(cfg, "solver", "alpha0", 1.0, float),
+                theta=_get(cfg, "solver", "theta", 0.5, float),
+                sigma_lo=_get(cfg, "solver", "sigma_lo", 0.2, float),
+                sigma_hi=_get(cfg, "solver", "sigma_hi", 0.8, float),
+            )
+        phantom = experiments.Phantom(
+            background=_get(cfg, "phantom", "background", 2.0, float),
+            inclusion_value=_get(cfg, "phantom", "inclusion_value", 5.0, float),
+            inclusion_center=(
+                _get(cfg, "phantom", "center_x", -0.3, float),
+                _get(cfg, "phantom", "center_y", -0.1, float),
+            ),
+            inclusion_radius=_get(cfg, "phantom", "radius", 0.5, float),
         )
-    phantom = experiments.Phantom(
-        background=_get(cfg, "phantom", "background", 2.0, float),
-        inclusion_value=_get(cfg, "phantom", "inclusion_value", 5.0, float),
-        inclusion_center=(
-            _get(cfg, "phantom", "center_x", -0.3, float),
-            _get(cfg, "phantom", "center_y", -0.1, float),
-        ),
-        inclusion_radius=_get(cfg, "phantom", "radius", 0.5, float),
-    )
-    out_configs = []
-    for case in cases:
-        for d in deltas:
-            out_configs.append(experiments.ExperimentConfig(
-                case=case, delta=float(d), seed=seed, phantom=phantom,
-                label=f"{form}_{case}_d{d}_s{seed}", **common))
+        out_configs = []
+        for case in cases:
+            for d in deltas:
+                out_configs.append(experiments.ExperimentConfig(
+                    case=case, delta=float(d), seed=seed, phantom=phantom,
+                    label=f"{form}_{case}_d{d}_s{seed}", **common))
+    except ConfigError:
+        raise
+    except CondrecError as exc:
+        raise ConfigError(str(exc)) from exc
     return out_configs, out
 
 

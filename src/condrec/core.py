@@ -1,4 +1,4 @@
-"""Field containers, product-space inner products, constraint sets, and metric projections.
+"""Product-space states, inner products, constraint sets, and metric projections.
 
 The unknown is x = (sigma, Phi, Psi) or an eliminated subset.  sigma lives in
 L2(Omega) as a piecewise constant, potentials in H1(Omega) as continuous P2
@@ -6,16 +6,22 @@ fields; the product inner product is L2 on the sigma block and full H1
 (mass + stiffness) on every potential.  All projections implemented here are the
 exact metric projections in that inner product, so the defining variational
 inequality <x_tilde - Px_tilde, z - Px_tilde> <= 0 holds for every feasible z.
+
+A State holds finite float arrays of its space's shapes.  That is checked only
+where values enter: StateSpace.state copies and checks the caller's blocks,
+StateSpace.riesz checks the dual it maps (every computed gradient passes
+through it), and State.__mul__ rejects a non-finite scalar.  Sums, scalings,
+projections and Riesz maps of such States stay finite, so State itself neither
+copies nor checks, and library code never mutates a State's arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from . import fem
-from .errors import FormulationMismatchError, InvalidFieldError, InvalidMeshError
+from .errors import FormulationMismatchError, InvalidFieldError
 
 
 def _check_finite(a, what):
@@ -23,99 +29,22 @@ def _check_finite(a, what):
         raise InvalidFieldError(f"{what} contains non-finite values")
 
 
-class CellField:
-    """One scalar per mesh element (conductivity, power density)."""
-
-    def __init__(self, values, mesh=None):
-        v = np.asarray(values, float).copy()
-        if mesh is not None and v.shape != (mesh.n_elements,):
-            raise InvalidFieldError("cell field length does not match element count")
-        _check_finite(v, "cell field")
-        self.values = v
-
-    def __array__(self, dtype=None):
-        return self.values.astype(dtype) if dtype else self.values
-
-    def __len__(self):
-        return len(self.values)
-
-
-class NodalField:
-    """One coefficient per P2 degree of freedom (potentials phi, psi)."""
-
-    def __init__(self, coefficients, mesh=None):
-        c = np.asarray(coefficients, float).copy()
-        if mesh is not None and c.shape != (mesh.n_nodes,):
-            raise InvalidFieldError("nodal field length does not match P2 dof count")
-        _check_finite(c, "nodal field")
-        self.coefficients = c
-
-    def __array__(self, dtype=None):
-        return self.coefficients.astype(dtype) if dtype else self.coefficients
-
-    def __len__(self):
-        return len(self.coefficients)
-
-
-class VectorQuadField:
-    """A 2-vector per quadrature point per element (E = grad phi, J = perp-grad psi)."""
-
-    def __init__(self, vectors, mesh=None):
-        v = np.asarray(vectors, float)
-        if v.ndim != 3 or v.shape[2] != 2:
-            raise InvalidFieldError("vector quad field must have shape (elements, qpoints, 2)")
-        if mesh is not None and v.shape[0] != mesh.n_elements:
-            raise InvalidFieldError("vector quad field does not match element count")
-        _check_finite(v, "vector quad field")
-        self.vectors = v.copy()
-
-    def __array__(self, dtype=None):
-        return self.vectors.astype(dtype) if dtype else self.vectors
-
-
 @dataclass
 class ConstraintSet:
     """Admissible set: box bounds on sigma, zero mean on phi, fixed psi traces.
 
     ``psi_dirichlet`` holds the trace values at the boundary dofs (one column per
-    excitation), produced by fem.psi_trace_values.  ``noise_budget`` stores
-    eta(delta) for the discrepancy stopping rules; it does not affect projection.
+    excitation), produced by fem.psi_trace_values.
     """
 
     sigma_lower: float = 1.0
     sigma_upper: float = 6.0
     phi_mean_zero: bool = True
     psi_dirichlet: np.ndarray | None = None
-    noise_budget: float = 0.0
 
     def __post_init__(self):
         if not self.sigma_lower <= self.sigma_upper:
             raise InvalidFieldError("sigma bounds must satisfy lower <= upper")
-        if self.noise_budget < 0:
-            raise InvalidFieldError("noise budget must be >= 0")
-
-
-def project_box(field, constraints):
-    """Clamp a cell field into [sigma_lower, sigma_upper] (L2 metric projection)."""
-    v = np.asarray(getattr(field, "values", field), float)
-    _check_finite(v, "cell field")
-    out = np.clip(v, constraints.sigma_lower, constraints.sigma_upper)
-    return CellField(out) if isinstance(field, CellField) else out
-
-
-def project_mean_zero(field, mesh):
-    """Remove the mean: output = field - (int field)/|Omega|.
-
-    This is the exact metric projection onto the zero-mean subspace in both the
-    L2 and the H1 inner product, since constants are stiffness-kernel elements.
-    """
-    if mesh.total_area <= 0:
-        raise InvalidMeshError("mesh has no area")
-    c = np.asarray(getattr(field, "coefficients", field), float)
-    w = mesh.integral_weights()
-    mean = (w @ c) / mesh.total_area
-    out = c - mean
-    return NodalField(out) if isinstance(field, NodalField) else out
 
 
 class StateSpace:
@@ -155,10 +84,18 @@ class StateSpace:
         if self.with_potentials:
             shape = (self.mesh.n_nodes, self.n_excitations)
             return State(self, sig, np.zeros(shape), np.zeros(shape))
-        return State(self, sig, None, None)
+        return State(self, sig)
 
     def state(self, sigma=None, phis=None, psis=None):
-        return State(self, sigma, phis, psis)
+        """A State holding float copies of the given blocks.
+
+        Raises FormulationMismatchError when a block is missing, extra or of the
+        wrong shape, and InvalidFieldError when it holds a non-finite value.
+        """
+        shape = (self.mesh.n_nodes, self.n_excitations)
+        return State(self, _block(sigma, self.with_sigma, (self.mesh.n_elements,), "sigma"),
+                     _block(phis, self.with_potentials, shape, "phi"),
+                     _block(psis, self.with_potentials, shape, "psi"))
 
     # -- geometry -----------------------------------------------------------
 
@@ -178,14 +115,20 @@ class StateSpace:
         return np.sqrt(max(self.inner(a, a), 0.0))
 
     def riesz(self, dual):
-        """Map an assembled derivative (dual coefficients) to its Riesz representative."""
+        """Map an assembled derivative (dual coefficients) to its Riesz representative.
+
+        Raises InvalidFieldError when the dual holds a non-finite value.
+        """
         self._compat(dual)
+        for block in (dual.sigma, dual.phis, dual.psis):
+            if block is not None:
+                _check_finite(block, "dual")
         sig = dual.sigma / self.areas if self.with_sigma else None
         if self.with_potentials:
             ph = self._h1_lu.solve(dual.phis)
             ps = self._h1_lu.solve(dual.psis)
             return State(self, sig, ph, ps)
-        return State(self, sig, None, None)
+        return State(self, sig)
 
     def project(self, x, constraints):
         """Exact metric projection onto the admissible set.
@@ -203,40 +146,15 @@ class StateSpace:
             if constraints.phi_mean_zero:
                 mean = (self._weights @ x.phis) / self.mesh.total_area
                 ph = x.phis - mean[None, :]
+            ps = x.psis
             tr = constraints.psi_dirichlet
-            if tr is None:
-                ps = x.psis.copy()
-            else:
+            if tr is not None:
                 if tr.shape != (len(self.boundary_dofs), self.n_excitations):
                     raise FormulationMismatchError("psi trace shape does not match space")
                 ps = x.psis.copy()
                 defect = x.psis[self.boundary_dofs] - tr
                 ps[self.boundary_dofs] = tr
                 ps[self.interior_dofs] += self._h1_ii_lu.solve(self._h1_ib @ defect)
-        return State(self, sig, ph, ps)
-
-    def pack(self, x):
-        """Flatten to a plain vector (sigma block, then phi, then psi columns)."""
-        self._compat(x)
-        parts = []
-        if self.with_sigma:
-            parts.append(x.sigma)
-        if self.with_potentials:
-            parts.append(x.phis.ravel(order="F"))
-            parts.append(x.psis.ravel(order="F"))
-        return np.concatenate(parts)
-
-    def unpack(self, vec):
-        vec = np.asarray(vec, float)
-        at = 0
-        sig = ph = ps = None
-        if self.with_sigma:
-            sig = vec[: self.mesh.n_elements]
-            at = self.mesh.n_elements
-        if self.with_potentials:
-            n = self.mesh.n_nodes * self.n_excitations
-            ph = vec[at : at + n].reshape(self.mesh.n_nodes, self.n_excitations, order="F")
-            ps = vec[at + n : at + 2 * n].reshape(self.mesh.n_nodes, self.n_excitations, order="F")
         return State(self, sig, ph, ps)
 
     def _compat(self, x):
@@ -250,35 +168,43 @@ class StateSpace:
                 raise FormulationMismatchError("state belongs to an incompatible space")
 
 
+def _block(values, wanted, shape, name):
+    """A float copy of one caller-supplied block, checked for presence, shape and finiteness."""
+    if values is None:
+        if wanted:
+            raise FormulationMismatchError(f"formulation requires a {name} component")
+        return None
+    if not wanted:
+        raise FormulationMismatchError(f"formulation carries no {name} component")
+    # C order whatever the caller's layout: reductions over a block (weights @ phis,
+    # np.sum) round in memory order, so the layout fixes the iterates' last bits
+    a = np.array(values, float, order="C")
+    if a.shape != shape:
+        raise FormulationMismatchError(f"{name} block has shape {a.shape}, expected {shape}")
+    _check_finite(a, f"{name} block")
+    return a
+
+
 class State:
-    """Aggregate unknown; arithmetic acts componentwise so solvers stay generic."""
+    """Aggregate unknown; arithmetic acts componentwise so solvers stay generic.
+
+    Holds the arrays it is given, unchecked and uncopied: build a State from
+    outside values with StateSpace.state.
+    """
 
     __slots__ = ("space", "sigma", "phis", "psis")
 
     def __init__(self, space, sigma=None, phis=None, psis=None):
         self.space = space
-        if space.with_sigma:
-            if sigma is None:
-                raise FormulationMismatchError("formulation requires a sigma component")
-            self.sigma = np.asarray(getattr(sigma, "values", sigma), float).copy()
-            if self.sigma.shape != (space.mesh.n_elements,):
-                raise FormulationMismatchError("sigma length does not match mesh")
-        else:
-            if sigma is not None:
-                raise FormulationMismatchError("formulation carries no sigma component")
-            self.sigma = None
-        if space.with_potentials:
-            if phis is None or psis is None:
-                raise FormulationMismatchError("formulation requires phi and psi components")
-            self.phis = _as_matrix(phis, space)
-            self.psis = _as_matrix(psis, space)
-        else:
-            if phis is not None or psis is not None:
-                raise FormulationMismatchError("formulation carries no potential components")
-            self.phis = self.psis = None
+        self.sigma = sigma
+        self.phis = phis
+        self.psis = psis
 
     def copy(self):
-        return State(self.space, self.sigma, self.phis, self.psis)
+        sig = self.sigma.copy() if self.space.with_sigma else None
+        ph = self.phis.copy() if self.space.with_potentials else None
+        ps = self.psis.copy() if self.space.with_potentials else None
+        return State(self.space, sig, ph, ps)
 
     def _binary(self, other, op):
         if not isinstance(other, State):
@@ -297,6 +223,8 @@ class State:
 
     def __mul__(self, scalar):
         s = float(scalar)
+        if not np.isfinite(s):
+            raise InvalidFieldError(f"state scaled by the non-finite number {s}")
         sig = self.sigma * s if self.space.with_sigma else None
         ph = self.phis * s if self.space.with_potentials else None
         ps = self.psis * s if self.space.with_potentials else None
@@ -306,28 +234,3 @@ class State:
 
     def __neg__(self):
         return self * -1.0
-
-
-def _as_matrix(fields, space):
-    if isinstance(fields, np.ndarray):
-        m = fields.astype(float).copy()
-    else:
-        cols = [np.asarray(getattr(f, "coefficients", f), float) for f in fields]
-        m = np.stack(cols, axis=1)
-    if m.ndim == 1:
-        m = m[:, None]
-    if m.shape != (space.mesh.n_nodes, space.n_excitations):
-        raise FormulationMismatchError("potential block does not match (n_nodes, n_excitations)")
-    _check_finite(m, "potential block")
-    return m
-
-
-def project_state(x, constraints):
-    """Metric projection of a state onto the admissible set (see StateSpace.project)."""
-    return x.space.project(x, constraints)
-
-
-def inner_product(a, b, space=None):
-    """Product-space inner product of two states (see StateSpace.inner)."""
-    sp = space or a.space
-    return sp.inner(a, b)

@@ -146,6 +146,8 @@ def add_noise(data, delta, seed):
 
 # -- experiment orchestration ---------------------------------------------------------
 
+SOLVERS = ("projected-gradient", "newton")
+
 
 @dataclass
 class ExperimentConfig:
@@ -161,7 +163,7 @@ class ExperimentConfig:
     sigma_upper: float = 6.0
     beta: float = 1.0
     impedance: float = 0.1
-    solver: str = "projected-gradient"  # or "newton"
+    solver: str = "projected-gradient"  # one of SOLVERS
     max_iters: int = 2000
     tau: float = 1.5
     eps_mu: float = 1e-10
@@ -175,13 +177,14 @@ class ExperimentConfig:
     label: str = ""
     emit_png: bool = False
     log_iterations: bool = False
-    sink: object = None
     newton: solvers.NewtonConfig | None = None
 
     def __post_init__(self):
         if self.formulation not in functionals.FORMULATIONS:
             raise UnsupportedOperationError(
                 f"unknown formulation {self.formulation!r}; valid: {', '.join(functionals.FORMULATIONS)}")
+        if self.solver not in SOLVERS:
+            raise UnsupportedOperationError(f"unknown solver {self.solver!r}; valid: {', '.join(SOLVERS)}")
         if self.delta < 0:
             raise InvalidFieldError("delta must be >= 0")
         if self.fine_refine < 1 and not self.allow_inverse_crime:
@@ -241,7 +244,7 @@ def run_experiment(cfg):
     eta = _stage("cost", solvers.noise_budget, obs, coarse, cfg.beta,
                  cfg.formulation in ("eit-aao", "eit-elim-sigma"), electrodes)
     trace, _ = fem.psi_trace_values(coarse, excitation)
-    constraints = core.ConstraintSet(cfg.sigma_lower, cfg.sigma_upper, True, trace, eta)
+    constraints = core.ConstraintSet(cfg.sigma_lower, cfg.sigma_upper, True, trace)
     cost = _stage("cost", functionals.combined_cost, cfg.formulation, obs, coarse,
                   excitation, electrodes, cfg.beta, constraints)
     feasible = solvers.FeasibleSet(cost.space, constraints)
@@ -258,12 +261,7 @@ def run_experiment(cfg):
         x0 = cost.space.state(sigma0)
 
     iter_rows = [] if (cfg.log_iterations and cfg.out_dir) else None
-
-    def sink(record):
-        if iter_rows is not None:
-            iter_rows.append(record)
-        if cfg.sink is not None:
-            cfg.sink(record)
+    sink = None if iter_rows is None else iter_rows.append
 
     t_solve = time.perf_counter()
     if cfg.solver == "projected-gradient":
@@ -274,13 +272,11 @@ def run_experiment(cfg):
                                       max_iters=cfg.max_iters, eps_mu=cfg.eps_mu,
                                       step_growth=cfg.step_growth)
         report = _stage("solve", solvers.projected_gradient, cost, feasible, x0, gcfg, sink)
-    elif cfg.solver == "newton":
+    else:
         base = cfg.newton or solvers.NewtonConfig()
         center = x0 if base.reg_center is None else base.reg_center
         ncfg = replace(base, eta=eta, tau=cfg.tau, max_iters=cfg.max_iters, reg_center=center)
         report = _stage("solve", solvers.newton_sqp, cost, feasible, x0, ncfg, sink)
-    else:
-        raise ExperimentError("solve", f"unknown solver {cfg.solver!r}")
     wall = time.perf_counter() - t_solve
 
     x_end = report.x_final

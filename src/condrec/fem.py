@@ -13,8 +13,9 @@ gradients of element e at quadrature point q, in the columns of its nodes.
 ``gradient_field`` is ``G @ u`` reshaped to (nel, nq, 2[, I]).  The
 perp-gradient is the quarter turn (-g2, g1) of the gradient (``rotate``).  The
 dual of a field v, sum_{e,q} w_eq v_eq . grad N_n, is the transpose with the
-quadrature weights, ``G.T @ (w v)`` (``gradient_dual``); the dual against
-perp-grad N_n is minus the dual of the rotated field.
+quadrature weights, ``G.T @ (w v)`` (``gradient_dual``, on the transpose
+``Mesh.Gt`` stored once per mesh); the dual against perp-grad N_n is minus
+the dual of the rotated field.
 """
 from __future__ import annotations
 
@@ -244,6 +245,7 @@ class Mesh:
              np.arange(0, 6 * nrows + 1, 6, dtype=np.int32)),
             shape=(nrows, self.n_nodes),
         )
+        self.Gt = self.G.T  # CSC on G's arrays
         self.qweights = self.element_areas[:, None] * QUAD_W[None, :]  # (nel, nq)
         self.qpoints = np.einsum("qi,eia->eqa", QUAD_BARY, verts)  # (nel, nq, 2)
         self.shapes_q = p2_shape(QUAD_BARY)  # (nq, 6)
@@ -473,22 +475,19 @@ def build_disk_mesh(level, electrodes=None):
     return disk_mesh_scale(2**level, electrodes)
 
 
-def refine_mesh(mesh, times=1, project_boundary=False):
+def refine_mesh(mesh, times=1):
     """Subdivide each triangle into four; children tile parents exactly.
 
-    With ``project_boundary`` the new boundary vertices are moved to the unit
-    circle (better geometry, loses exact nesting).  Parent links (child -> parent
-    element) are stored on the result for exact field transfer.
+    Parent links (child -> parent element) are stored on the result for exact
+    field transfer.
     """
     out = mesh
     for _ in range(times):
-        out = _refine_once(out, project_boundary)
+        out = _refine_once(out)
     return out
 
 
-def _refine_once(mesh, project_boundary):
-    verts = mesh.nodes[: mesh.n_vertices]
-    nv = mesh.n_vertices
+def _refine_once(mesh):
     # midpoints become new vertices; reuse the P2 edge-node layout
     new_verts = [mesh.nodes[i] for i in range(mesh.n_nodes)]
     tris = []
@@ -499,19 +498,11 @@ def _refine_once(mesh, project_boundary):
         parents.extend([e, e, e, e])
     new_verts = np.array(new_verts)
 
-    bnd_mid = set()
     loop = []
     for be in mesh.boundary_edges:
         a, m, b = be.nodes
         loop.append((a, m, be.tag, be.index))
         loop.append((m, b, be.tag, be.index))
-        bnd_mid.add(m)
-    if project_boundary:
-        new_verts = new_verts.copy()
-        for m in bnd_mid:
-            r = np.linalg.norm(new_verts[m])
-            if r > 0:
-                new_verts[m] = new_verts[m] / r
 
     child = Mesh(new_verts, np.array(tris, int), loop, mesh.electrodes, parents=np.array(parents), scale=mesh.scale)
     child.parent_mesh = mesh
@@ -710,7 +701,7 @@ def assemble_cem(mesh, sigma, electrodes=None):
     data is one sparse matvec on the mesh's cached layout (see _cem_layout).
     """
     electrodes = electrodes or mesh.electrodes
-    s = np.asarray(getattr(sigma, "values", sigma), float)
+    s = np.asarray(sigma, float)
     if s.shape != (mesh.n_elements,):
         raise InvalidFieldError("sigma must hold one value per element")
     if not np.all(np.isfinite(s)):
@@ -752,7 +743,7 @@ def solve_cem(system, excitation):
 
 def _nodal(phi, mesh):
     """A nodal field (n_nodes,) or stack of them (n_nodes, I) as a float array."""
-    a = np.asarray(getattr(phi, "coefficients", phi), float)
+    a = np.asarray(phi, float)
     if a.shape[0] != mesh.n_nodes:
         raise InvalidFieldError("nodal field length does not match mesh")
     return a
@@ -782,12 +773,12 @@ def gradient_dual(v, mesh):
     """
     v = np.asarray(v, float)
     w = mesh.qweights.reshape(mesh.qweights.shape + (1,) * (v.ndim - 2))
-    return mesh.G.T @ (w * v).reshape((mesh.G.shape[0],) + v.shape[3:])
+    return mesh.Gt @ (w * v).reshape((mesh.G.shape[0],) + v.shape[3:])
 
 
 def power_density(sigma, phi, mesh):
     """Per-element quadrature average of sigma |grad phi|^2, shape (nel[, I])."""
-    s = np.asarray(getattr(sigma, "values", sigma), float)
+    s = np.asarray(sigma, float)
     return (np.einsum("q,eqa...->...e", QUAD_W, gradient_field(phi, mesh) ** 2) * s).T
 
 
@@ -838,7 +829,7 @@ def stream_potential(sigma, phi, mesh, excitation, index=None):
             a = a[:, index : index + 1]
     if a.shape[1] != exc.n_excitations:
         raise InvalidExcitationError("phi column count does not match excitations")
-    s = np.asarray(getattr(sigma, "values", sigma), float)
+    s = np.asarray(sigma, float)
 
     flux = s[:, None, None, None] * gradient_field(a, mesh)  # sigma grad phi
     rhs = -gradient_dual(rotate(flux), mesh)  # int flux . perp-grad(N_n)

@@ -87,7 +87,7 @@ class Point:
 
     def __init__(self, mesh, sigma=None, phis=None, psis=None):
         self.mesh = mesh
-        self.sigma = None if sigma is None else np.asarray(getattr(sigma, "values", sigma), float)
+        self.sigma = None if sigma is None else np.asarray(sigma, float)
         self.phis = phis
         self.psis = psis
 
@@ -650,7 +650,7 @@ def reduced_cost(sigma, observations, mesh, excitation, formulation="iat-reduced
                  electrodes=None, beta=1.0, constraints=None):
     """Evaluate a reduced cost and its Riesz gradient at one conductivity."""
     cost = combined_cost(formulation, observations, mesh, excitation, electrodes, beta, constraints)
-    return cost.value_and_gradient(cost.space.state(np.asarray(getattr(sigma, "values", sigma), float)))
+    return cost.value_and_gradient(cost.space.state(sigma))
 
 
 def combined_cost(formulation, observations, mesh, excitation, electrodes=None,

@@ -95,8 +95,7 @@ class NewtonConfig:
     sigma_hi: float = 0.8
     bisect_tol: float = 1e-3  # on log10(alpha)
     alpha_bracket: tuple = (1e-12, 1e12)
-    reg_center: object = None  # xter of R(x) = (1/p) ||x - x*||^p
-    reg_power: float = 2.0
+    reg_center: object = None  # x* of R(x) = 1/2 ||x - x*||^2
     tau: float = 1.5
     eta: float = 0.0
     max_iters: int = 100
@@ -111,8 +110,6 @@ class NewtonConfig:
             raise InvalidFieldError("theta must lie in (0, 1)")
         if not 0 < self.sigma_lo < self.sigma_hi < 1:
             raise InvalidFieldError("need 0 < sigma_lo < sigma_hi < 1")
-        if self.reg_power < 2:
-            raise InvalidFieldError("regularization power below 2 is not supported")
         if self.tau <= 1:
             raise InvalidFieldError("discrepancy constant tau must exceed 1")
 
@@ -231,29 +228,6 @@ def projected_gradient(cost, constraint, x0, cfg, sink=None):
 # -- Newton-SQP -------------------------------------------------------------------
 
 
-class _NormPowerReg:
-    """R(x) = (1/p) ||x - x*||^p in the constraint geometry (p >= 2)."""
-
-    def __init__(self, center, power, constraint):
-        self.center = center
-        self.p = power
-        self.c = constraint
-
-    def value(self, x):
-        return self.c.norm(x - self.center) ** self.p / self.p
-
-    def grad(self, x):
-        d = x - self.center
-        if self.p == 2:
-            return d
-        return self.c.norm(d) ** (self.p - 2) * d
-
-    def curvature_bound(self, radius):
-        if self.p == 2:
-            return 1.0
-        return (self.p - 1) * max(radius, 1e-30) ** (self.p - 2)
-
-
 def _estimate_curvature(hvp, constraint, probes, iters=20):
     """Deterministic power iteration for the largest curvature of the model
     Hessian, started from the first nonzero probe direction."""
@@ -276,8 +250,8 @@ def _estimate_curvature(hvp, constraint, probes, iters=20):
     return lam
 
 
-def solve_subproblem(qm, reg, alpha, constraint, x_init, tol=1e-8, budget=10000):
-    """Minimize Q(x) + alpha R(x) over the admissible set.
+def solve_subproblem(qm, center, alpha, constraint, x_init, tol=1e-8, budget=10000):
+    """Minimize Q(x) + alpha R(x), R(x) = 1/2 ||x - center||^2, over the admissible set.
 
     Accelerated projected gradient (Nesterov with adaptive restart) on the
     strongly convex objective; terminates when the projected-gradient residual
@@ -285,13 +259,13 @@ def solve_subproblem(qm, reg, alpha, constraint, x_init, tol=1e-8, budget=10000)
     """
     if alpha <= 0:
         raise InvalidFieldError("alpha must be positive")
-    probes = [qm.g, x_init - reg.center]
+    probes = [qm.g, x_init - center]
     lam = _estimate_curvature(qm.hvp, constraint, probes)
-    L = 1.5 * lam + alpha * reg.curvature_bound(constraint.norm(x_init - reg.center) + 1.0)
+    L = 1.5 * lam + alpha  # R has curvature 1
     step = 1.0 / L
 
     def grad(x):
-        return qm.gradient(x) + alpha * reg.grad(x)
+        return qm.gradient(x) + alpha * (x - center)
 
     def pg_residual(x, gx):
         return constraint.norm(x - constraint.project(x - step * gx)) / step
@@ -338,7 +312,7 @@ def alpha_a_priori(k, cfg):
     return cfg.alpha0 * cfg.theta**k
 
 
-def alpha_a_posteriori(qm, reg, J_k, constraint, cfg, x_init, alpha_start=1.0):
+def alpha_a_posteriori(qm, center, J_k, constraint, cfg, x_init, alpha_start=1.0):
     """Find alpha with sigma_lo <= Q(x(alpha))/J_k <= sigma_hi by bracketing + bisection.
 
     Uses the monotonicity of alpha -> Q(x(alpha)).  Returns (alpha, x(alpha),
@@ -352,7 +326,7 @@ def alpha_a_posteriori(qm, reg, J_k, constraint, cfg, x_init, alpha_start=1.0):
 
     def sigma_of(alpha, warm):
         if alpha not in cache:
-            x_a = solve_subproblem(qm, reg, alpha, constraint, warm, cfg.inner_tol, cfg.inner_budget)
+            x_a = solve_subproblem(qm, center, alpha, constraint, warm, cfg.inner_tol, cfg.inner_budget)
             cache[alpha] = (x_a, qm.value(x_a) / J_k)
             samples.append((alpha, cache[alpha][1]))
         return cache[alpha]
@@ -413,7 +387,6 @@ def newton_sqp(cost, constraint, x0, cfg, sink=None):
     x = constraint.project(x0)
     x_star = cfg.reg_center if cfg.reg_center is not None else x * 0.0
     x_star = constraint.project(x_star)
-    reg = _NormPowerReg(x_star, cfg.reg_power, constraint)
     J = cost.value(x)
     k = 0
     alpha_prev = cfg.alpha0
@@ -435,7 +408,7 @@ def newton_sqp(cost, constraint, x0, cfg, sink=None):
         qm = cost.quadratic_model(x)
         if cfg.schedule == "a-priori":
             alpha = alpha_a_priori(k, cfg)
-            x_next = solve_subproblem(qm, reg, alpha, constraint, x, cfg.inner_tol, cfg.inner_budget)
+            x_next = solve_subproblem(qm, x_star, alpha, constraint, x, cfg.inner_tol, cfg.inner_budget)
         else:
             q_star = qm.value(x_star)
             if not (cfg.sigma_lo < q_star / J):
@@ -448,7 +421,7 @@ def newton_sqp(cost, constraint, x0, cfg, sink=None):
                 fell_back = True
             else:
                 alpha, x_next, _, _ = alpha_a_posteriori(
-                    qm, reg, J, constraint, cfg, x, alpha_start=alpha_prev if np.isfinite(alpha_prev) else 1.0
+                    qm, x_star, J, constraint, cfg, x, alpha_start=alpha_prev if np.isfinite(alpha_prev) else 1.0
                 )
                 alpha_prev = alpha
                 fell_back = False

@@ -248,12 +248,12 @@ def test_criterion_7_newton_theory():
     # Lemma monotonicities on a 20-point log-alpha grid
     A, x_true, e, box, cost, x0 = make_instance(0, noise=0.02)
     qm = cost.quadratic_model(x0)
-    reg = sv._NormPowerReg(np.zeros_like(x0), 2.0, box)
+    center = np.zeros_like(x0)
     inner_tol = 1e-10
     Rs, Qs = [], []
     for alpha in np.logspace(-3, 3, 20):
-        xa = sv.solve_subproblem(qm, reg, alpha, box, x0, tol=inner_tol, budget=200000)
-        Rs.append(reg.value(xa))
+        xa = sv.solve_subproblem(qm, center, alpha, box, x0, tol=inner_tol, budget=200000)
+        Rs.append(0.5 * box.norm(xa - center) ** 2)
         Qs.append(qm.value(xa))
     tol = 10 * inner_tol
     assert all(b <= a + tol * max(1, abs(a)) for a, b in zip(Rs, Rs[1:]))

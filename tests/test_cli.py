@@ -134,6 +134,16 @@ def test_invalid_formulation_exit_2(tmp_path, capsys):
     assert "iat-bogus" in err and "iat-reduced" in err  # names the tag and the allowed set
 
 
+@pytest.mark.parametrize("setting", ["method = newtn", "method = newton\nschedule = a-posterior"])
+def test_misspelt_solver_setting_exit_2(tmp_path, capsys, setting):
+    # rejected while the configs are built, before any cell runs
+    cfgp = write_config(tmp_path / "run.ini", MINIMAL + setting + "\n")
+    out = tmp_path / "x"
+    assert cli.main(["reconstruct", "--config", cfgp, "--out", str(out)]) == 2
+    assert setting.split()[-1] in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_missing_config_exit_2(tmp_path, capsys):
     rc = cli.main(["generate", "--config", str(tmp_path / "nope.ini")])
     assert rc == 2

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from condrec import core, fem
-from condrec.errors import FormulationMismatchError, InvalidFieldError, InvalidMeshError
+from condrec.errors import FormulationMismatchError, InvalidFieldError
 
 
 @pytest.fixture(scope="module")
@@ -25,77 +25,74 @@ def random_state(space, rng, spread=3.0):
     )
 
 
-# -- project_box ---------------------------------------------------------------
+# -- sigma block: box clamp -----------------------------------------------------
 
 
-def test_project_box_componentwise_clamp():
-    cs = core.ConstraintSet(1.0, 6.0)
-    out = core.project_box(core.CellField([0.5, 3.0, 12.0]), cs)
-    assert np.allclose(out.values, [1.0, 3.0, 6.0])
+def sigma_state(mesh, values):
+    """A sigma-only state holding ``values`` tiled over the elements."""
+    space = core.StateSpace(mesh, with_potentials=False)
+    return space, space.state(np.resize(values, mesh.n_elements))
 
 
-def test_project_box_identity_inside():
-    cs = core.ConstraintSet(1.0, 6.0)
-    v = np.array([1.0, 2.5, 6.0])
-    assert np.array_equal(core.project_box(v, cs), v)
+def test_project_box_componentwise_clamp(setup):
+    space, x = sigma_state(setup[0], [0.5, 3.0, 12.0])
+    out = space.project(x, core.ConstraintSet(1.0, 6.0))
+    assert np.allclose(out.sigma, np.resize([1.0, 3.0, 6.0], len(out.sigma)))
 
 
-def test_project_box_matches_grid_argmin():
+def test_project_box_identity_inside(setup):
+    space, x = sigma_state(setup[0], [1.0, 2.5, 6.0])
+    assert np.array_equal(space.project(x, core.ConstraintSet(1.0, 6.0)).sigma, x.sigma)
+
+
+def test_project_box_matches_grid_argmin(setup):
     # brute-force oracle: nearest point of a dense grid of [lower, upper]
-    cs = core.ConstraintSet(1.0, 6.0)
     rng = np.random.default_rng(0)
-    v = rng.uniform(-4, 12, 10)
+    space, x = sigma_state(setup[0], rng.uniform(-4, 12, 10))
     grid = np.linspace(1.0, 6.0, 1_000_001)
-    out = core.project_box(v, cs)
-    for vi, oi in zip(v, out):
+    out = space.project(x, core.ConstraintSet(1.0, 6.0)).sigma
+    for vi, oi in zip(x.sigma[:10], out):
         best = grid[np.argmin(np.abs(grid - vi))]
         assert abs(oi - best) <= (grid[1] - grid[0])
 
 
-def test_project_box_rejects_nonfinite():
-    cs = core.ConstraintSet(1.0, 6.0)
+def test_project_box_rejects_nonfinite(setup):
     with pytest.raises(InvalidFieldError):
-        core.project_box(np.array([1.0, np.nan]), cs)
+        sigma_state(setup[0], [1.0, np.nan])
 
 
-# -- project_mean_zero ----------------------------------------------------------
+# -- phi block: mean removal ------------------------------------------------------
+
+
+def project_phis(setup, phis):
+    mesh, _, cs, space = setup
+    x = space.state(np.full(mesh.n_elements, 3.0), phis, np.zeros_like(phis))
+    return space.project(x, cs).phis
 
 
 def test_mean_zero_constant_to_zero(setup):
     mesh = setup[0]
-    out = core.project_mean_zero(np.full(mesh.n_nodes, 4.2), mesh)
+    out = project_phis(setup, np.full((mesh.n_nodes, 2), 4.2))
     assert np.abs(out).max() < 1e-12
 
 
 def test_mean_zero_fixed_point(setup):
     mesh = setup[0]
     rng = np.random.default_rng(1)
-    f = rng.normal(size=mesh.n_nodes)
-    f = core.project_mean_zero(f, mesh)
-    again = core.project_mean_zero(f, mesh)
+    f = project_phis(setup, rng.normal(size=(mesh.n_nodes, 2)))
+    again = project_phis(setup, f)
     assert np.allclose(f, again, atol=1e-12 * max(1, np.abs(f).max()))
 
 
 def test_mean_zero_x_coordinate_unchanged(setup):
     # x integrates to zero on the rotationally symmetric mesh
     mesh = setup[0]
-    f = mesh.nodes[:, 0].copy()
-    out = core.project_mean_zero(f, mesh)
+    f = np.repeat(mesh.nodes[:, :1], 2, axis=1)
+    out = project_phis(setup, f)
     assert np.allclose(out, f, atol=1e-13)
 
 
-def test_mean_zero_degenerate_mesh():
-    class Stub:
-        total_area = 0.0
-
-        def integral_weights(self):  # pragma: no cover - never reached
-            return np.zeros(1)
-
-    with pytest.raises(InvalidMeshError):
-        core.project_mean_zero(np.array([1.0]), Stub())
-
-
-# -- project_state ---------------------------------------------------------------
+# -- StateSpace.project ----------------------------------------------------------
 
 
 def test_project_state_fixes_feasible(setup):
@@ -169,7 +166,7 @@ def test_inner_product_constant_sigma_area():
     space = core.StateSpace(mesh, with_potentials=False)
     c = 3.0
     x = space.state(np.full(mesh.n_elements, c))
-    val = core.inner_product(x, x)
+    val = space.inner(x, x)
     assert abs(val - c**2 * mesh.total_area) < 1e-12 * val
     assert abs(val - c**2 * np.pi) / (c**2 * np.pi) < 0.01  # polygon vs disk
 
@@ -193,9 +190,7 @@ def test_state_arithmetic(setup):
     c = a + 2.0 * b - b
     assert np.allclose(c.sigma, a.sigma + b.sigma)
     assert np.allclose(c.phis, a.phis + b.phis)
-    d = space.pack(c)
-    back = space.unpack(d)
-    assert space.norm(back - c) < 1e-14 * space.norm(c)
+    assert np.array_equal((-c).psis, -c.psis)
 
 
 def test_state_component_validation(setup):
@@ -208,12 +203,47 @@ def test_state_component_validation(setup):
 
 
 def test_field_invariants(setup):
-    mesh = setup[0]
+    mesh, _, _, space = setup
+    phis = np.zeros((mesh.n_nodes, 2))
+    with pytest.raises(FormulationMismatchError):
+        space.state(np.ones(mesh.n_elements + 1), phis, phis)
+    with pytest.raises(FormulationMismatchError):
+        space.state(np.ones(mesh.n_elements), np.zeros((mesh.n_nodes, 3)), phis)
     with pytest.raises(InvalidFieldError):
-        core.CellField(np.ones(mesh.n_elements + 1), mesh)
+        space.state(np.ones(mesh.n_elements), np.full((mesh.n_nodes, 2), np.inf), phis)
+    x = space.state(np.ones(mesh.n_elements, int), phis, phis)
+    assert x.sigma.dtype == float and x.phis.shape == (mesh.n_nodes, 2)
+
+
+def test_state_copies_caller_arrays(setup):
+    mesh, _, _, space = setup
+    rng = np.random.default_rng(9)
+    sigma = rng.uniform(1, 6, mesh.n_elements)
+    phis, psis = rng.normal(size=(2, mesh.n_nodes, 2))
+    x = space.state(sigma, phis, psis)
+    sigma[:] = 0.0
+    phis[:] = 0.0
+    psis[:] = 0.0
+    assert np.all(x.sigma >= 1) and np.abs(x.phis).max() > 0 and np.abs(x.psis).max() > 0
+    y = x.copy()
+    for a, b in ((x.sigma, y.sigma), (x.phis, y.phis), (x.psis, y.psis)):
+        b[:] = 7.0
+        assert not np.any(a == 7.0)
+
+
+def test_nonfinite_rejected_where_values_enter(setup):
+    mesh, _, _, space = setup
+    rng = np.random.default_rng(10)
+    x = random_state(space, rng)
+    for block in ("sigma", "phis", "psis"):
+        dual = x.copy()
+        getattr(dual, block)[1] = np.nan
+        with pytest.raises(InvalidFieldError):
+            space.riesz(dual)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidFieldError):
+            x * bad
+        with pytest.raises(InvalidFieldError):
+            bad * x
     with pytest.raises(InvalidFieldError):
-        core.NodalField(np.full(mesh.n_nodes, np.inf), mesh)
-    with pytest.raises(InvalidFieldError):
-        core.VectorQuadField(np.zeros((mesh.n_elements, 6, 3)), mesh)
-    f = core.VectorQuadField(np.zeros((mesh.n_elements, 6, 2)), mesh)
-    assert np.asarray(f).shape == (mesh.n_elements, 6, 2)
+        space.state(np.full(mesh.n_elements, np.nan), x.phis, x.psis)

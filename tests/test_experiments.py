@@ -205,6 +205,8 @@ def test_shared_newton_config_is_not_mutated():
 def test_experiment_config_validation():
     with pytest.raises(UnsupportedOperationError):
         ex.ExperimentConfig(formulation="nope")
+    with pytest.raises(UnsupportedOperationError):
+        ex.ExperimentConfig(solver="newtn")
     with pytest.raises(InvalidFieldError):
         ex.ExperimentConfig(delta=-0.1)
     with pytest.raises(InvalidFieldError):
@@ -331,7 +333,7 @@ def test_elim_and_aao_agree_when_both_converge():
     data = ex.generate_synthetic(ex.Phantom(), exc, mesh, mesh, electrodes)
     obs = fn.Observations("iat", 0.0, H=data.H)
     trace, _ = fem.psi_trace_values(mesh, exc)
-    cs = core.ConstraintSet(1.0, 6.0, True, trace, 0.0)
+    cs = core.ConstraintSet(1.0, 6.0, True, trace)
     sigma0 = np.full(mesh.n_elements, 3.5)
     phi0, psi0, _, _, _ = fn.reduced_forward(sigma0, mesh, exc)
     finals = {}

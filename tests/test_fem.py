@@ -378,6 +378,10 @@ def test_gradient_operator_and_its_dual():
         terms = m.qweights[:, :, None, None] * v * grad
         assert abs(np.sum(dual * u) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
     assert np.allclose(fem.gradient_dual(v[..., 1], m), d[:, 1], rtol=0, atol=1e-13 * np.abs(d).max())
+    # the stored transpose shares G's arrays and gives a fresh transpose's product bit for bit
+    assert all(np.shares_memory(a, b) for a, b in ((m.Gt.data, m.G.data), (m.Gt.indices, m.G.indices)))
+    wv = (m.qweights[:, :, None, None] * v).reshape(m.G.shape[0], 3)
+    assert np.array_equal(d, m.G.T @ wv)
 
 
 def test_gradient_linear_and_quadratic_exactness():

@@ -190,11 +190,11 @@ def test_alpha_a_posteriori_matches_1d_closed_form():
     cost = sv.QuadraticLeastSquares(np.eye(1), np.array([b]), box)
     x_k = np.array([0.0])
     qm = cost.quadratic_model(x_k)
-    reg = sv._NormPowerReg(np.zeros(1), 2.0, box)
+    center = np.zeros(1)
     J_k = cost.value(x_k)
     cfg = sv.NewtonConfig(schedule="a-posteriori", sigma_lo=0.3, sigma_hi=0.31,
                           bisect_tol=1e-9, inner_tol=1e-12, inner_budget=100000)
-    alpha, x_a, sig, _ = sv.alpha_a_posteriori(qm, reg, J_k, box, cfg, x_k)
+    alpha, x_a, sig, _ = sv.alpha_a_posteriori(qm, center, J_k, box, cfg, x_k)
     # sigma(a) = (a/(1+a))^2 = s  =>  a = sqrt(s)/(1 - sqrt(s))
     target = np.sqrt(sig)
     alpha_exact = target / (1 - target)
@@ -205,11 +205,11 @@ def test_alpha_a_posteriori_matches_1d_closed_form():
 def test_alpha_a_posteriori_monotone_sigma():
     A, x_true, e, box, cost, x0 = make_instance(4, noise=0.05)
     qm = cost.quadratic_model(x0)
-    reg = sv._NormPowerReg(np.zeros_like(x0), 2.0, box)
+    center = np.zeros_like(x0)
     J_k = cost.value(x0)
     sigmas = []
     for a in np.logspace(-3, 3, 15):
-        xa = sv.solve_subproblem(qm, reg, a, box, x0, tol=1e-10, budget=100000)
+        xa = sv.solve_subproblem(qm, center, a, box, x0, tol=1e-10, budget=100000)
         sigmas.append(qm.value(xa) / J_k)
     tol = 10 * 1e-10
     assert all(sigmas[i + 1] >= sigmas[i] - tol * max(1, abs(sigmas[i])) for i in range(14))
@@ -222,10 +222,10 @@ def test_alpha_band_near_zero_limit_returns_small_alpha():
     box = sv.BoxFeasible(-10, 10)
     cost = sv.QuadraticLeastSquares(np.eye(1), np.array([b]), box)
     qm = cost.quadratic_model(np.zeros(1))
-    reg = sv._NormPowerReg(np.zeros(1), 2.0, box)
+    center = np.zeros(1)
     cfg = sv.NewtonConfig(schedule="a-posteriori", sigma_lo=1e-6, sigma_hi=4e-6,
                           bisect_tol=1e-6, inner_tol=1e-12, inner_budget=100000)
-    alpha, _, sig, _ = sv.alpha_a_posteriori(qm, reg, cost.value(np.zeros(1)), box, cfg, np.zeros(1))
+    alpha, _, sig, _ = sv.alpha_a_posteriori(qm, center, cost.value(np.zeros(1)), box, cfg, np.zeros(1))
     assert 1e-6 <= sig <= 4e-6
     assert alpha < 1e-2
 
@@ -241,12 +241,12 @@ def test_alpha_bracket_failure_reports_samples():
     cost = sv.QuadraticLeastSquares(A, b, box)
     x0 = np.zeros(4)
     qm = cost.quadratic_model(x0)
-    reg = sv._NormPowerReg(np.zeros(4), 2.0, box)
+    center = np.zeros(4)
     floor_sigma = 0.5 * float(b @ b - b @ A @ np.linalg.lstsq(A, b, rcond=None)[0]) / cost.value(x0)
     cfg = sv.NewtonConfig(schedule="a-posteriori", sigma_lo=floor_sigma / 4,
                           sigma_hi=floor_sigma / 2, alpha_bracket=(1e-6, 1e6))
     with pytest.raises(BracketFailureError) as err:
-        sv.alpha_a_posteriori(qm, reg, cost.value(x0), box, cfg, x0)
+        sv.alpha_a_posteriori(qm, center, cost.value(x0), box, cfg, x0)
     assert err.value.samples
 
 
@@ -257,9 +257,9 @@ def test_subproblem_matches_direct_solve():
     A, x_true, e, box, cost, x0 = make_instance(6, noise=0.01)
     wide = sv.BoxFeasible(-100, 100)
     qm = cost.quadratic_model(np.zeros_like(x0))
-    reg = sv._NormPowerReg(np.zeros_like(x0), 2.0, wide)
+    center = np.zeros_like(x0)
     alpha = 0.37
-    xs = sv.solve_subproblem(qm, reg, alpha, wide, np.zeros_like(x0), tol=1e-12, budget=100000)
+    xs = sv.solve_subproblem(qm, center, alpha, wide, np.zeros_like(x0), tol=1e-12, budget=100000)
     n = len(x0)
     direct = np.linalg.solve(A.T @ A + alpha * np.eye(n), A.T @ cost.b)
     assert np.abs(xs - direct).max() < 1e-8
@@ -269,19 +269,19 @@ def test_subproblem_binding_box_1d():
     box = sv.BoxFeasible(-0.5, 0.5)
     cost = sv.QuadraticLeastSquares(np.eye(1), np.array([3.0]), box)
     qm = cost.quadratic_model(np.zeros(1))
-    reg = sv._NormPowerReg(np.zeros(1), 2.0, box)
-    xs = sv.solve_subproblem(qm, reg, 0.1, box, np.zeros(1), tol=1e-12, budget=10000)
+    center = np.zeros(1)
+    xs = sv.solve_subproblem(qm, center, 0.1, box, np.zeros(1), tol=1e-12, budget=10000)
     # unconstrained minimizer 3/1.1 > 0.5: clamps to the bound
     assert abs(xs[0] - 0.5) < 1e-10
 
 
 def test_subproblem_large_alpha_pulls_to_center():
     A, x_true, e, box, cost, x0 = make_instance(8)
-    reg = sv._NormPowerReg(np.zeros_like(x0), 2.0, box)
+    center = np.zeros_like(x0)
     qm = cost.quadratic_model(x0)
     dists = []
     for alpha in (1e2, 1e4, 1e6):
-        xa = sv.solve_subproblem(qm, reg, alpha, box, x0, tol=1e-10, budget=100000)
+        xa = sv.solve_subproblem(qm, center, alpha, box, x0, tol=1e-10, budget=100000)
         dists.append(np.linalg.norm(xa))
     assert dists[0] > dists[1] > dists[2]
     assert dists[2] < 1e-4
@@ -401,7 +401,7 @@ def test_noise_budget_dominates_cost_at_truth():
         obs = fn.Observations("iat", delta, H=H)
         eta = sv.noise_budget(obs, mesh)
         trace, _ = fem.psi_trace_values(mesh, exc)
-        cs = core.ConstraintSet(1.0, 6.0, True, trace, eta)
+        cs = core.ConstraintSet(1.0, 6.0, True, trace)
         cost = fn.combined_cost("iat-reduced", obs, mesh, exc, constraints=cs)
         J_truth = cost.value(cost.space.state(data.sigma_coarse))
         assert J_truth <= eta
