@@ -35,12 +35,11 @@ print(f"reciprocity: {lhs:.12f} vs {rhs:.12f}")
 H = fem.power_density(sigma, sol.phi[:, 0], mesh)
 interior = float(np.sum(H * mesh.element_areas))
 phi_t = fem.line_shape(fem.LINE_QP)
-contact = 0.0
-for ell in range(1, 9):
-    for e in mesh.electrode_edges(ell):
-        vals = phi_t @ sol.phi[list(e.nodes), 0]
-        contact += np.sum(fem.LINE_QW * e.length *
-                          (vals - sol.voltages[0, ell - 1]) ** 2) / electrodes.impedances[ell - 1]
+on = mesh.belectrode  # the electrode edges of the boundary loop
+ell = mesh.bindex[on] - 1
+vals = sol.phi[mesh.bnodes[on], 0] @ phi_t.T  # trace at the line quadrature points
+contact = np.sum(fem.LINE_QW * mesh.blength[on, None] *
+                 (vals - sol.voltages[0, ell, None]) ** 2 / electrodes.impedances[ell, None])
 injected = float(drive @ sol.voltages[0])
 print(f"energy balance: interior {interior:.8f} + contact {contact:.8f} "
       f"= {interior + contact:.8f} vs injected {injected:.8f}")

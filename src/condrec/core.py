@@ -125,8 +125,9 @@ class StateSpace:
                 _check_finite(block, "dual")
         sig = dual.sigma / self.areas if self.with_sigma else None
         if self.with_potentials:
-            ph = self._h1_lu.solve(dual.phis)
-            ps = self._h1_lu.solve(dual.psis)
+            # SuperLU solves in Fortran order; blocks are C-ordered wherever they come from
+            ph = np.ascontiguousarray(self._h1_lu.solve(dual.phis))
+            ps = np.ascontiguousarray(self._h1_lu.solve(dual.psis))
             return State(self, sig, ph, ps)
         return State(self, sig)
 

@@ -185,6 +185,9 @@ class ExperimentConfig:
                 f"unknown formulation {self.formulation!r}; valid: {', '.join(functionals.FORMULATIONS)}")
         if self.solver not in SOLVERS:
             raise UnsupportedOperationError(f"unknown solver {self.solver!r}; valid: {', '.join(SOLVERS)}")
+        if self.custom_currents is None:
+            excitation_case(self.case)
+        functionals.check_power_density_variant(self.iat_obs_variant, self.formulation == "iat-reduced")
         if self.delta < 0:
             raise InvalidFieldError("delta must be >= 0")
         if self.fine_refine < 1 and not self.allow_inverse_crime:
@@ -242,7 +245,7 @@ def run_experiment(cfg):
     }
     obs = _stage("cost", build_observations, cfg, noisy, excitation)
     eta = _stage("cost", solvers.noise_budget, obs, coarse, cfg.beta,
-                 cfg.formulation in ("eit-aao", "eit-elim-sigma"), electrodes)
+                 cfg.formulation in ("eit-aao", "eit-elim-sigma"))
     trace, _ = fem.psi_trace_values(coarse, excitation)
     constraints = core.ConstraintSet(cfg.sigma_lower, cfg.sigma_upper, True, trace)
     cost = _stage("cost", functionals.combined_cost, cfg.formulation, obs, coarse,
@@ -354,10 +357,10 @@ def run_table(configs, path=None, jobs=1):
 
     lines = [TABLE_COLUMNS]
     for cfg, res in zip(configs, results):
-        try:
+        if cfg.custom_currents is not None:
+            nI = np.atleast_2d(cfg.custom_currents).shape[0]
+        else:
             nI = excitation_case(cfg.case).n_excitations
-        except UnsupportedOperationError:
-            nI = ""
         if isinstance(res, ExperimentError):
             lines.append(f"{cfg.formulation},{nI},{cfg.delta:.17g},{cfg.seed},,,,,error:{res.stage}")
         else:

@@ -16,6 +16,15 @@ dual of a field v, sum_{e,q} w_eq v_eq . grad N_n, is the transpose with the
 quadrature weights, ``G.T @ (w v)`` (``gradient_dual``, on the transpose
 ``Mesh.Gt`` stored once per mesh); the dual against perp-grad N_n is minus
 the dual of the rotated field.
+
+The boundary is a closed CCW loop of nb edges held as arrays, one entry per
+edge in loop order: ``bnodes`` (nb, 3) its nodes (a, mid, b), ``belectrode``
+whether it lies on an electrode, ``bindex`` the 1-based electrode or gap
+number, ``bstart`` and ``blength`` its arc start and length (arc measured by
+chord length from the loop's first vertex), and ``electrode_lengths`` (L,) the
+summed lengths per electrode.  ``Mesh.B`` (CSR, 3 * nb rows, n_nodes columns)
+samples a nodal field on the boundary: row 3 k + j picks node j of edge k, so
+``B @ u`` is ``u[bnodes].ravel()``.
 """
 from __future__ import annotations
 
@@ -146,33 +155,25 @@ class ExcitationSet:
         return -np.cumsum(self.currents, axis=1)
 
 
-@dataclass
-class BoundaryEdge:
-    nodes: tuple  # (a, mid, b) node ids, CCW
-    tag: str  # "electrode" or "gap"
-    index: int  # 1-based segment number
-    s_start: float
-    length: float
-
-
 class Mesh:
     """P2 triangulation with a tagged electrode/gap boundary.
 
     ``nodes`` holds corner vertices first, then edge nodes.  ``triangles`` has the
-    node order [v1, v2, v3, m12, m23, m31].  Boundary edges form a closed CCW loop
-    parametrized by cumulative chord length starting at the first electrode start.
+    node order [v1, v2, v3, m12, m23, m31].  ``boundary`` is (ends (nb, 2),
+    on-electrode mask (nb,), 1-based segment number (nb,)) for the CCW boundary
+    loop, which becomes the boundary arrays of the module docstring.
     """
 
-    def __init__(self, vertices, triangles_p1, boundary_loop, electrodes, parents=None, scale=None):
+    def __init__(self, vertices, triangles_p1, boundary, electrodes, parents=None, scale=None):
         self.electrodes = electrodes
         self.scale = scale
         self.parents = None if parents is None else np.asarray(parents, int)
         self._cem_layout = None  # (key, S, C0, w) of the last electrode set assembled
-        self._build(np.asarray(vertices, float), np.asarray(triangles_p1, int), boundary_loop)
+        self._build(np.asarray(vertices, float), np.asarray(triangles_p1, int), boundary)
 
     # -- construction -----------------------------------------------------
 
-    def _build(self, verts, tris, boundary_loop):
+    def _build(self, verts, tris, boundary):
         nv = len(verts)
         areas = _signed_areas(verts, tris)
         flip = areas < 0
@@ -183,39 +184,39 @@ class Mesh:
         if np.any(areas <= 0):
             raise InvalidMeshError("degenerate triangle in mesh")
 
-        edge_ids = {}
-        mids = []
-
-        def edge_node(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_ids:
-                edge_ids[key] = nv + len(mids)
-                mids.append(0.5 * (verts[key[0]] + verts[key[1]]))
-            return edge_ids[key]
-
-        t6 = np.empty((len(tris), 6), int)
-        t6[:, :3] = tris
-        for e, (a, b, c) in enumerate(tris):
-            t6[e, 3] = edge_node(a, b)
-            t6[e, 4] = edge_node(b, c)
-            t6[e, 5] = edge_node(c, a)
+        # edge nodes are numbered from nv in order of first appearance over the
+        # triangles' edges (v1 v2), (v2 v3), (v3 v1)
+        ends = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys, first, inverse = np.unique(ends[:, 0] * nv + ends[:, 1], return_index=True, return_inverse=True)
+        rank = np.empty(len(keys), int)
+        rank[np.argsort(first)] = np.arange(len(keys))
+        lo, hi = ends[np.sort(first)].T
 
         self.n_vertices = nv
-        self.nodes = np.vstack([verts, np.array(mids)]) if mids else verts.copy()
-        self.triangles = t6
+        self.nodes = np.vstack([verts, 0.5 * (verts[lo] + verts[hi])])
+        self.triangles = np.hstack([tris, nv + rank[inverse].reshape(-1, 3)])
         self.element_areas = areas
         self.n_elements = len(tris)
         self.n_nodes = len(self.nodes)
 
-        # boundary loop: consecutive vertex pairs, CCW, tagged
-        edges = []
-        s = 0.0
-        for (a, b, tag, idx) in boundary_loop:
-            length = float(np.linalg.norm(verts[b] - verts[a]))
-            edges.append(BoundaryEdge((a, edge_node(a, b), b), tag, idx, s, length))
-            s += length
-        self.boundary_edges = edges
-        self.boundary_length = s
+        bends, belectrode, bindex = boundary
+        bends = np.asarray(bends, int).reshape(-1, 2)
+        bkeys = np.sort(bends, axis=1) @ [nv, 1]
+        at = np.minimum(np.searchsorted(keys, bkeys), len(keys) - 1)
+        if np.any(keys[at] != bkeys):
+            raise InvalidMeshError("boundary edge is not an edge of the triangulation")
+        self.bnodes = np.column_stack([bends[:, 0], nv + rank[at], bends[:, 1]])
+        self.belectrode = np.asarray(belectrode, bool)
+        self.bindex = np.asarray(bindex, int)
+        chord = verts[bends[:, 1]] - verts[bends[:, 0]]
+        self.blength = np.sqrt(chord[:, None, :] @ chord[:, :, None]).ravel()  # rounds as norm(chord[k])
+        self.bstart = np.concatenate([[0.0], np.cumsum(self.blength)[:-1]])
+        on = self.belectrode
+        self.electrode_lengths = np.bincount(self.bindex[on] - 1, weights=self.blength[on])
+        nb3 = self.bnodes.size
+        self.B = sp.csr_matrix((np.ones(nb3), self.bnodes.ravel().astype(np.int32),
+                                np.arange(nb3 + 1, dtype=np.int32)), shape=(nb3, self.n_nodes))
+        self.boundary_dofs = np.unique(self.bnodes)
 
         self._precompute()
 
@@ -233,15 +234,13 @@ class Mesh:
         gl[:, 2, 1] = (p2[:, 0] - p1[:, 0]) / a2[:, 0]
         self.grad_lambda = gl
 
-        dl = p2_shape_dl(QUAD_BARY)  # (nq, 6, 3)
-        # physical gradients of the 6 shapes at the 6 quad points per element
-        self.dN = np.einsum("qnl,ela->eqna", dl, gl)  # (nel, nq, 6, 2)
         # G: one row per (element, quad point, component), holding that component
-        # of the element's 6 shape gradients in the columns of its nodes
+        # of the physical gradients of the element's 6 shapes in the columns of its nodes
+        grads = np.einsum("qnl,ela->eqna", p2_shape_dl(QUAD_BARY), gl)  # (nel, nq, 6, 2)
         nrows = self.n_elements * len(QUAD_W) * 2
         cols = np.broadcast_to(self.triangles[:, None, None, :], (self.n_elements, len(QUAD_W), 2, 6))
         self.G = sp.csr_matrix(
-            (self.dN.transpose(0, 1, 3, 2).ravel(), cols.astype(np.int32).ravel(),
+            (grads.transpose(0, 1, 3, 2).ravel(), cols.astype(np.int32).ravel(),
              np.arange(0, 6 * nrows + 1, 6, dtype=np.int32)),
             shape=(nrows, self.n_nodes),
         )
@@ -249,17 +248,23 @@ class Mesh:
         self.qweights = self.element_areas[:, None] * QUAD_W[None, :]  # (nel, nq)
         self.qpoints = np.einsum("qi,eia->eqa", QUAD_BARY, verts)  # (nel, nq, 2)
         self.shapes_q = p2_shape(QUAD_BARY)  # (nq, 6)
-
-        self.boundary_dofs = np.array(sorted(set(d for e in self.boundary_edges for d in e.nodes)), int)
         self.total_area = float(self.element_areas.sum())
 
     # -- derived assemblies -------------------------------------------------
 
+    def _shape_gradients(self):
+        """The P2 shape gradients (nel, nq, 6, 2) at the quadrature points, read from G.
+
+        A contiguous copy: einsum over the strided view rounds differently.
+        """
+        nel, nq = self.qweights.shape
+        return np.ascontiguousarray(self.G.data.reshape(nel, nq, 2, 6).transpose(0, 1, 3, 2))
+
     def stiffness(self, sigma=None):
         """Assemble int sigma grad u . grad v with piecewise-constant sigma (default 1)."""
         s = np.ones(self.n_elements) if sigma is None else np.asarray(sigma, float)
-        w = self.qweights * s[:, None]
-        kloc = np.einsum("eq,eqia,eqja->eij", w, self.dN, self.dN)
+        grads = self._shape_gradients()
+        kloc = np.einsum("eq,eqia,eqja->eij", self.qweights * s[:, None], grads, grads)
         return self._scatter(kloc)
 
     def mass(self):
@@ -280,12 +285,6 @@ class Mesh:
         contrib = np.einsum("eq,qi->ei", self.qweights, self.shapes_q)
         np.add.at(w, self.triangles, contrib)
         return w
-
-    def electrode_edges(self, ell):
-        return [e for e in self.boundary_edges if e.tag == "electrode" and e.index == ell]
-
-    def gap_edges(self, ell):
-        return [e for e in self.boundary_edges if e.tag == "gap" and e.index == ell]
 
     def checksum(self):
         return hashlib.sha256(serialize_mesh(self).encode()).hexdigest()
@@ -350,24 +349,14 @@ def disk_mesh_scale(k, electrodes=None):
     for (inner, thi), (outer, tho) in zip(rings[:-1], rings[1:]):
         tris.extend(_symmetric_strip(inner, thi, outer, tho, t0))
 
+    # per sector of the uniform boundary ring: elec_edges electrode edges, then gap edges
     bnd_ids, _ = rings[-1]
-    loop = _boundary_loop(bnd_ids, m_bnd, L, elec_edges)
-    mesh = Mesh(np.array(verts), np.array(tris, int), loop, electrodes, scale=k)
+    sector, within = np.divmod(np.arange(m_bnd), m_bnd // L)
+    boundary = (np.column_stack([bnd_ids, np.roll(bnd_ids, -1)]), within < elec_edges, sector + 1)
+    mesh = Mesh(np.array(verts), np.array(tris, int), boundary, electrodes, scale=k)
     if mesh.n_elements != len(tris):
         raise InvalidMeshError("internal: strip triangulation lost elements")
     return mesh
-
-
-def _boundary_loop(bnd_ids, m_bnd, L, elec_edges):
-    """Tag the uniform boundary ring: per sector, elec_edges electrode then gap edges."""
-    per_sector = m_bnd // L
-    loop = []
-    for i in range(m_bnd):
-        sector = i // per_sector
-        within = i % per_sector
-        tag = "electrode" if within < elec_edges else "gap"
-        loop.append((int(bnd_ids[i]), int(bnd_ids[(i + 1) % m_bnd]), tag, sector + 1))
-    return loop
 
 
 def _symmetric_strip(inner, thi, outer, tho, t0):
@@ -487,24 +476,16 @@ def refine_mesh(mesh, times=1):
     return out
 
 
+# the four children (a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)
+# of a P2 triangle [a, b, c, mab, mbc, mca]
+_CHILDREN = [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]
+
+
 def _refine_once(mesh):
-    # midpoints become new vertices; reuse the P2 edge-node layout
-    new_verts = [mesh.nodes[i] for i in range(mesh.n_nodes)]
-    tris = []
-    parents = []
-    for e, t in enumerate(mesh.triangles):
-        a, b, c, mab, mbc, mca = t
-        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-        parents.extend([e, e, e, e])
-    new_verts = np.array(new_verts)
-
-    loop = []
-    for be in mesh.boundary_edges:
-        a, m, b = be.nodes
-        loop.append((a, m, be.tag, be.index))
-        loop.append((m, b, be.tag, be.index))
-
-    child = Mesh(new_verts, np.array(tris, int), loop, mesh.electrodes, parents=np.array(parents), scale=mesh.scale)
+    # the P2 nodes become the vertices; each boundary edge (a, m, b) splits into (a, m), (m, b)
+    boundary = (mesh.bnodes[:, [0, 1, 1, 2]], np.repeat(mesh.belectrode, 2), np.repeat(mesh.bindex, 2))
+    child = Mesh(mesh.nodes, mesh.triangles[:, _CHILDREN].reshape(-1, 3), boundary, mesh.electrodes,
+                 parents=np.repeat(np.arange(mesh.n_elements), 4), scale=mesh.scale)
     child.parent_mesh = mesh
     return child
 
@@ -550,10 +531,9 @@ def serialize_mesh(mesh):
     buf.write(f"elements {mesh.n_elements}\n")
     for t in mesh.triangles:
         buf.write(" ".join(str(n) for n in t) + "\n")
-    buf.write(f"boundary {len(mesh.boundary_edges)}\n")
-    for e in mesh.boundary_edges:
-        a, m, b = e.nodes
-        buf.write(f"{a} {m} {b} {e.tag} {e.index}\n")
+    buf.write(f"boundary {len(mesh.bnodes)}\n")
+    for (a, m, b), on, index in zip(mesh.bnodes.tolist(), mesh.belectrode, mesh.bindex.tolist()):
+        buf.write(f"{a} {m} {b} {'electrode' if on else 'gap'} {index}\n")
     return buf.getvalue()
 
 
@@ -567,26 +547,18 @@ def load_mesh(path, electrodes=None):
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("condrec-mesh"):
         raise InvalidMeshError(f"not a mesh file: {path}")
-    head = lines[1].split()
-    n_nodes, n_verts = int(head[1]), int(head[3])
-    nodes = np.empty((n_nodes, 2))
-    at = 2
-    for i in range(n_nodes):
-        parts = lines[at + i].split()
-        nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
-    at += n_nodes
-    n_el = int(lines[at].split()[1])
-    at += 1
-    tris = np.array([[int(v) for v in lines[at + i].split()] for i in range(n_el)], int)
-    at += n_el
-    n_bnd = int(lines[at].split()[1])
-    at += 1
-    loop = []
-    for i in range(n_bnd):
-        parts = lines[at + i].split()
-        loop.append((int(parts[0]), int(parts[2]), parts[3], int(parts[4])))
-    mesh = Mesh(nodes[:n_verts], tris[:, :3], loop, electrodes or ElectrodeConfig())
-    if mesh.n_nodes != n_nodes:
+    n_verts = int(lines[1].split()[3])
+    tables, at = [], 1
+    for width in (3, 6, 5):  # the node, element and boundary sections
+        n = int(lines[at].split()[1])
+        tables.append(np.array(" ".join(lines[at + 1 : at + 1 + n]).split()).reshape(n, width))
+        at += 1 + n
+    nodes, tris, bnd = tables
+    nodes = nodes[np.argsort(nodes[:, 0].astype(int)), 1:].astype(float)
+    boundary = (bnd[:, [0, 2]].astype(int), bnd[:, 3] == "electrode", bnd[:, 4].astype(int))
+    electrodes = electrodes or ElectrodeConfig(count=int(boundary[2][boundary[1]].max()))
+    mesh = Mesh(nodes[:n_verts], tris[:, :3].astype(int), boundary, electrodes)
+    if mesh.n_nodes != len(nodes):
         raise InvalidMeshError("P2 node count mismatch after reload")
     return mesh
 
@@ -635,27 +607,21 @@ SOLVE_RESIDUAL_BOUND = 1e-8
 
 def boundary_matrices(mesh, electrodes):
     """Electrode trace mass matrix M_e, moment vectors m_e, and lengths per electrode."""
-    L = electrodes.count
-    n = mesh.n_nodes
-    Ms, ms, lens = [], [], []
+    if len(mesh.electrode_lengths) != electrodes.count:
+        raise InvalidMeshError(f"the mesh has {len(mesh.electrode_lengths)} electrodes, "
+                               f"the electrode configuration {electrodes.count}")
+    n, b = mesh.n_nodes, mesh.bnodes
     phi_t = line_shape(LINE_QP)  # (3 qp, 3 nodes)
-    for ell in range(1, L + 1):
-        rows, cols, vals = [], [], []
-        mvec = np.zeros(n)
-        tot = 0.0
-        for e in mesh.electrode_edges(ell):
-            idx = np.array(e.nodes)
-            w = LINE_QW * e.length
-            mloc = np.einsum("q,qi,qj->ij", w, phi_t, phi_t)
-            rows.extend(np.repeat(idx, 3))
-            cols.extend(np.tile(idx, 3))
-            vals.extend(mloc.ravel())
-            mvec[idx] += np.einsum("q,qi->i", w, phi_t)
-            tot += e.length
-        Ms.append(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
-        ms.append(mvec)
-        lens.append(tot)
-    return Ms, ms, np.array(lens)
+    w = LINE_QW * mesh.blength[:, None]  # (nb, 3 qp)
+    mloc = np.einsum("kq,qi,qj->kij", w, phi_t, phi_t)
+    mom = np.einsum("kq,qi->ki", w, phi_t)
+    Ms, ms = [], []
+    for ell in range(1, electrodes.count + 1):
+        k = np.flatnonzero(mesh.belectrode & (mesh.bindex == ell))
+        rows, cols = np.repeat(b[k], 3, axis=1).ravel(), np.tile(b[k], 3).ravel()
+        Ms.append(sp.coo_matrix((mloc[k].ravel(), (rows, cols)), shape=(n, n)).tocsr())
+        ms.append(np.bincount(b[k].ravel(), weights=mom[k].ravel(), minlength=n))
+    return Ms, ms, mesh.electrode_lengths
 
 
 def _cem_layout(mesh, electrodes):
@@ -677,7 +643,8 @@ def _cem_layout(mesh, electrodes):
                      [C.T, sp.diags(lens / z), None],
                      [w[None, :], None, None]], format="coo")
     N = const.shape[0]
-    kref = np.einsum("eq,eqia,eqja->eij", mesh.qweights, mesh.dN, mesh.dN)
+    grads = mesh._shape_gradients()
+    kref = np.einsum("eq,eqia,eqja->eij", mesh.qweights, grads, grads)
     live = kref != 0  # an entry that is zero here is zero for every sigma
     t = mesh.triangles
     # column-major keys col * N + row sort the entries into CSC order
@@ -786,30 +753,19 @@ def psi_trace_values(mesh, excitation):
     """Dirichlet trace of the stream potentials at the boundary dofs.
 
     Constant jbar_{l,i} on gap l, affine ramp between the neighbouring constants
-    across electrode l; returns (values (n_bdofs, I), boundary dof ids).
+    across electrode l; returns (values (n_bdofs, I), boundary dof ids).  A node
+    shared by two edges takes its value from the later edge in loop order.
     """
-    jbar = excitation.integrated  # (I, L)
-    nI = jbar.shape[0]
-    bdofs = mesh.boundary_dofs
-    pos = {d: i for i, d in enumerate(bdofs)}
-    vals = np.zeros((len(bdofs), nI))
-    for be in mesh.boundary_edges:
-        a, m, b = be.nodes
-        if be.tag == "gap":
-            v = jbar[:, be.index - 1]
-            for d in (a, m, b):
-                vals[pos[d]] = v
-        else:
-            ell = be.index
-            lo = jbar[:, ell - 2] if ell >= 2 else np.zeros(nI)
-            hi = jbar[:, ell - 1]
-            edges = mesh.electrode_edges(ell)
-            s0 = edges[0].s_start
-            stot = sum(e.length for e in edges)
-            for d, t in ((a, 0.0), (m, 0.5), (b, 1.0)):
-                frac = (be.s_start - s0 + t * be.length) / stot
-                vals[pos[d]] = lo + (hi - lo) * frac
-    return vals, bdofs
+    hi = excitation.integrated.T  # (L, I)
+    lo = np.vstack([np.zeros(hi.shape[1]), hi[:-1]])
+    on, k = mesh.belectrode, mesh.bindex - 1
+    s0 = mesh.bstart[on][np.unique(k[on], return_index=True)[1]]  # arc start of each electrode
+    arc = (mesh.bstart - s0[k])[:, None] + np.array([0.0, 0.5, 1.0]) * mesh.blength[:, None]
+    frac = arc / mesh.electrode_lengths[k, None]  # (nb, 3): each sample's share of its electrode
+    ramp = lo[k, None] + (hi[k] - lo[k])[:, None] * frac[..., None]
+    vals = np.where(on[:, None, None], ramp, hi[k, None]).reshape(-1, hi.shape[1])
+    later = mesh.bnodes.size - 1 - np.unique(mesh.bnodes.ravel()[::-1], return_index=True)[1]
+    return vals[later], mesh.boundary_dofs
 
 
 def stream_potential(sigma, phi, mesh, excitation, index=None):

@@ -53,6 +53,16 @@ FORMULATIONS = (
 )
 
 
+def check_power_density_variant(variant, reduced=False):
+    """Refuse a power-density variant other than 1 and 2, and variant 1 on a
+    reduced map, which carries no stream potentials."""
+    if variant not in (1, 2):
+        raise UnsupportedOperationError(f"unknown power-density variant {variant}")
+    if reduced and variant == 1:
+        raise UnsupportedOperationError(
+            "power-density variant 1 needs stream potentials, which the reduced map does not carry")
+
+
 @dataclass
 class Observations:
     """Measured data for one experiment; shapes are validated lazily against the mesh."""
@@ -72,8 +82,7 @@ class Observations:
             raise FormulationMismatchError(f"unknown observation variant {self.variant!r}")
         if self.delta < 0:
             raise InvalidFieldError("noise level must be >= 0")
-        if self.iat_obs_variant not in (1, 2):
-            raise UnsupportedOperationError(f"unknown power-density variant {self.iat_obs_variant}")
+        check_power_density_variant(self.iat_obs_variant)
         if self.variant == "gwf" and self.head_order not in (0, 1):
             raise UnsupportedOperationError("head misfit supports only Sobolev orders 0 and 1")
 
@@ -248,8 +257,7 @@ class PowerTerm:
     """
 
     def __init__(self, mesh, H, variant=2):
-        if variant not in (1, 2):
-            raise UnsupportedOperationError(f"unknown power-density variant {variant}")
+        check_power_density_variant(variant)
         self.mesh = mesh
         self.H = np.asarray(H, float)
         self.variant = variant
@@ -344,16 +352,22 @@ def eit_trace_term(mesh, jbar, vbar, electrodes=None):
     c0, vslope = vbar
     blocks = []  # (A_phi, A_psi, y, w) of each electrode and each gap
     for ell in range(electrodes.count):
-        edges = mesh.electrode_edges(ell + 1)
-        S, w = _edge_samples(edges, mesh.n_nodes)
-        # trapezoid increments h/4 (f_{k-1} + f_k) within each edge, accumulated over the samples
-        q = np.repeat([e.length / 4 for e in edges], 3) * (np.arange(S.shape[0]) % 3 != 0)
-        T = np.cumsum(np.diag(q) + np.diag(q[1:], -1), axis=0)
-        d = np.concatenate([e.s_start - edges[0].s_start + e.length * np.array([0.0, 0.5, 1.0]) for e in edges])
-        y = c0[:, ell][None, :] + np.outer(d, vslope[:, ell])
-        blocks.append((sp.csr_matrix(T) @ S, -electrodes.impedances[ell] * S, y, w))
-        S, w = _edge_samples(mesh.gap_edges(ell + 1), mesh.n_nodes)
-        blocks.append((sp.csr_matrix(S.shape), S, np.broadcast_to(jbar[:, ell], (S.shape[0], len(jbar))), w))
+        for on in (True, False):
+            k = np.flatnonzero((mesh.bindex == ell + 1) & (mesh.belectrode == on))
+            S = mesh.B[(3 * k[:, None] + np.arange(3)).ravel()]  # the edges' nodes, in loop order
+            h = np.repeat(mesh.blength[k], 3)
+            w = h / 6 * np.tile([1.0, 4.0, 1.0], len(k))  # Simpson's rule per edge
+            if on:
+                # trapezoid increments h/4 (f_{k-1} + f_k) within each edge, accumulated over the samples
+                q = h / 4 * (np.arange(S.shape[0]) % 3 != 0)
+                T = np.cumsum(np.diag(q) + np.diag(q[1:], -1), axis=0)
+                s = mesh.bstart[k] - mesh.bstart[k[0]]  # arc from the electrode start to each edge
+                d = s[:, None] + mesh.blength[k, None] * np.array([0.0, 0.5, 1.0])
+                y = c0[:, ell][None, :] + np.outer(d.ravel(), vslope[:, ell])
+                blocks.append((sp.csr_matrix(T) @ S, -electrodes.impedances[ell] * S, y, w))
+            else:
+                y = np.broadcast_to(jbar[:, ell], (S.shape[0], len(jbar)))
+                blocks.append((sp.csr_matrix(S.shape), S, y, w))
     A_phi, A_psi, y, w = zip(*blocks)
     A_phi = sp.vstack(A_phi).tocsr()
     A_psi = sp.vstack(A_psi).tocsr()
@@ -361,13 +375,6 @@ def eit_trace_term(mesh, jbar, vbar, electrodes=None):
     return AffineTerm(lambda h: A_phi @ h.phis + A_psi @ h.psis,
                       lambda u: (None, A_phi.T @ (w * u), A_psi.T @ (w * u)),
                       lambda u, v: float(np.sum(w * u * v)), np.vstack(y))
-
-
-def _edge_samples(edges, n):
-    """Selection of the three nodes of each boundary edge, and their Simpson weights."""
-    dofs = np.array([e.nodes for e in edges], int).ravel()
-    S = sp.csr_matrix((np.ones(len(dofs)), (np.arange(len(dofs)), dofs)), shape=(len(dofs), n))
-    return S, np.concatenate([e.length / 6 * np.array([1.0, 4.0, 1.0]) for e in edges])
 
 
 class ReducedMap:
@@ -429,9 +436,7 @@ def _observation_term(obs, mesh, electrodes=None, reduced=False):
     potentials, is not available.
     """
     if obs.variant == "iat":
-        if reduced and obs.iat_obs_variant == 1:
-            raise UnsupportedOperationError(
-                "power-density variant 1 needs stream potentials, which the reduced map does not carry")
+        check_power_density_variant(obs.iat_obs_variant, reduced)
         return PowerTerm(mesh, obs.H, obs.iat_obs_variant), 1.0
     if obs.variant == "eit":
         if reduced:

@@ -228,15 +228,10 @@ def projected_gradient(cost, constraint, x0, cfg, sink=None):
 # -- Newton-SQP -------------------------------------------------------------------
 
 
-def _estimate_curvature(hvp, constraint, probes, iters=20):
+def _estimate_curvature(hvp, constraint, v, iters=20):
     """Deterministic power iteration for the largest curvature of the model
-    Hessian, started from the first nonzero probe direction."""
-    v = None
-    for p in probes:
-        if p is not None and constraint.norm(p) > 0:
-            v = p
-            break
-    if v is None:
+    Hessian, started from the direction v (0 when v = 0)."""
+    if constraint.norm(v) == 0:
         return 0.0
     v = v * (1.0 / constraint.norm(v))
     lam = 0.0
@@ -250,6 +245,20 @@ def _estimate_curvature(hvp, constraint, probes, iters=20):
     return lam
 
 
+def _model_curvature(qm, constraint, x_init, center):
+    """The curvature estimate of qm, started from qm.g, or from x_init - center when g = 0.
+
+    Started from g it is the same on every call on one model, so it is kept on
+    the model (per constraint) and its probe products are made once.
+    """
+    if constraint.norm(qm.g) == 0:
+        return _estimate_curvature(qm.hvp, constraint, x_init - center)
+    kept = getattr(qm, "_curvature", None)
+    if kept is None or kept[0] is not constraint:
+        qm._curvature = kept = (constraint, _estimate_curvature(qm.hvp, constraint, qm.g))
+    return kept[1]
+
+
 def solve_subproblem(qm, center, alpha, constraint, x_init, tol=1e-8, budget=10000):
     """Minimize Q(x) + alpha R(x), R(x) = 1/2 ||x - center||^2, over the admissible set.
 
@@ -259,8 +268,7 @@ def solve_subproblem(qm, center, alpha, constraint, x_init, tol=1e-8, budget=100
     """
     if alpha <= 0:
         raise InvalidFieldError("alpha must be positive")
-    probes = [qm.g, x_init - center]
-    lam = _estimate_curvature(qm.hvp, constraint, probes)
+    lam = _model_curvature(qm, constraint, x_init, center)
     L = 1.5 * lam + alpha  # R has curvature 1
     step = 1.0 / L
 
@@ -468,7 +476,7 @@ class QuadraticLeastSquares:
 # -- noise budgets ------------------------------------------------------------------
 
 
-def noise_budget(observations, mesh=None, beta=1.0, trace_based=False, electrodes=None):
+def noise_budget(observations, mesh=None, beta=1.0, trace_based=False):
     """Upper bound eta(delta) on the cost at the exact solution under the
     multiplicative noise model |y^delta - y| <= delta |y| (componentwise).
 
@@ -493,9 +501,7 @@ def noise_budget(observations, mesh=None, beta=1.0, trace_based=False, electrode
             return 0.5 * beta * amp * float(np.sum(o.voltages**2))
         if mesh is None:
             raise InvalidFieldError("trace-based budget needs the mesh")
-        ec = electrodes or mesh.electrodes
-        lens = np.array([sum(e.length for e in mesh.electrode_edges(l + 1)) for l in range(ec.count)])
-        return 0.5 * beta * amp * float(np.sum(o.voltages**2 * lens[None, :] ** 3 / 3.0))
+        return 0.5 * beta * amp * float(np.sum(o.voltages**2 * mesh.electrode_lengths[None, :] ** 3 / 3.0))
     if o.flux is not None:
         if mesh is None:
             raise InvalidFieldError("flux budget needs the mesh")

@@ -144,6 +144,20 @@ def test_misspelt_solver_setting_exit_2(tmp_path, capsys, setting):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("cases = I1", "cases = I99", "I99"),
+    ("seed = 1", "seed = 1\niat_obs_variant = 3", "variant 3"),
+    ("seed = 1", "seed = 1\niat_obs_variant = 1", "variant 1"),  # the reduced map has no psi
+])
+def test_bad_run_value_exit_2(tmp_path, capsys, old, new, named):
+    # rejected while the configs are built: no cell runs, no table is written
+    cfgp = write_config(tmp_path / "run.ini", MINIMAL.replace(old, new))
+    out = tmp_path / "x"
+    assert cli.main(["reconstruct", "--config", cfgp, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_missing_config_exit_2(tmp_path, capsys):
     rc = cli.main(["generate", "--config", str(tmp_path / "nope.ini")])
     assert rc == 2

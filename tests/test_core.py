@@ -183,6 +183,19 @@ def test_riesz_inverts_inner_product(setup):
     assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), abs(rhs))
 
 
+def test_blocks_are_c_ordered(setup):
+    # reductions over a block (np.sum in inner, weights @ phis in project) round in
+    # memory order, so the all-at-once space (sigma, phi, psi) hands out C-ordered
+    # blocks from riesz, project and arithmetic alike
+    mesh, exc, cs, space = setup
+    rng = np.random.default_rng(32)
+    x = random_state(space, rng)
+    r = space.riesz(x)
+    p = space.project(r, cs)
+    for s in (r, p, space.project(x, cs), r + x, r - p, 2.0 * r, -p):
+        assert all(b.flags.c_contiguous for b in (s.sigma, s.phis, s.psis))
+
+
 def test_state_arithmetic(setup):
     _, _, _, space = setup
     rng = np.random.default_rng(8)

@@ -135,11 +135,11 @@ def test_energy_identity_on_generated_data(synth):
     H = fem.power_density(sigma_f, sol.phi[:, 0], fine)
     lhs = float(np.sum(H * fine.element_areas))
     phi_t = fem.line_shape(fem.LINE_QP)
-    dissip = 0.0
-    for ell in range(1, 9):
-        for e in fine.electrode_edges(ell):
-            vals = phi_t @ sol.phi[list(e.nodes), 0]
-            dissip += np.sum(fem.LINE_QW * e.length * (vals - sol.voltages[0, ell - 1]) ** 2) / electrodes.impedances[ell - 1]
+    on = fine.belectrode
+    ell = fine.bindex[on] - 1
+    vals = sol.phi[fine.bnodes[on], 0] @ phi_t.T  # trace at the line quadrature points
+    dissip = np.sum(fem.LINE_QW * fine.blength[on, None] * (vals - sol.voltages[0, ell, None]) ** 2
+                    / electrodes.impedances[ell, None])
     rhs = float(exc.currents[0] @ sol.voltages[0]) - dissip
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
@@ -187,8 +187,8 @@ def test_eval_gradient_at_matches_pointwise_search_on_two_level_mesh():
             l23 = np.linalg.solve(T, (coarse.qpoints[e, q] - verts[:, 0])[..., None])[..., 0]
             lam = np.column_stack([1 - l23.sum(axis=1), l23])
             ef = int(np.argmax(lam.min(axis=1)))
-            dN = fem.p2_shape_dl(lam[ef]) @ fine.grad_lambda[ef]
-            ref[e, q] = dN.T @ phis[fine.triangles[ef]]
+            grads = fem.p2_shape_dl(lam[ef]) @ fine.grad_lambda[ef]
+            ref[e, q] = grads.T @ phis[fine.triangles[ef]]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -215,12 +215,19 @@ def test_experiment_config_validation():
     assert cfg.fine_refine == 0
 
 
-def test_reduced_power_density_variant_1_fails_at_cost_stage():
-    cfg = ex.ExperimentConfig(formulation="iat-reduced", case="I1", delta=0.0, seed=0,
-                              coarse_scale=1, fine_refine=1, max_iters=1, iat_obs_variant=1)
-    with pytest.raises(ExperimentError) as err:
-        ex.run_experiment(cfg)
-    assert err.value.stage == "cost"
+def test_bad_case_and_power_density_variant_are_rejected_by_the_config():
+    # each of these used to build the meshes and fail the cell at stage data or cost
+    with pytest.raises(UnsupportedOperationError):
+        ex.ExperimentConfig(formulation="iat-reduced", case="I1", iat_obs_variant=1)
+    with pytest.raises(UnsupportedOperationError):
+        ex.ExperimentConfig(formulation="iat-aao", case="I1", iat_obs_variant=3)
+    with pytest.raises(UnsupportedOperationError):
+        ex.ExperimentConfig(formulation="iat-reduced", case="I99")
+    # custom currents override the case, which is then not looked up
+    cur = np.array([[1.0, 0, 0, 0, -1.0, 0, 0, 0]])
+    assert ex.ExperimentConfig(case="I99", custom_currents=cur).case == "I99"
+    for tag in ("iat-aao", "iat-elim-sigma"):
+        ex.ExperimentConfig(formulation=tag, case="I1", iat_obs_variant=1)
 
 
 def test_degenerate_run_stops_immediately():
@@ -261,15 +268,16 @@ def test_run_experiment_smoke_and_result_invariants():
 def test_run_table_shape_and_failures(tmp_path):
     ok = ex.ExperimentConfig(formulation="iat-reduced", case="I1", delta=0.0, seed=1,
                              coarse_scale=1, fine_refine=1, max_iters=5)
-    bad = ex.ExperimentConfig(formulation="gwf-reduced", case="I1", delta=0.0, seed=1,
-                              coarse_scale=1, fine_refine=1, max_iters=5)
-    bad.case = "I3"  # invalid case surfaces as an in-cell data-stage failure
+    # currents that do not sum to zero surface as an in-cell data-stage failure
+    bad = ex.ExperimentConfig(formulation="gwf-reduced", custom_currents=np.ones((1, 8)), delta=0.0,
+                              seed=1, coarse_scale=1, fine_refine=1, max_iters=5)
     path = tmp_path / "table.csv"
     results, text = ex.run_table([ok, bad], path)
     lines = text.strip().split("\n")
     assert lines[0] == ex.TABLE_COLUMNS
     assert len(lines) == 3
     assert "error:data" in lines[2]
+    assert lines[2].split(",")[1] == "1"  # the custom currents set the excitation count
     assert isinstance(results[1], ExperimentError)
 
 

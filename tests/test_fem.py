@@ -31,9 +31,8 @@ def test_reference_scale_counts():
 
 def test_boundary_vertices_on_unit_circle():
     m = fem.build_disk_mesh(0)
-    for e in m.boundary_edges:
-        for d in (e.nodes[0], e.nodes[2]):
-            assert abs(np.linalg.norm(m.nodes[d]) - 1.0) < 1e-12
+    ends = m.bnodes[:, [0, 2]].ravel()
+    assert np.abs(np.linalg.norm(m.nodes[ends], axis=1) - 1.0).max() < 1e-12
 
 
 def test_counts_grow_fourfold_per_level():
@@ -47,7 +46,7 @@ def test_counts_grow_fourfold_per_level():
 
 def test_disk_area_close_to_pi_at_level_two():
     m = fem.build_disk_mesh(2)
-    n_b = len(m.boundary_edges)
+    n_b = len(m.bnodes)
     polygon_area = 0.5 * n_b * np.sin(2 * np.pi / n_b)  # exact area of the boundary polygon
     assert abs(m.element_areas.sum() - polygon_area) < 1e-10
     assert abs(polygon_area - np.pi) / np.pi < 0.005
@@ -57,19 +56,17 @@ def test_positive_areas_and_closed_boundary():
     m = fem.disk_mesh_scale(2)
     assert np.all(m.element_areas > 0)
     # boundary edges chain into a closed CCW loop
-    for a, b in zip(m.boundary_edges, m.boundary_edges[1:] + m.boundary_edges[:1]):
-        assert a.nodes[2] == b.nodes[0]
+    assert np.array_equal(m.bnodes[:, 2], np.roll(m.bnodes[:, 0], -1))
     # electrodes appear in order 1..L, disjoint from gaps
-    tags = [(e.tag, e.index) for e in m.boundary_edges]
-    first = [i for (t, i) in tags if t == "electrode"]
-    assert first == sorted(first)
+    first = m.bindex[m.belectrode]
+    assert np.all(np.diff(first) >= 0)
 
 
 def test_electrode_endpoints_are_mesh_vertices():
     m = fem.disk_mesh_scale(1)
     for ell in range(1, 9):
-        edges = m.electrode_edges(ell)
-        start = m.nodes[edges[0].nodes[0]]
+        k = np.flatnonzero(m.belectrode & (m.bindex == ell))
+        start = m.nodes[m.bnodes[k[0], 0]]
         th = np.arctan2(start[1], start[0]) % (2 * np.pi)
         assert abs(th - (ell - 1) * np.pi / 4) < 1e-12
 
@@ -90,8 +87,64 @@ def test_mesh_io_roundtrip(tmp_path):
     m2 = fem.load_mesh(path)
     assert np.array_equal(m.triangles, m2.triangles)
     assert np.allclose(m.nodes, m2.nodes, rtol=0, atol=0)
-    assert [(e.tag, e.index) for e in m.boundary_edges] == [(e.tag, e.index) for e in m2.boundary_edges]
+    for name in ("bnodes", "belectrode", "bindex"):
+        assert np.array_equal(getattr(m, name), getattr(m2, name))
     assert m.checksum() == m2.checksum()
+
+
+# sha256 of serialize_mesh, fixed when the boundary became per-mesh arrays: node
+# numbering, element order and boundary tags must not move
+MESH_CHECKSUMS = {
+    "scale 1": "536f7935a98df1bfab494c57f3ccc81165c8207528d180653b9be75b9025f36c",
+    "scale 2": "329674113f16a9054627582465050b886c6d03e7a1770446571d5fb059f693d4",
+    "scale 1 refined": "dc190777e3449eef259b7517e2d139585093e0f0926aaf8eac65639c3760c422",
+}
+
+
+def test_mesh_checksums_are_pinned():
+    meshes = {"scale 1": fem.disk_mesh_scale(1), "scale 2": fem.disk_mesh_scale(2),
+              "scale 1 refined": fem.refine_mesh(fem.disk_mesh_scale(1))}
+    assert {name: m.checksum() for name, m in meshes.items()} == MESH_CHECKSUMS
+
+
+def test_boundary_sampling_operator():
+    m = fem.refine_mesh(fem.disk_mesh_scale(1))
+    u = np.random.default_rng(4).normal(size=(m.n_nodes, 3))
+    assert m.B.shape == (3 * len(m.bnodes), m.n_nodes)
+    assert np.array_equal(m.B @ u, u[m.bnodes].reshape(-1, 3))
+    assert np.array_equal(m.B @ u[:, 0], u[m.bnodes, 0].ravel())
+    assert np.array_equal(m.boundary_dofs, np.unique(m.B.indices))
+
+
+@pytest.mark.parametrize("refine", [0, 1])
+def test_electrode_lengths_sum_to_electrode_arc(refine):
+    # coverage 1/2: half of the 16 k chords of the boundary polygon lie on electrodes;
+    # refinement splits each chord at its midpoint and keeps the polygon
+    k = 2
+    m = fem.refine_mesh(fem.disk_mesh_scale(k), refine)
+    m_bnd = 16 * k
+    chord = 2 * np.sin(np.pi / m_bnd)
+    assert len(m.electrode_lengths) == 8
+    assert abs(m.electrode_lengths.sum() - m_bnd / 2 * chord) < 1e-12
+    assert np.allclose(m.electrode_lengths, m_bnd / 16 * chord, rtol=0, atol=1e-13)
+    assert abs(m.bstart[-1] + m.blength[-1] - m_bnd * chord) < 1e-12
+
+
+def test_boundary_edge_outside_triangulation_is_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    boundary = ([[0, 1], [1, 3], [3, 0]], [True, False, True], [1, 1, 2])  # (1, 3) is no edge
+    with pytest.raises(InvalidMeshError):
+        fem.Mesh(verts, [[0, 1, 2], [0, 2, 3]], boundary, fem.ElectrodeConfig(count=2))
+
+
+def test_reloaded_mesh_keeps_its_electrode_count(tmp_path):
+    m = fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=4))
+    fem.save_mesh(m, tmp_path / "mesh.txt")
+    m2 = fem.load_mesh(tmp_path / "mesh.txt")
+    assert m2.electrodes.count == 4 and m2.checksum() == m.checksum()
+    fem.solve_cem(fem.assemble_cem(m2, np.ones(m2.n_elements)), np.array([[1.0, 0, -1.0, 0]]))
+    with pytest.raises(InvalidMeshError):  # an electrode configuration that does not fit the boundary
+        fem.assemble_cem(m2, np.ones(m2.n_elements), fem.ElectrodeConfig(count=8))
 
 
 def test_refinement_nesting_and_transfer():
@@ -135,8 +188,8 @@ def test_stiffness_matches_hand_assembly():
     # midpoint-rule quadrature with finite-difference shape gradients
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
-    loop = [(0, 1, "electrode", 1), (1, 2, "gap", 1), (2, 3, "electrode", 2), (3, 0, "gap", 2)]
-    mesh = fem.Mesh(verts, tris, loop, fem.ElectrodeConfig(count=2))
+    boundary = ([[0, 1], [1, 2], [2, 3], [3, 0]], [True, False, True, False], [1, 1, 2, 2])
+    mesh = fem.Mesh(verts, tris, boundary, fem.ElectrodeConfig(count=2))
     K = mesh.stiffness().toarray()
 
     def bary(tri, p):
@@ -224,16 +277,13 @@ def test_current_conservation():
     sol = fem.solve_cem(sys_, exc)
     phi_t = fem.line_shape(fem.LINE_QP)
     z = sys_.electrodes.impedances
-    total = 0.0
-    for ell in range(1, 9):
-        cur = 0.0
-        for e in m.electrode_edges(ell):
-            vals = phi_t @ sol.phi[list(e.nodes), 0]
-            cur += np.sum(fem.LINE_QW * e.length * (vals - sol.voltages[0, ell - 1]))
-        computed = -cur / z[ell - 1]
-        assert abs(computed - exc.currents[0, ell - 1]) < 1e-9
-        total += computed
-    assert abs(total) < 1e-9
+    on = m.belectrode
+    ell = m.bindex[on] - 1
+    vals = sol.phi[m.bnodes[on], 0] @ phi_t.T  # trace at the line quadrature points
+    cur = np.sum(fem.LINE_QW * m.blength[on, None] * (vals - sol.voltages[0, ell, None]), axis=1)
+    computed = -np.bincount(ell, weights=cur) / z
+    assert np.abs(computed - exc.currents[0]).max() < 1e-9
+    assert abs(computed.sum()) < 1e-9
 
 
 def _reference_cem_matrix(m, sigma, electrodes):
@@ -303,15 +353,14 @@ def _neumann_solve(m, exact_fn, grad_fn):
     K = m.stiffness()
     w = m.integral_weights()
     rhs = np.zeros(m.n_nodes)
-    for e in m.boundary_edges:
-        a, mid, b = e.nodes
+    for (a, mid, b), length in zip(m.bnodes, m.blength):
         pa, pb = m.nodes[a], m.nodes[b]
         tang = (pb - pa) / np.linalg.norm(pb - pa)
         nu = np.array([tang[1], -tang[0]])  # outward for a CCW loop
         for t, wq in zip(fem.LINE_QP, fem.LINE_QW):
             p = pa + t * (pb - pa)
             g = grad_fn(p) @ nu
-            rhs[[a, mid, b]] += wq * e.length * g * fem.line_shape(t)
+            rhs[[a, mid, b]] += wq * length * g * fem.line_shape(t)
     aug = sp.vstack(
         [sp.hstack([K, sp.csr_matrix(w[:, None])]), sp.hstack([sp.csr_matrix(w[None, :]), sp.csr_matrix((1, 1))])]
     ).tocsc()
@@ -355,11 +404,15 @@ def test_manufactured_solution_convergence():
 # -- field operators -----------------------------------------------------------
 
 
+def _reference_shape_gradients(m, bary=fem.QUAD_BARY):
+    """P2 shape gradients (nel, nq, 6, 2) at barycentric points of every element,
+    from the shape derivatives and grad(lambda) directly."""
+    return np.einsum("qnl,ela->eqna", fem.p2_shape_dl(bary), m.grad_lambda)
+
+
 def _reference_gradient(m, phi, bary):
-    """Gradient of a P2 field at barycentric points of every element, from the
-    shape derivatives and grad(lambda) directly; shape (nel, nq, 2[, I])."""
-    dN = np.einsum("qnl,ela->eqna", fem.p2_shape_dl(bary), m.grad_lambda)
-    return np.einsum("eqna,en...->eqa...", dN, phi[m.triangles])
+    """Gradient of a P2 field at barycentric points of every element; shape (nel, nq, 2[, I])."""
+    return np.einsum("eqna,en...->eqa...", _reference_shape_gradients(m, bary), phi[m.triangles])
 
 
 def test_gradient_operator_and_its_dual():
@@ -466,16 +519,15 @@ def test_psi_trace_values():
     jbar = exc.integrated[0]
     pos = {d: i for i, d in enumerate(bdofs)}
     for ell in range(1, 9):
-        for e in m.gap_edges(ell):
-            for d in e.nodes:
-                assert abs(vals[pos[d], 0] - jbar[ell - 1]) < 1e-14
+        for d in m.bnodes[~m.belectrode & (m.bindex == ell)].ravel():
+            assert abs(vals[pos[d], 0] - jbar[ell - 1]) < 1e-14
     # electrode ramps are monotone between neighbouring gap constants
     for ell in range(1, 9):
-        edges = m.electrode_edges(ell)
+        k = np.flatnonzero(m.belectrode & (m.bindex == ell))
         lo = jbar[ell - 2] if ell >= 2 else 0.0
         hi = jbar[ell - 1]
-        first = vals[pos[edges[0].nodes[0]], 0]
-        last = vals[pos[edges[-1].nodes[2]], 0]
+        first = vals[pos[m.bnodes[k[0], 0]], 0]
+        last = vals[pos[m.bnodes[k[-1], 2]], 0]
         assert abs(first - lo) < 1e-14 and abs(last - hi) < 1e-14
 
 
@@ -491,7 +543,8 @@ def test_stream_potential_analytic():
     rhs = np.zeros(m.n_nodes)
     g = fem.gradient_field(phi, m)
     flux = sig[:, None, None] * g
-    integrand = -flux[:, :, 0, None] * m.dN[..., 1] + flux[:, :, 1, None] * m.dN[..., 0]
+    grads = _reference_shape_gradients(m)
+    integrand = -flux[:, :, 0, None] * grads[..., 1] + flux[:, :, 1, None] * grads[..., 0]
     np.add.at(rhs, m.triangles, np.einsum("eq,eqn->en", m.qweights, integrand))
     bdofs = m.boundary_dofs
     interior = np.setdiff1d(np.arange(m.n_nodes), bdofs)
@@ -523,7 +576,8 @@ def test_stream_potential_first_order_optimality():
     E = fem.gradient_field(sol.phi[:, 0], m)
     mis = J - sig[:, None, None] * E
     # residual vector: int (perp-grad psi - sigma grad phi) . perp-grad N_n
-    integrand = mis[:, :, 0, None] * (-m.dN[..., 1]) + mis[:, :, 1, None] * m.dN[..., 0]
+    grads = _reference_shape_gradients(m)
+    integrand = mis[:, :, 0, None] * (-grads[..., 1]) + mis[:, :, 1, None] * grads[..., 0]
     res = np.zeros(m.n_nodes)
     np.add.at(res, m.triangles, np.einsum("eq,eqn->en", m.qweights, integrand))
     interior = np.setdiff1d(np.arange(m.n_nodes), m.boundary_dofs)
@@ -541,10 +595,10 @@ def test_energy_identity():
     h = fem.power_density(sig, sol.phi[:, 0], m)
     lhs = np.sum(h * m.element_areas)
     phi_t = fem.line_shape(fem.LINE_QP)
-    dissip = 0.0
-    for ell in range(1, 9):
-        for e in m.electrode_edges(ell):
-            vals = phi_t @ sol.phi[list(e.nodes), 0]
-            dissip += np.sum(fem.LINE_QW * e.length * (vals - sol.voltages[0, ell - 1]) ** 2) / sys_.electrodes.impedances[ell - 1]
+    on = m.belectrode
+    ell = m.bindex[on] - 1
+    vals = sol.phi[m.bnodes[on], 0] @ phi_t.T  # trace at the line quadrature points
+    dissip = np.sum(fem.LINE_QW * m.blength[on, None] * (vals - sol.voltages[0, ell, None]) ** 2
+                    / sys_.electrodes.impedances[ell, None])
     rhs = exc.currents[0] @ sol.voltages[0] - dissip
     assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), abs(rhs))

@@ -128,13 +128,10 @@ def test_eit_obs_zero_on_manufactured_state(setup):
     psis[bdofs] = trace
     phis = np.zeros((mesh.n_nodes, exc.n_excitations))
     for ell in range(1, 9):
-        edges = mesh.electrode_edges(ell)
-        stot = sum(e.length for e in edges)
-        for i in range(exc.n_excitations):
-            # phi on e_l must equal v_l + z dpsi/ds; the ramp has slope -j_l/|e_l|
-            for e in edges:
-                for d in e.nodes:
-                    phis[d, i] = v[i, ell - 1] + z[ell - 1] * (-j[i, ell - 1] / stot)
+        on = mesh.belectrode & (mesh.bindex == ell)
+        stot = mesh.blength[on].sum()
+        # phi on e_l must equal v_l + z dpsi/ds; the ramp has slope -j_l/|e_l|
+        phis[mesh.bnodes[on].ravel()] = v[:, ell - 1] + z[ell - 1] * (-j[:, ell - 1] / stot)
     val = fn.Linearization([(term, 1.0)], fn.Point(mesh, None, phis, psis)).value
     scale = float(np.sum(v**2)) + 1.0
     assert val <= 1e-16 * scale
@@ -150,7 +147,7 @@ def test_eit_obs_gap_contribution(setup):
     phis = np.zeros((mesh.n_nodes, 1))
     psis = np.zeros((mesh.n_nodes, 1))
     val = fn.Linearization([(term, 1.0)], fn.Point(mesh, None, phis, psis)).value
-    gap_len = sum(e.length for e in mesh.gap_edges(3))
+    gap_len = mesh.blength[~mesh.belectrode & (mesh.bindex == 3)].sum()
     assert abs(val - 0.5 * gap_len) < 1e-12
 
 

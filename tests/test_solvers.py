@@ -287,6 +287,35 @@ def test_subproblem_large_alpha_pulls_to_center():
     assert dists[2] < 1e-4
 
 
+def _count_hvp(qm):
+    calls = []
+    hvp = qm.hvp
+    qm.hvp = lambda h: calls.append(h) or hvp(h)
+    return calls
+
+
+def test_curvature_is_estimated_once_per_model():
+    # the power iteration starts from g, so its 20 probe products are made only by
+    # the first subproblem solved on a model, and the solves agree with a fresh model's
+    A, x_true, e, box, cost, x0 = make_instance(6, noise=0.01)
+    center = np.zeros_like(x0)
+    qm = cost.quadratic_model(x0)
+    calls = _count_hvp(qm)
+    first = sv.solve_subproblem(qm, center, 0.37, box, x0)
+    n_first = len(calls)
+    second = sv.solve_subproblem(qm, center, 0.37, box, x0)
+    assert len(calls) - n_first == n_first - 20
+    assert np.array_equal(first, second)
+    assert np.array_equal(second, sv.solve_subproblem(cost.quadratic_model(x0), center, 0.37, box, x0))
+    # with g = 0 the probe is x_init - center, which may change between calls: nothing is kept
+    flat = sv.QuadraticLeastSquares(A, A @ x0, box).quadratic_model(x0)
+    calls = _count_hvp(flat)
+    sv.solve_subproblem(flat, center, 0.37, box, x0)
+    n_first = len(calls)
+    sv.solve_subproblem(flat, center, 0.37, box, x0)
+    assert n_first >= 20 and len(calls) == 2 * n_first
+
+
 # -- newton_sqp ---------------------------------------------------------------------------
 
 
