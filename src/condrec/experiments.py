@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core, fem, functionals, solvers
-from .errors import ExperimentError, InvalidFieldError, UnsupportedOperationError
+from .errors import ExperimentError, InvalidExcitationError, InvalidFieldError, UnsupportedOperationError
 
 
 @dataclass
@@ -185,8 +185,7 @@ class ExperimentConfig:
                 f"unknown formulation {self.formulation!r}; valid: {', '.join(functionals.FORMULATIONS)}")
         if self.solver not in SOLVERS:
             raise UnsupportedOperationError(f"unknown solver {self.solver!r}; valid: {', '.join(SOLVERS)}")
-        if self.custom_currents is None:
-            excitation_case(self.case)
+        self.excitation()
         functionals.check_power_density_variant(self.iat_obs_variant, self.formulation == "iat-reduced")
         if self.delta < 0:
             raise InvalidFieldError("delta must be >= 0")
@@ -194,6 +193,18 @@ class ExperimentConfig:
             raise InvalidFieldError(
                 "fine mesh must be strictly finer than the reconstruction mesh "
                 "(set allow_inverse_crime to override)")
+
+    def excitation(self):
+        """The cell's ExcitationSet: the custom currents when given, else the named case.
+
+        Custom currents must be I >= 1 rows over the 8 electrodes, each summing to zero.
+        """
+        if self.custom_currents is None:
+            return excitation_case(self.case)
+        cur = np.atleast_2d(np.asarray(self.custom_currents, float))
+        if cur.ndim != 2 or cur.shape[0] < 1 or cur.shape[1] != 8:
+            raise InvalidExcitationError(f"custom currents must have shape (I >= 1, 8), not {cur.shape}")
+        return fem.ExcitationSet(cur)
 
 
 @dataclass
@@ -233,10 +244,7 @@ def run_experiment(cfg):
     electrodes = fem.ElectrodeConfig(count=8, impedances=cfg.impedance)
     coarse = _stage("mesh", fem.disk_mesh_scale, cfg.coarse_scale, electrodes)
     fine = _stage("mesh", fem.refine_mesh, coarse, cfg.fine_refine) if cfg.fine_refine > 0 else coarse
-    if cfg.custom_currents is not None:
-        excitation = _stage("data", fem.ExcitationSet, cfg.custom_currents)
-    else:
-        excitation = _stage("data", excitation_case, cfg.case)
+    excitation = _stage("data", cfg.excitation)
     data = _stage("data", generate_synthetic, cfg.phantom, excitation, fine, coarse, electrodes)
     noisy = {
         "H": _stage("data", add_noise, data.H, cfg.delta, cfg.seed),
@@ -357,10 +365,7 @@ def run_table(configs, path=None, jobs=1):
 
     lines = [TABLE_COLUMNS]
     for cfg, res in zip(configs, results):
-        if cfg.custom_currents is not None:
-            nI = np.atleast_2d(cfg.custom_currents).shape[0]
-        else:
-            nI = excitation_case(cfg.case).n_excitations
+        nI = cfg.excitation().n_excitations
         if isinstance(res, ExperimentError):
             lines.append(f"{cfg.formulation},{nI},{cfg.delta:.17g},{cfg.seed},,,,,error:{res.stage}")
         else:

@@ -168,7 +168,7 @@ class Mesh:
         self.electrodes = electrodes
         self.scale = scale
         self.parents = None if parents is None else np.asarray(parents, int)
-        self._cem_layout = None  # (key, S, C0, w) of the last electrode set assembled
+        self._cem_layout = None  # the CemLayout of the last electrode set assembled
         self._build(np.asarray(vertices, float), np.asarray(triangles_p1, int), boundary)
 
     # -- construction -----------------------------------------------------
@@ -574,7 +574,7 @@ class CemSystem:
     electrodes: ElectrodeConfig
     sigma: np.ndarray
     matrix: sp.csc_matrix  # (N + L + 1) symmetric, grounding multiplier appended
-    weights: np.ndarray  # integral weights used by the grounding row
+    layout: CemLayout  # the mesh's sigma-independent part, which also orders the factorization
     _lu: object = field(default=None, repr=False)
 
     @property
@@ -583,9 +583,10 @@ class CemSystem:
 
     @property
     def lu(self):
+        """The factor of ``matrix``; its ``solve(rhs)`` returns rows in mesh-node order."""
         if self._lu is None:
             try:
-                self._lu = spla.splu(self.matrix)
+                self._lu = self.layout.factorize(self.matrix)
             except RuntimeError as exc:  # singular after grounding
                 raise AssemblyError(f"grounded CEM system is singular: {exc}") from exc
         return self._lu
@@ -624,17 +625,68 @@ def boundary_matrices(mesh, electrodes):
     return Ms, ms, mesh.electrode_lengths
 
 
-def _cem_layout(mesh, electrodes):
-    """The sigma-independent part (S, C0, w) of the grounded CEM system.
+class CemLayout:
+    """The sigma-independent part (S, C0) of the grounded CEM system, and its column order.
 
     The matrix for sigma has C0's CSC pattern and the data S @ sigma + C0.data.
     S has one column per element, holding its stiffness entries (the block is
     linear in sigma); C0 holds the electrode, grounding and integral-weight
-    blocks; w are the integral weights.  Built once per mesh and impedances.
+    blocks.  Built once per mesh and impedances.
     """
+
+    def __init__(self, key, S, C0):
+        self.key, self.S, self.C0 = key, S, C0
+        self.order = None  # column order of the first factor: its A Pc is A[:, order]
+        self._permuted = None  # A[:, order] as (data gather, indices, indptr), built on the second factorization
+
+    def factorize(self, matrix):
+        """The SuperLU factor of a matrix on this layout, solving in mesh-node order.
+
+        COLAMD's column order depends only on the pattern, which every matrix
+        of the layout shares, so the first factorization orders and keeps a
+        copy of the order (keeping perm_c itself would keep that factor's L and
+        U alive), and later ones factor A[:, order] in its natural order.
+        perm_c already holds SuperLU's elimination-tree postorder, which the
+        natural-order call leaves out, so the fill is the same; only where
+        SuperLU prefers the diagonal on a pivot tie does the row it picks
+        differ, which can move the last bits.
+        """
+        if self.order is None:
+            lu = spla.splu(matrix)
+            self.order = np.argsort(lu.perm_c)
+            return lu
+        if self._permuted is None:
+            C0 = self.C0
+            index = sp.csc_matrix((np.arange(C0.nnz), C0.indices, C0.indptr), shape=C0.shape)[:, self.order]
+            self._permuted = (index.data, index.indices, index.indptr)
+        gather, indices, indptr = self._permuted
+        permuted = sp.csc_matrix((matrix.data[gather], indices, indptr), shape=matrix.shape)
+        return _PermutedFactor(spla.splu(permuted, permc_spec="NATURAL"), self.order)
+
+
+class _PermutedFactor:
+    """Solves A x = b with the factor of A[:, order]: A[:, order] y = b, then x[order] = y.
+
+    x keeps y's memory layout, the one the first factor's solves return.
+    """
+
+    __slots__ = ("factor", "order")
+
+    def __init__(self, factor, order):
+        self.factor, self.order = factor, order
+
+    def solve(self, rhs):
+        y = self.factor.solve(rhs)
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
+def _cem_layout(mesh, electrodes):
+    """The mesh's CemLayout for these electrodes, built on first use and kept for the last impedance set."""
     key = (electrodes.count, electrodes.impedances.tobytes())
-    if mesh._cem_layout is not None and mesh._cem_layout[0] == key:
-        return mesh._cem_layout[1:]
+    if mesh._cem_layout is not None and mesh._cem_layout.key == key:
+        return mesh._cem_layout
     L, z = electrodes.count, electrodes.impedances
     Ms, ms, lens = boundary_matrices(mesh, electrodes)
     C = np.stack([-ms[l] / z[l] for l in range(L)], axis=1)
@@ -655,8 +707,8 @@ def _cem_layout(mesh, electrodes):
     S = sp.csc_matrix((kref[live], pos[: len(kkeys)], per_element), shape=(len(keys), len(t)))
     c0 = np.bincount(pos[len(kkeys) :], weights=const.data, minlength=len(keys))
     C0 = sp.csc_matrix((c0, keys % N, np.searchsorted(keys, np.arange(N + 1) * N)), shape=(N, N))
-    mesh._cem_layout = (key, S, C0, w)
-    return S, C0, w
+    mesh._cem_layout = CemLayout(key, S, C0)
+    return mesh._cem_layout
 
 
 def assemble_cem(mesh, sigma, electrodes=None):
@@ -665,7 +717,7 @@ def assemble_cem(mesh, sigma, electrodes=None):
     Bilinear form: int sigma grad(phi).grad(p) + sum_l z_l^-1 int_{e_l}
     (phi - v_l)(p - xi_l); the kernel (constants) is removed by appending the
     zero-mean constraint as a symmetric Lagrange-multiplier row.  The matrix
-    data is one sparse matvec on the mesh's cached layout (see _cem_layout).
+    data is one sparse matvec on the mesh's cached layout (see CemLayout).
     """
     electrodes = electrodes or mesh.electrodes
     s = np.asarray(sigma, float)
@@ -676,9 +728,10 @@ def assemble_cem(mesh, sigma, electrodes=None):
     if np.any(s <= 0):
         raise CoercivityError("sigma must be strictly positive for coercivity")
 
-    S, C0, w = _cem_layout(mesh, electrodes)
-    matrix = sp.csc_matrix((S @ s + C0.data, C0.indices, C0.indptr), shape=C0.shape)
-    return CemSystem(mesh, electrodes, s.copy(), matrix, w)
+    layout = _cem_layout(mesh, electrodes)
+    C0 = layout.C0
+    matrix = sp.csc_matrix((layout.S @ s + C0.data, C0.indices, C0.indptr), shape=C0.shape)
+    return CemSystem(mesh, electrodes, s.copy(), matrix, layout)
 
 
 def solve_cem(system, excitation):

@@ -44,3 +44,12 @@ def test_tracer_sees_reduced_cost_layers():
     assert len(solves) == 2
     # value, gradient and model at one sigma share one assembly
     assert sum(span[tracing.NAME] == "fem.assemble_cem" for span in spans) == 1
+    # a second sigma on the same mesh factorizes in the order its first factor kept:
+    # still one fem.splu span with its fill, and its solves still fem.lu_solve spans
+    with tracing.Tracer() as tracer:
+        cost.value_and_gradient(cost.space.state(np.linspace(4.0, 2.0, mesh.n_elements)))
+    spans = tracer.take()
+    splu = [span for span in spans if span[tracing.NAME] == "fem.splu"]
+    assert len(splu) == 1 and splu[0][tracing.DATA] > 0
+    # the forward solve and the adjoint solve of the gradient
+    assert sum(span[tracing.NAME] == "fem.lu_solve" for span in spans) == 2

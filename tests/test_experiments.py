@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from condrec import core, experiments as ex, fem, functionals as fn, solvers as sv
-from condrec.errors import ExperimentError, InvalidFieldError, UnsupportedOperationError
+from condrec.errors import ExperimentError, InvalidExcitationError, InvalidFieldError, UnsupportedOperationError
 
 
 # -- excitation catalogue ---------------------------------------------------------
@@ -228,6 +228,10 @@ def test_bad_case_and_power_density_variant_are_rejected_by_the_config():
     assert ex.ExperimentConfig(case="I99", custom_currents=cur).case == "I99"
     for tag in ("iat-aao", "iat-elim-sigma"):
         ex.ExperimentConfig(formulation=tag, case="I1", iat_obs_variant=1)
+    # custom currents must be (I >= 1, 8) finite rows that sum to zero
+    for bad in (np.ones((1, 8)), np.zeros((0, 8)), cur[:, :6], cur[None], [[1.0, 0, 0, 0, -1.0, 0, 0, np.nan]]):
+        with pytest.raises(InvalidExcitationError):
+            ex.ExperimentConfig(custom_currents=bad)
 
 
 def test_degenerate_run_stops_immediately():
@@ -265,19 +269,30 @@ def test_run_experiment_smoke_and_result_invariants():
     assert np.all(res.sigma_final >= 1.0 - 1e-12) and np.all(res.sigma_final <= 6.0 + 1e-12)
 
 
-def test_run_table_shape_and_failures(tmp_path):
+def test_run_table_shape_and_failures(tmp_path, monkeypatch):
     ok = ex.ExperimentConfig(formulation="iat-reduced", case="I1", delta=0.0, seed=1,
                              coarse_scale=1, fine_refine=1, max_iters=5)
-    # currents that do not sum to zero surface as an in-cell data-stage failure
-    bad = ex.ExperimentConfig(formulation="gwf-reduced", custom_currents=np.ones((1, 8)), delta=0.0,
+    cur = np.zeros((2, 8))
+    cur[0, [0, 4]] = cur[1, [2, 6]] = 1.0, -1.0
+    bad = ex.ExperimentConfig(formulation="gwf-reduced", custom_currents=cur, delta=0.0,
                               seed=1, coarse_scale=1, fine_refine=1, max_iters=5)
+    # a stage that raises inside one cell surfaces as that cell's error:<stage>
+    build = ex.build_observations
+
+    def failing(cfg, *args):
+        if cfg.formulation == "gwf-reduced":
+            raise ValueError("no observations")
+        return build(cfg, *args)
+
+    monkeypatch.setattr(ex, "build_observations", failing)
     path = tmp_path / "table.csv"
     results, text = ex.run_table([ok, bad], path)
     lines = text.strip().split("\n")
     assert lines[0] == ex.TABLE_COLUMNS
     assert len(lines) == 3
-    assert "error:data" in lines[2]
-    assert lines[2].split(",")[1] == "1"  # the custom currents set the excitation count
+    assert lines[1].split(",")[-1] == "max-iters"
+    assert "error:cost" in lines[2]
+    assert lines[2].split(",")[1] == "2"  # the custom currents set the excitation count
     assert isinstance(results[1], ExperimentError)
 
 
@@ -371,3 +386,27 @@ def test_snapshot_written(tmp_path):
     ex.run_experiment(cfg)
     assert (tmp_path / "snap_sigma.txt").exists()
     assert (tmp_path / "snap_sigma.png").exists()
+
+
+def test_every_accepted_configuration_runs_alike_under_jobs_1_and_2(monkeypatch):
+    # every formulation x solver x power-density variant the config accepts, on
+    # the smallest meshes; jobs=2 runs the cells in threads, each on its own meshes
+    cfgs = []
+    for tag, solver in itertools.product(fn.FORMULATIONS, ex.SOLVERS):
+        for variant in (1, 2) if tag.startswith("iat") else (2,):
+            try:
+                cfgs.append(ex.ExperimentConfig(formulation=tag, solver=solver, iat_obs_variant=variant,
+                                                case="I2", delta=0.01, seed=5, coarse_scale=1,
+                                                fine_refine=1, max_iters=2))
+            except UnsupportedOperationError:
+                assert (tag, variant) == ("iat-reduced", 1)
+    assert len(cfgs) == 22
+    orders = []
+    splu = fem.spla.splu
+    monkeypatch.setattr(fem.spla, "splu", lambda *a, **kw: orders.append(kw.get("permc_spec")) or splu(*a, **kw))
+    results, serial = ex.run_table(cfgs)
+    assert [r for r in results if isinstance(r, ExperimentError)] == []
+    # the reduced cells factorize their coarse CEM matrix more than once: later factors reuse its order
+    assert "NATURAL" in orders
+    _, parallel = ex.run_table(cfgs, jobs=2)
+    assert ex.mask_timing_columns(serial) == ex.mask_timing_columns(parallel)

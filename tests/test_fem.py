@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from condrec import fem
 from condrec.errors import (
@@ -322,12 +323,67 @@ def test_second_assembly_reuses_boundary_blocks(monkeypatch):
 
 
 def test_solve_with_foreign_factor_raises():
-    m = fem.disk_mesh_scale(1)
     rng = np.random.default_rng(4)
-    sys_ = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
-    sys_._lu = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
-    with pytest.raises(AssemblyError, match="residual"):
-        fem.solve_cem(sys_, two_electrode_drive())
+    for ordered in (False, True):
+        m = fem.disk_mesh_scale(1)
+        if ordered:  # the mesh's first factor orders; the foreign one then reuses that order
+            fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
+        sys_ = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+        sys_._lu = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
+        assert isinstance(sys_._lu, fem._PermutedFactor) == ordered
+        with pytest.raises(AssemblyError, match="residual"):
+            fem.solve_cem(sys_, two_electrode_drive())
+
+
+def test_factorizations_after_the_first_reuse_the_column_order(monkeypatch):
+    specs = []
+    splu = spla.splu
+    monkeypatch.setattr(fem.spla, "splu", lambda a, **kw: specs.append(kw.get("permc_spec")) or splu(a, **kw))
+    m = fem.disk_mesh_scale(1)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+        assert system.lu is system.lu
+    assert specs == [None, "NATURAL", "NATURAL"]  # COLAMD (the default) once, then the kept order
+    other = fem.ElectrodeConfig(count=8, impedances=0.05)
+    for _ in range(2):
+        fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements), other).lu
+    assert specs[3:] == [None, "NATURAL"]  # a new impedance set is a new layout, ordered again
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_reused_order_factor_matches_a_fresh_factorization(scale):
+    m = fem.disk_mesh_scale(scale)
+    rng = np.random.default_rng(6 + scale)
+    exc = fem.ExcitationSet(np.array([[1.0, 0, -1.0, 0, 0, 0, 0, 0], [0, 0.5, 0, 0, 0, -1.0, 0, 0.5]]))
+    for k in range(4):
+        system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+        lu = system.lu
+        assert isinstance(lu, fem._PermutedFactor) == (k > 0)
+        fresh = spla.splu(system.matrix)
+        factor = lu.factor if k > 0 else lu
+        assert factor.L.nnz + factor.U.nnz == fresh.L.nnz + fresh.U.nnz
+        n, L = m.n_nodes, 8
+        rhs = np.zeros((n + L + 1, 2))
+        rhs[n : n + L] = exc.currents.T
+        sol = fem.solve_cem(system, exc)
+        ref = fresh.solve(rhs)
+        assert np.abs(sol.phi - ref[:n]).max() <= 1e-12 * np.abs(ref[:n]).max()
+        assert np.abs(sol.voltages - ref[n : n + L].T).max() <= 1e-12 * np.abs(ref[n : n + L]).max()
+        # an adjoint-like right-hand side over every row, not summing to zero
+        b = rng.standard_normal((n + L + 1, 3))
+        got, ref = lu.solve(b), fresh.solve(b)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_kept_column_order_owns_its_data():
+    # a view of perm_c would keep the first factor's L and U alive with the mesh
+    m = fem.disk_mesh_scale(1)
+    first = fem.assemble_cem(m, np.full(m.n_elements, 2.0)).lu
+    order = fem._cem_layout(m, m.electrodes).order
+    assert order.base is None
+    assert not np.shares_memory(order, first.perm_c)
+    assert np.array_equal(first.perm_c[order], np.arange(len(order)))
 
 
 def test_invalid_inputs_raise():
@@ -347,9 +403,6 @@ def test_invalid_inputs_raise():
 def _neumann_solve(m, exact_fn, grad_fn):
     """Galerkin solve of the pure-Neumann Laplace problem with flux from grad_fn
     and the polygon's own edge normals; grounded by the zero-mean row."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     K = m.stiffness()
     w = m.integral_weights()
     rhs = np.zeros(m.n_nodes)
@@ -537,8 +590,6 @@ def test_stream_potential_analytic():
     exc = two_electrode_drive()  # trace values replaced manually below
     phi = m.nodes[:, 0].copy()
     sig = np.ones(m.n_elements)
-    import scipy.sparse.linalg as spla
-
     K = m.stiffness()
     rhs = np.zeros(m.n_nodes)
     g = fem.gradient_field(phi, m)
