@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core, fem, functionals, solvers
-from .errors import ExperimentError, InvalidExcitationError, InvalidFieldError, UnsupportedOperationError
+from .errors import (CondrecError, ExperimentError, InvalidExcitationError, InvalidFieldError,
+                     UnsupportedOperationError)
 
 
 @dataclass
@@ -363,9 +364,16 @@ def run_table(configs, path=None, jobs=1):
     else:
         results = [cell(c) for c in configs]
 
+    def excitation_count(cfg):
+        # a config changed after construction can name an excitation that does not exist
+        try:
+            return cfg.excitation().n_excitations
+        except CondrecError:
+            return ""
+
     lines = [TABLE_COLUMNS]
     for cfg, res in zip(configs, results):
-        nI = cfg.excitation().n_excitations
+        nI = excitation_count(cfg)
         if isinstance(res, ExperimentError):
             lines.append(f"{cfg.formulation},{nI},{cfg.delta:.17g},{cfg.seed},,,,,error:{res.stage}")
         else:

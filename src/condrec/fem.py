@@ -25,6 +25,16 @@ chord length from the loop's first vertex), and ``electrode_lengths`` (L,) the
 summed lengths per electrode.  ``Mesh.B`` (CSR, 3 * nb rows, n_nodes columns)
 samples a nodal field on the boundary: row 3 k + j picks node j of edge k, so
 ``B @ u`` is ``u[bnodes].ravel()``.
+
+The grounded CEM system A (N + L + 1 rows: the nodes, the L electrode
+voltages, the grounding multiplier) is linear in the applied currents, which
+enter only the electrode rows n..n+L-1.  ``CemSystem.basis`` is the electrode
+basis Z = A^-1 E, E the L unit columns at those rows: one checked solve of L
+columns per factorization.  A right-hand side that vanishes off the electrode
+rows and has more columns than electrodes (I > L) is solved as a product with
+Z: the currents of ``solve_cem``, and the voltage-data adjoint of the reduced
+maps, which functionals contracts on the gradients of Z.  Up to L columns are
+solved directly.
 """
 from __future__ import annotations
 
@@ -576,6 +586,7 @@ class CemSystem:
     matrix: sp.csc_matrix  # (N + L + 1) symmetric, grounding multiplier appended
     layout: CemLayout  # the mesh's sigma-independent part, which also orders the factorization
     _lu: object = field(default=None, repr=False)
+    _basis: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_dofs(self):
@@ -591,6 +602,23 @@ class CemSystem:
                 raise AssemblyError(f"grounded CEM system is singular: {exc}") from exc
         return self._lu
 
+    @property
+    def basis(self):
+        """The electrode basis Z = A^-1 E (N + L + 1, L), one solve of L columns per factor.
+
+        E holds the unit columns at the electrode rows n..n+L-1, so column k is
+        the solution for a unit current into electrode k.  Checked once: raises
+        AssemblyError when Z is not finite or ||A Z - E|| exceeds SOLVE_RESIDUAL_BOUND.
+        """
+        if self._basis is None:
+            n, L = self.n_dofs, self.electrodes.count
+            E = np.zeros((self.matrix.shape[0], L))
+            E[n : n + L] = np.eye(L)
+            Z = self.lu.solve(E)
+            _check_solve(self.matrix, Z, E, "electrode basis")
+            self._basis = Z
+        return self._basis
+
 
 @dataclass
 class CemSolution:
@@ -604,6 +632,19 @@ class CemSolution:
 # Largest relative residual ||A x - b|| / ||b|| a CEM solve may leave: round-off
 # leaves about 1e-14, more means the factor does not belong to the matrix.
 SOLVE_RESIDUAL_BOUND = 1e-8
+
+
+def _check_solve(matrix, x, rhs, what):
+    """The relative residual of each column of x; raises AssemblyError when x is
+    not finite or a residual exceeds SOLVE_RESIDUAL_BOUND."""
+    if np.any(~np.isfinite(x)):
+        raise AssemblyError(f"{what} produced non-finite values")
+    scale = np.linalg.norm(rhs, axis=0)
+    scale[scale == 0] = 1.0
+    rel = np.linalg.norm(matrix @ x - rhs, axis=0) / scale
+    if rel.max() > SOLVE_RESIDUAL_BOUND:
+        raise AssemblyError(f"{what} residual {rel.max():.3e} exceeds {SOLVE_RESIDUAL_BOUND:g}")
+    return rel
 
 
 def boundary_matrices(mesh, electrodes):
@@ -735,8 +776,9 @@ def assemble_cem(mesh, sigma, electrodes=None):
 
 
 def solve_cem(system, excitation):
-    """Solve the grounded CEM system for every excitation row; raises
-    AssemblyError on a non-finite solution or a residual above SOLVE_RESIDUAL_BOUND."""
+    """Solve the grounded CEM system for every excitation row (on the electrode
+    basis when there are more excitations than electrodes); raises AssemblyError
+    on a non-finite solution or a residual above SOLVE_RESIDUAL_BOUND."""
     if isinstance(excitation, np.ndarray):
         excitation = ExcitationSet(excitation)
     mesh = system.mesh
@@ -747,14 +789,8 @@ def solve_cem(system, excitation):
     nI = excitation.n_excitations
     rhs = np.zeros((n + L + 1, nI))
     rhs[n : n + L, :] = excitation.currents.T
-    sol = system.lu.solve(rhs)
-    scale = np.linalg.norm(rhs, axis=0)
-    scale[scale == 0] = 1.0
-    rel = np.linalg.norm(system.matrix @ sol - rhs, axis=0) / scale
-    if np.any(~np.isfinite(sol)):
-        raise AssemblyError("CEM solve produced non-finite values")
-    if rel.max() > SOLVE_RESIDUAL_BOUND:
-        raise AssemblyError(f"CEM solve residual {rel.max():.3e} exceeds {SOLVE_RESIDUAL_BOUND:g}")
+    sol = system.basis @ excitation.currents.T if nI > L else system.lu.solve(rhs)
+    rel = _check_solve(system.matrix, sol, rhs, "CEM solve")
     return CemSolution(phi=sol[:n], voltages=sol[n : n + L].T, residuals=rel)
 
 

@@ -381,10 +381,13 @@ class ReducedMap:
     """An observation residual composed with the CEM solve: sigma -> r_obs(sigma, Phi(sigma), U(sigma)).
 
     lift(sigma) assembles, factorizes and solves once; its point carries the
-    potentials Phi and, in the third slot (Psi in the all-at-once state), the
-    electrode voltages U (I, L).  The derivative is one forward-sensitivity solve
-    and the adjoint one adjoint solve on that point's factor
-    (discretize-then-optimize: exact derivatives of the discrete map).
+    potentials Phi, in the third slot (Psi in the all-at-once state) the
+    electrode voltages U (I, L), and the CemSystem.  The derivative is one
+    forward-sensitivity solve and the adjoint one adjoint solve on that point's
+    factor (discretize-then-optimize: exact derivatives of the discrete map).
+    With more excitations than electrodes, an adjoint that lives on the
+    electrode rows (voltage data) makes no solve: it is contracted on the
+    system's electrode basis.
     """
 
     def __init__(self, obs, mesh, excitation, electrodes=None):
@@ -399,7 +402,7 @@ class ReducedMap:
         system = fem.assemble_cem(self.mesh, sigma, self.electrodes)
         sol = fem.solve_cem(system, self.excitation)
         x = Point(self.mesh, sigma, sol.phi, sol.voltages)
-        x.lu = system.lu
+        x.system = system
         return x
 
     def _solve(self, x, d_phi, d_volt):
@@ -410,7 +413,7 @@ class ReducedMap:
             rhs[:n] = d_phi
         if d_volt is not None:
             rhs[n : n + L] = d_volt.T
-        u = x.lu.solve(rhs)
+        u = x.system.lu.solve(rhs)
         return u[:n], u[n : n + L].T
 
     def derivative(self, x, h):
@@ -419,8 +422,16 @@ class ReducedMap:
 
     def adjoint(self, x, u):
         d_sigma, d_phi, d_volt = _sum_duals(self.mesh, [(self.obs.adjoint(x, u), 1.0)])
-        lam, _ = self._solve(x, d_phi, d_volt)
         d = np.zeros(self.mesh.n_elements) if d_sigma is None else d_sigma
+        J = self.excitation.currents
+        if d_phi is None and J.shape[0] > self.electrodes.count:
+            # lam = Z D^T and Phi = Z J^T on the basis Z, so sum_i grad lam_i . grad phi_i
+            # is sum_kl grad z_k . grad z_l M_kl with M = D^T J (L x L)
+            gZ = self.mesh.G @ x.system.basis[: self.mesh.n_nodes]  # (nel * nq * 2, L)
+            s = np.einsum("rk,rk->r", gZ, gZ @ (d_volt.T @ J).T).reshape(self.mesh.qweights.shape + (2,))
+            d -= np.einsum("eq,eqa->e", self.mesh.qweights, s)
+            return d, None, None
+        lam, _ = self._solve(x, d_phi, d_volt)
         # a gradient alone (once per point) does not cache the potential gradients:
         # holding them in the memo raised eit-reduced-pg's peak RSS by ~10 %
         E = x.E if "E" in vars(x) else fem.gradient_field(x.phis, self.mesh)

@@ -296,6 +296,22 @@ def test_run_table_shape_and_failures(tmp_path, monkeypatch):
     assert isinstance(results[1], ExperimentError)
 
 
+def test_run_table_records_a_config_changed_to_an_unknown_case(tmp_path):
+    # the config checks its case when it is built; one changed afterwards fails
+    # its own cell at stage data, and the table is still emitted
+    ok = ex.ExperimentConfig(formulation="iat-reduced", case="I1", delta=0.0, seed=1,
+                             coarse_scale=1, fine_refine=1, max_iters=3)
+    bad = ex.ExperimentConfig(formulation="iat-reduced", case="I2", delta=0.0, seed=1,
+                              coarse_scale=1, fine_refine=1, max_iters=3)
+    bad.case = "I3"
+    results, text = ex.run_table([bad, ok], tmp_path / "table.csv")
+    lines = text.strip().split("\n")
+    assert len(lines) == 3 and (tmp_path / "table.csv").read_text() == text
+    assert lines[1] == "iat-reduced,,0,1,,,,,error:data"
+    assert isinstance(results[0], ExperimentError) and results[0].stage == "data"
+    assert lines[2].startswith("iat-reduced,1,0,1,3,") and lines[2].endswith(",max-iters")
+
+
 def test_run_table_empty():
     results, text = ex.run_table([])
     assert results == []

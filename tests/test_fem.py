@@ -21,6 +21,15 @@ def two_electrode_drive(i=1, j=5, L=8, I=1, row=0):
     return fem.ExcitationSet(cur)
 
 
+def all_pairs_drive(L=8):
+    """The L (L - 1) / 2 two-electrode drives: more excitations than electrodes."""
+    i, j = np.triu_indices(L, 1)
+    cur = np.zeros((len(i), L))
+    cur[np.arange(len(i)), i] = 1.0
+    cur[np.arange(len(i)), j] = -1.0
+    return fem.ExcitationSet(cur)
+
+
 # -- mesh generation ---------------------------------------------------------
 
 
@@ -324,7 +333,9 @@ def test_second_assembly_reuses_boundary_blocks(monkeypatch):
 
 def test_solve_with_foreign_factor_raises():
     rng = np.random.default_rng(4)
-    for ordered in (False, True):
+    # one drive solves its columns directly, all 28 pairs go through the electrode basis
+    for ordered, drive in [(False, two_electrode_drive()), (True, two_electrode_drive()),
+                           (False, all_pairs_drive()), (True, all_pairs_drive())]:
         m = fem.disk_mesh_scale(1)
         if ordered:  # the mesh's first factor orders; the foreign one then reuses that order
             fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
@@ -332,7 +343,65 @@ def test_solve_with_foreign_factor_raises():
         sys_._lu = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
         assert isinstance(sys_._lu, fem._PermutedFactor) == ordered
         with pytest.raises(AssemblyError, match="residual"):
-            fem.solve_cem(sys_, two_electrode_drive())
+            fem.solve_cem(sys_, drive)
+        assert sys_._basis is None  # a basis that failed its check is not kept
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_electrode_basis_solves_match_direct_solves(scale):
+    m = fem.disk_mesh_scale(scale)
+    rng = np.random.default_rng(20 + scale)
+    n, L = m.n_nodes, 8
+    exc = all_pairs_drive()
+    for k in range(2):  # the layout's first factor, then one in the kept order
+        system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+        Z = system.basis
+        assert Z.shape == (n + L + 1, L) and system.basis is Z
+        E = np.zeros_like(Z)
+        E[n : n + L] = np.eye(L)
+        assert np.linalg.norm(system.matrix @ Z - E, axis=0).max() < 1e-12
+        rhs = np.zeros((n + L + 1, exc.n_excitations))
+        rhs[n : n + L] = exc.currents.T
+        ref = system.lu.solve(rhs)
+        sol = fem.solve_cem(system, exc)
+        assert sol.residuals.shape == (28,) and sol.residuals.max() < 1e-12
+        assert np.abs(sol.phi - ref[:n]).max() <= 1e-12 * np.abs(ref[:n]).max()
+        assert np.abs(sol.voltages - ref[n : n + L].T).max() <= 1e-12 * np.abs(ref[n : n + L]).max()
+        # electrode-row right-hand sides that do not sum to zero, more columns than electrodes
+        rows = rng.standard_normal((L, 12))
+        rhs = np.zeros((n + L + 1, 12))
+        rhs[n : n + L] = rows
+        got, ref = system.basis @ rows, system.lu.solve(rhs)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_electrode_basis_is_one_L_column_solve_per_factor(cem_solves):
+    solves = cem_solves
+    m = fem.disk_mesh_scale(1)
+    rng = np.random.default_rng(8)
+    for k in range(2):
+        system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+        fem.solve_cem(system, all_pairs_drive())
+        fem.solve_cem(system, fem.ExcitationSet(-all_pairs_drive().currents[::-1]))
+        assert solves[k:] == [8]  # both solves are products with the one basis
+    fem.solve_cem(system, two_electrode_drive(I=4))
+    assert solves[2:] == [4]  # up to L columns are solved directly
+
+
+def test_up_to_L_excitations_solve_as_before():
+    # I <= L makes one solve of the I columns, bit for bit the factor's own solve
+    m = fem.disk_mesh_scale(2)
+    rng = np.random.default_rng(9)
+    n, L = m.n_nodes, 8
+    for I in (1, 4, 8):
+        system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+        exc = fem.ExcitationSet(np.roll(all_pairs_drive().currents[:I], I, axis=1))
+        rhs = np.zeros((n + L + 1, I))
+        rhs[n : n + L] = exc.currents.T
+        ref = system.lu.solve(rhs)
+        sol = fem.solve_cem(system, exc)
+        assert np.array_equal(sol.phi, ref[:n]) and np.array_equal(sol.voltages, ref[n : n + L].T)
+        assert system._basis is None
 
 
 def test_factorizations_after_the_first_reuse_the_column_order(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from condrec import conditions as cd, core, fem, functionals as fn, solvers as sv
-from condrec.errors import FormulationMismatchError, UnsupportedOperationError
+from condrec.errors import AssemblyError, FormulationMismatchError, UnsupportedOperationError
 
 
 @pytest.fixture(scope="module")
@@ -568,3 +568,112 @@ def test_projected_gradient_linearizes_each_point_once(setup, monkeypatch):
     assert len(points) > report.k_star + 1 and len(set(points)) == len(points)
     fresh = _all_costs(setup)["iat-aao"]
     assert report.cost_history == [fresh.value(x) for x in report.iterates]
+
+
+# -- the electrode basis: more excitations than electrodes -------------------------------
+
+
+@pytest.fixture(scope="module")
+def all_pairs():
+    """Scale 1 with all 28 two-electrode drives, and exact eit data at a random sigma."""
+    mesh = fem.disk_mesh_scale(1)
+    i, j = np.triu_indices(8, 1)
+    cur = np.zeros((len(i), 8))
+    cur[np.arange(len(i)), i], cur[np.arange(len(i)), j] = 1.0, -1.0
+    exc = fem.ExcitationSet(cur)
+    sigma_ex = np.random.default_rng(30).uniform(2, 5, mesh.n_elements)
+    _, _, v_ex, _, _ = fn.reduced_forward(sigma_ex, mesh, exc)
+    obs = fn.Observations("eit", 0.0, currents=exc.currents, voltages=v_ex)
+    return mesh, exc, sigma_ex, obs
+
+
+def _direct_adjoint_duals(lin):
+    """The reduced eit gradient's sigma dual with its adjoint solved column by column."""
+    (rmap, w), = lin.pairs
+    x, mesh, L = lin.x, rmap.mesh, rmap.electrodes.count
+    n = mesh.n_nodes
+    rhs = np.zeros((n + L + 1, rmap.excitation.n_excitations))
+    rhs[n : n + L] = lin.r[0].T
+    lam = x.system.lu.solve(rhs)[:n]
+    E = fem.gradient_field(x.phis, mesh)
+    return -w * np.einsum("eq,eqI->e", mesh.qweights, (fem.gradient_field(lam, mesh) * E).sum(axis=2))
+
+
+def test_eit_reduced_gradient_on_the_electrode_basis_matches_the_direct_adjoint(all_pairs):
+    mesh, exc, sigma_ex, obs = all_pairs
+    cost = fn.combined_cost("eit-reduced", obs, mesh, exc, constraints=core.ConstraintSet())
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        x = cost.space.state(rng.uniform(1.5, 5.5, mesh.n_elements))
+        d, _, _ = cost.residual.linearize(x).adjoint(cost.residual.linearize(x).r)
+        ref = _direct_adjoint_duals(cost.residual.linearize(x))
+        assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert _fd_error(cost, x, rng, mesh, exc.n_excitations) < 1e-4
+    # the contracted adjoint against the forward-sensitivity derivative (dot-product test)
+    lin = cost.residual.linearize(x)
+    h = fn.Point(mesh, rng.normal(size=mesh.n_elements))
+    u = [rng.normal(size=lin.r[0].shape)]
+    lhs = cost.residual.inner(lin.derivative(h), u)
+    rhs = float(np.sum(h.sigma * lin.adjoint(u)[0]))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def test_eit_reduced_makes_one_L_column_solve_per_factorization(all_pairs, cem_solves):
+    mesh, exc, sigma_ex, obs = all_pairs
+    solves = cem_solves
+    cost = fn.combined_cost("eit-reduced", obs, mesh, exc, constraints=core.ConstraintSet())
+    for k, value in enumerate((2.0, 3.0)):
+        x = cost.space.state(np.full(mesh.n_elements, value))
+        cost.value(x)
+        assert solves == [8] * (k + 1)  # the forward map: the basis of the new factor
+        cost.gradient(x)
+        assert solves == [8] * (k + 1)  # the gradient makes no solve
+
+
+def test_eit_reduced_gradient_with_a_foreign_factor_raises(all_pairs):
+    mesh, exc, sigma_ex, obs = all_pairs
+    cost = fn.combined_cost("eit-reduced", obs, mesh, exc, constraints=core.ConstraintSet())
+    x = cost.space.state(np.full(mesh.n_elements, 3.0))
+    system = cost.residual.linearize(x).x.system
+    system._lu, system._basis = fem.assemble_cem(mesh, np.full(mesh.n_elements, 4.0)).lu, None
+    with pytest.raises(AssemblyError, match="residual"):
+        cost.gradient(x)
+
+
+def test_up_to_L_excitations_keep_the_direct_adjoint(setup):
+    # I = 2: the forward map and the adjoint solve their columns as before, bit for bit
+    mesh, exc, cs, sigma_ex, phi_ex, psi_ex, v_ex, H, flux = setup
+    noisy = v_ex + np.random.default_rng(32).normal(0, 0.01, v_ex.shape)
+    cost = fn.combined_cost("eit-reduced", fn.Observations("eit", 0.0, currents=exc.currents, voltages=noisy),
+                            mesh, exc, constraints=cs)
+    lin = cost.residual.linearize(cost.space.state(np.linspace(2.0, 4.0, mesh.n_elements)))
+    n, L = mesh.n_nodes, 8
+    rhs = np.zeros((n + L + 1, 2))
+    rhs[n : n + L] = exc.currents.T
+    assert np.array_equal(lin.x.phis, lin.x.system.lu.solve(rhs)[:n])
+    assert lin.x.system._basis is None
+    assert np.array_equal(lin.adjoint(lin.r)[0], _direct_adjoint_duals(lin))
+
+
+@pytest.mark.parametrize("tag", ["iat-aao", "eit-reduced"])
+def test_values_gradients_and_projections_do_not_depend_on_memory_layout(setup, tag):
+    # reductions round in memory order, so C- and F-ordered input blocks (state
+    # and data) must give the same bits
+    mesh, exc, cs, sigma_ex, phi_ex, psi_ex, v_ex, H, flux = setup
+    rng = np.random.default_rng(33)
+    sigma = rng.uniform(1.5, 5.5, mesh.n_elements)
+    phis, psis = rng.normal(size=(2, mesh.n_nodes, 2))
+    H_noisy, v_noisy = H * rng.uniform(0.9, 1.1, H.shape), v_ex + rng.normal(0, 0.01, v_ex.shape)
+    outputs = []
+    for order in ("C", "F"):
+        lay = partial(np.array, order=order)
+        obs = (fn.Observations("iat", 0.0, H=lay(H_noisy)) if tag == "iat-aao" else
+               fn.Observations("eit", 0.0, currents=lay(exc.currents), voltages=lay(v_noisy)))
+        cost = fn.combined_cost(tag, obs, mesh, exc, constraints=cs)
+        x = (cost.space.state(lay(sigma), lay(phis), lay(psis)) if tag == "iat-aao" else
+             cost.space.state(lay(sigma)))
+        value, g = cost.value_and_gradient(x)
+        states = (g, cost.space.project(x, cs), cost.space.project(x - g, cs))
+        outputs.append([value] + [b for s in states for b in (s.sigma, s.phis, s.psis) if b is not None])
+    for a, b in zip(*outputs):
+        assert np.array_equal(a, b)
