@@ -26,7 +26,6 @@ from .fem import (
     ExcitationSet,
     Mesh,
     assemble_cem,
-    build_disk_mesh,
     disk_mesh_scale,
     gradient_field,
     load_mesh,

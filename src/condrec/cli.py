@@ -220,9 +220,14 @@ def cmd_verify(args):
         trace, _ = fem.psi_trace_values(mesh, excitation)
         cs = core.ConstraintSet(_get(cfg, "bounds", "sigma_lower", 1.0, float),
                                 _get(cfg, "bounds", "sigma_upper", 6.0, float), True, trace)
-        space = core.StateSpace(mesh, n_excitations=excitation.n_excitations)
         sigma_ex = phantom.cell_field(mesh)
         phi, psi, _, _, _ = functionals.reduced_forward(sigma_ex, mesh, excitation)
+        if condition == "tcc":
+            space = core.StateSpace(mesh, n_excitations=excitation.n_excitations)
+        else:
+            obs = functionals.Observations("gwf", 0.0, flux=data.flux)
+            cost = functionals.combined_cost("gwf-aao-ls", obs, mesh, excitation, constraints=cs)
+            space = cost.space
         x_d = space.project(space.state(sigma_ex, phi, psi), cs)
         states = conditions.sample_feasible_states(space, cs, x_d, radius, rng, 2 * n_pairs)
         pairs = [(states[2 * i], states[2 * i + 1]) for i in range(n_pairs)]
@@ -233,13 +238,7 @@ def cmd_verify(args):
             rep = conditions.check_tcc(fwd, pairs, y, const["c_tc"])
             rep.extra.update(const)
         else:
-            obs = functionals.Observations("gwf", 0.0, flux=data.flux)
-            cost = functionals.combined_cost("gwf-aao-ls", obs, mesh, excitation, constraints=cs)
-            sp2 = cost.space
-            x_d2 = sp2.project(sp2.state(sigma_ex, phi, psi), cs)
-            sts = conditions.sample_feasible_states(sp2, cs, x_d2, radius, rng, 2 * n_pairs)
-            prs = [(sts[2 * i], sts[2 * i + 1]) for i in range(n_pairs)]
-            rep = conditions.implication_chain(cost, sp2.inner, prs, x_d2)
+            rep = conditions.implication_chain(cost, space.inner, pairs, x_d)
     elif condition == "eit-tcc":
         # exploratory: the cone condition is not expected to hold here
         scale = _get(cfg, "verify", "coarse_scale", 1, int)
@@ -287,6 +286,8 @@ def cmd_report(args):
             lines = [l.strip() for l in f if l.strip()]
         if header is None:
             header = lines[0]
+        elif lines[0] != header:  # e.g. a table written before the solver/variant columns
+            raise ConfigError(f"{path} has columns {lines[0]}, not the {header} of {args.inputs[0]}")
         rows.extend(lines[1:])
     cols = header.split(",")
     table = [cols] + [r.split(",") for r in rows]

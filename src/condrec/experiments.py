@@ -343,7 +343,7 @@ def _write_outputs(result, mesh, cfg):
                         vmin=cfg.sigma_lower, vmax=cfg.sigma_upper)
 
 
-TABLE_COLUMNS = "formulation,I,delta,seed,iterations,l2_error,wall_s,s_per_iter,stop_reason"
+TABLE_COLUMNS = "formulation,solver,variant,I,delta,seed,iterations,l2_error,wall_s,s_per_iter,stop_reason"
 
 
 def run_table(configs, path=None, jobs=1):
@@ -373,13 +373,14 @@ def run_table(configs, path=None, jobs=1):
 
     lines = [TABLE_COLUMNS]
     for cfg, res in zip(configs, results):
-        nI = excitation_count(cfg)
+        cell_id = (f"{cfg.formulation},{cfg.solver},{cfg.iat_obs_variant},{excitation_count(cfg)},"
+                   f"{cfg.delta:.17g},{cfg.seed}")
         if isinstance(res, ExperimentError):
-            lines.append(f"{cfg.formulation},{nI},{cfg.delta:.17g},{cfg.seed},,,,,error:{res.stage}")
+            lines.append(f"{cell_id},,,,,error:{res.stage}")
         else:
             lines.append(
-                f"{cfg.formulation},{nI},{cfg.delta:.17g},{cfg.seed},{res.iterations},"
-                f"{res.l2_error:.17g},{res.wall_time:.6f},{res.time_per_iteration:.6f},{res.stop_reason}"
+                f"{cell_id},{res.iterations},{res.l2_error:.17g},"
+                f"{res.wall_time:.6f},{res.time_per_iteration:.6f},{res.stop_reason}"
             )
     text = "\n".join(lines) + "\n"
     if path is not None:
@@ -390,11 +391,14 @@ def run_table(configs, path=None, jobs=1):
 
 def mask_timing_columns(csv_text):
     """Replace the wall-clock columns by a fixed marker (hardware-dependent)."""
-    out = []
-    for i, line in enumerate(csv_text.strip().split("\n")):
+    header, *rows = csv_text.strip().split("\n")
+    timing = [i for i, name in enumerate(header.split(",")) if name in ("wall_s", "s_per_iter")]
+    out = [header]
+    for line in rows:
         parts = line.split(",")
-        if i > 0 and len(parts) == 9 and parts[6]:
-            parts[6] = parts[7] = "-"
+        for i in timing:
+            if parts[i]:
+                parts[i] = "-"
         out.append(",".join(parts))
     return "\n".join(out) + "\n"
 

@@ -17,6 +17,16 @@ quadrature weights, ``G.T @ (w v)`` (``gradient_dual``, on the transpose
 ``Mesh.Gt`` stored once per mesh); the dual against perp-grad N_n is minus
 the dual of the rotated field.
 
+The mesh is the centre vertex plus concentric rings of vertices.  Ring vertex i of
+a ring with m vertices (numbered from the ring's first vertex id) sits at angle
+offset pi (2i - c) / m from the first mirror axis t0, half an electrode arc; the
+axis index c is 0 for the inner rings (angles t0 + 2 pi i / m) and the number of
+edges per electrode for the boundary ring (angles 2 pi i / m).  The mirror about
+t0, the mirror about t0 + pi/2 and the half-turn are then the index maps
+i -> c - i, c + m/2 - i and i + m/2 (mod m), so each annulus between two rings is
+triangulated by integer arithmetic alone: a staircase over the quarter sector and
+its three images (``_symmetric_strip``).
+
 The boundary is a closed CCW loop of nb edges held as arrays, one entry per
 edge in loop order: ``bnodes`` (nb, 3) its nodes (a, mid, b), ``belectrode``
 whether it lies on an electrode, ``bindex`` the 1-based electrode or gap
@@ -338,140 +348,75 @@ def disk_mesh_scale(k, electrodes=None):
     t0 = np.pi * cov / L  # half electrode arc: first mirror axis
 
     verts = [(0.0, 0.0)]
-    rings = []
+    rings = []  # (first vertex id, count m, axis index c), see the module docstring
     for j in range(1, n_rings + 1):
         r = j / n_rings
         if j < n_rings:
-            m = _ring_count(m_bnd * j / n_rings)
+            m, c = _ring_count(m_bnd * j / n_rings), 0
             th = t0 + 2 * np.pi * np.arange(m) / m
         else:
-            m = m_bnd
+            m, c = m_bnd, elec_edges
             th = 2 * np.pi * np.arange(m) / m
-        ids = np.arange(len(verts), len(verts) + m)
+        rings.append((len(verts), m, c))
         verts.extend(zip(r * np.cos(th), r * np.sin(th)))
-        rings.append((ids, th))
 
-    tris = []
-    ids1, _ = rings[0]
-    m1 = len(ids1)
-    for i in range(m1):
-        tris.append((0, ids1[i], ids1[(i + 1) % m1]))
-    for (inner, thi), (outer, tho) in zip(rings[:-1], rings[1:]):
-        tris.extend(_symmetric_strip(inner, thi, outer, tho, t0))
+    first, m1, _ = rings[0]
+    ids1 = first + np.arange(m1)
+    tris = [np.column_stack([np.zeros(m1, int), ids1, np.roll(ids1, -1)])]
+    tris += [_symmetric_strip(inner, outer) for inner, outer in zip(rings[:-1], rings[1:])]
+    tris = np.vstack(tris)
 
     # per sector of the uniform boundary ring: elec_edges electrode edges, then gap edges
-    bnd_ids, _ = rings[-1]
+    bnd_ids = rings[-1][0] + np.arange(m_bnd)
     sector, within = np.divmod(np.arange(m_bnd), m_bnd // L)
     boundary = (np.column_stack([bnd_ids, np.roll(bnd_ids, -1)]), within < elec_edges, sector + 1)
-    mesh = Mesh(np.array(verts), np.array(tris, int), boundary, electrodes, scale=k)
+    mesh = Mesh(np.array(verts), tris, boundary, electrodes, scale=k)
     if mesh.n_elements != len(tris):
         raise InvalidMeshError("internal: strip triangulation lost elements")
     return mesh
 
 
-def _symmetric_strip(inner, thi, outer, tho, t0):
+def _symmetric_strip(inner, outer):
     """Triangulate the annulus strip between two rings, exactly invariant under
     the dihedral group {id, mirror about t0, mirror about t0 + pi/2, rotation pi}.
 
-    A greedy staircase is built on the quarter sector [t0, t0 + pi/2] and its
-    three group images fill the rest.  The inner ring must have vertices on both
-    axes (mod-4 count at offset t0); the outer ring either has them too or
-    straddles each axis symmetrically, in which case an axis-centred seed
-    triangle stitches the quarters together.
+    Each ring is (first vertex id, count m, axis index c).  A greedy staircase is
+    built on the quarter sector [t0, t0 + pi/2] and its three group images fill
+    the rest.  The inner ring has vertices on both axes (c = 0, m a multiple of
+    four); the outer ring either has them too or straddles the t0 axis (c odd),
+    in which case axis-centred seed triangles stitch the quarters together.
     """
-    two_pi = 2 * np.pi
+    (fi, mi, ci), (fo, mo, co) = inner, outer
 
-    def offsets(th):
-        return (np.asarray(th, float) - t0 + np.pi) % two_pi - np.pi  # in (-pi, pi]
+    def quarter(m, c):  # vertices at offsets pi (2i - c) / m in [0, pi/2], in angle order
+        return [i for i in range(m) if 0 <= 2 * i - c <= m // 2]
 
-    oin, oout = offsets(thi), offsets(tho)
+    def group(m, c):  # i -> i, c - i, c + m/2 - i, i + m/2 (mod m)
+        i = np.arange(m)
+        return np.stack([i, c - i, c + m // 2 - i, i + m // 2]) % m
 
-    class Ring:
-        def __init__(self, offs, ids):
-            order = np.argsort(offs)
-            self.offs = offs[order]
-            self.ids = np.asarray(ids, int)[order]
-            self.members = set(int(i) for i in ids)
-
-        def find(self, off):
-            o = (float(off) + np.pi) % two_pi - np.pi
-            j = int(np.argmin(np.minimum(np.abs(self.offs - o), two_pi - np.abs(self.offs - o))))
-            gap = min(abs(self.offs[j] - o), two_pi - abs(self.offs[j] - o))
-            if gap > 1e-9:
-                raise InvalidMeshError("internal: ring not symmetric under the mirror group")
-            return int(self.ids[j])
-
-    rin, rout = Ring(oin, inner), Ring(oout, outer)
-
-    def quarter(offs, ids):
-        sel = [(float(o), int(i)) for o, i in zip(offs, ids) if -1e-12 <= o <= np.pi / 2 + 1e-12]
-        sel.sort()
-        return sel
-
-    qin = quarter(oin, inner)
-    qout = quarter(oout, outer)
-    on_axis = abs(qout[0][0]) < 1e-12  # outer has a vertex on the t0 axis
-
-    tris_q = []
-    seeds = []
-    if not on_axis:
-        b = qout[0][0]
-        seeds.append((rout.find(-b), qout[0][1], qin[0][1]))
-        c = np.pi / 2 - qout[-1][0]
-        seeds.append((qout[-1][1], rout.find(np.pi / 2 + c), qin[-1][1]))
-
-    # greedy staircase over the quarter
-    i = o = 0
+    # local numbers: inner vertex i is i, outer vertex i is mi + i
+    qin, qout = quarter(mi, ci), quarter(mo, co)
+    tris = []
+    i = o = 0  # staircase: step the ring whose next offset is smaller, the inner one on a tie
     while i < len(qin) - 1 or o < len(qout) - 1:
-        can_i = i < len(qin) - 1
-        can_o = o < len(qout) - 1
-        if can_i and (not can_o or qin[i + 1][0] <= qout[o + 1][0] + 1e-14):
-            tris_q.append((qin[i][1], qin[i + 1][1], qout[o][1]))
+        if i < len(qin) - 1 and (o == len(qout) - 1 or (2 * qin[i + 1] - ci) * mo <= (2 * qout[o + 1] - co) * mi):
+            tris.append((qin[i], qin[i + 1], mi + qout[o]))
             i += 1
         else:
-            tris_q.append((qout[o][1], qout[o + 1][1], qin[i][1]))
+            tris.append((mi + qout[o], mi + qout[o + 1], qin[i]))
             o += 1
+    images = np.hstack([group(mi, ci), mi + group(mo, co)])
+    if 2 * qout[0] != co:  # no outer vertex on the t0 axis
+        tris.append((images[1, mi + qout[0]], mi + qout[0], qin[0]))
+        tris.append((mi + qout[-1], images[2, mi + qout[-1]], qin[-1]))
 
-    # group images: reflections negate / flip offsets, rotation adds pi
-    def image(tri, fmap):
-        return tuple(fmap(v) for v in tri)
-
-    off_of = {}
-    for o, idx in zip(oin, inner):
-        off_of[int(idx)] = float(o)
-    for o, idx in zip(oout, outer):
-        off_of[int(idx)] = float(o)
-
-    def mapper(f):
-        def fmap(v):
-            ring = rin if v in rin.members else rout
-            return ring.find(f(off_of[v]))
-
-        return fmap
-
-    refl_a = mapper(lambda a: -a)
-    refl_b = mapper(lambda a: np.pi - a)
-    rot = mapper(lambda a: a + np.pi)
-
-    seen = set()
-    out = []
-    for tri in list(tris_q) + seeds:
-        for img in (tri, image(tri, refl_a), image(tri, refl_b), image(tri, rot)):
-            key = frozenset(img)
-            if key not in seen:
-                seen.add(key)
-                out.append(img)
-    expect = len(inner) + len(outer)
-    if len(out) != expect:
-        raise InvalidMeshError(f"internal: strip produced {len(out)} triangles, expected {expect}")
-    return out
-
-
-def build_disk_mesh(level, electrodes=None):
-    """Disk mesh at refinement level >= 0; element/node counts grow x4 per level."""
-    if level < 0:
-        raise InvalidMeshError("refinement level must be >= 0")
-    return disk_mesh_scale(2**level, electrodes)
+    # every triangle, then its three images; a repeated triangle keeps its first appearance
+    cand = images[:, tris].transpose(1, 0, 2).reshape(-1, 3)
+    keep = np.sort(np.unique(np.sort(cand, axis=1), axis=0, return_index=True)[1])
+    if len(keep) != mi + mo:
+        raise InvalidMeshError(f"internal: strip produced {len(keep)} triangles, expected {mi + mo}")
+    return np.r_[fi : fi + mi, fo : fo + mo][cand[keep]]
 
 
 def refine_mesh(mesh, times=1):
@@ -582,7 +527,6 @@ class CemSystem:
 
     mesh: Mesh
     electrodes: ElectrodeConfig
-    sigma: np.ndarray
     matrix: sp.csc_matrix  # (N + L + 1) symmetric, grounding multiplier appended
     layout: CemLayout  # the mesh's sigma-independent part, which also orders the factorization
     _lu: object = field(default=None, repr=False)
@@ -772,7 +716,7 @@ def assemble_cem(mesh, sigma, electrodes=None):
     layout = _cem_layout(mesh, electrodes)
     C0 = layout.C0
     matrix = sp.csc_matrix((layout.S @ s + C0.data, C0.indices, C0.indptr), shape=C0.shape)
-    return CemSystem(mesh, electrodes, s.copy(), matrix, layout)
+    return CemSystem(mesh, electrodes, matrix, layout)
 
 
 def solve_cem(system, excitation):
@@ -857,22 +801,17 @@ def psi_trace_values(mesh, excitation):
     return vals[later], mesh.boundary_dofs
 
 
-def stream_potential(sigma, phi, mesh, excitation, index=None):
+def stream_potential(sigma, phi, mesh, excitation):
     """Stream potentials psi with perp-grad psi closest to sigma grad phi.
 
     Solves the Laplace problem int grad psi . grad q = int sigma grad phi .
     perp-grad q with Dirichlet trace given by the integrated currents (note
     perp-grad psi . perp-grad q = grad psi . grad q).  Works columnwise when phi
-    carries several excitations; ``index`` selects a single row of the set.
+    carries several excitations.
     """
     phi = _nodal(phi, mesh)
     a = phi.reshape(mesh.n_nodes, -1)
-    exc = excitation
-    if index is not None:
-        exc = ExcitationSet(excitation.currents[index : index + 1])
-        if a.shape[1] != 1:
-            a = a[:, index : index + 1]
-    if a.shape[1] != exc.n_excitations:
+    if a.shape[1] != excitation.n_excitations:
         raise InvalidExcitationError("phi column count does not match excitations")
     s = np.asarray(sigma, float)
 
@@ -880,7 +819,7 @@ def stream_potential(sigma, phi, mesh, excitation, index=None):
     rhs = -gradient_dual(rotate(flux), mesh)  # int flux . perp-grad(N_n)
 
     K = mesh.stiffness()
-    trace, bdofs = psi_trace_values(mesh, exc)
+    trace, bdofs = psi_trace_values(mesh, excitation)
     interior = np.setdiff1d(np.arange(mesh.n_nodes), bdofs)
     psi = np.zeros((mesh.n_nodes, a.shape[1]))
     psi[bdofs] = trace

@@ -89,7 +89,7 @@ def test_reconstruct_single_cell(tmp_path):
     assert rc == 0
     lines = (out / "results.csv").read_text().strip().split("\n")
     assert len(lines) == 2
-    assert lines[0].startswith("formulation,I,delta,seed,iterations,l2_error")
+    assert lines[0].startswith("formulation,solver,variant,I,delta,seed,iterations,l2_error")
 
 
 def test_reconstruct_table_shape(tmp_path):
@@ -184,6 +184,18 @@ def test_verify_gwf_tcc(tmp_path):
     assert "pass: True" in text
 
 
+def test_verify_gwf_chain(tmp_path):
+    cfgp = write_config(
+        tmp_path / "v.ini",
+        "[verify]\ncondition = chain\nsamples = 10\ncoarse_scale = 1\nradius = 0.3\n",
+    )
+    out = tmp_path / "rep"
+    rc = cli.main(["verify", "--config", cfgp, "--out", str(out)])
+    assert rc == 0
+    text = (out / "chain_report.txt").read_text()
+    assert "pass: True" in text
+
+
 def test_verify_eit_exploratory_flag(tmp_path):
     cfgp = write_config(
         tmp_path / "v.ini",
@@ -208,6 +220,19 @@ def test_report_merges_csvs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "iat-reduced" in out and "eit-reduced" in out
     assert len(merged.read_text().strip().split("\n")) == 3
+
+
+def test_report_refuses_csvs_with_different_columns(tmp_path, capsys):
+    old = tmp_path / "old.csv"
+    old.write_text("formulation,I,delta,seed,iterations,l2_error,wall_s,s_per_iter,stop_reason\n"
+                   "iat-reduced,1,0,1,5,0.5,1.0,0.2,max-iters\n")
+    new = tmp_path / "new.csv"
+    new.write_text("formulation,solver,variant,I,delta,seed,iterations,l2_error,wall_s,s_per_iter,stop_reason\n"
+                   "iat-reduced,newton,2,1,0,1,5,0.5,1.0,0.2,max-iters\n")
+    for inputs in ([new, old], [old, new]):
+        assert cli.main(["report", *map(str, inputs), "--out", str(tmp_path / "merged.csv")]) == 2
+        assert "has columns" in capsys.readouterr().err
+    assert not (tmp_path / "merged.csv").exists()
 
 
 def test_full_pipeline_determinism(tmp_path):

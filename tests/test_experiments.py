@@ -292,7 +292,7 @@ def test_run_table_shape_and_failures(tmp_path, monkeypatch):
     assert len(lines) == 3
     assert lines[1].split(",")[-1] == "max-iters"
     assert "error:cost" in lines[2]
-    assert lines[2].split(",")[1] == "2"  # the custom currents set the excitation count
+    assert lines[2].split(",")[3] == "2"  # the custom currents set the excitation count
     assert isinstance(results[1], ExperimentError)
 
 
@@ -307,9 +307,18 @@ def test_run_table_records_a_config_changed_to_an_unknown_case(tmp_path):
     results, text = ex.run_table([bad, ok], tmp_path / "table.csv")
     lines = text.strip().split("\n")
     assert len(lines) == 3 and (tmp_path / "table.csv").read_text() == text
-    assert lines[1] == "iat-reduced,,0,1,,,,,error:data"
+    assert lines[1] == "iat-reduced,projected-gradient,2,,0,1,,,,,error:data"
     assert isinstance(results[0], ExperimentError) and results[0].stage == "data"
-    assert lines[2].startswith("iat-reduced,1,0,1,3,") and lines[2].endswith(",max-iters")
+    assert lines[2].startswith("iat-reduced,projected-gradient,2,1,0,1,3,") and lines[2].endswith(",max-iters")
+
+
+def test_mask_timing_columns_finds_the_timing_columns_by_name():
+    text = (f"{ex.TABLE_COLUMNS}\n"
+            "iat-reduced,newton,2,1,0,1,3,0.5,1.25,0.4,max-iters\n"
+            "iat-aao,projected-gradient,1,,0,1,,,,,error:data\n")
+    assert ex.mask_timing_columns(text) == (f"{ex.TABLE_COLUMNS}\n"
+                                            "iat-reduced,newton,2,1,0,1,3,0.5,-,-,max-iters\n"
+                                            "iat-aao,projected-gradient,1,,0,1,,,,,error:data\n")
 
 
 def test_run_table_empty():

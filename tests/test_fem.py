@@ -40,13 +40,13 @@ def test_reference_scale_counts():
 
 
 def test_boundary_vertices_on_unit_circle():
-    m = fem.build_disk_mesh(0)
+    m = fem.disk_mesh_scale(1)
     ends = m.bnodes[:, [0, 2]].ravel()
     assert np.abs(np.linalg.norm(m.nodes[ends], axis=1) - 1.0).max() < 1e-12
 
 
 def test_counts_grow_fourfold_per_level():
-    m0, m1, m2 = (fem.build_disk_mesh(l) for l in range(3))
+    m0, m1, m2 = (fem.disk_mesh_scale(2**level) for level in range(3))
     assert m1.n_elements == 4 * m0.n_elements
     assert m2.n_elements == 4 * m1.n_elements
     # node count ratio tends to 4 (boundary term is lower order)
@@ -55,7 +55,7 @@ def test_counts_grow_fourfold_per_level():
 
 
 def test_disk_area_close_to_pi_at_level_two():
-    m = fem.build_disk_mesh(2)
+    m = fem.disk_mesh_scale(4)
     n_b = len(m.bnodes)
     polygon_area = 0.5 * n_b * np.sin(2 * np.pi / n_b)  # exact area of the boundary polygon
     assert abs(m.element_areas.sum() - polygon_area) < 1e-10
@@ -108,13 +108,25 @@ MESH_CHECKSUMS = {
     "scale 1": "536f7935a98df1bfab494c57f3ccc81165c8207528d180653b9be75b9025f36c",
     "scale 2": "329674113f16a9054627582465050b886c6d03e7a1770446571d5fb059f693d4",
     "scale 1 refined": "dc190777e3449eef259b7517e2d139585093e0f0926aaf8eac65639c3760c422",
+    "scale 3": "3945e7ad714bcb5150d89ebd5e3b4d77454d3b3cde2429babb582b4fd501f1c9",
+    "scale 4": "29ce46145810c7f0b7e65e829df05772a70a479a87ee97f12e045c91b33f7532",
+    "4 electrodes, scale 2": "08f84d86edfae961a2433f98730a280b912b288526ca1c28c55b2fa2f5a15d97",
 }
 
 
 def test_mesh_checksums_are_pinned():
     meshes = {"scale 1": fem.disk_mesh_scale(1), "scale 2": fem.disk_mesh_scale(2),
-              "scale 1 refined": fem.refine_mesh(fem.disk_mesh_scale(1))}
+              "scale 1 refined": fem.refine_mesh(fem.disk_mesh_scale(1)),
+              "scale 3": fem.disk_mesh_scale(3), "scale 4": fem.disk_mesh_scale(4),
+              "4 electrodes, scale 2": fem.disk_mesh_scale(2, fem.ElectrodeConfig(count=4))}
     assert {name: m.checksum() for name, m in meshes.items()} == MESH_CHECKSUMS
+
+
+def test_ring_layout_without_a_symmetric_strip_raises():
+    # 5 electrodes at scale 1: the boundary ring straddles the first mirror axis but has
+    # a vertex on the second, so the quarter images do not tile the outer annulus
+    with pytest.raises(InvalidMeshError, match="strip produced"):
+        fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=5))
 
 
 def test_boundary_sampling_operator():
