@@ -188,7 +188,7 @@ def cmd_reconstruct(args):
     failed = sum(1 for r in results if isinstance(r, ExperimentError))
     for c, r in zip(configs, results):
         if isinstance(r, ExperimentError):
-            print(f"{c.label}: FAILED at stage {r.stage}")
+            print(f"{c.label}: FAILED {r}")  # [stage] cause: message
         else:
             print(f"{c.label}: err={r.l2_error:.6g} iters={r.iterations} stop={r.stop_reason}")
     print(f"table: {table_path}")

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
+from . import fem
 from .errors import FormulationMismatchError, InvalidFieldError
 
 
@@ -66,16 +66,13 @@ class StateSpace:
         self.with_potentials = with_potentials
         self.areas = mesh.element_areas
         if with_potentials:
-            self.h1 = (mesh.mass() + mesh.stiffness()).tocsc()
-            self._h1_lu = spla.splu(self.h1)
+            self.h1 = fem.Factor((mesh.mass() + mesh.stiffness()).tocsc())  # the H1 Gram matrix and its factor
             bd = mesh.boundary_dofs
             self.interior_dofs = np.setdiff1d(np.arange(mesh.n_nodes), bd)
             self.boundary_dofs = bd
-            self._h1_ii_lu = spla.splu(self.h1[self.interior_dofs][:, self.interior_dofs].tocsc())
-            self._h1_ib = self.h1[self.interior_dofs][:, bd].tocsr()
+            self._h1_ii = fem.Factor(self.h1.matrix[self.interior_dofs][:, self.interior_dofs].tocsc())
+            self._h1_ib = self.h1.matrix[self.interior_dofs][:, bd].tocsr()
             self._weights = mesh.integral_weights()
-        else:
-            self.h1 = None
 
     # -- state construction -------------------------------------------------
 
@@ -107,8 +104,8 @@ class StateSpace:
         if self.with_sigma:
             tot += float(np.sum(a.sigma * b.sigma * self.areas))
         if self.with_potentials:
-            tot += float(np.sum(a.phis * (self.h1 @ b.phis)))
-            tot += float(np.sum(a.psis * (self.h1 @ b.psis)))
+            tot += float(np.sum(a.phis * (self.h1.matrix @ b.phis)))
+            tot += float(np.sum(a.psis * (self.h1.matrix @ b.psis)))
         return tot
 
     def norm(self, a):
@@ -125,10 +122,7 @@ class StateSpace:
                 _check_finite(block, "dual")
         sig = dual.sigma / self.areas if self.with_sigma else None
         if self.with_potentials:
-            # SuperLU solves in Fortran order; blocks are C-ordered wherever they come from
-            ph = np.ascontiguousarray(self._h1_lu.solve(dual.phis))
-            ps = np.ascontiguousarray(self._h1_lu.solve(dual.psis))
-            return State(self, sig, ph, ps)
+            return State(self, sig, self.h1.solve(dual.phis), self.h1.solve(dual.psis))
         return State(self, sig)
 
     def project(self, x, constraints):
@@ -155,7 +149,7 @@ class StateSpace:
                 ps = x.psis.copy()
                 defect = x.psis[self.boundary_dofs] - tr
                 ps[self.boundary_dofs] = tr
-                ps[self.interior_dofs] += self._h1_ii_lu.solve(self._h1_ib @ defect)
+                ps[self.interior_dofs] += self._h1_ii.solve(self._h1_ib @ defect)
         return State(self, sig, ph, ps)
 
     def _compat(self, x):

@@ -226,7 +226,7 @@ def _stage(stage, fn, *args, **kwargs):
     except ExperimentError:
         raise
     except Exception as exc:
-        raise ExperimentError(stage, str(exc)) from exc
+        raise ExperimentError(stage, f"{type(exc).__name__}: {exc}") from exc
 
 
 def build_observations(cfg, data_noisy, excitation):

@@ -36,15 +36,22 @@ summed lengths per electrode.  ``Mesh.B`` (CSR, 3 * nb rows, n_nodes columns)
 samples a nodal field on the boundary: row 3 k + j picks node j of edge k, so
 ``B @ u`` is ``u[bnodes].ravel()``.
 
+``Factor`` is the one owner of factorizations in condrec (the CEM system,
+core's H1 Riesz and trace matrices, the stream-potential Laplacian).  Each
+factor is verified once, when it is made, by one solve of a fixed right-hand
+side with no zero-sum structure, and its solves return C-ordered rows in the
+matrix's own order.  The column order of the CEM matrix is kept per layout
+(``CemLayout``, one per mesh and impedance set).
+
 The grounded CEM system A (N + L + 1 rows: the nodes, the L electrode
 voltages, the grounding multiplier) is linear in the applied currents, which
 enter only the electrode rows n..n+L-1.  ``CemSystem.basis`` is the electrode
 basis Z = A^-1 E, E the L unit columns at those rows: one checked solve of L
 columns per factorization.  A right-hand side that vanishes off the electrode
 rows and has more columns than electrodes (I > L) is solved as a product with
-Z: the currents of ``solve_cem``, and the voltage-data adjoint of the reduced
-maps, which functionals contracts on the gradients of Z.  Up to L columns are
-solved directly.
+Z: the currents of ``solve_cem``, whose residuals are read off A Z - E, and
+the voltage-data adjoint of the reduced maps, which functionals contracts on
+the gradients of Z.  Up to L columns are solved directly.
 """
 from __future__ import annotations
 
@@ -345,6 +352,9 @@ def disk_mesh_scale(k, electrodes=None):
         raise InvalidMeshError("coverage fraction incompatible with boundary resolution")
     elec_edges = int(round(elec_edges))
     n_rings = max(1, round(3 * m_bnd / 16))
+    if L * k % 2 and n_rings > 1:  # a single ring is only the centre fan, which needs no strip
+        raise InvalidMeshError(f"{L} electrodes at scale {k} with coverage {cov:g}: L*k is odd, so the boundary "
+                               "ring has a vertex on one mirror axis but not the other and no symmetric strip exists")
     t0 = np.pi * cov / L  # half electrode arc: first mirror axis
 
     verts = [(0.0, 0.0)]
@@ -529,21 +539,15 @@ class CemSystem:
     electrodes: ElectrodeConfig
     matrix: sp.csc_matrix  # (N + L + 1) symmetric, grounding multiplier appended
     layout: CemLayout  # the mesh's sigma-independent part, which also orders the factorization
-    _lu: object = field(default=None, repr=False)
+    _lu: Factor | None = field(default=None, repr=False)
     _basis: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def n_dofs(self):
-        return self.mesh.n_nodes
+    _basis_residual: np.ndarray | None = field(default=None, repr=False)  # A Z - E
 
     @property
     def lu(self):
-        """The factor of ``matrix``; its ``solve(rhs)`` returns rows in mesh-node order."""
+        """The Factor of ``matrix``, in the column order of its layout."""
         if self._lu is None:
-            try:
-                self._lu = self.layout.factorize(self.matrix)
-            except RuntimeError as exc:  # singular after grounding
-                raise AssemblyError(f"grounded CEM system is singular: {exc}") from exc
+            self._lu = self.layout.factorize(self.matrix)
         return self._lu
 
     @property
@@ -551,16 +555,17 @@ class CemSystem:
         """The electrode basis Z = A^-1 E (N + L + 1, L), one solve of L columns per factor.
 
         E holds the unit columns at the electrode rows n..n+L-1, so column k is
-        the solution for a unit current into electrode k.  Checked once: raises
-        AssemblyError when Z is not finite or ||A Z - E|| exceeds SOLVE_RESIDUAL_BOUND.
+        the solution for a unit current into electrode k.  Checked once against
+        ``matrix``: raises AssemblyError when A Z - E exceeds SOLVE_RESIDUAL_BOUND.
         """
         if self._basis is None:
-            n, L = self.n_dofs, self.electrodes.count
+            n, L = self.mesh.n_nodes, self.electrodes.count
             E = np.zeros((self.matrix.shape[0], L))
             E[n : n + L] = np.eye(L)
             Z = self.lu.solve(E)
-            _check_solve(self.matrix, Z, E, "electrode basis")
-            self._basis = Z
+            R = self.matrix @ Z - E
+            Factor.check(R, E, "electrode basis")
+            self._basis, self._basis_residual = Z, R
         return self._basis
 
 
@@ -568,27 +573,55 @@ class CemSystem:
 class CemSolution:
     """Potentials (one column per excitation) and electrode voltages."""
 
-    phi: np.ndarray  # (n_dofs, I)
+    phi: np.ndarray  # (n_nodes, I)
     voltages: np.ndarray  # (I, L)
     residuals: np.ndarray  # relative linear-solve residual per excitation
 
 
-# Largest relative residual ||A x - b|| / ||b|| a CEM solve may leave: round-off
+# Largest relative residual ||A x - b|| / ||b|| a solve may leave: round-off
 # leaves about 1e-14, more means the factor does not belong to the matrix.
 SOLVE_RESIDUAL_BOUND = 1e-8
 
 
-def _check_solve(matrix, x, rhs, what):
-    """The relative residual of each column of x; raises AssemblyError when x is
-    not finite or a residual exceeds SOLVE_RESIDUAL_BOUND."""
-    if np.any(~np.isfinite(x)):
-        raise AssemblyError(f"{what} produced non-finite values")
-    scale = np.linalg.norm(rhs, axis=0)
-    scale[scale == 0] = 1.0
-    rel = np.linalg.norm(matrix @ x - rhs, axis=0) / scale
-    if rel.max() > SOLVE_RESIDUAL_BOUND:
-        raise AssemblyError(f"{what} residual {rel.max():.3e} exceeds {SOLVE_RESIDUAL_BOUND:g}")
-    return rel
+class Factor:
+    """A square CSC matrix and its SuperLU factor: every factorization condrec makes.
+
+    Verified once, when made: its solve of one fixed right-hand side with no
+    zero-sum structure must meet SOLVE_RESIDUAL_BOUND, so a factor without
+    pivoting or of another matrix raises AssemblyError, as a singular one does.
+    Given the ``order`` kept from an earlier factor of the pattern, it factors
+    ``permuted`` = matrix[:, order] in natural order.  ``solve`` returns
+    C-ordered rows in the matrix's own order.
+    """
+
+    def __init__(self, matrix, order=None, permuted=None):
+        self.matrix, self.order = matrix, order
+        a, spec = (matrix, None) if order is None else (permuted, "NATURAL")  # None: COLAMD
+        try:
+            self.superlu = spla.splu(a, permc_spec=spec)
+        except RuntimeError as exc:
+            raise AssemblyError(f"matrix is singular: {exc}") from exc
+        probe = np.sin(np.arange(1.0, matrix.shape[0] + 1))
+        self.check(matrix @ self.solve(probe) - probe, probe, "factor")
+
+    def solve(self, rhs):
+        """x with A x = rhs for rhs (N,) or (N, k); unchecked, the factor was checked when made."""
+        y = self.superlu.solve(rhs)
+        if self.order is None:
+            return np.ascontiguousarray(y)
+        x = np.empty(y.shape)
+        x[self.order] = y
+        return x
+
+    @staticmethod
+    def check(residual, rhs, what):
+        """The relative residual ||r|| / ||b|| of each column (the absolute one where b = 0);
+        raises AssemblyError when one is not finite or exceeds SOLVE_RESIDUAL_BOUND."""
+        scale = np.linalg.norm(rhs, axis=0)
+        rel = np.linalg.norm(residual, axis=0) / np.where(scale == 0, 1.0, scale)
+        if not np.all(rel <= SOLVE_RESIDUAL_BOUND):
+            raise AssemblyError(f"{what} residual {np.max(rel):.3e} exceeds {SOLVE_RESIDUAL_BOUND:g}")
+        return rel
 
 
 def boundary_matrices(mesh, electrodes):
@@ -622,10 +655,10 @@ class CemLayout:
     def __init__(self, key, S, C0):
         self.key, self.S, self.C0 = key, S, C0
         self.order = None  # column order of the first factor: its A Pc is A[:, order]
-        self._permuted = None  # A[:, order] as (data gather, indices, indptr), built on the second factorization
+        self._permuted = None  # A[:, order] holding its entries' positions in A.data, built on the second factorization
 
     def factorize(self, matrix):
-        """The SuperLU factor of a matrix on this layout, solving in mesh-node order.
+        """The Factor of a matrix on this layout.
 
         COLAMD's column order depends only on the pattern, which every matrix
         of the layout shares, so the first factorization orders and keeps a
@@ -637,34 +670,14 @@ class CemLayout:
         differ, which can move the last bits.
         """
         if self.order is None:
-            lu = spla.splu(matrix)
-            self.order = np.argsort(lu.perm_c)
-            return lu
+            factor = Factor(matrix)
+            self.order = np.argsort(factor.superlu.perm_c)
+            return factor
         if self._permuted is None:
             C0 = self.C0
-            index = sp.csc_matrix((np.arange(C0.nnz), C0.indices, C0.indptr), shape=C0.shape)[:, self.order]
-            self._permuted = (index.data, index.indices, index.indptr)
-        gather, indices, indptr = self._permuted
-        permuted = sp.csc_matrix((matrix.data[gather], indices, indptr), shape=matrix.shape)
-        return _PermutedFactor(spla.splu(permuted, permc_spec="NATURAL"), self.order)
-
-
-class _PermutedFactor:
-    """Solves A x = b with the factor of A[:, order]: A[:, order] y = b, then x[order] = y.
-
-    x keeps y's memory layout, the one the first factor's solves return.
-    """
-
-    __slots__ = ("factor", "order")
-
-    def __init__(self, factor, order):
-        self.factor, self.order = factor, order
-
-    def solve(self, rhs):
-        y = self.factor.solve(rhs)
-        x = np.empty_like(y)
-        x[self.order] = y
-        return x
+            self._permuted = sp.csc_matrix((np.arange(C0.nnz), C0.indices, C0.indptr), shape=C0.shape)[:, self.order]
+        p = self._permuted
+        return Factor(matrix, self.order, sp.csc_matrix((matrix.data[p.data], p.indices, p.indptr), shape=matrix.shape))
 
 
 def _cem_layout(mesh, electrodes):
@@ -720,21 +733,23 @@ def assemble_cem(mesh, sigma, electrodes=None):
 
 
 def solve_cem(system, excitation):
-    """Solve the grounded CEM system for every excitation row (on the electrode
-    basis when there are more excitations than electrodes); raises AssemblyError
-    on a non-finite solution or a residual above SOLVE_RESIDUAL_BOUND."""
+    """Solve the grounded CEM system for every excitation row; raises AssemblyError
+    on a residual above SOLVE_RESIDUAL_BOUND.  With I > L the solution is Z J^T on the
+    electrode basis, and A (Z J^T) - E J^T = R J^T reads its residuals off R = A Z - E."""
     if isinstance(excitation, np.ndarray):
         excitation = ExcitationSet(excitation)
-    mesh = system.mesh
-    L = system.electrodes.count
+    n, L = system.mesh.n_nodes, system.electrodes.count
     if excitation.n_electrodes != L:
         raise InvalidExcitationError("excitation width does not match electrode count")
-    n = mesh.n_nodes
-    nI = excitation.n_excitations
-    rhs = np.zeros((n + L + 1, nI))
-    rhs[n : n + L, :] = excitation.currents.T
-    sol = system.basis @ excitation.currents.T if nI > L else system.lu.solve(rhs)
-    rel = _check_solve(system.matrix, sol, rhs, "CEM solve")
+    J = excitation.currents
+    if len(J) > L:
+        sol, residual = system.basis @ J.T, system._basis_residual @ J.T
+    else:
+        rhs = np.zeros((n + L + 1, len(J)))
+        rhs[n : n + L] = J.T
+        sol = system.lu.solve(rhs)
+        residual = system.matrix @ sol - rhs
+    rel = Factor.check(residual, J.T, "CEM solve")  # the right-hand side's norms are J's
     return CemSolution(phi=sol[:n], voltages=sol[n : n + L].T, residuals=rel)
 
 
@@ -825,5 +840,5 @@ def stream_potential(sigma, phi, mesh, excitation):
     psi[bdofs] = trace
     Kii = K[interior][:, interior].tocsc()
     rhs_i = rhs[interior] - K[interior][:, bdofs] @ trace
-    psi[interior] = spla.splu(Kii).solve(rhs_i)
+    psi[interior] = Factor(Kii).solve(rhs_i)
     return psi if phi.ndim > 1 else psi[:, 0]

@@ -329,8 +329,9 @@ def voltage_term(voltages):
 
     It reads the third slot of a ReducedMap point, which holds the voltages.
     """
+    # C order whatever the caller's layout: the misfit sums U - V in memory order
     return AffineTerm(lambda h: h.psis, lambda u: (None, None, u),
-                      lambda u, v: float(np.sum(u * v)), np.asarray(voltages, float))
+                      lambda u, v: float(np.sum(u * v)), np.ascontiguousarray(voltages, float))
 
 
 def eit_trace_data(currents, voltages, impedances):

@@ -1,5 +1,7 @@
 """Shared test fixtures."""
+import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from condrec import fem
@@ -12,7 +14,7 @@ class _SolveSpy:
         self._lu, self._log = lu, log
 
     def solve(self, rhs):
-        self._log.append(rhs.shape[1])
+        self._log.append(rhs.shape[1] if rhs.ndim == 2 else 1)
         return self._lu.solve(rhs)
 
     def __getattr__(self, name):
@@ -21,8 +23,29 @@ class _SolveSpy:
 
 @pytest.fixture
 def cem_solves(monkeypatch):
-    """The column count of every solve made with a factor fem makes from now on."""
+    """The column count of every solve made with a factor fem makes from now on.
+
+    Every factor first solves its one-column probe (fem.Factor), logged as 1.
+    """
     log = []
     splu = spla.splu
     monkeypatch.setattr(fem.spla, "splu", lambda a, **kw: _SolveSpy(splu(a, **kw), log))
     return log
+
+
+def _other_matrix(a):
+    """Another matrix on a's pattern, each entry scaled by a factor in [0.5, 1.5] (as another sigma would)."""
+    return sp.csc_matrix((a.data * (1 + 0.5 * np.sin(np.arange(a.nnz))), a.indices, a.indptr), shape=a.shape)
+
+
+@pytest.fixture
+def wrong_factors(monkeypatch):
+    """wrong_factors(kind) makes every factor fem makes from then on a wrong one.
+
+    "no pivoting" factors with diag_pivot_thresh=0; "another matrix" returns
+    the factor of another matrix on the same pattern.
+    """
+    splu = spla.splu
+    kinds = {"no pivoting": lambda a, **kw: splu(a, diag_pivot_thresh=0, **kw),
+             "another matrix": lambda a, **kw: splu(_other_matrix(a), **kw)}
+    return lambda kind: monkeypatch.setattr(fem.spla, "splu", kinds[kind])

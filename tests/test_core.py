@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from condrec import core, fem
-from condrec.errors import FormulationMismatchError, InvalidFieldError
+from condrec.errors import AssemblyError, FormulationMismatchError, InvalidFieldError
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +260,12 @@ def test_nonfinite_rejected_where_values_enter(setup):
             bad * x
     with pytest.raises(InvalidFieldError):
         space.state(np.full(mesh.n_elements, np.nan), x.phis, x.psis)
+
+
+def test_state_space_with_a_wrong_h1_factor_raises(wrong_factors):
+    # the Riesz map and the trace projection solve on factors checked when the space is built
+    mesh = fem.disk_mesh_scale(1)
+    wrong_factors("another matrix")
+    with pytest.raises(AssemblyError, match="factor residual"):
+        core.StateSpace(mesh, n_excitations=2)
+    core.StateSpace(mesh, n_excitations=0, with_potentials=False)  # sigma alone factors nothing

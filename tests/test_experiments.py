@@ -309,6 +309,8 @@ def test_run_table_records_a_config_changed_to_an_unknown_case(tmp_path):
     assert len(lines) == 3 and (tmp_path / "table.csv").read_text() == text
     assert lines[1] == "iat-reduced,projected-gradient,2,,0,1,,,,,error:data"
     assert isinstance(results[0], ExperimentError) and results[0].stage == "data"
+    # the message keeps the cause's type, not only its text
+    assert str(results[0]).startswith("[data] UnsupportedOperationError: ")
     assert lines[2].startswith("iat-reduced,projected-gradient,2,1,0,1,3,") and lines[2].endswith(",max-iters")
 
 

@@ -123,10 +123,18 @@ def test_mesh_checksums_are_pinned():
 
 
 def test_ring_layout_without_a_symmetric_strip_raises():
-    # 5 electrodes at scale 1: the boundary ring straddles the first mirror axis but has
-    # a vertex on the second, so the quarter images do not tile the outer annulus
-    with pytest.raises(InvalidMeshError, match="strip produced"):
-        fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=5))
+    # with L*k odd the boundary ring straddles one mirror axis but has a vertex on the
+    # other, so the quarter images cannot tile the outer annulus; the layout is refused
+    # by name before any strip is built
+    for L, k, coverage in [(5, 1, 0.5), (3, 3, 0.5), (3, 3, 1 / 6), (7, 3, 2 / 3), (15, 5, 0.5)]:
+        with pytest.raises(InvalidMeshError, match=f"{L} electrodes at scale {k} with coverage {coverage:g}: L.k is odd"):
+            fem.disk_mesh_scale(k, fem.ElectrodeConfig(count=L, coverage_fraction=coverage))
+    # a coverage the boundary resolution cannot place keeps its own error
+    with pytest.raises(InvalidMeshError, match="coverage fraction incompatible"):
+        fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=3, coverage_fraction=1 / 3))
+    # the one odd layout with a single ring is the centre fan alone, and builds
+    m = fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=3))
+    assert m.n_elements == 6 and len(m.electrode_lengths) == 3
 
 
 def test_boundary_sampling_operator():
@@ -353,10 +361,25 @@ def test_solve_with_foreign_factor_raises():
             fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
         sys_ = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
         sys_._lu = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
-        assert isinstance(sys_._lu, fem._PermutedFactor) == ordered
+        assert (sys_._lu.order is not None) == ordered
         with pytest.raises(AssemblyError, match="residual"):
             fem.solve_cem(sys_, drive)
         assert sys_._basis is None  # a basis that failed its check is not kept
+
+
+@pytest.mark.parametrize("kind", ["no pivoting", "another matrix"])
+def test_wrong_factor_fails_both_cem_solve_paths(wrong_factors, kind):
+    # without pivoting, the grounding multiplier's zero diagonal leaves zero-sum currents
+    # solving to round-off but a generic right-hand side far off (scale 2); the factor's
+    # probe catches it when the factor is made, before any solve
+    m = fem.disk_mesh_scale(2)
+    rng = np.random.default_rng(12)
+    wrong_factors(kind)
+    for drive in (two_electrode_drive(I=2, row=1), all_pairs_drive()):  # I <= L solves directly, I > L on the basis
+        system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+        with pytest.raises(AssemblyError):
+            fem.solve_cem(system, drive)
+        assert system._lu is None and system._basis is None
 
 
 @pytest.mark.parametrize("scale", [1, 2])
@@ -395,9 +418,10 @@ def test_electrode_basis_is_one_L_column_solve_per_factor(cem_solves):
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
         fem.solve_cem(system, all_pairs_drive())
         fem.solve_cem(system, fem.ExcitationSet(-all_pairs_drive().currents[::-1]))
-        assert solves[k:] == [8]  # both solves are products with the one basis
+        # the new factor's one-column probe, then the basis: both solves are products with it
+        assert solves[2 * k:] == [1, 8]
     fem.solve_cem(system, two_electrode_drive(I=4))
-    assert solves[2:] == [4]  # up to L columns are solved directly
+    assert solves[4:] == [4]  # up to L columns are solved directly
 
 
 def test_up_to_L_excitations_solve_as_before():
@@ -440,10 +464,9 @@ def test_reused_order_factor_matches_a_fresh_factorization(scale):
     for k in range(4):
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
         lu = system.lu
-        assert isinstance(lu, fem._PermutedFactor) == (k > 0)
+        assert (lu.order is not None) == (k > 0)
         fresh = spla.splu(system.matrix)
-        factor = lu.factor if k > 0 else lu
-        assert factor.L.nnz + factor.U.nnz == fresh.L.nnz + fresh.U.nnz
+        assert lu.superlu.L.nnz + lu.superlu.U.nnz == fresh.L.nnz + fresh.U.nnz
         n, L = m.n_nodes, 8
         rhs = np.zeros((n + L + 1, 2))
         rhs[n : n + L] = exc.currents.T
@@ -463,8 +486,8 @@ def test_kept_column_order_owns_its_data():
     first = fem.assemble_cem(m, np.full(m.n_elements, 2.0)).lu
     order = fem._cem_layout(m, m.electrodes).order
     assert order.base is None
-    assert not np.shares_memory(order, first.perm_c)
-    assert np.array_equal(first.perm_c[order], np.arange(len(order)))
+    assert not np.shares_memory(order, first.superlu.perm_c)
+    assert np.array_equal(first.superlu.perm_c[order], np.arange(len(order)))
 
 
 def test_invalid_inputs_raise():
@@ -693,6 +716,16 @@ def test_stream_potential_zero_excitation():
     exc = fem.ExcitationSet(np.zeros((1, 8)))
     psi = fem.stream_potential(np.ones(m.n_elements), np.zeros(m.n_nodes), m, exc)
     assert np.abs(psi).max() < 1e-14
+
+
+def test_stream_potential_with_a_wrong_factor_raises(wrong_factors):
+    m = fem.disk_mesh_scale(1)
+    sigma = np.full(m.n_elements, 2.0)
+    exc = two_electrode_drive()
+    phi = fem.solve_cem(fem.assemble_cem(m, sigma), exc).phi
+    wrong_factors("another matrix")
+    with pytest.raises(AssemblyError, match="factor residual"):
+        fem.stream_potential(sigma, phi, m, exc)
 
 
 def test_stream_potential_first_order_optimality():

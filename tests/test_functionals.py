@@ -625,9 +625,9 @@ def test_eit_reduced_makes_one_L_column_solve_per_factorization(all_pairs, cem_s
     for k, value in enumerate((2.0, 3.0)):
         x = cost.space.state(np.full(mesh.n_elements, value))
         cost.value(x)
-        assert solves == [8] * (k + 1)  # the forward map: the basis of the new factor
+        assert solves == [1, 8] * (k + 1)  # the forward map: the new factor's probe, then its basis
         cost.gradient(x)
-        assert solves == [8] * (k + 1)  # the gradient makes no solve
+        assert solves == [1, 8] * (k + 1)  # the gradient makes no solve
 
 
 def test_eit_reduced_gradient_with_a_foreign_factor_raises(all_pairs):
@@ -638,6 +638,22 @@ def test_eit_reduced_gradient_with_a_foreign_factor_raises(all_pairs):
     system._lu, system._basis = fem.assemble_cem(mesh, np.full(mesh.n_elements, 4.0)).lu, None
     with pytest.raises(AssemblyError, match="residual"):
         cost.gradient(x)
+
+
+@pytest.mark.parametrize("kind", ["no pivoting", "another matrix"])
+def test_iat_reduced_derivative_and_adjoint_with_a_wrong_factor_raise(wrong_factors, kind):
+    # I = 2 <= L at scale 2: the zero-sum forward currents solve to round-off even without
+    # pivoting, but the sensitivity and adjoint solves do not; every factor is checked when made
+    data_mesh, mesh = fem.disk_mesh_scale(2), fem.disk_mesh_scale(2)  # the cost's mesh is factored only when wrong
+    exc = fem.ExcitationSet(np.array([[1.0, 0, 0, 0, -1.0, 0, 0, 0], [0, 0, 1.0, 0, 0, 0, -1.0, 0]]))
+    sigma_ex = np.random.default_rng(34).uniform(2, 5, mesh.n_elements)
+    phi, _, _, _, _ = fn.reduced_forward(sigma_ex, data_mesh, exc)
+    obs = fn.Observations("iat", 0.0, H=fem.power_density(sigma_ex, phi, data_mesh).T)
+    cost = fn.combined_cost("iat-reduced", obs, mesh, exc, constraints=core.ConstraintSet())
+    wrong_factors(kind)
+    for k, take in enumerate((cost.gradient, lambda x: cost.quadratic_model(x).hvp(x))):  # adjoint; derivative
+        with pytest.raises(AssemblyError):
+            take(cost.space.state(np.full(mesh.n_elements, 3.0 + k)))
 
 
 def test_up_to_L_excitations_keep_the_direct_adjoint(setup):
