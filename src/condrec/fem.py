@@ -37,21 +37,27 @@ samples a nodal field on the boundary: row 3 k + j picks node j of edge k, so
 ``B @ u`` is ``u[bnodes].ravel()``.
 
 ``Factor`` is the one owner of factorizations in condrec (the CEM system,
-core's H1 Riesz and trace matrices, the stream-potential Laplacian).  Each
-factor is verified once, when it is made, by one solve of a fixed right-hand
-side with no zero-sum structure, and its solves return C-ordered rows in the
-matrix's own order.  The column order of the CEM matrix is kept per layout
-(``CemLayout``, one per mesh and impedance set).
+core's H1 Riesz and trace matrices, the stream-potential Laplacian).  Every
+matrix it factors is symmetric positive definite, so all are factored by one
+recipe: SuperLU in symmetric mode, a minimum-degree order of A + A^T applied
+to rows and columns alike, and the diagonal as every pivot.  Each factor is
+verified once, when it is made, by one solve of a fixed right-hand side with
+no zero-sum structure, and its solves return C-ordered rows in the matrix's
+own order.
 
-The grounded CEM system A (N + L + 1 rows: the nodes, the L electrode
-voltages, the grounding multiplier) is linear in the applied currents, which
-enter only the electrode rows n..n+L-1.  ``CemSystem.basis`` is the electrode
-basis Z = A^-1 E, E the L unit columns at those rows: one checked solve of L
-columns per factorization.  A right-hand side that vanishes off the electrode
-rows and has more columns than electrodes (I > L) is solved as a product with
-Z: the currents of ``solve_cem``, whose residuals are read off A Z - E, and
-the voltage-data adjoint of the reduced maps, which functionals contracts on
-the gradients of Z.  Up to L columns are solved directly.
+The CEM system A (N + L + 1 rows: the nodes, the L electrode voltages, the
+zero-mean multiplier) is a saddle point; its solves run on the SPD block left
+when the last electrode is grounded and the multiplier dropped (N + L - 1
+rows, ``CemFactor``).  The symmetric order of that block is kept per layout
+(``CemLayout``, one per mesh and impedance set).  A is linear in the applied
+currents, which enter only the electrode rows n..n+L-1.  ``CemSystem.basis``
+is the electrode basis Z = A^-1 E, E the L unit columns at those rows: one
+checked solve of L columns per factorization.  A right-hand side that
+vanishes off the electrode rows and has more columns than electrodes (I > L)
+is solved as a product with Z: the currents of ``solve_cem``, whose residuals
+are read off A Z - E, and the voltage-data adjoint of the reduced maps, which
+functionals contracts on the gradients of Z.  Up to L columns are solved
+directly.
 """
 from __future__ import annotations
 
@@ -533,11 +539,13 @@ def load_mesh(path, electrodes=None):
 
 @dataclass
 class CemSystem:
-    """Assembled, grounded CEM Galerkin system for a fixed conductivity."""
+    """Assembled CEM Galerkin system for a fixed conductivity."""
 
     mesh: Mesh
     electrodes: ElectrodeConfig
-    matrix: sp.csc_matrix  # (N + L + 1) symmetric, grounding multiplier appended
+    # (N + L + 1) symmetric, the zero-mean multiplier appended: every solve's contract and
+    # check is against it, while its factor is made on the grounded SPD block (CemFactor)
+    matrix: sp.csc_matrix
     layout: CemLayout  # the mesh's sigma-independent part, which also orders the factorization
     _lu: Factor | None = field(default=None, repr=False)
     _basis: np.ndarray | None = field(default=None, repr=False)
@@ -545,7 +553,7 @@ class CemSystem:
 
     @property
     def lu(self):
-        """The Factor of ``matrix``, in the column order of its layout."""
+        """The CemFactor of ``matrix``, in the symmetric order of its layout."""
         if self._lu is None:
             self._lu = self.layout.factorize(self.matrix)
         return self._lu
@@ -586,19 +594,22 @@ SOLVE_RESIDUAL_BOUND = 1e-8
 class Factor:
     """A square CSC matrix and its SuperLU factor: every factorization condrec makes.
 
-    Verified once, when made: its solve of one fixed right-hand side with no
-    zero-sum structure must meet SOLVE_RESIDUAL_BOUND, so a factor without
-    pivoting or of another matrix raises AssemblyError, as a singular one does.
-    Given the ``order`` kept from an earlier factor of the pattern, it factors
-    ``permuted`` = matrix[:, order] in natural order.  ``solve`` returns
-    C-ordered rows in the matrix's own order.
+    The matrix SuperLU factors (``block``, by default the matrix itself) is
+    SPD, so it is factored without pivoting in symmetric mode: a minimum-degree
+    order of A + A^T for rows and columns alike, or, when ``ordered``, the
+    order it already has.  Verified once, when made: its solve of one fixed
+    right-hand side with no zero-sum structure must meet SOLVE_RESIDUAL_BOUND
+    against ``matrix``, so a factor of another matrix, or a CEM solve that
+    misses the grounding, raises AssemblyError, as a singular one does.
+    ``solve`` returns C-ordered rows in the matrix's own order.
     """
 
-    def __init__(self, matrix, order=None, permuted=None):
-        self.matrix, self.order = matrix, order
-        a, spec = (matrix, None) if order is None else (permuted, "NATURAL")  # None: COLAMD
+    def __init__(self, matrix, block=None, ordered=False):
+        self.matrix = matrix
         try:
-            self.superlu = spla.splu(a, permc_spec=spec)
+            self.superlu = spla.splu(matrix if block is None else block,
+                                     permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0, options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise AssemblyError(f"matrix is singular: {exc}") from exc
         probe = np.sin(np.arange(1.0, matrix.shape[0] + 1))
@@ -606,12 +617,7 @@ class Factor:
 
     def solve(self, rhs):
         """x with A x = rhs for rhs (N,) or (N, k); unchecked, the factor was checked when made."""
-        y = self.superlu.solve(rhs)
-        if self.order is None:
-            return np.ascontiguousarray(y)
-        x = np.empty(y.shape)
-        x[self.order] = y
-        return x
+        return np.ascontiguousarray(self.superlu.solve(rhs))
 
     @staticmethod
     def check(residual, rhs, what):
@@ -622,6 +628,40 @@ class Factor:
         if not np.all(rel <= SOLVE_RESIDUAL_BOUND):
             raise AssemblyError(f"{what} residual {np.max(rel):.3e} exceeds {SOLVE_RESIDUAL_BOUND:g}")
         return rel
+
+
+class CemFactor(Factor):
+    """The Factor of a CEM matrix A (N + L + 1 rows), made on its grounded block.
+
+    A's node and electrode rows hold a block A0 whose kernel is the constants
+    e (every potential and voltage equal); its last row and column hold the
+    integral weights w, the zero-mean row w^T u = b_m and its multiplier.
+    Grounding the last electrode voltage and dropping the multiplier leaves an
+    SPD block, which is factored in the layout's order (``order``, None for
+    the layout's first factor, which finds it).  A solve of A x = b takes three
+    steps: the multiplier lam = 1^T b / |Omega| over the node and electrode
+    rows, the one value for which e^T (b - w lam) = 0, so that A0 can meet it;
+    the grounded block's solve of b - w lam, with the grounded voltage 0; and a
+    shift by a constant t e so that w^T x meets the last row.
+    """
+
+    def __init__(self, matrix, layout):
+        self.order, self.weights, self.area = layout.order, layout.weights, layout.area
+        self.rows = np.s_[: len(self.weights)] if self.order is None else self.order
+        super().__init__(matrix, layout.block(matrix), ordered=self.order is not None)
+
+    def multiplier(self, rhs):
+        """lam = 1^T b / |Omega| over the node and electrode rows of rhs."""
+        return rhs[:-1].sum(axis=0) / self.area
+
+    def solve(self, rhs):
+        lam = self.multiplier(rhs)
+        y = self.superlu.solve(rhs[self.rows] - np.multiply.outer(self.weights, lam))
+        t = (rhs[-1] - self.weights @ y) / self.area
+        x = np.empty(rhs.shape)
+        x[self.rows] = y + t
+        x[-2:] = t, lam  # the grounded voltage, shifted; the multiplier
+        return x
 
 
 def boundary_matrices(mesh, electrodes):
@@ -644,40 +684,53 @@ def boundary_matrices(mesh, electrodes):
 
 
 class CemLayout:
-    """The sigma-independent part (S, C0) of the grounded CEM system, and its column order.
+    """The sigma-independent part (S, C0) of the CEM system, its grounded pattern and its symmetric order.
 
     The matrix for sigma has C0's CSC pattern and the data S @ sigma + C0.data.
     S has one column per element, holding its stiffness entries (the block is
-    linear in sigma); C0 holds the electrode, grounding and integral-weight
-    blocks.  Built once per mesh and impedances.
+    linear in sigma); C0 holds the electrode, multiplier and integral-weight
+    blocks.  ``area`` is |Omega| = 1^T w for the integral weights w, and
+    ``weights`` is w on the rows of the grounded block (zero on its electrode
+    rows), in its factored order.  Built once per mesh and impedances.
     """
 
-    def __init__(self, key, S, C0):
+    def __init__(self, key, S, C0, w):
         self.key, self.S, self.C0 = key, S, C0
-        self.order = None  # column order of the first factor: its A Pc is A[:, order]
-        self._permuted = None  # A[:, order] holding its entries' positions in A.data, built on the second factorization
+        self.area = w.sum()
+        m = C0.shape[0] - 2  # the grounded block: every row but the last voltage and the multiplier
+        self.weights = np.concatenate([w, np.zeros(m - len(w))])
+        self.order = None  # symmetric order of the first factor: it factored P B P^T = B[order][:, order]
+        positions = sp.csc_matrix((np.arange(C0.nnz), C0.indices, C0.indptr), shape=C0.shape)
+        self._block = positions[:m, :m]  # the grounded block, holding its entries' positions in A.data
+
+    def block(self, matrix):
+        """The grounded block of a matrix on this layout, in the kept order once there is one."""
+        b = self._block
+        return sp.csc_matrix((matrix.data[b.data], b.indices, b.indptr), shape=b.shape)
 
     def factorize(self, matrix):
-        """The Factor of a matrix on this layout.
+        """The CemFactor of a matrix on this layout.
 
-        COLAMD's column order depends only on the pattern, which every matrix
-        of the layout shares, so the first factorization orders and keeps a
-        copy of the order (keeping perm_c itself would keep that factor's L and
-        U alive), and later ones factor A[:, order] in its natural order.
-        perm_c already holds SuperLU's elimination-tree postorder, which the
-        natural-order call leaves out, so the fill is the same; only where
-        SuperLU prefers the diagonal on a pivot tie does the row it picks
-        differ, which can move the last bits.
+        The minimum-degree order depends only on the pattern, which every
+        matrix of the layout shares, so the first factorization orders the
+        grounded block and the layout keeps a copy of the order (keeping
+        perm_c itself would keep that factor's L and U alive).  perm_c holds
+        SuperLU's elimination-tree postorder too, so P B P^T, gathered onto a
+        pattern permuted once, has the same fill in its natural order, which
+        later factors use.
         """
+        factor = CemFactor(matrix, self)
         if self.order is None:
-            factor = Factor(matrix)
             self.order = np.argsort(factor.superlu.perm_c)
-            return factor
-        if self._permuted is None:
-            C0 = self.C0
-            self._permuted = sp.csc_matrix((np.arange(C0.nnz), C0.indices, C0.indptr), shape=C0.shape)[:, self.order]
-        p = self._permuted
-        return Factor(matrix, self.order, sp.csc_matrix((matrix.data[p.data], p.indices, p.indptr), shape=matrix.shape))
+            self.weights = self.weights[self.order]
+            self._block = self._block[self.order][:, self.order]
+            self._block.sort_indices()
+        return factor
+
+
+# Local P2 node pairs (vertex i, midpoint of the opposite edge) and their transposes:
+# int grad phi_vi . grad phi_m(jk) = 0 on every triangle, so they stay out of the pattern.
+_ZERO_COUPLINGS = ([0, 4, 1, 5, 2, 3], [4, 0, 5, 1, 3, 2])
 
 
 def _cem_layout(mesh, electrodes):
@@ -695,27 +748,30 @@ def _cem_layout(mesh, electrodes):
     N = const.shape[0]
     grads = mesh._shape_gradients()
     kref = np.einsum("eq,eqia,eqja->eij", mesh.qweights, grads, grads)
-    live = kref != 0  # an entry that is zero here is zero for every sigma
+    live = np.ones((6, 6), bool)
+    live[_ZERO_COUPLINGS] = False
     t = mesh.triangles
     # column-major keys col * N + row sort the entries into CSC order
-    kkeys = (t[:, None, :] * N + t[:, :, None])[live]
+    kkeys = (t[:, None, :] * N + t[:, :, None])[:, live].ravel()
     ckeys = const.col.astype(np.int64) * N + const.row
     keys, pos = np.unique(np.concatenate([kkeys, ckeys]), return_inverse=True)
-    per_element = np.concatenate([[0], np.cumsum(live.sum(axis=(1, 2)))])
-    S = sp.csc_matrix((kref[live], pos[: len(kkeys)], per_element), shape=(len(keys), len(t)))
+    per_element = np.arange(0, len(kkeys) + 1, live.sum())
+    S = sp.csc_matrix((kref[:, live].ravel(), pos[: len(kkeys)], per_element), shape=(len(keys), len(t)))
     c0 = np.bincount(pos[len(kkeys) :], weights=const.data, minlength=len(keys))
     C0 = sp.csc_matrix((c0, keys % N, np.searchsorted(keys, np.arange(N + 1) * N)), shape=(N, N))
-    mesh._cem_layout = CemLayout(key, S, C0)
+    mesh._cem_layout = CemLayout(key, S, C0, w)
     return mesh._cem_layout
 
 
 def assemble_cem(mesh, sigma, electrodes=None):
-    """Assemble the grounded CEM system for piecewise-constant sigma.
+    """Assemble the CEM system for piecewise-constant sigma.
 
     Bilinear form: int sigma grad(phi).grad(p) + sum_l z_l^-1 int_{e_l}
     (phi - v_l)(p - xi_l); the kernel (constants) is removed by appending the
-    zero-mean constraint as a symmetric Lagrange-multiplier row.  The matrix
-    data is one sparse matvec on the mesh's cached layout (see CemLayout).
+    zero-mean constraint as a symmetric Lagrange-multiplier row, so the matrix
+    has N + L + 1 rows.  Its factor grounds the last electrode instead (see
+    CemFactor).  The matrix data is one sparse matvec on the mesh's cached
+    layout (see CemLayout).
     """
     electrodes = electrodes or mesh.electrodes
     s = np.asarray(sigma, float)
@@ -733,7 +789,7 @@ def assemble_cem(mesh, sigma, electrodes=None):
 
 
 def solve_cem(system, excitation):
-    """Solve the grounded CEM system for every excitation row; raises AssemblyError
+    """Solve the CEM system for every excitation row; raises AssemblyError
     on a residual above SOLVE_RESIDUAL_BOUND.  With I > L the solution is Z J^T on the
     electrode basis, and A (Z J^T) - E J^T = R J^T reads its residuals off R = A Z - E."""
     if isinstance(excitation, np.ndarray):

@@ -42,10 +42,12 @@ def _other_matrix(a):
 def wrong_factors(monkeypatch):
     """wrong_factors(kind) makes every factor fem makes from then on a wrong one.
 
-    "no pivoting" factors with diag_pivot_thresh=0; "another matrix" returns
-    the factor of another matrix on the same pattern.
+    "another matrix" returns the factor of another matrix on the same pattern;
+    "no projection" makes the CEM factors' solves skip the multiplier
+    lam = 1^T b / |Omega|, so the grounded block solves b itself, which it
+    cannot meet unless b sums to zero over the node and electrode rows.
     """
     splu = spla.splu
-    kinds = {"no pivoting": lambda a, **kw: splu(a, diag_pivot_thresh=0, **kw),
-             "another matrix": lambda a, **kw: splu(_other_matrix(a), **kw)}
-    return lambda kind: monkeypatch.setattr(fem.spla, "splu", kinds[kind])
+    kinds = {"another matrix": (fem.spla, "splu", lambda a, **kw: splu(_other_matrix(a), **kw)),
+             "no projection": (fem.CemFactor, "multiplier", lambda self, rhs: np.zeros(np.shape(rhs)[1:]))}
+    return lambda kind: monkeypatch.setattr(*kinds[kind])

@@ -367,11 +367,10 @@ def test_solve_with_foreign_factor_raises():
         assert sys_._basis is None  # a basis that failed its check is not kept
 
 
-@pytest.mark.parametrize("kind", ["no pivoting", "another matrix"])
+@pytest.mark.parametrize("kind", ["another matrix", "no projection"])
 def test_wrong_factor_fails_both_cem_solve_paths(wrong_factors, kind):
-    # without pivoting, the grounding multiplier's zero diagonal leaves zero-sum currents
-    # solving to round-off but a generic right-hand side far off (scale 2); the factor's
-    # probe catches it when the factor is made, before any solve
+    # a solve that skips the multiplier would still meet zero-sum currents to round-off, but
+    # not the probe, which does not sum to zero: both kinds fail when the factor is made
     m = fem.disk_mesh_scale(2)
     rng = np.random.default_rng(12)
     wrong_factors(kind)
@@ -449,35 +448,73 @@ def test_factorizations_after_the_first_reuse_the_column_order(monkeypatch):
     for _ in range(3):
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
         assert system.lu is system.lu
-    assert specs == [None, "NATURAL", "NATURAL"]  # COLAMD (the default) once, then the kept order
+    assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]  # minimum degree once, then the kept order
     other = fem.ElectrodeConfig(count=8, impedances=0.05)
     for _ in range(2):
         fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements), other).lu
-    assert specs[3:] == [None, "NATURAL"]  # a new impedance set is a new layout, ordered again
+    assert specs[3:] == ["MMD_AT_PLUS_A", "NATURAL"]  # a new impedance set is a new layout, ordered again
 
 
 @pytest.mark.parametrize("scale", [1, 2])
 def test_reused_order_factor_matches_a_fresh_factorization(scale):
+    # every factor of a layout factors the grounded block B = A[:M, :M] (all rows but the
+    # last voltage and the multiplier); a fresh symmetric factor of B does the same work
     m = fem.disk_mesh_scale(scale)
     rng = np.random.default_rng(6 + scale)
     exc = fem.ExcitationSet(np.array([[1.0, 0, -1.0, 0, 0, 0, 0, 0], [0, 0.5, 0, 0, 0, -1.0, 0, 0.5]]))
+    n, L = m.n_nodes, 8
+    w = m.integral_weights()
     for k in range(4):
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
         lu = system.lu
         assert (lu.order is not None) == (k > 0)
-        fresh = spla.splu(system.matrix)
+        M = system.matrix.shape[0] - 2
+        fresh = spla.splu(system.matrix[:M, :M].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                          options=dict(SymmetricMode=True))
         assert lu.superlu.L.nnz + lu.superlu.U.nnz == fresh.L.nnz + fresh.U.nnz
-        n, L = m.n_nodes, 8
-        rhs = np.zeros((n + L + 1, 2))
-        rhs[n : n + L] = exc.currents.T
+        # the currents sum to zero, so the multiplier is 0: ground, solve B, shift to zero mean
+        rhs = np.zeros((M, 2))
+        rhs[n:] = exc.currents.T[:-1]
+        y = fresh.solve(rhs)
+        ref = np.vstack([y, np.zeros((1, 2))]) - w @ y[:n] / w.sum()
         sol = fem.solve_cem(system, exc)
-        ref = fresh.solve(rhs)
         assert np.abs(sol.phi - ref[:n]).max() <= 1e-12 * np.abs(ref[:n]).max()
-        assert np.abs(sol.voltages - ref[n : n + L].T).max() <= 1e-12 * np.abs(ref[n : n + L]).max()
-        # an adjoint-like right-hand side over every row, not summing to zero
-        b = rng.standard_normal((n + L + 1, 3))
-        got, ref = lu.solve(b), fresh.solve(b)
+        assert np.abs(sol.voltages - ref[n:].T).max() <= 1e-12 * np.abs(ref[n:]).max()
+        # a right-hand side over every row of B, in the factor's own order
+        b = rng.standard_normal((M, 3))
+        got, ref = lu.superlu.solve(b[lu.rows]), fresh.solve(b)[lu.rows]
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_grounded_block_is_spd_and_gathered_in_the_kept_order():
+    m = fem.disk_mesh_scale(1)
+    rng = np.random.default_rng(13)
+    layout = fem._cem_layout(m, m.electrodes)
+    for k in range(2):  # the natural order of the first factor, then the kept order
+        A = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).matrix
+        M = A.shape[0] - 2
+        B = A[:M, :M].toarray()
+        np.linalg.cholesky(B)  # raises unless SPD
+        assert np.linalg.eigvalsh(A.toarray()).min() < 0  # the full matrix is a saddle point
+        rows = np.arange(M) if layout.order is None else layout.order
+        assert np.array_equal(layout.block(A).toarray(), B[rows][:, rows])
+        fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_grounded_solves_match_a_dense_solve_of_the_full_matrix(scale):
+    m = fem.disk_mesh_scale(scale)
+    rng = np.random.default_rng(40 + scale)
+    n, L = m.n_nodes, 8
+    for k in range(2):  # the layout's first factor, then one in the kept order
+        system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+        assert (system.lu.order is not None) == (k > 0)
+        currents = np.zeros((n + L + 1, 28))
+        currents[n : n + L] = all_pairs_drive().currents.T  # zero-sum: the multiplier is 0
+        generic = rng.standard_normal((n + L + 1, 3))  # every row, the multiplier's too
+        for b in (currents, generic, generic[:, 0]):
+            ref = np.linalg.solve(system.matrix.toarray(), b)
+            assert np.abs(system.lu.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_kept_column_order_owns_its_data():
