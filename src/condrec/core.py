@@ -6,6 +6,11 @@ fields; the product inner product is L2 on the sigma block and full H1
 (mass + stiffness) on every potential.  All projections implemented here are the
 exact metric projections in that inner product, so the defining variational
 inequality <x_tilde - Px_tilde, z - Px_tilde> <= 0 holds for every feasible z.
+The projection onto fixed psi traces corrects the interior by the discrete
+harmonic extension X = H_ii^-1 H_ib of the boundary defect, for the H1 Gram
+matrix H.  X does not depend on sigma, so a space solves for it once, when it
+is built (one checked solve of one column per boundary dof), and every
+projection is a product with it.
 
 A State holds finite float arrays of its space's shapes.  That is checked only
 where values enter: StateSpace.state copies and checks the caller's blocks,
@@ -70,8 +75,10 @@ class StateSpace:
             bd = mesh.boundary_dofs
             self.interior_dofs = np.setdiff1d(np.arange(mesh.n_nodes), bd)
             self.boundary_dofs = bd
-            self._h1_ii = fem.Factor(self.h1.matrix[self.interior_dofs][:, self.interior_dofs].tocsc())
-            self._h1_ib = self.h1.matrix[self.interior_dofs][:, bd].tocsr()
+            rows = self.h1.matrix[self.interior_dofs]
+            h_ii, h_ib = rows[:, self.interior_dofs].tocsc(), rows[:, bd].toarray()
+            self._extension = fem.Factor(h_ii).solve(h_ib)  # X = H_ii^-1 H_ib
+            fem.Factor.check(h_ii @ self._extension - h_ib, h_ib, "trace extension")
             self._weights = mesh.integral_weights()
 
     # -- state construction -------------------------------------------------
@@ -131,7 +138,8 @@ class StateSpace:
         sigma: componentwise clamp (L2).  phi: mean subtraction (exact in H1
         because constants are in the stiffness kernel).  psi: orthogonal
         projection onto the affine trace space in the H1 metric (boundary dofs
-        set to the trace, interior corrected through the interior H1 block).
+        set to the trace, interior corrected by X @ defect through the kept
+        trace extension X = H_ii^-1 H_ib).
         """
         self._compat(x)
         sig = np.clip(x.sigma, constraints.sigma_lower, constraints.sigma_upper) if self.with_sigma else None
@@ -149,7 +157,7 @@ class StateSpace:
                 ps = x.psis.copy()
                 defect = x.psis[self.boundary_dofs] - tr
                 ps[self.boundary_dofs] = tr
-                ps[self.interior_dofs] += self._h1_ii.solve(self._h1_ib @ defect)
+                ps[self.interior_dofs] += self._extension @ defect
         return State(self, sig, ph, ps)
 
     def _compat(self, x):

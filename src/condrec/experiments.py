@@ -104,7 +104,8 @@ def _eval_gradient_at(fine_mesh, coarse_mesh, phis, points_per_element):
         lam = _barycentric(m, children, p[:, None, :])
         elem = children[np.arange(len(p)), lam.min(axis=2).argmax(axis=1)]
     dl = fem.p2_shape_dl(_barycentric(fine_mesh, elem, p))  # (points, 6, 3)
-    g = np.einsum("pnl,pla,pnI->paI", dl, fine_mesh.grad_lambda[elem], phis[fine_mesh.triangles[elem]])
+    grads = dl @ fine_mesh.grad_lambda[elem]  # (points, 6, 2): the shape gradients at each point
+    g = grads.transpose(0, 2, 1) @ phis[fine_mesh.triangles[elem]]
     return g.reshape(nel_c, nq, 2, phis.shape[1])
 
 

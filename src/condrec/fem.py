@@ -10,12 +10,14 @@ Quadrature-point fields have shape (nel, nq, 2[, I]).  Each mesh carries one
 sparse gradient operator ``Mesh.G`` (CSR, n_elements * nq * 2 rows, n_nodes
 columns): row (e * nq + q) * 2 + a holds component a of the six P2 shape
 gradients of element e at quadrature point q, in the columns of its nodes.
-``gradient_field`` is ``G @ u`` reshaped to (nel, nq, 2[, I]).  The
-perp-gradient is the quarter turn (-g2, g1) of the gradient (``rotate``).  The
-dual of a field v, sum_{e,q} w_eq v_eq . grad N_n, is the transpose with the
+``gradient_field`` is ``G @ u`` reshaped to (nel, nq, 2[, I]).  The dual of
+a field v, sum_{e,q} w_eq v_eq . grad N_n, is the transpose with the
 quadrature weights, ``G.T @ (w v)`` (``gradient_dual``, on the transpose
-``Mesh.Gt`` stored once per mesh); the dual against perp-grad N_n is minus
-the dual of the rotated field.
+``Mesh.Gt`` stored once per mesh).  The perp-gradient operator ``Mesh.Gp``
+holds G's rows turned by a quarter turn, (-g2, g1) for each pair of rows, on
+G's index arrays; it is built on first use, with its transpose ``Mesh.Gpt``,
+and serves ``perp_gradient_field`` and its dual against perp-grad N_n,
+``perp_gradient_dual``.
 
 The mesh is the centre vertex plus concentric rings of vertices.  Ring vertex i of
 a ring with m vertices (numbered from the ring's first vertex id) sits at angle
@@ -64,6 +66,7 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -283,6 +286,21 @@ class Mesh:
         self.shapes_q = p2_shape(QUAD_BARY)  # (nq, 6)
         self.total_area = float(self.element_areas.sum())
 
+    @cached_property
+    def Gp(self):
+        """The perp-gradient operator: rows (-g2, g1) for G's rows (g1, g2), on G's index arrays.
+
+        The two rows of a quadrature point share their columns, so turning them
+        only permutes and negates G's data.
+        """
+        g = self.G.data.reshape(-1, 2, 6)
+        return sp.csr_matrix((np.stack([-g[:, 1], g[:, 0]], axis=1).ravel(), self.G.indices, self.G.indptr),
+                             shape=self.G.shape)
+
+    @cached_property
+    def Gpt(self):
+        return self.Gp.T  # CSC on Gp's arrays
+
     # -- derived assemblies -------------------------------------------------
 
     def _shape_gradients(self):
@@ -481,14 +499,6 @@ def transfer_cell_field(values, fine_mesh, coarse_mesh):
         np.add.at(num.T, mesh.parents, (vals * mesh.element_areas).T)
         vals = num / mesh.parent_mesh.element_areas
     return vals.T
-
-
-def prolong_cell_field(values, coarse_mesh, fine_mesh):
-    """Children inherit their parent's per-element value (exact for nested meshes)."""
-    vals = np.asarray(values, float)
-    for mesh in nested_chain(fine_mesh, coarse_mesh):
-        vals = vals[mesh.parents]
-    return vals
 
 
 # -- mesh serialization ----------------------------------------------------
@@ -820,31 +830,41 @@ def _nodal(phi, mesh):
     return a
 
 
+def _field(op, phi, mesh):
+    a = _nodal(phi, mesh)
+    return (op @ a).reshape(mesh.qweights.shape + (2,) + a.shape[1:])
+
+
+def _dual(op_t, v, mesh):
+    v = np.asarray(v, float)
+    w = mesh.qweights.reshape(mesh.qweights.shape + (1,) * (v.ndim - 2))
+    return op_t @ (w * v).reshape((op_t.shape[1],) + v.shape[3:])
+
+
 def gradient_field(phi, mesh):
     """Gradient of a P2 field at the quadrature points, shape (nel, nq, 2[, I])."""
-    a = _nodal(phi, mesh)
-    return (mesh.G @ a).reshape(mesh.qweights.shape + (2,) + a.shape[1:])
-
-
-def rotate(v):
-    """The quarter turn (-v2, v1) of a quadrature-point vector field (nel, nq, 2[, I])."""
-    return np.stack([-v[:, :, 1], v[:, :, 0]], axis=2)
+    return _field(mesh.G, phi, mesh)
 
 
 def perp_gradient_field(psi, mesh):
-    """Rotated gradient (-d2, d1) of a P2 field at the quadrature points."""
-    return rotate(gradient_field(psi, mesh))
+    """Rotated gradient (-d2, d1) of a P2 field at the quadrature points: Gp @ psi."""
+    return _field(mesh.Gp, psi, mesh)
 
 
 def gradient_dual(v, mesh):
     """Nodal dual sum_{e,q} w_eq v_eq . grad N_n of a field (nel, nq, 2[, I]): G.T @ (w v).
 
-    The adjoint of gradient_field in the quadrature inner product.  The dual
-    against perp-grad N_n is -gradient_dual(rotate(v)).
+    The adjoint of gradient_field in the quadrature inner product.
     """
-    v = np.asarray(v, float)
-    w = mesh.qweights.reshape(mesh.qweights.shape + (1,) * (v.ndim - 2))
-    return mesh.Gt @ (w * v).reshape((mesh.G.shape[0],) + v.shape[3:])
+    return _dual(mesh.Gt, v, mesh)
+
+
+def perp_gradient_dual(v, mesh):
+    """Nodal dual sum_{e,q} w_eq v_eq . perp-grad N_n of a field (nel, nq, 2[, I]): Gp.T @ (w v).
+
+    The adjoint of perp_gradient_field in the quadrature inner product.
+    """
+    return _dual(mesh.Gpt, v, mesh)
 
 
 def power_density(sigma, phi, mesh):
@@ -887,7 +907,7 @@ def stream_potential(sigma, phi, mesh, excitation):
     s = np.asarray(sigma, float)
 
     flux = s[:, None, None, None] * gradient_field(a, mesh)  # sigma grad phi
-    rhs = -gradient_dual(rotate(flux), mesh)  # int flux . perp-grad(N_n)
+    rhs = perp_gradient_dual(flux, mesh)  # int flux . perp-grad(N_n)
 
     K = mesh.stiffness()
     trace, bdofs = psi_trace_values(mesh, excitation)

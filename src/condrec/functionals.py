@@ -21,9 +21,10 @@ Psi), and the reduced cost is one reduced-map term.
 
 Conventions: sigma is piecewise constant per element; potentials are P2 nodal
 fields stored as (n_nodes, I) matrices; quadrature-point gradients
-(nel, nq, 2, I) come from fem.gradient_field, their duals from
-fem.gradient_dual.  Gradients returned by CostFunctional.gradient are Riesz
-representatives in the product inner product of core.StateSpace.
+(nel, nq, 2, I) come from fem.gradient_field and fem.perp_gradient_field,
+their duals from fem.gradient_dual and fem.perp_gradient_dual.  Gradients
+returned by CostFunctional.gradient are Riesz representatives in the product
+inner product of core.StateSpace.
 """
 from __future__ import annotations
 
@@ -135,7 +136,7 @@ def _sum_duals(mesh, weighted):
     if fields[1] is not None:
         nodal[1] = _plus(nodal[1], fem.gradient_dual(fields[1], mesh))
     if fields[2] is not None:
-        nodal[2] = _plus(nodal[2], -fem.gradient_dual(fem.rotate(fields[2]), mesh))
+        nodal[2] = _plus(nodal[2], fem.perp_gradient_dual(fields[2], mesh))
     return tuple(nodal)
 
 
@@ -692,42 +693,3 @@ def combined_cost(formulation, observations, mesh, excitation, electrodes=None,
         return EliminatedSigmaCost(formulation, space, cs, observations, beta, electrodes)
     space = core.StateSpace(mesh, n_excitations=nI)
     return AllAtOnceCost(formulation, space, cs, observations, beta, electrodes)
-
-
-# -- full (non-surrogate) Hessian quadratic forms, for the sign-catalogue tests -------
-
-
-def kv_full_hessian_quadform(sigma, phis, psis, mesh, h_sigma, dphis, dpsis):
-    """Exact second derivative of the Kohn-Vogelius term along one direction."""
-    s = np.asarray(sigma, float)[:, None, None]
-    E = fem.gradient_field(phis, mesh)
-    J = fem.perp_gradient_field(psis, mesh)
-    v = fem.gradient_field(dphis, mesh)
-    wv = fem.perp_gradient_field(dpsis, mesh)
-    h = np.asarray(h_sigma, float)[:, None, None]
-    w = mesh.qweights
-    J2 = (J**2).sum(axis=2)
-    term = (
-        h**2 * J2 / s**3
-        + s * (v**2).sum(axis=2)
-        + (wv**2).sum(axis=2) / s
-        + 2 * h * (E * v).sum(axis=2)
-        - 2 * h * (J * wv).sum(axis=2) / s**2
-        - 2 * (v * wv).sum(axis=2)
-    )
-    return float(np.einsum("eq,eqI->", w, term))
-
-
-def iat_obs2_full_hessian_quadform(sigma, phis, mesh, H, h_sigma, dphis):
-    """Exact second derivative of the power-density term along one direction."""
-    s = np.asarray(sigma, float)[:, None]
-    E = fem.gradient_field(phis, mesh)
-    v = fem.gradient_field(dphis, mesh)
-    h = np.asarray(h_sigma, float)[:, None]
-    aE2 = np.einsum("q,eqI->eI", fem.QUAD_W, (E**2).sum(axis=2))
-    aEv = np.einsum("q,eqI->eI", fem.QUAD_W, (E * v).sum(axis=2))
-    av2 = np.einsum("q,eqI->eI", fem.QUAD_W, (v**2).sum(axis=2))
-    rho = s * aE2 - np.asarray(H, float).T
-    dr = h * aE2 + 2 * s * aEv
-    ddr = 2 * s * av2 + 4 * h * aEv
-    return float(np.einsum("e,eI->", mesh.element_areas, dr**2 + rho * ddr))

@@ -269,3 +269,42 @@ def test_state_space_with_a_wrong_h1_factor_raises(wrong_factors):
     with pytest.raises(AssemblyError, match="factor residual"):
         core.StateSpace(mesh, n_excitations=2)
     core.StateSpace(mesh, n_excitations=0, with_potentials=False)  # sigma alone factors nothing
+
+
+def test_trace_projection_matches_a_dense_h1_projection(setup):
+    # the psi block is argmin ||psi - x||_H over psi_b = trace, solved here from its dense KKT system
+    mesh, _, cs, space = setup
+    x = random_state(space, np.random.default_rng(12))
+    H = (mesh.mass() + mesh.stiffness()).toarray()
+    bd = mesh.boundary_dofs
+    C = np.eye(mesh.n_nodes)[bd]
+    kkt = np.block([[H, C.T], [C, np.zeros((len(bd), len(bd)))]])
+    want = np.linalg.solve(kkt, np.vstack([H @ x.psis, cs.psi_dirichlet]))[: mesh.n_nodes]
+    got = space.project(x, cs).psis
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(got[bd], cs.psi_dirichlet)
+
+
+def test_state_space_with_a_wrong_interior_factor_raises(monkeypatch, wrong_factors):
+    # the H1 factor is right, the interior block's factor (the trace extension's) is not
+    mesh = fem.disk_mesh_scale(1)
+    made, init = [], fem.Factor.__init__
+
+    def second_wrong(self, matrix, *args, **kwargs):
+        if made:
+            wrong_factors("another matrix")
+        made.append(matrix.shape[0])
+        init(self, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(fem.Factor, "__init__", second_wrong)
+    with pytest.raises(AssemblyError, match="factor residual"):
+        core.StateSpace(mesh, n_excitations=2)
+    assert made == [mesh.n_nodes, mesh.n_nodes - len(mesh.boundary_dofs)]
+
+
+def test_state_space_checks_its_trace_extension(monkeypatch):
+    # a factor that passes its one-column probe but solves the extension's columns wrongly
+    solve = fem.Factor.solve
+    monkeypatch.setattr(fem.Factor, "solve", lambda self, rhs: solve(self, rhs) * (1 + 1e-6 * (np.ndim(rhs) == 2)))
+    with pytest.raises(AssemblyError, match="trace extension residual"):
+        core.StateSpace(fem.disk_mesh_scale(1), n_excitations=2)

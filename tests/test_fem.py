@@ -177,6 +177,14 @@ def test_reloaded_mesh_keeps_its_electrode_count(tmp_path):
         fem.assemble_cem(m2, np.ones(m2.n_elements), fem.ElectrodeConfig(count=8))
 
 
+def prolong_cell_field(values, coarse_mesh, fine_mesh):
+    """Children inherit their parent's per-element value (exact for nested meshes)."""
+    vals = np.asarray(values, float)
+    for mesh in fem.nested_chain(fine_mesh, coarse_mesh):
+        vals = vals[mesh.parents]
+    return vals
+
+
 def test_refinement_nesting_and_transfer():
     m = fem.disk_mesh_scale(1)
     f = fem.refine_mesh(m, 1)
@@ -187,7 +195,7 @@ def test_refinement_nesting_and_transfer():
     assert np.allclose(sums, m.element_areas, rtol=1e-12)
     rng = np.random.default_rng(3)
     coarse_vals = rng.uniform(1, 6, m.n_elements)
-    fine_vals = fem.prolong_cell_field(coarse_vals, m, f)
+    fine_vals = prolong_cell_field(coarse_vals, m, f)
     back = fem.transfer_cell_field(fine_vals, f, m)
     assert np.allclose(back, coarse_vals, rtol=1e-12)
 
@@ -611,7 +619,7 @@ def _reference_gradient(m, phi, bary):
 
 def test_gradient_operator_and_its_dual():
     # gradient_field is G @ u and gradient_dual is G.T @ (w v): check both, and
-    # the perp dual -gradient_dual(rotate(v)), against the from-scratch gradient
+    # the perp dual perp_gradient_dual(v), against the from-scratch gradient
     m = fem.disk_mesh_scale(2)
     rng = np.random.default_rng(21)
     u = rng.normal(size=(m.n_nodes, 3))
@@ -621,7 +629,7 @@ def test_gradient_operator_and_its_dual():
     assert np.allclose(fem.gradient_field(u[:, 1], m), gu[..., 1], rtol=0, atol=1e-13 * np.abs(gu).max())
     perp_gu = np.stack([-gu[:, :, 1], gu[:, :, 0]], axis=2)
     d = fem.gradient_dual(v, m)
-    for dual, grad in ((d, gu), (-fem.gradient_dual(fem.rotate(v), m), perp_gu)):
+    for dual, grad in ((d, gu), (fem.perp_gradient_dual(v, m), perp_gu)):
         terms = m.qweights[:, :, None, None] * v * grad
         assert abs(np.sum(dual * u) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
     assert np.allclose(fem.gradient_dual(v[..., 1], m), d[:, 1], rtol=0, atol=1e-13 * np.abs(d).max())
@@ -629,6 +637,39 @@ def test_gradient_operator_and_its_dual():
     assert all(np.shares_memory(a, b) for a, b in ((m.Gt.data, m.G.data), (m.Gt.indices, m.G.indices)))
     wv = (m.qweights[:, :, None, None] * v).reshape(m.G.shape[0], 3)
     assert np.array_equal(d, m.G.T @ wv)
+
+
+def _rotate(v):
+    """The quarter turn (-v2, v1) of a quadrature-point field (nel, nq, 2[, I])."""
+    return np.stack([-v[:, :, 1], v[:, :, 0]], axis=2)
+
+
+def test_perp_operator_turns_the_gradient():
+    m = fem.disk_mesh_scale(2)
+    rng = np.random.default_rng(23)
+    u = rng.normal(size=(m.n_nodes, 3))
+    v = rng.normal(size=(m.n_elements, len(fem.QUAD_W), 2, 3))
+    # Gp @ u sums the turned row's terms in G's order: the rotated gradient bit for bit
+    assert np.array_equal(fem.perp_gradient_field(u, m), _rotate(fem.gradient_field(u, m)))
+    assert np.array_equal(fem.perp_gradient_field(u[:, 0], m), _rotate(fem.gradient_field(u[:, 0], m)))
+    # Gp.T @ (w v) adds the two rows of a quadrature point in the other order than
+    # -G.T @ (w rotate(v)), so the duals agree to the rounding of the sums
+    wv = (m.qweights[:, :, None, None] * v).reshape(m.G.shape[0], 3)
+    bound = 1e-15 * (abs(m.Gt.copy()) @ abs(wv))  # abs of Gt itself would sort G's shared indices in place
+    assert np.all(np.abs(fem.perp_gradient_dual(v, m) + fem.gradient_dual(_rotate(v), m)) <= bound)
+    assert np.array_equal(fem.perp_gradient_dual(v[..., 1], m), fem.perp_gradient_dual(v, m)[:, 1])
+
+
+def test_perp_operator_is_built_on_first_use_on_gs_index_arrays():
+    m = fem.disk_mesh_scale(1)
+    u = np.arange(float(m.n_nodes))
+    fem.gradient_dual(fem.gradient_field(u, m), m)
+    fem.solve_cem(fem.assemble_cem(m, np.ones(m.n_elements)), np.array([[1.0, 0, 0, 0, -1.0, 0, 0, 0]]))
+    assert "Gp" not in vars(m) and "Gpt" not in vars(m)
+    fem.perp_gradient_dual(fem.perp_gradient_field(u, m), m)
+    shared = ((m.Gp.indices, m.G.indices), (m.Gp.indptr, m.G.indptr), (m.Gpt.data, m.Gp.data),
+              (m.Gpt.indices, m.G.indices))
+    assert all(np.shares_memory(a, b) for a, b in shared)
 
 
 def test_gradient_linear_and_quadratic_exactness():

@@ -448,18 +448,54 @@ def test_gwf_obs_hessians_psd_both_variants(setup):
             assert vals[0] - 2 * vals[1] + vals[2] >= -1e-10 * max(map(abs, vals))
 
 
+def kv_full_hessian_quadform(sigma, phis, psis, mesh, h_sigma, dphis, dpsis):
+    """Exact second derivative of the Kohn-Vogelius term along one direction."""
+    s = np.asarray(sigma, float)[:, None, None]
+    E = fem.gradient_field(phis, mesh)
+    J = fem.perp_gradient_field(psis, mesh)
+    v = fem.gradient_field(dphis, mesh)
+    wv = fem.perp_gradient_field(dpsis, mesh)
+    h = np.asarray(h_sigma, float)[:, None, None]
+    w = mesh.qweights
+    J2 = (J**2).sum(axis=2)
+    term = (
+        h**2 * J2 / s**3
+        + s * (v**2).sum(axis=2)
+        + (wv**2).sum(axis=2) / s
+        + 2 * h * (E * v).sum(axis=2)
+        - 2 * h * (J * wv).sum(axis=2) / s**2
+        - 2 * (v * wv).sum(axis=2)
+    )
+    return float(np.einsum("eq,eqI->", w, term))
+
+
+def iat_obs2_full_hessian_quadform(sigma, phis, mesh, H, h_sigma, dphis):
+    """Exact second derivative of the power-density term along one direction."""
+    s = np.asarray(sigma, float)[:, None]
+    E = fem.gradient_field(phis, mesh)
+    v = fem.gradient_field(dphis, mesh)
+    h = np.asarray(h_sigma, float)[:, None]
+    aE2 = np.einsum("q,eqI->eI", fem.QUAD_W, (E**2).sum(axis=2))
+    aEv = np.einsum("q,eqI->eI", fem.QUAD_W, (E * v).sum(axis=2))
+    av2 = np.einsum("q,eqI->eI", fem.QUAD_W, (v**2).sum(axis=2))
+    rho = s * aE2 - np.asarray(H, float).T
+    dr = h * aE2 + 2 * s * aEv
+    ddr = 2 * s * av2 + 4 * h * aEv
+    return float(np.einsum("e,eI->", mesh.element_areas, dr**2 + rho * ddr))
+
+
 def test_full_hessians_indefinite_witnesses(setup):
     mesh = setup[0]
     nI = 2
     s0 = np.ones(mesh.n_elements)
     phi0 = np.repeat(mesh.nodes[:, :1], nI, axis=1)
     psi0 = np.zeros((mesh.n_nodes, nI))
-    q = fn.kv_full_hessian_quadform(s0, phi0, psi0, mesh, -np.ones(mesh.n_elements),
-                                    0.1 * phi0, -0.1 * np.repeat(mesh.nodes[:, 1:2], nI, axis=1))
+    q = kv_full_hessian_quadform(s0, phi0, psi0, mesh, -np.ones(mesh.n_elements),
+                                 0.1 * phi0, -0.1 * np.repeat(mesh.nodes[:, 1:2], nI, axis=1))
     assert q < 0
     H = 5 * np.ones((nI, mesh.n_elements))
-    q = fn.iat_obs2_full_hessian_quadform(s0, phi0, mesh, H, np.zeros(mesh.n_elements),
-                                          np.repeat(mesh.nodes[:, 1:2], nI, axis=1))
+    q = iat_obs2_full_hessian_quadform(s0, phi0, mesh, H, np.zeros(mesh.n_elements),
+                                       np.repeat(mesh.nodes[:, 1:2], nI, axis=1))
     assert q < 0
 
 
