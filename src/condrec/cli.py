@@ -1,8 +1,12 @@
 """Command-line driver: data generation, reconstruction, condition checks, reports.
 
-Subcommands: generate, reconstruct, verify, report.  Configuration lives in an
-INI-style file; every solver constant has a named key with the library default.
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+Subcommands: generate, reconstruct, verify, report; only reconstruct takes
+``--jobs`` and ``--emit-png``.  Configuration lives in an INI-style file: a
+``[run]``, ``[bounds]``, ``[solver]`` or ``[phantom]`` key sets the field of
+``ExperimentConfig``, ``NewtonConfig`` or ``Phantom`` named in ``_CELL_KEYS`` and
+its neighbours, with that field's default and type; a boolean is one of
+1/yes/true/on or 0/no/false/off.  Exit codes: 0 success, 2 configuration error,
+3 runtime failure.
 """
 from __future__ import annotations
 
@@ -30,91 +34,71 @@ def _load_config(path):
     return parser
 
 
-def _get(cfg, section, key, default=None, cast=str):
-    if not cfg.has_section(section) or not cfg.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing [{section}] {key}")
+def _get(cfg, section, key, default):
+    """[section] key cast like ``default``, else ``default``.
+
+    A bool takes configparser's boolean words, and a list takes comma- or
+    space-separated items cast like its first item.
+    """
+    if not cfg.has_option(section, key):
         return default
     raw = cfg.get(section, key)
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        if isinstance(default, bool):
+            return cfg.getboolean(section, key)
+        if isinstance(default, list):
+            return [type(default[0])(tok) for tok in raw.replace(",", " ").split()]
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
-def _get_list(cfg, section, key, default, cast=float):
-    if not cfg.has_section(section) or not cfg.has_option(section, key):
-        return default
-    raw = cfg.get(section, key)
-    try:
-        return [cast(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"bad list for [{section}] {key}: {raw!r}") from exc
+# [section] -> the INI keys that set a dataclass field: the field of the key's name,
+# or of the name _RENAMED gives it
+_CELL_KEYS = {  # ExperimentConfig
+    "run": ("formulation", "coarse_scale", "fine_refine", "allow_inverse_crime", "impedance", "iat_obs_variant"),
+    "bounds": ("sigma_lower", "sigma_upper"),
+    "solver": ("method", "beta", "max_iters", "tau", "eps_mu", "mu_max", "armijo_shrink", "armijo_slope",
+               "step_growth"),
+}
+_NEWTON_KEYS = {"solver": ("schedule", "alpha0", "theta", "sigma_lo", "sigma_hi")}
+_PHANTOM_KEYS = {"phantom": ("background", "inclusion_value", "radius")}
+_RENAMED = {"method": "solver", "radius": "inclusion_radius"}
 
 
-def _experiment_configs(cfg, args):
-    form = _get(cfg, "run", "formulation", "iat-reduced")
-    if form not in functionals.FORMULATIONS:
-        raise ConfigError(
-            f"invalid formulation tag {form!r}; allowed: {', '.join(functionals.FORMULATIONS)}")
-    cases = _get_list(cfg, "run", "cases", [_get(cfg, "run", "case", "I4")], cast=str)
-    deltas = _get_list(cfg, "run", "deltas", [_get(cfg, "run", "delta", 0.0, float)])
-    seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", 0, int)
-    out = args.out or _get(cfg, "run", "out", "results")
-    common = dict(
-        formulation=form,
-        coarse_scale=_get(cfg, "run", "coarse_scale", 2, int),
-        fine_refine=_get(cfg, "run", "fine_refine", 1, int),
-        allow_inverse_crime=_get(cfg, "run", "allow_inverse_crime", False, bool),
-        sigma_lower=_get(cfg, "bounds", "sigma_lower", 1.0, float),
-        sigma_upper=_get(cfg, "bounds", "sigma_upper", 6.0, float),
-        beta=_get(cfg, "solver", "beta", 1.0, float),
-        impedance=_get(cfg, "run", "impedance", 0.1, float),
-        solver=_get(cfg, "solver", "method", "projected-gradient"),
-        max_iters=_get(cfg, "solver", "max_iters", 2000, int),
-        tau=_get(cfg, "solver", "tau", 1.5, float),
-        eps_mu=_get(cfg, "solver", "eps_mu", 1e-10, float),
-        mu_max=_get(cfg, "solver", "mu_max", 1.0, float),
-        armijo_shrink=_get(cfg, "solver", "armijo_shrink", 0.5, float),
-        armijo_slope=_get(cfg, "solver", "armijo_slope", 1e-4, float),
-        step_growth=_get(cfg, "solver", "step_growth", 2.0, float),
-        iat_obs_variant=_get(cfg, "run", "iat_obs_variant", 2, int),
-        emit_png=args.emit_png,
-        log_iterations=_get(cfg, "solver", "log_iterations", True, bool),
-        out_dir=out,
-    )
+def _fields(cfg, cls, keys):
+    """The fields of ``cls`` that ``keys`` sets, each read like its default."""
+    fields = {}
+    for section, names in keys.items():
+        for key in names:
+            name = _RENAMED.get(key, key)
+            fields[name] = _get(cfg, section, key, getattr(cls, name))
+    return fields
+
+
+def _experiment_configs(cfg, args, emit_png=False):
+    Experiment = experiments.ExperimentConfig
+    cases = _get(cfg, "run", "cases", [_get(cfg, "run", "case", Experiment.case)])
+    deltas = _get(cfg, "run", "deltas", [_get(cfg, "run", "delta", Experiment.delta)])
+    seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", Experiment.seed)
+    out = args.out or _get(cfg, "run", "out", "results")  # the CLI always writes; out_dir=None writes nothing
     # a value the library rejects is a configuration error, not a runtime failure
     try:
+        common = _fields(cfg, Experiment, _CELL_KEYS)
         if common["solver"] == "newton":
-            common["newton"] = solvers.NewtonConfig(
-                schedule=_get(cfg, "solver", "schedule", "a-priori"),
-                alpha0=_get(cfg, "solver", "alpha0", 1.0, float),
-                theta=_get(cfg, "solver", "theta", 0.5, float),
-                sigma_lo=_get(cfg, "solver", "sigma_lo", 0.2, float),
-                sigma_hi=_get(cfg, "solver", "sigma_hi", 0.8, float),
-            )
-        phantom = experiments.Phantom(
-            background=_get(cfg, "phantom", "background", 2.0, float),
-            inclusion_value=_get(cfg, "phantom", "inclusion_value", 5.0, float),
-            inclusion_center=(
-                _get(cfg, "phantom", "center_x", -0.3, float),
-                _get(cfg, "phantom", "center_y", -0.1, float),
-            ),
-            inclusion_radius=_get(cfg, "phantom", "radius", 0.5, float),
-        )
-        out_configs = []
-        for case in cases:
-            for d in deltas:
-                out_configs.append(experiments.ExperimentConfig(
-                    case=case, delta=float(d), seed=seed, phantom=phantom,
-                    label=f"{form}_{case}_d{d}_s{seed}", **common))
-    except ConfigError:
-        raise
+            common["newton"] = solvers.NewtonConfig(**_fields(cfg, solvers.NewtonConfig, _NEWTON_KEYS))
+        center = tuple(_get(cfg, "phantom", key, c)
+                       for key, c in zip(("center_x", "center_y"), experiments.Phantom.inclusion_center))
+        phantom = experiments.Phantom(inclusion_center=center,
+                                      **_fields(cfg, experiments.Phantom, _PHANTOM_KEYS))
+        # iteration logs are cheap next to a CLI run, so it keeps them unless told not to
+        log_iterations = _get(cfg, "solver", "log_iterations", True)
+        configs = [Experiment(case=case, delta=d, seed=seed, phantom=phantom, emit_png=emit_png,
+                              log_iterations=log_iterations, out_dir=out, **common)
+                   for case in cases for d in deltas]
     except CondrecError as exc:
         raise ConfigError(str(exc)) from exc
-    return out_configs, out
+    return configs, out
 
 
 def _manifest(out_dir, config_path, seed, mesh_checksums, artifacts):
@@ -133,39 +117,25 @@ def _manifest(out_dir, config_path, seed, mesh_checksums, artifacts):
 
 
 def cmd_generate(args):
-    cfg = _load_config(args.config)
-    configs, out = _experiment_configs(cfg, args)
+    configs, out = _experiment_configs(_load_config(args.config), args)
     os.makedirs(out, exist_ok=True)
     artifacts = []
     checksums = {}
     for c in configs:
-        electrodes = fem.ElectrodeConfig(count=8, impedances=c.impedance)
-        coarse = fem.disk_mesh_scale(c.coarse_scale, electrodes)
-        fine = fem.refine_mesh(coarse, c.fine_refine) if c.fine_refine > 0 else coarse
-        checksums.setdefault("coarse", coarse.checksum())
-        checksums.setdefault("fine", fine.checksum())
-        excitation = experiments.excitation_case(c.case)
-        data = experiments.generate_synthetic(c.phantom, excitation, fine, coarse, electrodes)
-        base = os.path.join(out, c.label or f"{c.formulation}_{c.case}_d{c.delta}_s{c.seed}")
+        cell = experiments.build_cell(c)
+        checksums.setdefault("coarse", cell.coarse.checksum())
+        checksums.setdefault("fine", cell.fine.checksum())
         if c.formulation.startswith("iat"):
-            H = experiments.add_noise(data.H, c.delta, c.seed)
-            path = base + "_H.txt"
-            experiments.save_matrix(path, "iat-H", coarse.checksum(), c.delta, c.seed, H)
-            artifacts.append(path)
+            files = [("H", "iat-H", cell.noisy["H"])]
         elif c.formulation.startswith("eit"):
-            V = experiments.add_noise(data.voltages, c.delta, c.seed + 1)
-            path = base + "_v.txt"
-            experiments.save_matrix(path, "eit-voltages", coarse.checksum(), c.delta, c.seed, V)
-            artifacts.append(path)
-            path_j = base + "_j.txt"
-            experiments.save_matrix(path_j, "eit-currents", coarse.checksum(), c.delta, c.seed,
-                                    excitation.currents)
-            artifacts.append(path_j)
+            files = [("v", "eit-voltages", cell.noisy["voltages"]),
+                     ("j", "eit-currents", cell.excitation.currents)]
         else:
-            G = experiments.add_noise(data.flux, c.delta, c.seed + 2)
-            path = base + "_g.txt"
-            experiments.save_matrix(path, "gwf-flux", coarse.checksum(), c.delta, c.seed,
-                                    G.reshape(G.shape[0], -1))
+            flux = cell.noisy["flux"]
+            files = [("g", "gwf-flux", flux.reshape(flux.shape[0], -1))]
+        for suffix, kind, arr in files:
+            path = os.path.join(out, f"{c.stem}_{suffix}.txt")
+            experiments.save_matrix(path, kind, cell.coarse.checksum(), c.delta, c.seed, arr)
             artifacts.append(path)
     manifest = _manifest(out, args.config, configs[0].seed if configs else 0, checksums, artifacts)
     print(f"wrote {len(artifacts)} data file(s) and {manifest}")
@@ -173,26 +143,63 @@ def cmd_generate(args):
 
 
 def cmd_reconstruct(args):
-    cfg = _load_config(args.config)
-    configs, out = _experiment_configs(cfg, args)
+    configs, out = _experiment_configs(_load_config(args.config), args, emit_png=args.emit_png)
     os.makedirs(out, exist_ok=True)
     table_path = os.path.join(out, "results.csv")
     results, _ = experiments.run_table(configs, table_path, jobs=args.jobs)
-    artifacts = [table_path]
-    for c in configs:
-        snap = os.path.join(out, f"{c.label}_sigma.txt")
-        if os.path.exists(snap):
-            artifacts.append(snap)
-    checksums = {}
-    _manifest(out, args.config, configs[0].seed if configs else 0, checksums, artifacts)
+    snaps = [os.path.join(out, f"{c.stem}_sigma.txt") for c in configs]
+    artifacts = [table_path] + [p for p in snaps if os.path.exists(p)]
+    _manifest(out, args.config, configs[0].seed if configs else 0, {}, artifacts)
     failed = sum(1 for r in results if isinstance(r, ExperimentError))
     for c, r in zip(configs, results):
         if isinstance(r, ExperimentError):
-            print(f"{c.label}: FAILED {r}")  # [stage] cause: message
+            print(f"{c.stem}: FAILED {r}")  # [stage] cause: message
         else:
-            print(f"{c.label}: err={r.l2_error:.6g} iters={r.iterations} stop={r.stop_reason}")
+            print(f"{c.stem}: err={r.l2_error:.6g} iters={r.iterations} stop={r.stop_reason}")
     print(f"table: {table_path}")
     return 3 if failed else 0
+
+
+def _mesh_condition(cfg, condition, rng):
+    """tcc, chain or eit-tcc on pairs sampled, within ``[bounds]``, around the default phantom's state.
+
+    Only the cost (eit-aao for eit-tcc, else gwf-aao-ls) and the verdict differ."""
+    mesh = fem.disk_mesh_scale(_get(cfg, "verify", "coarse_scale", 1))
+    excitation = experiments.excitation_case(_get(cfg, "verify", "case", "I1"))
+    phantom = experiments.Phantom()
+    data = experiments.generate_synthetic(phantom, excitation, mesh, mesh)
+    trace, _ = fem.psi_trace_values(mesh, excitation)
+    bounds = _fields(cfg, core.ConstraintSet, {"bounds": _CELL_KEYS["bounds"]})
+    cs = core.ConstraintSet(psi_dirichlet=trace, **bounds)
+    sigma_ex = phantom.cell_field(mesh)
+    phi, psi, _, _, _ = functionals.reduced_forward(sigma_ex, mesh, excitation)
+    if condition == "eit-tcc":
+        obs = functionals.Observations("eit", 0.0, currents=excitation.currents, voltages=data.voltages)
+        cost = functionals.combined_cost("eit-aao", obs, mesh, excitation, constraints=cs)
+    else:
+        obs = functionals.Observations("gwf", 0.0, flux=data.flux)
+        cost = functionals.combined_cost("gwf-aao-ls", obs, mesh, excitation, constraints=cs)
+    space = cost.space
+    x_d = space.project(space.state(sigma_ex, phi, psi), cs)
+    n_pairs = _get(cfg, "verify", "samples", 50 if condition == "eit-tcc" else 100)
+    radius = _get(cfg, "verify", "radius", 0.3)
+    states = conditions.sample_feasible_states(space, cs, x_d, radius, rng, 2 * n_pairs)
+    pairs = [(states[2 * i], states[2 * i + 1]) for i in range(n_pairs)]
+    if condition == "tcc":
+        fwd = conditions.GwfLsForward(space)
+        const = conditions.gwf_tcc_constant(cs, fwd, states[:10], rng=rng)
+        y = np.stack([np.zeros_like(data.flux), data.flux])
+        rep = conditions.check_tcc(fwd, pairs, y, const["c_tc"])
+        rep.extra.update(const)
+        return rep
+    rep = conditions.implication_chain(cost, space.inner, pairs, x_d)
+    if condition == "chain":
+        return rep
+    # exploratory: the measured defect constant must stay below 1 for the two-sided
+    # bounds to carry information; this is not expected to hold here
+    violations = [{"worst_defect": rep.worst_ratio}] if rep.worst_ratio >= 1.0 else list(rep.violations)
+    return conditions.ConditionReport("eit-tcc", rep.samples, rep.worst_ratio, 1.0, violations,
+                                      extra={"exploratory": True})
 
 
 def cmd_verify(args):
@@ -200,71 +207,17 @@ def cmd_verify(args):
     out = args.out or _get(cfg, "verify", "out", "reports")
     os.makedirs(out, exist_ok=True)
     condition = _get(cfg, "verify", "condition", "tcc")
-    seed = args.seed if args.seed is not None else _get(cfg, "verify", "seed", 0, int)
-    exploratory = _get(cfg, "verify", "exploratory", False, bool)
+    seed = args.seed if args.seed is not None else _get(cfg, "verify", "seed", 0)
+    exploratory = _get(cfg, "verify", "exploratory", False)
     rng = np.random.default_rng(seed)
     if condition == "linear-toy":
-        n = _get(cfg, "verify", "dim", 6, int)
+        n = _get(cfg, "verify", "dim", 6)
         A = rng.normal(size=(n, n))
         xs = [rng.normal(size=n) for _ in range(20)]
         pairs = [(xs[i], xs[i + 1]) for i in range(19)]
         rep = conditions.check_tcc(conditions.LinearForward(A), pairs, rng.normal(size=n), 1e-10)
-    elif condition in ("tcc", "chain"):
-        scale = _get(cfg, "verify", "coarse_scale", 1, int)
-        n_pairs = _get(cfg, "verify", "samples", 100, int)
-        radius = _get(cfg, "verify", "radius", 0.3, float)
-        mesh = fem.disk_mesh_scale(scale)
-        excitation = experiments.excitation_case(_get(cfg, "verify", "case", "I1"))
-        phantom = experiments.Phantom()
-        data = experiments.generate_synthetic(phantom, excitation, mesh, mesh)
-        trace, _ = fem.psi_trace_values(mesh, excitation)
-        cs = core.ConstraintSet(_get(cfg, "bounds", "sigma_lower", 1.0, float),
-                                _get(cfg, "bounds", "sigma_upper", 6.0, float), True, trace)
-        sigma_ex = phantom.cell_field(mesh)
-        phi, psi, _, _, _ = functionals.reduced_forward(sigma_ex, mesh, excitation)
-        if condition == "tcc":
-            space = core.StateSpace(mesh, n_excitations=excitation.n_excitations)
-        else:
-            obs = functionals.Observations("gwf", 0.0, flux=data.flux)
-            cost = functionals.combined_cost("gwf-aao-ls", obs, mesh, excitation, constraints=cs)
-            space = cost.space
-        x_d = space.project(space.state(sigma_ex, phi, psi), cs)
-        states = conditions.sample_feasible_states(space, cs, x_d, radius, rng, 2 * n_pairs)
-        pairs = [(states[2 * i], states[2 * i + 1]) for i in range(n_pairs)]
-        if condition == "tcc":
-            fwd = conditions.GwfLsForward(space)
-            const = conditions.gwf_tcc_constant(cs, fwd, states[:10], rng=rng)
-            y = np.stack([np.zeros_like(data.flux), data.flux])
-            rep = conditions.check_tcc(fwd, pairs, y, const["c_tc"])
-            rep.extra.update(const)
-        else:
-            rep = conditions.implication_chain(cost, space.inner, pairs, x_d)
-    elif condition == "eit-tcc":
-        # exploratory: the cone condition is not expected to hold here
-        scale = _get(cfg, "verify", "coarse_scale", 1, int)
-        mesh = fem.disk_mesh_scale(scale)
-        excitation = experiments.excitation_case(_get(cfg, "verify", "case", "I1"))
-        phantom = experiments.Phantom()
-        data = experiments.generate_synthetic(phantom, excitation, mesh, mesh)
-        obs = functionals.Observations("eit", 0.0, currents=excitation.currents,
-                                       voltages=data.voltages)
-        trace, _ = fem.psi_trace_values(mesh, excitation)
-        cs = core.ConstraintSet(1.0, 6.0, True, trace)
-        cost = functionals.combined_cost("eit-aao", obs, mesh, excitation, constraints=cs)
-        sp = cost.space
-        sigma_ex = phantom.cell_field(mesh)
-        phi, psi, _, _, _ = functionals.reduced_forward(sigma_ex, mesh, excitation)
-        x_d = sp.project(sp.state(sigma_ex, phi, psi), cs)
-        n_pairs = _get(cfg, "verify", "samples", 50, int)
-        sts = conditions.sample_feasible_states(sp, cs, x_d, 0.3, rng, 2 * n_pairs)
-        prs = [(sts[2 * i], sts[2 * i + 1]) for i in range(n_pairs)]
-        chain = conditions.implication_chain(cost, sp.inner, prs, x_d)
-        # the measured defect constant must stay below 1 for the two-sided
-        # bounds to carry information; this is not expected to hold here
-        violations = ([{"worst_defect": chain.worst_ratio}] if chain.worst_ratio >= 1.0
-                      else list(chain.violations))
-        rep = conditions.ConditionReport("eit-tcc", chain.samples, chain.worst_ratio,
-                                         1.0, violations, extra={"exploratory": True})
+    elif condition in ("tcc", "chain", "eit-tcc"):
+        rep = _mesh_condition(cfg, condition, rng)
     else:
         raise ConfigError(f"unknown condition {condition!r}")
     path = os.path.join(out, f"{condition}_report.txt")
@@ -284,6 +237,8 @@ def cmd_report(args):
             raise ConfigError(f"no such CSV: {path}")
         with open(path) as f:
             lines = [l.strip() for l in f if l.strip()]
+        if not lines:
+            raise ConfigError(f"empty CSV: {path}")
         if header is None:
             header = lines[0]
         elif lines[0] != header:  # e.g. a table written before the solver/variant columns
@@ -296,9 +251,7 @@ def cmd_report(args):
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     if args.out:
         with open(args.out, "w") as f:
-            f.write(header + "\n")
-            for r in rows:
-                f.write(r + "\n")
+            f.write("\n".join([header] + rows) + "\n")
     return 0
 
 
@@ -311,33 +264,30 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"condrec {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, handler):
         sp.add_argument("--config", required=True, help="INI configuration file")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--jobs", type=int, default=1, help="concurrent experiment cells")
-        sp.add_argument("--emit-png", action="store_true", help="write grayscale rasters")
+        sp.set_defaults(handler=handler)
+        return sp
 
-    common(sub.add_parser("generate", help="generate synthetic data files"))
-    common(sub.add_parser("reconstruct", help="run reconstructions and emit the result table"))
-    common(sub.add_parser("verify", help="run condition verification"))
+    common(sub.add_parser("generate", help="generate synthetic data files"), cmd_generate)
+    rc = common(sub.add_parser("reconstruct", help="run reconstructions and emit the result table"),
+                cmd_reconstruct)
+    rc.add_argument("--jobs", type=int, default=1, help="concurrent experiment cells")
+    rc.add_argument("--emit-png", action="store_true", help="write grayscale rasters")
+    common(sub.add_parser("verify", help="run condition verification"), cmd_verify)
     rp = sub.add_parser("report", help="merge result CSVs into a formatted table")
     rp.add_argument("inputs", nargs="+", help="result CSV files")
     rp.add_argument("--out", default=None, help="merged CSV output path")
+    rp.set_defaults(handler=cmd_report)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "generate": cmd_generate,
-        "reconstruct": cmd_reconstruct,
-        "verify": cmd_verify,
-        "report": cmd_report,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

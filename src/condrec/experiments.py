@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import struct
 import time
 import zlib
@@ -176,7 +177,7 @@ class ExperimentConfig:
     iat_obs_variant: int = 2
     phantom: Phantom = field(default_factory=Phantom)
     out_dir: str | None = None
-    label: str = ""
+    label: str = ""  # file-name stem of the cell's outputs; see ``stem``
     emit_png: bool = False
     log_iterations: bool = False
     newton: solvers.NewtonConfig | None = None
@@ -195,6 +196,11 @@ class ExperimentConfig:
             raise InvalidFieldError(
                 "fine mesh must be strictly finer than the reconstruction mesh "
                 "(set allow_inverse_crime to override)")
+
+    @property
+    def stem(self):
+        """File-name stem of the cell's outputs: ``label``, else one built from the cell's key."""
+        return self.label or f"{self.formulation}_{self.case}_d{self.delta}_s{self.seed}"
 
     def excitation(self):
         """The cell's ExcitationSet: the custom currents when given, else the named case.
@@ -240,9 +246,23 @@ def build_observations(cfg, data_noisy, excitation):
     return functionals.Observations("gwf", cfg.delta, flux=data_noisy["flux"])
 
 
-def run_experiment(cfg):
-    """Generate data, build the formulation, reconstruct, and report the L2 error."""
-    t_start = time.perf_counter()
+@dataclass
+class Cell:
+    """The inputs of one experiment cell: meshes, excitation, exact and noisy data."""
+
+    electrodes: fem.ElectrodeConfig
+    coarse: fem.Mesh
+    fine: fem.Mesh
+    excitation: fem.ExcitationSet
+    data: SyntheticData
+    noisy: dict  # "H", "voltages", "flux": the exact data with noise of level delta
+
+
+def build_cell(cfg):
+    """Electrodes, coarse and fine meshes, excitation, exact and noisy data of one cell.
+
+    A failing step raises ``ExperimentError`` naming its stage.
+    """
     electrodes = fem.ElectrodeConfig(count=8, impedances=cfg.impedance)
     coarse = _stage("mesh", fem.disk_mesh_scale, cfg.coarse_scale, electrodes)
     fine = _stage("mesh", fem.refine_mesh, coarse, cfg.fine_refine) if cfg.fine_refine > 0 else coarse
@@ -253,7 +273,14 @@ def run_experiment(cfg):
         "voltages": _stage("data", add_noise, data.voltages, cfg.delta, cfg.seed + 1),
         "flux": _stage("data", add_noise, data.flux, cfg.delta, cfg.seed + 2),
     }
-    obs = _stage("cost", build_observations, cfg, noisy, excitation)
+    return Cell(electrodes, coarse, fine, excitation, data, noisy)
+
+
+def run_experiment(cfg):
+    """Generate data, build the formulation, reconstruct, and report the L2 error."""
+    cell = build_cell(cfg)
+    coarse, excitation, electrodes = cell.coarse, cell.excitation, cell.electrodes
+    obs = _stage("cost", build_observations, cfg, cell.noisy, excitation)
     eta = _stage("cost", solvers.noise_budget, obs, coarse, cfg.beta,
                  cfg.formulation in ("eit-aao", "eit-elim-sigma"))
     trace, _ = fem.psi_trace_values(coarse, excitation)
@@ -266,10 +293,7 @@ def run_experiment(cfg):
     if cost.space.with_potentials:
         phi0, psi0, _, _, _ = _stage("cost", functionals.reduced_forward, sigma0, coarse,
                                      excitation, electrodes)
-        if cost.space.with_sigma:
-            x0 = cost.space.state(sigma0, phi0, psi0)
-        else:
-            x0 = cost.space.state(None, phi0, psi0)
+        x0 = cost.space.state(sigma0 if cost.space.with_sigma else None, phi0, psi0)
     else:
         x0 = cost.space.state(sigma0)
 
@@ -298,7 +322,7 @@ def run_experiment(cfg):
     else:
         sigma_end, _ = functionals.eliminate_sigma(x_end.phis, x_end.psis, coarse,
                                                    cfg.sigma_lower, cfg.sigma_upper)
-    diff = sigma_end - data.sigma_coarse
+    diff = sigma_end - cell.data.sigma_coarse
     l2 = float(np.sqrt(np.sum(diff**2 * coarse.element_areas)))
     iters = report.k_star
     result = ReconstructionResult(
@@ -307,41 +331,30 @@ def run_experiment(cfg):
         stop_reason=report.stop_reason, config=cfg,
     )
     if cfg.out_dir:
-        _stage("output", _write_outputs, result, coarse, cfg)
-        if iter_rows is not None:
-            _stage("output", _write_iteration_log, iter_rows, cfg)
+        _stage("output", _write_outputs, result, coarse, cfg, iter_rows)
     return result
 
 
-def _write_iteration_log(rows, cfg):
-    import os
-
+def _write_outputs(result, mesh, cfg, iter_rows):
+    """The sigma snapshot, its raster if asked for, and the iteration log if kept."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    label = cfg.label or f"{cfg.formulation}_{cfg.case}_d{cfg.delta}_s{cfg.seed}"
-    path = os.path.join(cfg.out_dir, f"{label}_iters.csv")
-    with open(path, "w") as f:
-        f.write("k,cost,grad_sq,step,wall_s\n")
-        for r in rows:
-            gs = "" if r["grad_sq"] is None else f"{r['grad_sq']:.17g}"
-            st = "" if r["step"] is None else f"{r['step']:.17g}"
-            f.write(f"{r['k']},{r['cost']:.17g},{gs},{st},{r['wall']:.6f}\n")
-
-
-def _write_outputs(result, mesh, cfg):
-    import os
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    label = cfg.label or f"{cfg.formulation}_{cfg.case}_d{cfg.delta}_s{cfg.seed}"
-    snap = os.path.join(cfg.out_dir, f"{label}_sigma.txt")
+    snap = os.path.join(cfg.out_dir, f"{cfg.stem}_sigma.txt")
     with open(snap, "w") as f:
         f.write(f"# kind: sigma-snapshot\n# mesh: {mesh.checksum()}\n"
                 f"# delta: {cfg.delta:.17g} seed: {cfg.seed}\n")
         for v in result.sigma_final:
             f.write(f"{v:.17g}\n")
     if cfg.emit_png:
-        png = os.path.join(cfg.out_dir, f"{label}_sigma.png")
+        png = os.path.join(cfg.out_dir, f"{cfg.stem}_sigma.png")
         write_field_png(png, mesh, result.sigma_final,
                         vmin=cfg.sigma_lower, vmax=cfg.sigma_upper)
+    if iter_rows is not None:
+        with open(os.path.join(cfg.out_dir, f"{cfg.stem}_iters.csv"), "w") as f:
+            f.write("k,cost,grad_sq,step,wall_s\n")
+            for r in iter_rows:
+                gs = "" if r["grad_sq"] is None else f"{r['grad_sq']:.17g}"
+                st = "" if r["step"] is None else f"{r['step']:.17g}"
+                f.write(f"{r['k']},{r['cost']:.17g},{gs},{st},{r['wall']:.6f}\n")
 
 
 TABLE_COLUMNS = "formulation,solver,variant,I,delta,seed,iterations,l2_error,wall_s,s_per_iter,stop_reason"

@@ -280,6 +280,10 @@ class Mesh:
              np.arange(0, 6 * nrows + 1, 6, dtype=np.int32)),
             shape=(nrows, self.n_nodes),
         )
+        # Gt and Gp share G's arrays, so none may be changed in place (as scipy's
+        # canonicalizations do); the flags must be set before Gt is made on them
+        for a in (self.G.data, self.G.indices, self.G.indptr):
+            a.flags.writeable = False
         self.Gt = self.G.T  # CSC on G's arrays
         self.qweights = self.element_areas[:, None] * QUAD_W[None, :]  # (nel, nq)
         self.qpoints = np.einsum("qi,eia->eqa", QUAD_BARY, verts)  # (nel, nq, 2)
@@ -294,8 +298,10 @@ class Mesh:
         only permutes and negates G's data.
         """
         g = self.G.data.reshape(-1, 2, 6)
-        return sp.csr_matrix((np.stack([-g[:, 1], g[:, 0]], axis=1).ravel(), self.G.indices, self.G.indptr),
-                             shape=self.G.shape)
+        Gp = sp.csr_matrix((np.stack([-g[:, 1], g[:, 0]], axis=1).ravel(), self.G.indices, self.G.indptr),
+                           shape=self.G.shape)
+        Gp.data.flags.writeable = False
+        return Gp
 
     @cached_property
     def Gpt(self):

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, artifacts, manifests, determinism."""
+import argparse
 import json
+from dataclasses import replace
 
 import pytest
 
 from condrec import cli
+from condrec import experiments as ex
+from condrec import solvers as sv
 
 
 def write_config(path, text):
@@ -245,3 +249,128 @@ def test_full_pipeline_determinism(tmp_path):
         assert cli.main(["reconstruct", "--config", cfgp, "--out", str(out)]) == 0
         texts.append(ex.mask_timing_columns((out / "results.csv").read_text()))
     assert texts[0] == texts[1]
+
+
+# every INI key a run reads, a value other than its default, the field it sets and the value there
+EVERY_KEY = {
+    ("run", "formulation"): ("iat-aao", "formulation", "iat-aao"),
+    ("run", "cases"): ("I2", "case", "I2"),
+    ("run", "deltas"): ("0.05", "delta", 0.05),
+    ("run", "seed"): ("7", "seed", 7),
+    ("run", "out"): ("elsewhere", "out_dir", "elsewhere"),
+    ("run", "coarse_scale"): ("3", "coarse_scale", 3),
+    ("run", "fine_refine"): ("2", "fine_refine", 2),
+    ("run", "allow_inverse_crime"): ("yes", "allow_inverse_crime", True),
+    ("run", "impedance"): ("0.25", "impedance", 0.25),
+    ("run", "iat_obs_variant"): ("1", "iat_obs_variant", 1),
+    ("bounds", "sigma_lower"): ("0.5", "sigma_lower", 0.5),
+    ("bounds", "sigma_upper"): ("9", "sigma_upper", 9.0),
+    ("solver", "method"): ("newton", "solver", "newton"),
+    ("solver", "beta"): ("0.5", "beta", 0.5),
+    ("solver", "max_iters"): ("17", "max_iters", 17),
+    ("solver", "tau"): ("2.5", "tau", 2.5),
+    ("solver", "eps_mu"): ("1e-8", "eps_mu", 1e-8),
+    ("solver", "mu_max"): ("8", "mu_max", 8.0),
+    ("solver", "armijo_shrink"): ("0.25", "armijo_shrink", 0.25),
+    ("solver", "armijo_slope"): ("1e-3", "armijo_slope", 1e-3),
+    ("solver", "step_growth"): ("3", "step_growth", 3.0),
+    ("solver", "log_iterations"): ("off", "log_iterations", False),
+    ("solver", "schedule"): ("a-posteriori", "newton.schedule", "a-posteriori"),
+    ("solver", "alpha0"): ("2", "newton.alpha0", 2.0),
+    ("solver", "theta"): ("0.3", "newton.theta", 0.3),
+    ("solver", "sigma_lo"): ("0.1", "newton.sigma_lo", 0.1),
+    ("solver", "sigma_hi"): ("0.9", "newton.sigma_hi", 0.9),
+    ("phantom", "background"): ("1.5", "phantom.background", 1.5),
+    ("phantom", "inclusion_value"): ("4", "phantom.inclusion_value", 4.0),
+    ("phantom", "center_x"): ("0.2", "phantom.inclusion_center.0", 0.2),
+    ("phantom", "center_y"): ("0.1", "phantom.inclusion_center.1", 0.1),
+    ("phantom", "radius"): ("0.4", "phantom.inclusion_radius", 0.4),
+}
+
+
+def _configs(tmp_path, text):
+    parser = cli._load_config(write_config(tmp_path / "run.ini", text))
+    return cli._experiment_configs(parser, argparse.Namespace(seed=None, out=None))[0]
+
+
+def _resolve(obj, path):
+    for part in path.split("."):
+        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+    return obj
+
+
+def test_every_ini_key_reaches_its_dataclass_field(tmp_path):
+    # an empty file gives the dataclasses' defaults; the CLI writes to results/ and keeps iteration logs
+    (default,) = _configs(tmp_path, "")
+    assert default == ex.ExperimentConfig(out_dir="results", log_iterations=True)
+    reference = replace(default, newton=sv.NewtonConfig())
+    mapped = {(s, k) for keys in (cli._CELL_KEYS, cli._NEWTON_KEYS, cli._PHANTOM_KEYS)
+              for s, names in keys.items() for k in names}
+    assert mapped <= set(EVERY_KEY)
+    text = "".join(f"[{s}]\n" + "".join(f"{k} = {raw}\n" for (s2, k), (raw, _, _) in EVERY_KEY.items() if s2 == s)
+                   for s in ("run", "bounds", "solver", "phantom"))
+    (cfg,) = _configs(tmp_path, text)
+    for key, (raw, path, value) in EVERY_KEY.items():
+        assert _resolve(cfg, path) == value != _resolve(reference, path), key
+        assert type(_resolve(cfg, path)) is type(_resolve(reference, path)), key
+    # the one-cell spellings of the grid keys
+    (cfg,) = _configs(tmp_path, "[run]\ncase = I28\ndelta = 0.2\n")
+    assert (cfg.case, cfg.delta) == ("I28", 0.2)
+
+
+@pytest.mark.parametrize("sub, setting, named", [
+    ("verify", "[verify]\ncondition = linear-toy\nexploratory = ture\n", "[verify] exploratory: 'ture'"),
+    ("reconstruct", MINIMAL.replace("fine_refine = 1", "fine_refine = 0\nallow_inverse_crime = yes please"),
+     "[run] allow_inverse_crime: 'yes please'"),
+], ids=["exploratory", "allow_inverse_crime"])
+def test_a_boolean_must_be_a_boolean_word(tmp_path, capsys, sub, setting, named):
+    # once, any word but 1/yes/true/on read as false
+    cfgp = write_config(tmp_path / "c.ini", setting)
+    assert cli.main([sub, "--config", cfgp, "--out", str(tmp_path / "x")]) == 2
+    assert named in capsys.readouterr().err
+    for word, value in (("On", True), ("0", False), ("no", False), ("TRUE", True)):
+        (cfg,) = _configs(tmp_path, f"[run]\nallow_inverse_crime = {word}\n")
+        assert cfg.allow_inverse_crime is value
+
+
+def test_report_refuses_an_empty_csv(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("\n")
+    assert cli.main(["report", str(empty)]) == 2
+    assert str(empty) in capsys.readouterr().err
+
+
+def _eit_tcc_report(tmp_path, name, extra):
+    text = "[verify]\ncondition = eit-tcc\nsamples = 3\ncoarse_scale = 1\nexploratory = true\n" + extra
+    out = tmp_path / name
+    assert cli.main(["verify", "--config", write_config(tmp_path / f"{name}.ini", text), "--out", str(out)]) == 0
+    return (out / "eit-tcc_report.txt").read_text()
+
+
+def test_verify_eit_tcc_reads_bounds_and_radius(tmp_path):
+    base = _eit_tcc_report(tmp_path, "base", "")
+    assert _eit_tcc_report(tmp_path, "radius", "radius = 0.1\n") != base
+    assert _eit_tcc_report(tmp_path, "bounds", "[bounds]\nsigma_lower = 0.5\nsigma_upper = 8\n") != base
+
+
+@pytest.mark.parametrize("sub", ["generate", "verify"])
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--emit-png"]])
+def test_flags_only_where_they_are_read(tmp_path, capsys, sub, flag):
+    cfgp = write_config(tmp_path / "run.ini", MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--config", cfgp, "--out", str(tmp_path / "x"), *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_reconstruct_newton_cell(tmp_path):
+    cfgp = write_config(tmp_path / "run.ini", MINIMAL.replace("max_iters = 5", "max_iters = 2\nmethod = newton"))
+    out = tmp_path / "res"
+    assert cli.main(["reconstruct", "--config", cfgp, "--out", str(out)]) == 0
+    header, row = (out / "results.csv").read_text().strip().split("\n")
+    cell = dict(zip(header.split(","), row.split(",")))
+    assert cell["solver"] == "newton" and not cell["stop_reason"].startswith("error")
+    assert 1 <= int(cell["iterations"]) <= 2
+    stem = "iat-reduced_I1_d0.0_s1"
+    assert (out / f"{stem}_sigma.txt").exists() and (out / f"{stem}_iters.csv").exists()

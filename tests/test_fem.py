@@ -672,6 +672,23 @@ def test_perp_operator_is_built_on_first_use_on_gs_index_arrays():
     assert all(np.shares_memory(a, b) for a, b in shared)
 
 
+def test_gradient_operators_refuse_in_place_canonicalization():
+    # G, Gt, Gp and Gpt share index arrays: sorting one in place would scramble the others
+    m = fem.disk_mesh_scale(1)
+    v = np.random.default_rng(5).normal(size=(m.n_elements, len(fem.QUAD_W), 2, 2))
+    before = fem.gradient_dual(v, m), fem.perp_gradient_dual(v, m)
+    for op in (m.G, m.Gt, m.Gp, m.Gpt):
+        for canonicalize in (abs, type(op).sort_indices, type(op).sum_duplicates):
+            with pytest.raises(ValueError):
+                canonicalize(op)
+    assert np.array_equal(fem.gradient_dual(v, m), before[0])
+    assert np.array_equal(fem.perp_gradient_dual(v, m), before[1])
+    # products, transposed products and elementwise ones still work
+    u = np.arange(float(m.n_nodes))
+    assert np.allclose(m.Gt @ (m.G @ u), (m.Gt @ m.G) @ u)
+    assert m.G.multiply(m.G).nnz == m.G.nnz
+
+
 def test_gradient_linear_and_quadratic_exactness():
     m = fem.disk_mesh_scale(1)
     gx = fem.gradient_field(m.nodes[:, 0], m)
