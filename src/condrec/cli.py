@@ -37,8 +37,8 @@ def _load_config(path):
 def _get(cfg, section, key, default):
     """[section] key cast like ``default``, else ``default``.
 
-    A bool takes configparser's boolean words, and a list takes comma- or
-    space-separated items cast like its first item.
+    A bool takes configparser's boolean words, and a list takes one or more
+    comma- or space-separated items cast like its first item.
     """
     if not cfg.has_option(section, key):
         return default
@@ -47,7 +47,10 @@ def _get(cfg, section, key, default):
         if isinstance(default, bool):
             return cfg.getboolean(section, key)
         if isinstance(default, list):
-            return [type(default[0])(tok) for tok in raw.replace(",", " ").split()]
+            items = [type(default[0])(tok) for tok in raw.replace(",", " ").split()]
+            if not items:  # an empty list would run no cell at all
+                raise ValueError(raw)
+            return items
         return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
@@ -243,6 +246,9 @@ def cmd_report(args):
             header = lines[0]
         elif lines[0] != header:  # e.g. a table written before the solver/variant columns
             raise ConfigError(f"{path} has columns {lines[0]}, not the {header} of {args.inputs[0]}")
+        ragged = [k for k, row in enumerate(lines[1:], 1) if row.count(",") != header.count(",")]
+        if ragged:
+            raise ConfigError(f"{path} row {ragged[0]}: not the {header.count(',') + 1} fields of its header")
         rows.extend(lines[1:])
     cols = header.split(",")
     table = [cols] + [r.split(",") for r in rows]

@@ -112,7 +112,7 @@ class GwfLsForward:
     def coarse_norm_bound(self, x):
         """Pointwise bound sqrt(max|E|^2 + sigma_max^2 + 2) >= ||F'(x)||."""
         E = fem.gradient_field(x.phis, self.mesh)
-        e_inf = float(np.sqrt((E**2).sum(axis=2).max()))
+        e_inf = float(np.sqrt(fem.field_dot(E, E).max()))
         s_max = float(np.abs(x.sigma).max())
         return float(np.sqrt(e_inf**2 + s_max**2 + 2.0))
 

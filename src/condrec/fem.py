@@ -17,7 +17,9 @@ quadrature weights, ``G.T @ (w v)`` (``gradient_dual``, on the transpose
 holds G's rows turned by a quarter turn, (-g2, g1) for each pair of rows, on
 G's index arrays; it is built on first use, with its transpose ``Mesh.Gpt``,
 and serves ``perp_gradient_field`` and its dual against perp-grad N_n,
-``perp_gradient_dual``.
+``perp_gradient_dual``.  ``Mesh.element_stiffness`` holds the unit-sigma local
+stiffness matrices A_e (nel, 6, 6), and ``Mesh.node_scatter`` sums rows of
+local vectors (nel * 6[, I]) into the nodes.
 
 The mesh is the centre vertex plus concentric rings of vertices.  Ring vertex i of
 a ring with m vertices (numbered from the ring's first vertex id) sits at angle
@@ -309,20 +311,24 @@ class Mesh:
 
     # -- derived assemblies -------------------------------------------------
 
-    def _shape_gradients(self):
-        """The P2 shape gradients (nel, nq, 6, 2) at the quadrature points, read from G.
-
-        A contiguous copy: einsum over the strided view rounds differently.
-        """
+    @cached_property
+    def element_stiffness(self):
+        """The unit-sigma local stiffness matrices int_e grad N_j . grad N_k, (nel, 6, 6), from a
+        contiguous copy of G's shape gradients: einsum over the strided view rounds differently."""
         nel, nq = self.qweights.shape
-        return np.ascontiguousarray(self.G.data.reshape(nel, nq, 2, 6).transpose(0, 1, 3, 2))
+        grads = np.ascontiguousarray(self.G.data.reshape(nel, nq, 2, 6).transpose(0, 1, 3, 2))
+        return np.einsum("eq,eqia,eqja->eij", self.qweights, grads, grads)
+
+    @cached_property
+    def node_scatter(self):
+        """The element-to-node scatter (CSC, n_nodes x nel * 6): column 6 e + j is node j of element e."""
+        return sp.csc_matrix((np.ones(self.triangles.size), self.triangles.ravel(),
+                              np.arange(self.triangles.size + 1)), shape=(self.n_nodes, self.triangles.size))
 
     def stiffness(self, sigma=None):
         """Assemble int sigma grad u . grad v with piecewise-constant sigma (default 1)."""
         s = np.ones(self.n_elements) if sigma is None else np.asarray(sigma, float)
-        grads = self._shape_gradients()
-        kloc = np.einsum("eq,eqia,eqja->eij", self.qweights * s[:, None], grads, grads)
-        return self._scatter(kloc)
+        return self._scatter(s[:, None, None] * self.element_stiffness)
 
     def mass(self):
         """Assemble int u v (degree-4 rule is exact for P2 x P2)."""
@@ -338,10 +344,7 @@ class Mesh:
 
     def integral_weights(self):
         """Vector w with w_i = int N_i dOmega, so w @ u = int u dOmega."""
-        w = np.zeros(self.n_nodes)
-        contrib = np.einsum("eq,qi->ei", self.qweights, self.shapes_q)
-        np.add.at(w, self.triangles, contrib)
-        return w
+        return self.node_scatter @ np.einsum("eq,qi->ei", self.qweights, self.shapes_q).ravel()
 
     def checksum(self):
         return hashlib.sha256(serialize_mesh(self).encode()).hexdigest()
@@ -762,8 +765,6 @@ def _cem_layout(mesh, electrodes):
                      [C.T, sp.diags(lens / z), None],
                      [w[None, :], None, None]], format="coo")
     N = const.shape[0]
-    grads = mesh._shape_gradients()
-    kref = np.einsum("eq,eqia,eqja->eij", mesh.qweights, grads, grads)
     live = np.ones((6, 6), bool)
     live[_ZERO_COUPLINGS] = False
     t = mesh.triangles
@@ -772,7 +773,7 @@ def _cem_layout(mesh, electrodes):
     ckeys = const.col.astype(np.int64) * N + const.row
     keys, pos = np.unique(np.concatenate([kkeys, ckeys]), return_inverse=True)
     per_element = np.arange(0, len(kkeys) + 1, live.sum())
-    S = sp.csc_matrix((kref[:, live].ravel(), pos[: len(kkeys)], per_element), shape=(len(keys), len(t)))
+    S = sp.csc_matrix((mesh.element_stiffness[:, live].ravel(), pos[: len(kkeys)], per_element), (len(keys), len(t)))
     c0 = np.bincount(pos[len(kkeys) :], weights=const.data, minlength=len(keys))
     C0 = sp.csc_matrix((c0, keys % N, np.searchsorted(keys, np.arange(N + 1) * N)), shape=(N, N))
     mesh._cem_layout = CemLayout(key, S, C0, w)
@@ -871,6 +872,11 @@ def perp_gradient_dual(v, mesh):
     The adjoint of perp_gradient_field in the quadrature inner product.
     """
     return _dual(mesh.Gpt, v, mesh)
+
+
+def field_dot(u, v):
+    """u . v of quadrature-point fields (nel, nq, 2[, I]): the bits of (u * v).sum(axis=2), a third of its cost."""
+    return u[:, :, 0] * v[:, :, 0] + u[:, :, 1] * v[:, :, 1]
 
 
 def power_density(sigma, phi, mesh):

@@ -22,9 +22,11 @@ Psi), and the reduced cost is one reduced-map term.
 Conventions: sigma is piecewise constant per element; potentials are P2 nodal
 fields stored as (n_nodes, I) matrices; quadrature-point gradients
 (nel, nq, 2, I) come from fem.gradient_field and fem.perp_gradient_field,
-their duals from fem.gradient_dual and fem.perp_gradient_dual.  Gradients
-returned by CostFunctional.gradient are Riesz representatives in the product
-inner product of core.StateSpace.
+their duals from fem.gradient_dual and fem.perp_gradient_dual.  The reduced
+maps differentiate, and the power density's derivative contracts, through the
+element stiffness action A_e phi_e instead (Point.Ku, on fem's
+Mesh.element_stiffness).  Gradients returned by CostFunctional.gradient are
+Riesz representatives in the product inner product of core.StateSpace.
 """
 from __future__ import annotations
 
@@ -92,8 +94,8 @@ class Observations:
 
 
 class Point:
-    """A state or direction (sigma, Phi, Psi) with its quadrature-point gradients,
-    computed on first use and shared by every term linearized there."""
+    """A state or direction (sigma, Phi, Psi) with its quadrature-point gradients and
+    element stiffness action, computed on first use and shared by every term linearized there."""
 
     def __init__(self, mesh, sigma=None, phis=None, psis=None):
         self.mesh = mesh
@@ -110,9 +112,14 @@ class Point:
         return fem.perp_gradient_field(self.psis, self.mesh)
 
     @cached_property
+    def Ku(self):
+        """The unit-sigma element stiffness action A_e phi_i at each element's nodes, (nel, 6, I)."""
+        return self.mesh.element_stiffness @ np.take(self.phis, self.mesh.triangles, axis=0)
+
+    @cached_property
     def mean_E2(self):
         """Per-element quadrature average of |grad phi_i|^2, (nel, I)."""
-        return _mean((self.E**2).sum(axis=2))
+        return _mean(fem.field_dot(self.E, self.E))
 
 
 def _plus(a, b):
@@ -225,7 +232,7 @@ class KvTerm(_QuadTerm):
 
     def adjoint(self, x, u):
         s4 = x.sigma[:, None, None, None]
-        d_sigma = np.einsum("eq,eqI->e", self.mesh.qweights, (u * self._d_sigma(x)).sum(axis=2))
+        d_sigma = np.einsum("eq,eqI->e", self.mesh.qweights, fem.field_dot(u, self._d_sigma(x)))
         return d_sigma, np.sqrt(s4) * u, -u / np.sqrt(s4)
 
 
@@ -239,7 +246,7 @@ class LsTerm(_QuadTerm):
         return h.sigma[:, None, None, None] * x.E + x.sigma[:, None, None, None] * h.E - h.J
 
     def adjoint(self, x, u):
-        d_sigma = np.einsum("eq,eqI->e", self.mesh.qweights, (u * x.E).sum(axis=2))
+        d_sigma = np.einsum("eq,eqI->e", self.mesh.qweights, fem.field_dot(u, x.E))
         return d_sigma, x.sigma[:, None, None, None] * u, -u
 
 
@@ -273,13 +280,14 @@ class PowerTerm:
             return x.sigma[:, None] * x.mean_E2 - self.H.T
         if x.psis is None:
             raise FormulationMismatchError("variant 1 needs stream potentials")
-        return _mean((x.J * x.E).sum(axis=2)) - self.H.T
+        return _mean(fem.field_dot(x.J, x.E)) - self.H.T
 
     def derivative(self, x, h):
         if self.variant == 2:
-            s4 = x.sigma[:, None, None, None]
-            return h.sigma[:, None] * x.mean_E2 + 2 * _mean((s4 * x.E * h.E).sum(axis=2))
-        return _mean((h.J * x.E).sum(axis=2) + (x.J * h.E).sum(axis=2))
+            # 2 sigma mean_q grad phi . grad h_phi = 2 sigma / |e| h_phi_e . A_e phi_e
+            dE2 = np.einsum("ejI,ejI->eI", x.Ku, np.take(h.phis, self.mesh.triangles, axis=0))
+            return h.sigma[:, None] * x.mean_E2 + (2 * x.sigma / self.mesh.element_areas)[:, None] * dE2
+        return _mean(fem.field_dot(h.J, x.E) + fem.field_dot(x.J, h.E))
 
     def adjoint(self, x, u):
         ub = u[:, None, None, :]
@@ -387,6 +395,8 @@ class ReducedMap:
     electrode voltages U (I, L), and the CemSystem.  The derivative is one
     forward-sensitivity solve and the adjoint one adjoint solve on that point's
     factor (discretize-then-optimize: exact derivatives of the discrete map).
+    Both contract the element stiffness action A_e phi_e (Point.Ku): A(sigma) is
+    linear in sigma, so d(A u)/d sigma_e is A_e u_e on element e's nodes.
     With more excitations than electrodes, an adjoint that lives on the
     electrode rows (voltage data) makes no solve: it is contracted on the
     system's electrode basis.
@@ -419,8 +429,8 @@ class ReducedMap:
         return u[:n], u[n : n + L].T
 
     def derivative(self, x, h):
-        du = self._solve(x, -fem.gradient_dual(h.sigma[:, None, None, None] * x.E, self.mesh), None)
-        return self.obs.derivative(x, Point(self.mesh, h.sigma, *du))
+        d_phi = self.mesh.node_scatter @ (h.sigma[:, None, None] * x.Ku).reshape(-1, x.phis.shape[1])
+        return self.obs.derivative(x, Point(self.mesh, h.sigma, *self._solve(x, -d_phi, None)))
 
     def adjoint(self, x, u):
         d_sigma, d_phi, d_volt = _sum_duals(self.mesh, [(self.obs.adjoint(x, u), 1.0)])
@@ -434,10 +444,7 @@ class ReducedMap:
             d -= np.einsum("eq,eqa->e", self.mesh.qweights, s)
             return d, None, None
         lam, _ = self._solve(x, d_phi, d_volt)
-        # a gradient alone (once per point) does not cache the potential gradients:
-        # holding them in the memo raised eit-reduced-pg's peak RSS by ~10 %
-        E = x.E if "E" in vars(x) else fem.gradient_field(x.phis, self.mesh)
-        d -= np.einsum("eq,eqI->e", self.mesh.qweights, (fem.gradient_field(lam, self.mesh) * E).sum(axis=2))
+        d -= np.einsum("ejI,ejI->e", x.Ku, np.take(lam, self.mesh.triangles, axis=0))  # lam_e . A_e phi_e
         return d, None, None
 
 
@@ -515,8 +522,8 @@ def eliminate_sigma(phis, psis, mesh, lower, upper):
 
 
 def _eliminate(E, J, lower, upper):
-    A = np.einsum("q,eqI->e", fem.QUAD_W, (E**2).sum(axis=2))
-    B = np.einsum("q,eqI->e", fem.QUAD_W, (J**2).sum(axis=2))
+    A = np.einsum("q,eqI->e", fem.QUAD_W, fem.field_dot(E, E))
+    B = np.einsum("q,eqI->e", fem.QUAD_W, fem.field_dot(J, J))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.sqrt(B / A)
     ratio[A == 0] = upper

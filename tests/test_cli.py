@@ -340,6 +340,28 @@ def test_report_refuses_an_empty_csv(tmp_path, capsys):
     assert str(empty) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["1,2", "1,2,3,4"])
+def test_report_refuses_a_row_without_the_header_fields(tmp_path, capsys, row):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text(f"a,b,c\n1,2,3\n{row}\n")
+    assert cli.main(["report", str(ragged), "--out", str(tmp_path / "merged.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(ragged) in err and "row 2" in err
+    assert not (tmp_path / "merged.csv").exists()
+
+
+@pytest.mark.parametrize("sub", ["generate", "reconstruct"])
+@pytest.mark.parametrize("key", ["cases", "deltas"])
+def test_an_empty_cases_or_deltas_list_exit_2(tmp_path, capsys, sub, key):
+    # an empty list would build no cell: generate would write an empty manifest
+    text = MINIMAL.replace("cases = I1", "cases =" if key == "cases" else "cases = I1")
+    text = text.replace("deltas = 0", "deltas =" if key == "deltas" else "deltas = 0")
+    out = tmp_path / "x"
+    assert cli.main([sub, "--config", write_config(tmp_path / "run.ini", text), "--out", str(out)]) == 2
+    assert f"[run] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _eit_tcc_report(tmp_path, name, extra):
     text = "[verify]\ncondition = eit-tcc\nsamples = 3\ncoarse_scale = 1\nexploratory = true\n" + extra
     out = tmp_path / name

@@ -264,6 +264,42 @@ def test_stiffness_matches_hand_assembly():
     assert np.allclose(K, K_oracle, atol=1e-8)
 
 
+def test_element_stiffness_and_scatter_assemble_the_quadrature_stiffness():
+    # A_e scattered with sigma is int sigma grad N_j . grad N_k at the quadrature points,
+    # and node_scatter sums local rows into the nodes as np.add.at does
+    m = fem.disk_mesh_scale(2)
+    rng = np.random.default_rng(40)
+    sigma = rng.uniform(1, 6, m.n_elements)
+    grads = _reference_shape_gradients(m)
+    kloc = np.einsum("eq,eqia,eqja->eij", m.qweights * sigma[:, None], grads, grads)
+    t = m.triangles
+    ref = sp.coo_matrix((kloc.ravel(), (np.repeat(t, 6, axis=1).ravel(), np.tile(t, (1, 6)).ravel())),
+                        shape=(m.n_nodes, m.n_nodes)).toarray()
+    K = m.stiffness(sigma).toarray()
+    assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max()
+    loc = rng.normal(size=(m.n_elements, 6, 3))
+    summed = np.zeros((m.n_nodes, 3))
+    np.add.at(summed, t, loc)
+    assert np.abs(m.node_scatter @ loc.reshape(-1, 3) - summed).max() <= 1e-14 * np.abs(summed).max()
+
+
+def test_cem_layout_keeps_the_quadrature_stiffness_bits():
+    # S holds A_e's live entries and C0 the integral weights w: the same bits as
+    # the quadrature einsum and the np.add.at scatter they are read from
+    m = fem.disk_mesh_scale(2)
+    layout = fem._cem_layout(m, m.electrodes)
+    nel, nq = m.qweights.shape
+    grads = np.ascontiguousarray(m.G.data.reshape(nel, nq, 2, 6).transpose(0, 1, 3, 2))
+    live = np.ones((6, 6), bool)
+    live[fem._ZERO_COUPLINGS] = False
+    kref = np.einsum("eq,eqia,eqja->eij", m.qweights, grads, grads)
+    assert np.array_equal(layout.S.data, kref[:, live].ravel())
+    w = np.zeros(m.n_nodes)
+    np.add.at(w, m.triangles, np.einsum("eq,qi->ei", m.qweights, m.shapes_q))
+    assert np.array_equal(m.integral_weights(), w)
+    assert np.array_equal(layout.C0[-1, : m.n_nodes].toarray().ravel(), w)
+
+
 def test_zero_currents_zero_solution():
     m = fem.disk_mesh_scale(1)
     sys_ = fem.assemble_cem(m, np.ones(m.n_elements))

@@ -624,15 +624,15 @@ def all_pairs():
 
 
 def _direct_adjoint_duals(lin):
-    """The reduced eit gradient's sigma dual with its adjoint solved column by column."""
+    """The reduced eit gradient's sigma dual with its adjoint solved column by column,
+    contracted through the element stiffness action: -w sum_i lam_i,e . A_e phi_i,e."""
     (rmap, w), = lin.pairs
     x, mesh, L = lin.x, rmap.mesh, rmap.electrodes.count
-    n = mesh.n_nodes
+    n, t = mesh.n_nodes, mesh.triangles
     rhs = np.zeros((n + L + 1, rmap.excitation.n_excitations))
     rhs[n : n + L] = lin.r[0].T
     lam = x.system.lu.solve(rhs)[:n]
-    E = fem.gradient_field(x.phis, mesh)
-    return -w * np.einsum("eq,eqI->e", mesh.qweights, (fem.gradient_field(lam, mesh) * E).sum(axis=2))
+    return -w * np.einsum("ejI,ejI->e", mesh.element_stiffness @ x.phis[t], lam[t])
 
 
 def test_eit_reduced_gradient_on_the_electrode_basis_matches_the_direct_adjoint(all_pairs):
@@ -705,6 +705,75 @@ def test_up_to_L_excitations_keep_the_direct_adjoint(setup):
     assert np.array_equal(lin.x.phis, lin.x.system.lu.solve(rhs)[:n])
     assert lin.x.system._basis is None
     assert np.array_equal(lin.adjoint(lin.r)[0], _direct_adjoint_duals(lin))
+
+
+# -- the quadrature-field routes the stiffness action replaced, kept as oracles ---------
+
+
+def _field_power_derivative(x, h, mesh):
+    """PowerTerm variant 2's derivative through quadrature fields: h_sigma mean|E|^2 + 2 sigma mean E . hE."""
+    E, hE = fem.gradient_field(x.phis, mesh), fem.gradient_field(h.phis, mesh)
+    s4 = x.sigma[:, None, None, None]
+    return h.sigma[:, None] * x.mean_E2 + 2 * np.einsum("q,eqI->eI", fem.QUAD_W, (s4 * E * hE).sum(axis=2))
+
+
+def _field_reduced_derivative(rmap, x, h):
+    """ReducedMap.derivative with the sensitivity's right-hand side -G^T (w h_sigma grad phi)."""
+    mesh = rmap.mesh
+    E = fem.gradient_field(x.phis, mesh)
+    du = fn.Point(mesh, h.sigma, *rmap._solve(x, -fem.gradient_dual(h.sigma[:, None, None, None] * E, mesh), None))
+    if isinstance(rmap.obs, fn.PowerTerm):
+        return _field_power_derivative(x, du, mesh)
+    return rmap.obs.derivative(x, du)
+
+
+def _field_reduced_adjoint(rmap, x, u):
+    """ReducedMap.adjoint's sigma dual, solved directly and contracted as -sum_q w grad lam . grad phi."""
+    mesh = rmap.mesh
+    d_sigma, d_phi, d_volt = fn._sum_duals(mesh, [(rmap.obs.adjoint(x, u), 1.0)])
+    d = np.zeros(mesh.n_elements) if d_sigma is None else d_sigma
+    lam, _ = rmap._solve(x, d_phi, d_volt)
+    E = fem.gradient_field(x.phis, mesh)
+    return d - np.einsum("eq,eqI->e", mesh.qweights, (fem.gradient_field(lam, mesh) * E).sum(axis=2))
+
+
+def _rel_err(a, b):
+    return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("tag,scale", [("iat-reduced", 1), ("eit-reduced", 1), ("gwf-reduced", 1),
+                                       ("gwf-reduced", 2), ("gwf-reduced-head", 1)])
+def test_reduced_map_through_the_stiffness_action_matches_the_quadrature_fields(tag, scale):
+    # I = 4 <= L: the derivative and the direct adjoint contract A_e u_e in place of
+    # quadrature-point gradients; both routes agree to round-off
+    mesh = fem.disk_mesh_scale(scale)
+    cur = np.zeros((4, 8))
+    cur[np.arange(4), np.arange(4)], cur[np.arange(4), np.arange(4) + 4] = 1.0, -1.0
+    exc = fem.ExcitationSet(cur)
+    rng = np.random.default_rng(35 + scale)
+    phi, _, v, _, _ = fn.reduced_forward(rng.uniform(2, 5, mesh.n_elements), mesh, exc)
+    obs = {"iat-reduced": fn.Observations("iat", 0.0, H=fem.power_density(rng.uniform(2, 5, mesh.n_elements),
+                                                                          phi, mesh).T),
+           "eit-reduced": fn.Observations("eit", 0.0, currents=cur, voltages=v),
+           "gwf-reduced": fn.Observations("gwf", 0.0, flux=fem.gradient_field(phi, mesh)),
+           "gwf-reduced-head": fn.Observations("gwf", 0.0, head=phi, head_order=1)}[tag]
+    cost = fn.combined_cost(tag.removesuffix("-head"), obs, mesh, exc, constraints=core.ConstraintSet())
+    lin = cost.residual.linearize(cost.space.state(rng.uniform(1.5, 5.5, mesh.n_elements)))
+    (rmap, _), = lin.pairs
+    for _ in range(2):
+        h = fn.Point(mesh, rng.normal(size=mesh.n_elements))
+        assert _rel_err(rmap.derivative(lin.x, h), _field_reduced_derivative(rmap, lin.x, h)) <= 1e-12
+        u = rng.normal(size=np.shape(lin.r[0]))
+        assert _rel_err(rmap.adjoint(lin.x, u)[0], _field_reduced_adjoint(rmap, lin.x, u)) <= 1e-12
+
+
+def test_power_derivative_through_the_stiffness_action_matches_the_quadrature_fields(setup):
+    mesh, exc, H = setup[0], setup[1], setup[7]
+    rng = np.random.default_rng(36)
+    x, h = (fn.Point(mesh, rng.uniform(1.5, 5.5, mesh.n_elements), *rng.normal(size=(2, mesh.n_nodes, 2)))
+            for _ in range(2))
+    term = fn.PowerTerm(mesh, H)
+    assert _rel_err(term.derivative(x, h), _field_power_derivative(x, h, mesh)) <= 1e-12
 
 
 @pytest.mark.parametrize("tag", ["iat-aao", "eit-reduced"])
