@@ -19,7 +19,10 @@ G's index arrays; it is built on first use, with its transpose ``Mesh.Gpt``,
 and serves ``perp_gradient_field`` and its dual against perp-grad N_n,
 ``perp_gradient_dual``.  ``Mesh.element_stiffness`` holds the unit-sigma local
 stiffness matrices A_e (nel, 6, 6), and ``Mesh.node_scatter`` sums rows of
-local vectors (nel * 6[, I]) into the nodes.
+local vectors (nel * 6[, I]) into the nodes.  A_e, the mass matrices, the
+integral weights, G's data and the boundary line mass and moments are each the
+element's geometry (|e|, grad lambda, edge length) times a constant reference
+tensor (``_STIFF_REF`` etc.), one BLAS product or broadcast per array.
 
 The mesh is the centre vertex plus concentric rings of vertices.  Ring vertex i of
 a ring with m vertices (numbered from the ring's first vertex id) sits at angle
@@ -142,6 +145,17 @@ def line_shape(t):
     return np.stack([(1 - t) * (1 - 2 * t), 4 * t * (1 - t), t * (2 * t - 1)], axis=-1)
 
 
+_DL_Q = p2_shape_dl(QUAD_BARY)  # (nq, 6, 3); the reference tensors of the module docstring follow
+# stiffness [(l, m), (j, k)] = sum_q W_q dN_j/dlambda_l dN_k/dlambda_m, against |e| grad lambda_l . grad lambda_m
+_STIFF_REF = np.einsum("q,qjl,qkm->lmjk", QUAD_W, _DL_Q, _DL_Q).reshape(9, 36)
+# shape gradients [l, a, q, b, n] = dN_n/dlambda_l at q times delta_ab, against grad lambda (nel, 3, 2)
+_GRAD_REF = np.einsum("qnl,ab->laqbn", _DL_Q, np.eye(2))
+_MASS_REF = np.einsum("q,qj,qk->jk", QUAD_W, p2_shape(QUAD_BARY), p2_shape(QUAD_BARY))  # against |e|
+_WEIGHT_REF = _MASS_REF.sum(axis=1)  # int_e N_j / |e|, as the shapes sum to one
+_LINE_MASS_REF = np.einsum("q,qi,qj->ij", LINE_QW, line_shape(LINE_QP), line_shape(LINE_QP))  # against the length
+_LINE_MOMENT_REF = _LINE_MASS_REF.sum(axis=1)
+
+
 @dataclass
 class ElectrodeConfig:
     """Electrode layout and contact impedances for the CEM boundary."""
@@ -213,7 +227,8 @@ class Mesh:
 
     def _build(self, verts, tris, boundary):
         nv = len(verts)
-        areas = _signed_areas(verts, tris)
+        e = verts[tris[:, 1:]] - verts[tris[:, :1]]  # (nel, 2, 2): the edges from the first vertex
+        areas = 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 1, 0] * e[:, 0, 1])  # signed
         flip = areas < 0
         if np.any(flip):
             tris = tris.copy()
@@ -260,26 +275,17 @@ class Mesh:
 
     def _precompute(self):
         verts = self.nodes[self.triangles[:, :3]]  # (nel, 3, 2)
-        a2 = 2.0 * self.element_areas[:, None]
-        # grad(lambda_i) = rot(p_{i+1} - p_{i+2}) / (2A), rot(x, y) = (-y... ) explicit:
-        p1, p2, p3 = verts[:, 0], verts[:, 1], verts[:, 2]
-        gl = np.empty((self.n_elements, 3, 2))
-        gl[:, 0, 0] = (p2[:, 1] - p3[:, 1]) / a2[:, 0]
-        gl[:, 0, 1] = (p3[:, 0] - p2[:, 0]) / a2[:, 0]
-        gl[:, 1, 0] = (p3[:, 1] - p1[:, 1]) / a2[:, 0]
-        gl[:, 1, 1] = (p1[:, 0] - p3[:, 0]) / a2[:, 0]
-        gl[:, 2, 0] = (p1[:, 1] - p2[:, 1]) / a2[:, 0]
-        gl[:, 2, 1] = (p2[:, 0] - p1[:, 0]) / a2[:, 0]
-        self.grad_lambda = gl
+        # grad(lambda_i) = rot(p_{i+1} - p_{i+2}) / (2A), rot(x, y) = (y, -x)
+        d = verts[:, [1, 2, 0]] - verts[:, [2, 0, 1]]
+        self.grad_lambda = np.stack([d[..., 1], -d[..., 0]], axis=-1) / (2.0 * self.element_areas[:, None, None])
 
         # G: one row per (element, quad point, component), holding that component
         # of the physical gradients of the element's 6 shapes in the columns of its nodes
-        grads = np.einsum("qnl,ela->eqna", p2_shape_dl(QUAD_BARY), gl)  # (nel, nq, 6, 2)
+        grads = np.tensordot(self.grad_lambda, _GRAD_REF, axes=2)  # (nel, nq, 2, 6)
         nrows = self.n_elements * len(QUAD_W) * 2
-        cols = np.broadcast_to(self.triangles[:, None, None, :], (self.n_elements, len(QUAD_W), 2, 6))
+        cols = np.broadcast_to(self.triangles[:, None, None, :], grads.shape)
         self.G = sp.csr_matrix(
-            (grads.transpose(0, 1, 3, 2).ravel(), cols.astype(np.int32).ravel(),
-             np.arange(0, 6 * nrows + 1, 6, dtype=np.int32)),
+            (grads.ravel(), cols.astype(np.int32).ravel(), np.arange(0, 6 * nrows + 1, 6, dtype=np.int32)),
             shape=(nrows, self.n_nodes),
         )
         # Gt and Gp share G's arrays, so none may be changed in place (as scipy's
@@ -288,8 +294,7 @@ class Mesh:
             a.flags.writeable = False
         self.Gt = self.G.T  # CSC on G's arrays
         self.qweights = self.element_areas[:, None] * QUAD_W[None, :]  # (nel, nq)
-        self.qpoints = np.einsum("qi,eia->eqa", QUAD_BARY, verts)  # (nel, nq, 2)
-        self.shapes_q = p2_shape(QUAD_BARY)  # (nq, 6)
+        self.qpoints = QUAD_BARY @ verts  # (nel, nq, 2)
         self.total_area = float(self.element_areas.sum())
 
     @cached_property
@@ -313,11 +318,11 @@ class Mesh:
 
     @cached_property
     def element_stiffness(self):
-        """The unit-sigma local stiffness matrices int_e grad N_j . grad N_k, (nel, 6, 6), from a
-        contiguous copy of G's shape gradients: einsum over the strided view rounds differently."""
-        nel, nq = self.qweights.shape
-        grads = np.ascontiguousarray(self.G.data.reshape(nel, nq, 2, 6).transpose(0, 1, 3, 2))
-        return np.einsum("eq,eqia,eqja->eij", self.qweights, grads, grads)
+        """The unit-sigma local stiffness matrices int_e grad N_j . grad N_k, (nel, 6, 6):
+        |e| (grad lambda_l . grad lambda_m) against the reference tensor, one product."""
+        gl = self.grad_lambda
+        gg = gl[:, :, None, 0] * gl[:, None, :, 0] + gl[:, :, None, 1] * gl[:, None, :, 1]  # (nel, 3, 3)
+        return ((self.element_areas[:, None] * gg.reshape(-1, 9)) @ _STIFF_REF).reshape(-1, 6, 6)
 
     @cached_property
     def node_scatter(self):
@@ -325,37 +330,32 @@ class Mesh:
         return sp.csc_matrix((np.ones(self.triangles.size), self.triangles.ravel(),
                               np.arange(self.triangles.size + 1)), shape=(self.n_nodes, self.triangles.size))
 
+    def release_assembly(self):
+        """Drop the cached CEM layout, element stiffness and node scatter; each is rebuilt on next use."""
+        self._cem_layout = None
+        for name in ("element_stiffness", "node_scatter"):
+            vars(self).pop(name, None)
+
     def stiffness(self, sigma=None):
         """Assemble int sigma grad u . grad v with piecewise-constant sigma (default 1)."""
         s = np.ones(self.n_elements) if sigma is None else np.asarray(sigma, float)
         return self._scatter(s[:, None, None] * self.element_stiffness)
 
     def mass(self):
-        """Assemble int u v (degree-4 rule is exact for P2 x P2)."""
-        n = self.shapes_q
-        mloc = np.einsum("eq,qi,qj->eij", self.qweights, n, n)
-        return self._scatter(mloc)
+        """Assemble int u v: |e| times the reference mass matrix (degree-4 rule, exact for P2 x P2)."""
+        return self._scatter(self.element_areas[:, None, None] * _MASS_REF)
 
     def _scatter(self, loc):
         t = self.triangles
-        rows = np.repeat(t, 6, axis=1).ravel()
-        cols = np.tile(t, (1, 6)).ravel()
-        return sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(self.n_nodes, self.n_nodes)).tocsr()
+        return sp.coo_matrix((loc.ravel(), (np.repeat(t, 6, axis=1).ravel(), np.tile(t, (1, 6)).ravel())),
+                             shape=(self.n_nodes, self.n_nodes)).tocsr()
 
     def integral_weights(self):
-        """Vector w with w_i = int N_i dOmega, so w @ u = int u dOmega."""
-        return self.node_scatter @ np.einsum("eq,qi->ei", self.qweights, self.shapes_q).ravel()
+        """Vector w with w_i = int N_i dOmega, so w @ u = int u dOmega: |e| times the reference weights, scattered."""
+        return self.node_scatter @ np.multiply.outer(self.element_areas, _WEIGHT_REF).ravel()
 
     def checksum(self):
         return hashlib.sha256(serialize_mesh(self).encode()).hexdigest()
-
-
-def _signed_areas(verts, tris):
-    p = verts[tris]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
 
 
 def _ring_count(x):
@@ -689,10 +689,8 @@ def boundary_matrices(mesh, electrodes):
         raise InvalidMeshError(f"the mesh has {len(mesh.electrode_lengths)} electrodes, "
                                f"the electrode configuration {electrodes.count}")
     n, b = mesh.n_nodes, mesh.bnodes
-    phi_t = line_shape(LINE_QP)  # (3 qp, 3 nodes)
-    w = LINE_QW * mesh.blength[:, None]  # (nb, 3 qp)
-    mloc = np.einsum("kq,qi,qj->kij", w, phi_t, phi_t)
-    mom = np.einsum("kq,qi->ki", w, phi_t)
+    mloc = np.multiply.outer(mesh.blength, _LINE_MASS_REF)
+    mom = np.multiply.outer(mesh.blength, _LINE_MOMENT_REF)
     Ms, ms = [], []
     for ell in range(1, electrodes.count + 1):
         k = np.flatnonzero(mesh.belectrode & (mesh.bindex == ell))

@@ -159,6 +159,26 @@ def test_transfer_is_exact_aggregation(synth):
     assert abs(tot_f - tot_c) < 1e-12 * abs(tot_f)
 
 
+def test_generate_synthetic_frees_the_data_mesh_assembly_but_not_the_coarse_one():
+    cells = {r: ex.build_cell(ex.ExperimentConfig(coarse_scale=1, fine_refine=r, allow_inverse_crime=True))
+             for r in (0, 1)}
+    fine, coarse = cells[1].fine, cells[1].coarse
+    # the refined data mesh keeps no CEM layout, element stiffness or node scatter
+    assert fine._cem_layout is None
+    assert "element_stiffness" not in vars(fine) and "node_scatter" not in vars(fine)
+    assert fine.checksum() == fem.refine_mesh(coarse, 1).checksum()
+    # and rebuilds them on demand, to the same bits
+    sigma = cells[1].data.sigma_fine
+    again = fem.assemble_cem(fine, sigma, cells[1].electrodes).matrix
+    fresh = fem.assemble_cem(fem.refine_mesh(coarse, 1), sigma, cells[1].electrodes).matrix
+    assert np.array_equal(again.data, fresh.data)
+    # fine_refine = 0: the data mesh is the coarse mesh, whose layout survives
+    same = cells[0]
+    assert same.fine is same.coarse and same.coarse._cem_layout is not None
+    assert "element_stiffness" in vars(same.coarse) and "node_scatter" in vars(same.coarse)
+    assert same.fine.checksum() == fem.disk_mesh_scale(1, same.electrodes).checksum()
+
+
 def test_flux_data_matches_fine_gradient_on_matched_mesh():
     electrodes = fem.ElectrodeConfig(count=8, impedances=0.1)
     mesh = fem.disk_mesh_scale(1, electrodes)

@@ -283,21 +283,80 @@ def test_element_stiffness_and_scatter_assemble_the_quadrature_stiffness():
     assert np.abs(m.node_scatter @ loc.reshape(-1, 3) - summed).max() <= 1e-14 * np.abs(summed).max()
 
 
-def test_cem_layout_keeps_the_quadrature_stiffness_bits():
-    # S holds A_e's live entries and C0 the integral weights w: the same bits as
-    # the quadrature einsum and the np.add.at scatter they are read from
+def test_cem_layout_holds_the_element_stiffness_and_integral_weights_bits():
+    # S holds A_e's live entries and C0's last row the integral weights w, read
+    # from the mesh's arrays unchanged; the two tests around this one check
+    # those arrays against the quadrature sums at 1e-14
     m = fem.disk_mesh_scale(2)
     layout = fem._cem_layout(m, m.electrodes)
-    nel, nq = m.qweights.shape
-    grads = np.ascontiguousarray(m.G.data.reshape(nel, nq, 2, 6).transpose(0, 1, 3, 2))
     live = np.ones((6, 6), bool)
     live[fem._ZERO_COUPLINGS] = False
-    kref = np.einsum("eq,eqia,eqja->eij", m.qweights, grads, grads)
-    assert np.array_equal(layout.S.data, kref[:, live].ravel())
+    assert np.array_equal(layout.S.data, m.element_stiffness[:, live].ravel())
+    assert np.array_equal(layout.C0[-1, : m.n_nodes].toarray().ravel(), m.integral_weights())
+
+
+def _scratch_grad_lambda(m):
+    """grad lambda (nel, 3, 2) from the inverse of each element's [1, x, y] vertex matrix."""
+    verts = m.nodes[m.triangles[:, :3]]
+    P = np.concatenate([np.ones(verts.shape[:2] + (1,)), verts], axis=2)  # rows (1, x_i, y_i)
+    return np.linalg.inv(P)[:, 1:, :].transpose(0, 2, 1)  # lambda_i = column i of P^-1
+
+
+def _dense_scatter(m, loc):
+    A = np.zeros((m.n_nodes, m.n_nodes))
+    t = m.triangles
+    np.add.at(A, (t[:, :, None], t[:, None, :]), loc)
+    return A
+
+
+@pytest.mark.parametrize("scale", [1, 3])
+def test_reference_tensors_match_the_quadrature_sums(scale):
+    # every sigma-independent element array, built from reference-element tensors,
+    # against from-scratch quadrature sums over the six points of each element
+    m = fem.disk_mesh_scale(scale)
+    verts, t = m.nodes[m.triangles[:, :3]], m.triangles
+    e = verts[:, 1:] - verts[:, :1]
+    area = 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 1, 0] * e[:, 0, 1])
+    qw = area[:, None] * fem.QUAD_W
+    N = fem.p2_shape(fem.QUAD_BARY)
+    grads = np.einsum("qnl,ela->eqna", fem.p2_shape_dl(fem.QUAD_BARY), _scratch_grad_lambda(m))
+    kloc = np.einsum("eq,eqja,eqka->ejk", qw, grads, grads)
+    mloc = np.einsum("eq,qj,qk->ejk", qw, N, N)
     w = np.zeros(m.n_nodes)
-    np.add.at(w, m.triangles, np.einsum("eq,qi->ei", m.qweights, m.shapes_q))
-    assert np.array_equal(m.integral_weights(), w)
-    assert np.array_equal(layout.C0[-1, : m.n_nodes].toarray().ravel(), w)
+    np.add.at(w, t, qw @ N)
+
+    def close(got, ref):
+        return np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    assert close(m.element_stiffness, kloc)
+    assert close(m.mass().toarray(), _dense_scatter(m, mloc))
+    assert close(m.integral_weights(), w)
+    assert close(m.G.data.reshape(grads.shape[:2] + (2, 6)), grads.transpose(0, 1, 3, 2))
+    assert close(m.qpoints, np.einsum("qi,eia->eqa", fem.QUAD_BARY, verts))
+    # G keeps its layout and its read-only arrays
+    assert np.array_equal(m.G.indices.reshape(-1, 6), np.repeat(t, 2 * len(fem.QUAD_W), axis=0))
+    assert not any(a.flags.writeable for a in (m.G.data, m.G.indices, m.G.indptr))
+
+    # the boundary line mass and moments per electrode, from the 3-point Gauss rule
+    chord = m.nodes[m.bnodes[:, 2]] - m.nodes[m.bnodes[:, 0]]
+    lw = np.linalg.norm(chord, axis=1)[:, None] * fem.LINE_QW
+    phi = fem.line_shape(fem.LINE_QP)
+    lmass, lmom = np.einsum("kq,qi,qj->kij", lw, phi, phi), lw @ phi
+    Ms, ms, _ = fem.boundary_matrices(m, m.electrodes)
+    for ell in range(m.electrodes.count):
+        k = np.flatnonzero(m.belectrode & (m.bindex == ell + 1))
+        b = m.bnodes[k]
+        M = np.zeros((m.n_nodes, m.n_nodes))
+        np.add.at(M, (b[:, :, None], b[:, None, :]), lmass[k])
+        assert close(Ms[ell].toarray(), M)
+        assert close(ms[ell], np.bincount(b.ravel(), weights=lmom[k].ravel(), minlength=m.n_nodes))
+
+    # K_e 1 = 0 (the constants have no gradient), 1^T M_e 1 = |e| and sum w = |Omega|
+    K = m.element_stiffness
+    assert np.abs(K.sum(axis=2)).max() <= 1e-14 * np.abs(K).max()
+    assert close(np.ones(m.n_nodes) @ m.mass() @ np.ones(m.n_nodes), area.sum())
+    assert close(m.element_areas * fem._MASS_REF.sum(), area)  # M_e = |e| M_ref
+    assert abs(m.integral_weights().sum() - m.total_area) <= 1e-14 * m.total_area
 
 
 def test_zero_currents_zero_solution():
@@ -606,7 +665,7 @@ def _neumann_solve(m, exact_fn, grad_fn):
     exact = exact_fn(m.nodes)
     exact = exact - (w @ exact) / m.total_area
     vals = (sol - exact)[m.triangles]
-    pt_vals = np.einsum("qi,ei->eq", m.shapes_q, vals)
+    pt_vals = np.einsum("qi,ei->eq", fem.p2_shape(fem.QUAD_BARY), vals)
     return np.sqrt(np.sum(m.qweights * pt_vals**2))
 
 
