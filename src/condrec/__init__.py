@@ -41,10 +41,6 @@ from .functionals import (
     Observations,
     combined_cost,
     eliminate_sigma,
-    gwf_obs,
-    iat_obs,
-    kv_model,
-    ls_model,
     reduced_cost,
     reduced_forward,
 )

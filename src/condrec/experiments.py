@@ -352,11 +352,12 @@ def _write_outputs(result, mesh, cfg, iter_rows):
                         vmin=cfg.sigma_lower, vmax=cfg.sigma_upper)
     if iter_rows is not None:
         with open(os.path.join(cfg.out_dir, f"{cfg.stem}_iters.csv"), "w") as f:
-            f.write("k,cost,grad_sq,step,wall_s\n")
+            f.write("k,cost,grad_sq,step,trials,wall_s\n")
             for r in iter_rows:
                 gs = "" if r["grad_sq"] is None else f"{r['grad_sq']:.17g}"
                 st = "" if r["step"] is None else f"{r['step']:.17g}"
-                f.write(f"{r['k']},{r['cost']:.17g},{gs},{st},{r['wall']:.6f}\n")
+                tr = "" if r["trials"] is None else r["trials"]
+                f.write(f"{r['k']},{r['cost']:.17g},{gs},{st},{tr},{r['wall']:.6f}\n")
 
 
 TABLE_COLUMNS = "formulation,solver,variant,I,delta,seed,iterations,l2_error,wall_s,s_per_iter,stop_reason"

@@ -63,8 +63,8 @@ checked solve of L columns per factorization.  A right-hand side that
 vanishes off the electrode rows and has more columns than electrodes (I > L)
 is solved as a product with Z: the currents of ``solve_cem``, whose residuals
 are read off A Z - E, and the voltage-data adjoint of the reduced maps, which
-functionals contracts on the gradients of Z.  Up to L columns are solved
-directly.
+functionals contracts through the element stiffness action A_e Z_e.  Up to L
+columns are solved directly.
 """
 from __future__ import annotations
 

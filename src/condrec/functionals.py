@@ -23,9 +23,10 @@ Conventions: sigma is piecewise constant per element; potentials are P2 nodal
 fields stored as (n_nodes, I) matrices; quadrature-point gradients
 (nel, nq, 2, I) come from fem.gradient_field and fem.perp_gradient_field,
 their duals from fem.gradient_dual and fem.perp_gradient_dual.  The reduced
-maps differentiate, and the power density's derivative contracts, through the
-element stiffness action A_e phi_e instead (Point.Ku, on fem's
-Mesh.element_stiffness).  Gradients returned by CostFunctional.gradient are
+maps differentiate and take adjoints, and the power density's derivative
+contracts, through the element stiffness action A_e phi_e instead (Point.Ku, on
+fem's Mesh.element_stiffness), so a reduced power-density or voltage product
+builds no quadrature field.  Gradients returned by CostFunctional.gradient are
 Riesz representatives in the product inner product of core.StateSpace.
 """
 from __future__ import annotations
@@ -95,7 +96,12 @@ class Observations:
 
 class Point:
     """A state or direction (sigma, Phi, Psi) with its quadrature-point gradients and
-    element stiffness action, computed on first use and shared by every term linearized there."""
+    element stiffness action, computed on first use and shared by every term linearized there.
+
+    The all-at-once and eliminated costs read E and J; a reduced map's point
+    reads Ku for its derivative and both adjoint contractions, and E only
+    through mean_E2 in the power density's value.
+    """
 
     def __init__(self, mesh, sigma=None, phis=None, psis=None):
         self.mesh = mesh
@@ -262,6 +268,12 @@ class PowerTerm:
     phi_i (variant 1).  It is projected to the space of H too: the residual is
     its per-element quadrature average minus H, (nel, I), weighted by the
     element areas, so it vanishes identically when H equals the computed density.
+
+    The potential duals are quadrature fields, which the all-at-once costs sum
+    with the model term's field into one gradient_dual.  A nodal dual through
+    the stiffness action (ReducedPowerTerm) would build Ku there for this term
+    alone, and measured no faster: an iat-aao gradient with it (scale 2, 28
+    excitations, 2-vCPU VM) was slower in 52 of 80 interleaved rounds.
     """
 
     def __init__(self, mesh, H, variant=2):
@@ -292,9 +304,27 @@ class PowerTerm:
     def adjoint(self, x, u):
         ub = u[:, None, None, :]
         if self.variant == 2:
-            d_sigma = np.einsum("e,eI->e", self.mesh.element_areas, u * x.mean_E2)
-            return d_sigma, 2.0 * x.sigma[:, None, None, None] * ub * x.E, None
+            return self._sigma_dual(x, u), 2.0 * x.sigma[:, None, None, None] * ub * x.E, None
         return None, ub * x.J, ub * x.E
+
+    def _sigma_dual(self, x, u):
+        return np.einsum("e,eI->e", self.mesh.element_areas, u * x.mean_E2)
+
+
+class ReducedPowerTerm(PowerTerm):
+    """PowerTerm variant 2 on a reduced map, whose phi-dual is nodal: node_scatter @ (2 sigma_e u_e A_e phi_e).
+
+    That is the |e|-weighted transpose of the derivative's 2 sigma / |e| h_phi_e
+    . A_e phi_e, on the Ku that the map's derivative and adjoint use anyway, so
+    a Gauss-Newton product builds no quadrature field.
+    """
+
+    def __init__(self, mesh, H):
+        super().__init__(mesh, H, 2)
+
+    def adjoint(self, x, u):
+        local = (2.0 * x.sigma[:, None] * u)[:, None, :] * x.Ku  # (nel, 6, I)
+        return self._sigma_dual(x, u), self.mesh.node_scatter @ local.reshape(-1, u.shape[1]), None
 
 
 class AffineTerm:
@@ -399,7 +429,9 @@ class ReducedMap:
     linear in sigma, so d(A u)/d sigma_e is A_e u_e on element e's nodes.
     With more excitations than electrodes, an adjoint that lives on the
     electrode rows (voltage data) makes no solve: it is contracted on the
-    system's electrode basis.
+    system's electrode basis Z, through A_e Z_e.  The power-density and voltage
+    terms give nodal duals, so neither adjoint builds a quadrature field; a flux
+    term's field dual is assembled by _sum_duals.
     """
 
     def __init__(self, obs, mesh, excitation, electrodes=None):
@@ -437,11 +469,10 @@ class ReducedMap:
         d = np.zeros(self.mesh.n_elements) if d_sigma is None else d_sigma
         J = self.excitation.currents
         if d_phi is None and J.shape[0] > self.electrodes.count:
-            # lam = Z D^T and Phi = Z J^T on the basis Z, so sum_i grad lam_i . grad phi_i
-            # is sum_kl grad z_k . grad z_l M_kl with M = D^T J (L x L)
-            gZ = self.mesh.G @ x.system.basis[: self.mesh.n_nodes]  # (nel * nq * 2, L)
-            s = np.einsum("rk,rk->r", gZ, gZ @ (d_volt.T @ J).T).reshape(self.mesh.qweights.shape + (2,))
-            d -= np.einsum("eq,eqa->e", self.mesh.qweights, s)
+            # lam = Z D^T and Phi = Z J^T on the basis Z, so sum_i lam_i,e . A_e phi_i,e
+            # is sum_kl z_k,e . A_e z_l,e M_kl with M = D^T J (L x L)
+            Z = np.take(x.system.basis, self.mesh.triangles, axis=0)  # (nel, 6, L)
+            d -= np.einsum("ejk,ejk->e", Z, (self.mesh.element_stiffness @ Z) @ (d_volt.T @ J).T)
             return d, None, None
         lam, _ = self._solve(x, d_phi, d_volt)
         d -= np.einsum("ejI,ejI->e", x.Ku, np.take(lam, self.mesh.triangles, axis=0))  # lam_e . A_e phi_e
@@ -452,12 +483,13 @@ def _observation_term(obs, mesh, electrodes=None, reduced=False):
     """The observation residual for ``obs`` and its weight relative to beta.
 
     A reduced map reads the CEM solution, so there EIT data is compared with
-    the electrode voltages, and power-density variant 1, which needs the stream
-    potentials, is not available.
+    the electrode voltages, the power density takes its nodal dual
+    (ReducedPowerTerm), and variant 1, which needs the stream potentials, is
+    not available.
     """
     if obs.variant == "iat":
         check_power_density_variant(obs.iat_obs_variant, reduced)
-        return PowerTerm(mesh, obs.H, obs.iat_obs_variant), 1.0
+        return (ReducedPowerTerm(mesh, obs.H) if reduced else PowerTerm(mesh, obs.H, obs.iat_obs_variant)), 1.0
     if obs.variant == "eit":
         if reduced:
             return voltage_term(obs.voltages), 1.0
@@ -468,44 +500,6 @@ def _observation_term(obs, mesh, electrodes=None, reduced=False):
     if obs.head is not None:
         return head_term(mesh, obs.head, obs.head_order), 1.0
     raise FormulationMismatchError("head or flux data required")
-
-
-def _evaluate(term, weight, mesh, sigma, phis, psis, want_gradient):
-    lin = Linearization([(term, weight)], Point(mesh, sigma, phis, psis))
-    return lin.value, (lin.adjoint(lin.r) if want_gradient else None)
-
-
-def kv_model(sigma, phis, psis, mesh, want_gradient=True):
-    """Kohn-Vogelius misfit 1/2 sum_i int |sqrt(s) grad phi - perp-grad psi / sqrt(s)|^2.
-
-    Returns (value, duals) where duals = (d_sigma, d_phi, d_psi) are assembled
-    coefficient derivatives (not yet Riesz-mapped); duals is None when
-    want_gradient is False.
-    """
-    return _evaluate(KvTerm(mesh), 1.0, mesh, sigma, phis, psis, want_gradient)
-
-
-def ls_model(sigma, phis, psis, mesh, want_gradient=True):
-    """Output-least-squares misfit 1/2 sum_i int |sigma grad phi - perp-grad psi|^2."""
-    return _evaluate(LsTerm(mesh), 1.0, mesh, sigma, phis, psis, want_gradient)
-
-
-def iat_obs(sigma, phis, mesh, H, psis=None, variant=2, want_gradient=True):
-    """Power-density misfit 1/2 sum_i int_e (mean_e p_i - H_i)^2 against piecewise-constant data.
-
-    p_i is sigma |grad phi_i|^2 (variant 2, default) or perp-grad psi_i . grad
-    phi_i (variant 1); see PowerTerm.
-    """
-    return _evaluate(PowerTerm(mesh, H, variant), 1.0, mesh, sigma, phis, psis, want_gradient)
-
-
-def gwf_obs(phis, mesh, flux=None, head=None, head_order=0, want_gradient=True):
-    """Head or flux misfit: 1/2 ||phi - p||_{H^s}^2 or ||grad phi - g||_{L2}^2.
-
-    The flux variant carries no 1/2 factor (kept as stated).
-    """
-    term, weight = _observation_term(Observations("gwf", flux=flux, head=head, head_order=head_order), mesh)
-    return _evaluate(term, weight, mesh, None, phis, None, want_gradient)
 
 
 # -- elimination and reduced maps ----------------------------------------------------

@@ -119,6 +119,8 @@ class SolverReport:
     cost_history: list = field(default_factory=list)
     gradnorm_sq_history: list = field(default_factory=list)
     step_history: list = field(default_factory=list)
+    # Armijo trials of each line search; on stagnation the last entry is the search that failed
+    trials_history: list = field(default_factory=list)
     alpha_history: list = field(default_factory=list)
     iterates: list | None = None
     stop_reason: str = ""
@@ -203,7 +205,9 @@ def projected_gradient(cost, constraint, x0, cfg, sink=None):
         if cfg.store_iterates:
             report.iterates.append(x)
         if sink is not None:
-            sink({"k": k, "cost": J, "grad_sq": gn2, "step": mu_prev, "wall": time.perf_counter() - t0})
+            sink({"k": k, "cost": J, "grad_sq": gn2, "step": mu_prev,
+                  "trials": report.trials_history[-1] if report.trials_history else None,
+                  "wall": time.perf_counter() - t0})
         if gn2 <= cfg.tau * cfg.eta:
             report.stop_reason = "discrepancy"
             break
@@ -212,6 +216,7 @@ def projected_gradient(cost, constraint, x0, cfg, sink=None):
             break
         start = cfg.mu_max if mu_prev is None else min(cfg.mu_max, mu_prev * cfg.step_growth)
         res = armijo_step(cost, x, g, cfg, constraint, J=J, mu_start=start)
+        report.trials_history.append(res.trials)
         if res.stagnated:
             report.stop_reason = "stagnation"
             break
@@ -405,7 +410,7 @@ def newton_sqp(cost, constraint, x0, cfg, sink=None):
             report.iterates.append(x)
         if sink is not None:
             sink({"k": k, "cost": J, "grad_sq": None,
-                  "step": report.alpha_history[-1] if report.alpha_history else None,
+                  "step": report.alpha_history[-1] if report.alpha_history else None, "trials": None,
                   "wall": time.perf_counter() - t0})
         if J <= cfg.tau * cfg.eta:
             report.stop_reason = "discrepancy"

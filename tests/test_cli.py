@@ -226,6 +226,29 @@ def test_report_merges_csvs(tmp_path, capsys):
     assert len(merged.read_text().strip().split("\n")) == 3
 
 
+def test_iteration_logs_keep_the_armijo_trials_and_report_reads_them(tmp_path, capsys):
+    # a projected-gradient row k holds the trials of the step that made it; row 0
+    # and every Newton row leave the column empty
+    stem = "iat-reduced_I1_d0.0_s1"
+    logs = []
+    newton = MINIMAL.replace("max_iters = 5", "max_iters = 2\nmethod = newton")
+    for name, text in (("pg", MINIMAL), ("newton", newton)):
+        out = tmp_path / name
+        cfgp = write_config(tmp_path / f"{name}.ini", text)
+        assert cli.main(["reconstruct", "--config", cfgp, "--out", str(out)]) == 0
+        header, *rows = (out / f"{stem}_iters.csv").read_text().strip().split("\n")
+        assert header == "k,cost,grad_sq,step,trials,wall_s"
+        trials = [dict(zip(header.split(","), r.split(",")))["trials"] for r in rows]
+        if name == "pg":
+            assert trials[0] == "" and all(int(t) >= 1 for t in trials[1:]) and len(trials) > 1
+        else:
+            assert set(trials) == {""}
+        logs.append(str(out / f"{stem}_iters.csv"))
+    capsys.readouterr()
+    assert cli.main(["report", *logs]) == 0
+    assert "trials" in capsys.readouterr().out
+
+
 def test_report_refuses_csvs_with_different_columns(tmp_path, capsys):
     old = tmp_path / "old.csv"
     old.write_text("formulation,I,delta,seed,iterations,l2_error,wall_s,s_per_iter,stop_reason\n"

@@ -54,6 +54,39 @@ def _fd_error(cost, x, rng, mesh, nI, n_dirs=3):
     return worst
 
 
+# -- single-term misfits: one term linearized at one point -------------------------
+
+
+def _evaluate(term, weight, mesh, sigma, phis, psis, want_gradient):
+    lin = fn.Linearization([(term, weight)], fn.Point(mesh, sigma, phis, psis))
+    return lin.value, (lin.adjoint(lin.r) if want_gradient else None)
+
+
+def kv_model(sigma, phis, psis, mesh, want_gradient=True):
+    """Kohn-Vogelius misfit 1/2 sum_i int |sqrt(s) grad phi - perp-grad psi / sqrt(s)|^2.
+
+    Returns (value, duals), duals the assembled (d_sigma, d_phi, d_psi), or
+    None when want_gradient is False.
+    """
+    return _evaluate(fn.KvTerm(mesh), 1.0, mesh, sigma, phis, psis, want_gradient)
+
+
+def ls_model(sigma, phis, psis, mesh, want_gradient=True):
+    """Output-least-squares misfit 1/2 sum_i int |sigma grad phi - perp-grad psi|^2."""
+    return _evaluate(fn.LsTerm(mesh), 1.0, mesh, sigma, phis, psis, want_gradient)
+
+
+def iat_obs(sigma, phis, mesh, H, psis=None, variant=2, want_gradient=True):
+    """Power-density misfit 1/2 sum_i int_e (mean_e p_i - H_i)^2 (see PowerTerm)."""
+    return _evaluate(fn.PowerTerm(mesh, H, variant), 1.0, mesh, sigma, phis, psis, want_gradient)
+
+
+def gwf_obs(phis, mesh, flux=None, head=None, head_order=0, want_gradient=True):
+    """Head or flux misfit: 1/2 ||phi - p||_{H^s}^2 or ||grad phi - g||_{L2}^2 (no 1/2)."""
+    term, weight = fn._observation_term(fn.Observations("gwf", flux=flux, head=head, head_order=head_order), mesh)
+    return _evaluate(term, weight, mesh, None, phis, None, want_gradient)
+
+
 # -- model terms ----------------------------------------------------------------
 
 
@@ -62,7 +95,7 @@ def test_kv_model_zero_on_analytic_pair(setup):
     # sigma = 1, phi = x, psi = -y: sqrt(s) grad phi = (1,0) = perp-grad psi / sqrt(s)
     phis = np.repeat(mesh.nodes[:, :1], 2, axis=1)
     psis = np.repeat(-mesh.nodes[:, 1:2], 2, axis=1)
-    v, _ = fn.kv_model(np.ones(mesh.n_elements), phis, psis, mesh, False)
+    v, _ = kv_model(np.ones(mesh.n_elements), phis, psis, mesh, False)
     assert v < 1e-28
 
 
@@ -85,7 +118,7 @@ def test_ls_model_quadratic_in_psi(setup):
     phis = rng.normal(0, 1, (mesh.n_nodes, 2))
     psis = rng.normal(0, 1, (mesh.n_nodes, 2))
     d = rng.normal(0, 1, (mesh.n_nodes, 2))
-    vals = [fn.ls_model(sig, phis, psis + t * d, mesh, False)[0] for t in (-1.0, 0.0, 1.0, 2.0)]
+    vals = [ls_model(sig, phis, psis + t * d, mesh, False)[0] for t in (-1.0, 0.0, 1.0, 2.0)]
     second1 = vals[0] - 2 * vals[1] + vals[2]
     second2 = vals[1] - 2 * vals[2] + vals[3]
     assert abs(second1 - second2) < 1e-10 * max(abs(second1), 1.0)
@@ -95,7 +128,7 @@ def test_model_terms_zero_at_exact_pairings(setup):
     mesh, exc, cs, sigma_ex = setup[:4]
     phis = np.repeat(mesh.nodes[:, :1], 2, axis=1)
     psis = np.repeat(-mesh.nodes[:, 1:2], 2, axis=1)
-    v, _ = fn.ls_model(np.ones(mesh.n_elements), phis, psis, mesh, False)
+    v, _ = ls_model(np.ones(mesh.n_elements), phis, psis, mesh, False)
     assert v < 1e-28
 
 
@@ -104,13 +137,13 @@ def test_model_terms_zero_at_exact_pairings(setup):
 
 def test_iat_obs_consistency_and_constant_case(setup):
     mesh, exc, cs, sigma_ex, phi_ex, psi_ex, v_ex, H, flux = setup
-    v, _ = fn.iat_obs(sigma_ex, phi_ex, mesh, H, want_gradient=False)
+    v, _ = iat_obs(sigma_ex, phi_ex, mesh, H, want_gradient=False)
     scale = float(np.einsum("e,eI->", mesh.element_areas, H.T**2))
     assert v <= 1e-16 * scale
     # sigma = 2, phi = x, H = 0: integrand (2 - 0)^2 / 2 per unit area
     phis = np.repeat(mesh.nodes[:, :1], 2, axis=1)
-    v, _ = fn.iat_obs(np.full(mesh.n_elements, 2.0), phis, mesh, np.zeros((2, mesh.n_elements)),
-                      want_gradient=False)
+    v, _ = iat_obs(np.full(mesh.n_elements, 2.0), phis, mesh, np.zeros((2, mesh.n_elements)),
+                   want_gradient=False)
     assert abs(v - 0.5 * 4.0 * mesh.total_area * 2) < 1e-10  # both excitations contribute
 
 
@@ -155,12 +188,12 @@ def test_gwf_obs_values(setup):
     mesh = setup[0]
     phis = np.repeat(mesh.nodes[:, :1], 2, axis=1)
     # head misfit vanishes at phi = p
-    v, _ = fn.gwf_obs(phis, mesh, head=phis.copy(), head_order=0, want_gradient=False)
+    v, _ = gwf_obs(phis, mesh, head=phis.copy(), head_order=0, want_gradient=False)
     assert v == 0.0
     # flux variant: grad phi - g = (1, 0) everywhere -> area (no 1/2), per excitation
     g = fem.gradient_field(phis, mesh).copy()
     g[:, :, 0, :] -= 1.0
-    v, _ = fn.gwf_obs(phis, mesh, flux=g, want_gradient=False)
+    v, _ = gwf_obs(phis, mesh, flux=g, want_gradient=False)
     assert abs(v - 2 * mesh.total_area) < 1e-12
     with pytest.raises(UnsupportedOperationError):
         fn.Observations("gwf", 0.0, head=phis, head_order=2)
@@ -256,10 +289,10 @@ def test_eliminated_value_is_argmin(setup):
     phis = rng.normal(size=(mesh.n_nodes, 2))
     psis = rng.normal(size=(mesh.n_nodes, 2))
     s, _ = fn.eliminate_sigma(phis, psis, mesh, 1.0, 6.0)
-    v_star, _ = fn.kv_model(s, phis, psis, mesh, False)
+    v_star, _ = kv_model(s, phis, psis, mesh, False)
     for _ in range(100):
         other = rng.uniform(1.0, 6.0, mesh.n_elements)
-        v, _ = fn.kv_model(other, phis, psis, mesh, False)
+        v, _ = kv_model(other, phis, psis, mesh, False)
         assert v_star <= v + 1e-12 * max(v, 1.0)
 
 
@@ -278,7 +311,7 @@ def test_elimination_recovers_truth_approximately(setup):
         s, (A, _) = fn.eliminate_sigma(phi, psi, mesh, 1.0, 6.0)
         strong = A >= np.quantile(A, 0.5)
         err = np.sqrt(np.sum(((s - sigma_ex) * strong) ** 2 * mesh.element_areas))
-        kv_val, _ = fn.kv_model(s, phi, psi, mesh, False)
+        kv_val, _ = kv_model(s, phi, psi, mesh, False)
         kv_vals.append(kv_val)
         errs.append(err)
     assert kv_vals[1] < 0.5 * kv_vals[0] and kv_vals[2] < 0.5 * kv_vals[1]
@@ -443,7 +476,7 @@ def test_gwf_obs_hessians_psd_both_variants(setup):
     for kwargs in (dict(head=p, head_order=0), dict(head=p, head_order=1), dict(flux=g)):
         for _ in range(5):
             d = rng.normal(size=(mesh.n_nodes, 2))
-            vals = [fn.gwf_obs(phis + t * d, mesh, want_gradient=False, **kwargs)[0]
+            vals = [gwf_obs(phis + t * d, mesh, want_gradient=False, **kwargs)[0]
                     for t in (-1.0, 0.0, 1.0)]
             assert vals[0] - 2 * vals[1] + vals[2] >= -1e-10 * max(map(abs, vals))
 
@@ -531,8 +564,8 @@ def test_combined_cost_term_composition(setup):
     cost = fn.combined_cost("gwf-aao-ls", obs, mesh, exc, beta=beta, constraints=cs)
     rng = np.random.default_rng(16)
     x = _random_state(cost.space, rng, mesh, 2)
-    vm, _ = fn.ls_model(x.sigma, x.phis, x.psis, mesh, False)
-    vo, _ = fn.gwf_obs(x.phis, mesh, flux=flux, want_gradient=False)
+    vm, _ = ls_model(x.sigma, x.phis, x.psis, mesh, False)
+    vo, _ = gwf_obs(x.phis, mesh, flux=flux, want_gradient=False)
     assert abs(cost.value(x) - (vm + beta * vo)) < 1e-12 * max(vm + beta * vo, 1.0)
 
 
@@ -547,7 +580,7 @@ def _residual_of(setup, case):
     if case == "gwf-ls-forward":
         return cd.GwfLsForward(core.StateSpace(mesh, n_excitations=exc.n_excitations)).residual
     if case.startswith("reduced-"):
-        obs = {"iat": fn.PowerTerm(mesh, H), "eit": fn.voltage_term(v_ex), "gwf": fn.flux_term(mesh, flux)}
+        obs = {"iat": fn.ReducedPowerTerm(mesh, H), "eit": fn.voltage_term(v_ex), "gwf": fn.flux_term(mesh, flux)}
         rmap = fn.ReducedMap(obs[case[len("reduced-"):]], mesh, exc)
         return fn.Residual([(rmap, 1.0)], lambda sigma, phis, psis: rmap.lift(sigma))
     head = np.random.default_rng(20).normal(size=phi_ex.shape)
@@ -728,12 +761,27 @@ def _field_reduced_derivative(rmap, x, h):
 
 
 def _field_reduced_adjoint(rmap, x, u):
-    """ReducedMap.adjoint's sigma dual, solved directly and contracted as -sum_q w grad lam . grad phi."""
+    """ReducedMap.adjoint's sigma dual through quadrature fields.
+
+    The power density's phi-dual is the field 2 sigma u grad phi assembled by
+    gradient_dual.  The adjoint is solved directly and contracted as -sum_q w
+    grad lam . grad phi, or, for voltage data with I > L, contracted on the
+    gradients of the electrode basis Z as -sum_q w sum_kl grad z_k . grad z_l M_kl, M = D^T J.
+    """
     mesh = rmap.mesh
-    d_sigma, d_phi, d_volt = fn._sum_duals(mesh, [(rmap.obs.adjoint(x, u), 1.0)])
-    d = np.zeros(mesh.n_elements) if d_sigma is None else d_sigma
-    lam, _ = rmap._solve(x, d_phi, d_volt)
     E = fem.gradient_field(x.phis, mesh)
+    if isinstance(rmap.obs, fn.PowerTerm):
+        d_phi = fem.gradient_dual(2.0 * x.sigma[:, None, None, None] * u[:, None, None, :] * E, mesh)
+        d_sigma, d_volt = np.einsum("e,eI->e", mesh.element_areas, u * x.mean_E2), None
+    else:
+        d_sigma, d_phi, d_volt = fn._sum_duals(mesh, [(rmap.obs.adjoint(x, u), 1.0)])
+    d = np.zeros(mesh.n_elements) if d_sigma is None else d_sigma
+    J = rmap.excitation.currents
+    if d_phi is None and J.shape[0] > rmap.electrodes.count:
+        gZ = mesh.G @ x.system.basis[: mesh.n_nodes]  # (nel * nq * 2, L)
+        s = np.einsum("rk,rk->r", gZ, gZ @ (d_volt.T @ J).T).reshape(mesh.qweights.shape + (2,))
+        return d - np.einsum("eq,eqa->e", mesh.qweights, s)
+    lam, _ = rmap._solve(x, d_phi, d_volt)
     return d - np.einsum("eq,eqI->e", mesh.qweights, (fem.gradient_field(lam, mesh) * E).sum(axis=2))
 
 
@@ -742,22 +790,27 @@ def _rel_err(a, b):
 
 
 @pytest.mark.parametrize("tag,scale", [("iat-reduced", 1), ("eit-reduced", 1), ("gwf-reduced", 1),
-                                       ("gwf-reduced", 2), ("gwf-reduced-head", 1)])
+                                       ("gwf-reduced", 2), ("gwf-reduced-head", 1), ("eit-reduced-I12", 1)])
 def test_reduced_map_through_the_stiffness_action_matches_the_quadrature_fields(tag, scale):
-    # I = 4 <= L: the derivative and the direct adjoint contract A_e u_e in place of
-    # quadrature-point gradients; both routes agree to round-off
+    # I = 4 <= L: the derivative, the direct adjoint and the power density's phi-dual
+    # contract A_e u_e in place of quadrature-point gradients; with I = 12 > L the
+    # voltage adjoint contracts A_e Z_e on the electrode basis.  Both routes agree to round-off
     mesh = fem.disk_mesh_scale(scale)
-    cur = np.zeros((4, 8))
-    cur[np.arange(4), np.arange(4)], cur[np.arange(4), np.arange(4) + 4] = 1.0, -1.0
+    n_exc = 12 if tag.endswith("-I12") else 4
+    k = np.arange(n_exc)
+    cur = np.zeros((n_exc, 8))
+    cur[k, k % 8], cur[k, (k + 4 + k // 8) % 8] = 1.0, -1.0
     exc = fem.ExcitationSet(cur)
     rng = np.random.default_rng(35 + scale)
     phi, _, v, _, _ = fn.reduced_forward(rng.uniform(2, 5, mesh.n_elements), mesh, exc)
     obs = {"iat-reduced": fn.Observations("iat", 0.0, H=fem.power_density(rng.uniform(2, 5, mesh.n_elements),
                                                                           phi, mesh).T),
            "eit-reduced": fn.Observations("eit", 0.0, currents=cur, voltages=v),
+           "eit-reduced-I12": fn.Observations("eit", 0.0, currents=cur, voltages=v),
            "gwf-reduced": fn.Observations("gwf", 0.0, flux=fem.gradient_field(phi, mesh)),
            "gwf-reduced-head": fn.Observations("gwf", 0.0, head=phi, head_order=1)}[tag]
-    cost = fn.combined_cost(tag.removesuffix("-head"), obs, mesh, exc, constraints=core.ConstraintSet())
+    formulation = tag.removesuffix("-head").removesuffix("-I12")
+    cost = fn.combined_cost(formulation, obs, mesh, exc, constraints=core.ConstraintSet())
     lin = cost.residual.linearize(cost.space.state(rng.uniform(1.5, 5.5, mesh.n_elements)))
     (rmap, _), = lin.pairs
     for _ in range(2):
@@ -774,6 +827,55 @@ def test_power_derivative_through_the_stiffness_action_matches_the_quadrature_fi
             for _ in range(2))
     term = fn.PowerTerm(mesh, H)
     assert _rel_err(term.derivative(x, h), _field_power_derivative(x, h, mesh)) <= 1e-12
+
+
+class _CountingOperator:
+    """A sparse operator that records each product it makes."""
+
+    def __init__(self, op, calls, name):
+        self.op, self.calls, self.name = op, calls, name
+
+    def __matmul__(self, other):
+        self.calls.append(self.name)
+        return self.op @ other
+
+    def __getattr__(self, attr):
+        return getattr(self.op, attr)
+
+
+def _count_field_calls(monkeypatch, mesh):
+    """Record every fem.gradient_field and fem.gradient_dual call and every product with mesh.G or mesh.Gt."""
+    calls = []
+    for name in ("gradient_field", "gradient_dual"):
+        orig = getattr(fem, name)
+        monkeypatch.setattr(fem, name, lambda *a, _f=orig, _n=name: calls.append(_n) or _f(*a))
+    for name in ("G", "Gt"):
+        monkeypatch.setattr(mesh, name, _CountingOperator(getattr(mesh, name), calls, name))
+    return calls
+
+
+def test_reduced_products_build_no_quadrature_field(setup, all_pairs, monkeypatch):
+    # the reduced power-density and voltage adjoints contract the element stiffness
+    # action: no Gauss-Newton product of iat-reduced and no eit-reduced gradient
+    # with I > L (the electrode-basis branch) makes a quadrature-point field
+    mesh = setup[0]
+    cost = _all_costs(setup)["iat-reduced"]
+    rng = np.random.default_rng(37)
+    qm = cost.quadratic_model(cost.space.state(rng.uniform(1.5, 5.5, mesh.n_elements)))
+    hs = [cost.space.state(rng.normal(size=mesh.n_elements)) for _ in range(3)]
+    calls = _count_field_calls(monkeypatch, mesh)
+    for h in hs:
+        qm.hvp(h)
+    assert calls == []
+    monkeypatch.undo()
+
+    mesh, exc, sigma_ex, obs = all_pairs
+    cost = fn.combined_cost("eit-reduced", obs, mesh, exc, constraints=core.ConstraintSet())
+    x = cost.space.state(rng.uniform(1.5, 5.5, mesh.n_elements))
+    cost.value(x)
+    calls = _count_field_calls(monkeypatch, mesh)
+    cost.gradient(x)
+    assert calls == []
 
 
 @pytest.mark.parametrize("tag", ["iat-aao", "eit-reduced"])

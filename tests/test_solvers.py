@@ -169,7 +169,20 @@ def test_progress_sink_records():
     cfg = sv.GradientConfig(max_iters=5)
     sv.projected_gradient(cost, box, x0, cfg, sink=rows.append)
     assert len(rows) == 6
-    assert {"k", "cost", "grad_sq", "step", "wall"} <= set(rows[0])
+    assert {"k", "cost", "grad_sq", "step", "trials", "wall"} <= set(rows[0])
+
+
+def test_pg_keeps_the_trials_of_each_line_search():
+    A, x_true, e, box, cost, x0 = make_instance(1)
+    rows = []
+    rep = sv.projected_gradient(cost, box, x0, sv.GradientConfig(mu_max=64.0, max_iters=5), sink=rows.append)
+    assert len(rep.trials_history) == len(rep.step_history) == 5 and max(rep.trials_history) > 1
+    assert [r["trials"] for r in rows] == [None] + rep.trials_history  # row k holds the step that made it
+    # the minimizer lies outside the box and x0 on its face: no trial decreases, the search runs to eps_mu
+    stuck = sv.QuadraticLeastSquares(np.eye(3), np.full(3, 2.0), box)
+    rep = sv.projected_gradient(stuck, box, np.ones(3), sv.GradientConfig())
+    assert rep.stop_reason == "stagnation" and rep.step_history == []
+    assert rep.trials_history == [34]  # mu = 2^-k for k = 0..33, the last >= eps_mu = 1e-10
 
 
 # -- alpha rules ------------------------------------------------------------------------
