@@ -31,9 +31,6 @@ y = np.stack([np.zeros_like(flux), flux])
 report = cd.check_tcc(forward, pairs, y, const["c_tc"])
 print(report.summary())
 
-gamma, _ = cd.weak_tcc_gamma(const["c_tc"], kappa=0.1)
-print(f"implied convexity constant gamma = 1 - c_tc - kappa = {gamma:.4f}")
-
 obs = fn.Observations("gwf", 0.0, flux=flux)
 cost = fn.combined_cost("gwf-aao-ls", obs, mesh, exc, constraints=constraints)
 sp = cost.space

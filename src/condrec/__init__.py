@@ -41,7 +41,6 @@ from .functionals import (
     Observations,
     combined_cost,
     eliminate_sigma,
-    reduced_cost,
     reduced_forward,
 )
 from .solvers import (

@@ -163,17 +163,31 @@ def cmd_reconstruct(args):
     return 3 if failed else 0
 
 
+def _count(cfg, key, default):
+    """[verify] key as a count, which must be at least 1."""
+    n = _get(cfg, "verify", key, default)
+    if n < 1:
+        raise ConfigError(f"[verify] {key} must be at least 1, not {n}")
+    return n
+
+
 def _mesh_condition(cfg, condition, rng):
     """tcc, chain or eit-tcc on pairs sampled, within ``[bounds]``, around the default phantom's state.
 
     Only the cost (eit-aao for eit-tcc, else gwf-aao-ls) and the verdict differ."""
-    mesh = fem.disk_mesh_scale(_get(cfg, "verify", "coarse_scale", 1))
-    excitation = experiments.excitation_case(_get(cfg, "verify", "case", "I1"))
+    n_pairs = _count(cfg, "samples", 50 if condition == "eit-tcc" else 100)
+    # a value the library rejects while the mesh, drive and box are set up is a
+    # configuration error, not a runtime failure
+    try:
+        mesh = fem.disk_mesh_scale(_get(cfg, "verify", "coarse_scale", 1))
+        excitation = experiments.excitation_case(_get(cfg, "verify", "case", "I1"))
+        trace, _ = fem.psi_trace_values(mesh, excitation)
+        bounds = _fields(cfg, core.ConstraintSet, {"bounds": _CELL_KEYS["bounds"]})
+        cs = core.ConstraintSet(psi_dirichlet=trace, **bounds)
+    except CondrecError as exc:
+        raise ConfigError(str(exc)) from exc
     phantom = experiments.Phantom()
     data = experiments.generate_synthetic(phantom, excitation, mesh, mesh)
-    trace, _ = fem.psi_trace_values(mesh, excitation)
-    bounds = _fields(cfg, core.ConstraintSet, {"bounds": _CELL_KEYS["bounds"]})
-    cs = core.ConstraintSet(psi_dirichlet=trace, **bounds)
     sigma_ex = phantom.cell_field(mesh)
     phi, psi, _, _, _ = functionals.reduced_forward(sigma_ex, mesh, excitation)
     if condition == "eit-tcc":
@@ -184,7 +198,6 @@ def _mesh_condition(cfg, condition, rng):
         cost = functionals.combined_cost("gwf-aao-ls", obs, mesh, excitation, constraints=cs)
     space = cost.space
     x_d = space.project(space.state(sigma_ex, phi, psi), cs)
-    n_pairs = _get(cfg, "verify", "samples", 50 if condition == "eit-tcc" else 100)
     radius = _get(cfg, "verify", "radius", 0.3)
     states = conditions.sample_feasible_states(space, cs, x_d, radius, rng, 2 * n_pairs)
     pairs = [(states[2 * i], states[2 * i + 1]) for i in range(n_pairs)]
@@ -208,13 +221,12 @@ def _mesh_condition(cfg, condition, rng):
 def cmd_verify(args):
     cfg = _load_config(args.config)
     out = args.out or _get(cfg, "verify", "out", "reports")
-    os.makedirs(out, exist_ok=True)
     condition = _get(cfg, "verify", "condition", "tcc")
     seed = args.seed if args.seed is not None else _get(cfg, "verify", "seed", 0)
     exploratory = _get(cfg, "verify", "exploratory", False)
     rng = np.random.default_rng(seed)
     if condition == "linear-toy":
-        n = _get(cfg, "verify", "dim", 6)
+        n = _count(cfg, "dim", 6)
         A = rng.normal(size=(n, n))
         xs = [rng.normal(size=n) for _ in range(20)]
         pairs = [(xs[i], xs[i + 1]) for i in range(19)]
@@ -223,6 +235,7 @@ def cmd_verify(args):
         rep = _mesh_condition(cfg, condition, rng)
     else:
         raise ConfigError(f"unknown condition {condition!r}")
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"{condition}_report.txt")
     conditions.write_report(rep, path)
     print(rep.summary())

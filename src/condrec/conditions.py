@@ -1,4 +1,4 @@
-"""Numerical verification of the nonlinearity and convexity conditions.
+"""Numerical verification of the tangential cone and nonlinearity conditions.
 
 Checks are statistical: each condition is evaluated on sampled feasible states
 or pairs, and the report records the worst ratio, the claimed constant, and
@@ -12,8 +12,11 @@ from functools import partial
 
 import numpy as np
 
-from . import core, fem, functionals
+from . import core, fem, functionals, solvers
 from .errors import InvalidFieldError
+
+OPERATOR_NORM_ITERS = 30  # power iterations per random start in GwfLsForward.operator_norm
+TCC_RESTARTS = 50  # random starts gwf_tcc_constant spreads over its sampled states
 
 
 @dataclass
@@ -85,29 +88,25 @@ class GwfLsForward:
     def data_norm(self, u):
         return float(np.sqrt(max(self.data_inner(u, u), 0.0)))
 
-    def operator_norm(self, x, restarts=5, iters=30, rng=None):
-        """Largest singular value of F'(x) via power iteration on F'* F'."""
+    def operator_norm(self, x, restarts=5, rng=None):
+        """Largest singular value of F'(x): the best of ``restarts`` power iterations
+        on F'* F', each from a random direction."""
         rng = rng or np.random.default_rng(0)
-        mesh = self.mesh
-        best = 0.0
+        mesh, space = self.mesh, self.space
         lin = self.residual.linearize(x)
+
+        def gauss_newton(h):
+            return space.riesz(core.State(space, *lin.adjoint(lin.derivative(self._direction(h)))))
+
+        best = 0.0
         for _ in range(restarts):
-            h = self.space.state(
+            h = space.state(
                 rng.normal(size=mesh.n_elements),
-                rng.normal(size=(mesh.n_nodes, self.space.n_excitations)),
-                rng.normal(size=(mesh.n_nodes, self.space.n_excitations)),
+                rng.normal(size=(mesh.n_nodes, space.n_excitations)),
+                rng.normal(size=(mesh.n_nodes, space.n_excitations)),
             )
-            h = h * (1.0 / self.space.norm(h))
-            lam = 0.0
-            for _ in range(iters):
-                g = self.space.riesz(core.State(self.space, *lin.adjoint(lin.derivative(self._direction(h)))))
-                lam = self.space.inner(g, h)
-                n = self.space.norm(g)
-                if n == 0:
-                    break
-                h = g * (1.0 / n)
-            best = max(best, lam)
-        return float(np.sqrt(max(best, 0.0)))
+            best = max(best, solvers.estimate_curvature(gauss_newton, space, h, OPERATOR_NORM_ITERS))
+        return float(np.sqrt(best))
 
     def coarse_norm_bound(self, x):
         """Pointwise bound sqrt(max|E|^2 + sigma_max^2 + 2) >= ||F'(x)||."""
@@ -181,7 +180,7 @@ def check_tcc(forward, pairs, y_delta, claimed_constant):
     return ConditionReport("tcc", len(pairs), worst, claimed_constant, violations)
 
 
-def gwf_tcc_constant(constraints, forward, states, rng=None, restarts_total=50):
+def gwf_tcc_constant(constraints, forward, states, rng=None):
     """Tangential-cone constant (sigma_max - sigma_min) / sup ||F'||.
 
     The supremum over the admissible set is replaced by the sampled maximum
@@ -192,7 +191,7 @@ def gwf_tcc_constant(constraints, forward, states, rng=None, restarts_total=50):
     rng = rng or np.random.default_rng(0)
     if not states:
         raise InvalidFieldError("need at least one sampled state")
-    per_state = max(1, restarts_total // len(states))
+    per_state = max(1, TCC_RESTARTS // len(states))
     sup_sampled = 0.0
     sup_coarse = 0.0
     for x in states:
@@ -209,90 +208,10 @@ def gwf_tcc_constant(constraints, forward, states, rng=None, restarts_total=50):
     }
 
 
-def weak_tcc_gamma(c_tc, kappa, residual_norms=None, eta=None):
-    """Convexity constant gamma = 1 - c_tc - kappa implied by the cone condition,
-    with the per-sample smallness proviso (1 + c_tc) ||F(x) - y|| <= 2 sqrt(kappa eta)."""
-    gamma = 1.0 - c_tc - kappa
-    flags = None
-    if residual_norms is not None and eta is not None:
-        bound = 2.0 * np.sqrt(max(kappa * eta, 0.0))
-        flags = [(1.0 + c_tc) * r <= bound for r in residual_norms]
-    return gamma, flags
-
-
-def check_convex2(cost, inner, x_dagger, samples, gamma, eta, tol=1e-10):
-    """<grad J(x), x - x_dagger> >= gamma ||grad J(x)||^2 - eta at every sample."""
-    worst = np.inf
-    violations = []
-    for idx, x in enumerate(samples):
-        J, g = cost.value_and_gradient(x)
-        lhs = inner(g, x - x_dagger)
-        rhs = gamma * inner(g, g) - eta
-        margin = lhs - rhs
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        if not np.isfinite(margin):
-            violations.append({"sample": idx, "margin": "non-finite"})
-            continue
-        worst = min(worst, margin)
-        if margin < -tol * scale:
-            violations.append({"sample": idx, "margin": margin})
-    return ConditionReport(
-        "convex2", len(samples), float(worst), gamma, violations, extra={"eta": eta}
-    )
-
-
 def _model_increment(cost, inner, x, d):
     """G(x) d + 1/2 H(x)(d, d) from the cost's quadratic model."""
     qm = cost.quadratic_model(x)
     return inner(qm.g, d) + 0.5 * inner(qm.hvp(d), d), qm
-
-
-def check_abc(cost, inner, pairs, x_dagger, abc1=None, abc2=None, eta=0.0, tol=1e-10):
-    """Evaluate the nonlinearity conditions on sampled pairs.
-
-    abc1 = (a, b, c): G(x)(x+ - xd) + 1/2 H(x)((x+ - x)^2 - (x - xd)^2)
-           >= a J(x+) - b J(x) - c J(xd);
-    abc2 = (a_low, b_low, a_up, b_up): two-sided bound on G(x)(x+ - x) +
-           1/2 H(x)(x+ - x)^2 by a_low J(x+) - b_low J(x) and a_up J(x+) - b_up J(x).
-    Reports one entry per inequality family that was requested.
-    """
-    reports = []
-    J_d = cost.value(x_dagger)
-    if abc2 is not None:
-        ula, ulb, ola, olb = abc2
-        worst = np.inf
-        violations = []
-        for idx, (x, xp) in enumerate(pairs):
-            Jx, Jp = cost.value(x), cost.value(xp)
-            T, _ = _model_increment(cost, inner, x, xp - x)
-            lo = ula * Jp - ulb * Jx
-            hi = ola * Jp - olb * Jx
-            scale = max(abs(Jx), abs(Jp), abs(T), 1.0)
-            m = min(T - lo, hi - T)
-            worst = min(worst, m / scale)
-            if m < -tol * scale:
-                violations.append({"sample": idx, "margin": m})
-        reports.append(ConditionReport("abc2", len(pairs), float(worst), 0.0, violations,
-                                       extra={"constants": abc2}))
-    if abc1 is not None:
-        a, b, c = abc1
-        worst = np.inf
-        violations = []
-        for idx, (x, xp) in enumerate(pairs):
-            Jx, Jp = cost.value(x), cost.value(xp)
-            qm = cost.quadratic_model(x)
-            dp = xp - x
-            dd = x - x_dagger
-            lhs = inner(qm.g, xp - x_dagger) + 0.5 * (inner(qm.hvp(dp), dp) - inner(qm.hvp(dd), dd))
-            rhs = a * Jp - b * Jx - c * J_d
-            scale = max(abs(lhs), abs(rhs), 1.0)
-            m = lhs - rhs
-            worst = min(worst, m / scale)
-            if m < -tol * scale:
-                violations.append({"sample": idx, "margin": m})
-        reports.append(ConditionReport("abc1", len(pairs), float(worst), 0.0, violations,
-                                       extra={"constants": abc1}))
-    return reports if len(reports) > 1 else reports[0]
 
 
 def implication_chain(cost, inner, pairs, x_dagger, tol=1e-10):

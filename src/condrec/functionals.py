@@ -665,13 +665,6 @@ class ReducedCost(CostFunctional):
         self.residual = Residual([(rmap, beta * weight)], lambda sigma, phis, psis: rmap.lift(sigma))
 
 
-def reduced_cost(sigma, observations, mesh, excitation, formulation="iat-reduced",
-                 electrodes=None, beta=1.0, constraints=None):
-    """Evaluate a reduced cost and its Riesz gradient at one conductivity."""
-    cost = combined_cost(formulation, observations, mesh, excitation, electrodes, beta, constraints)
-    return cost.value_and_gradient(cost.space.state(sigma))
-
-
 def combined_cost(formulation, observations, mesh, excitation, electrodes=None,
                   beta=1.0, constraints=None):
     """Build the CostFunctional for a formulation tag (see FORMULATIONS)."""

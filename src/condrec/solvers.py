@@ -14,7 +14,6 @@ vectors (with BoxFeasible) and PDE states (with FeasibleSet) both work.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,25 +131,6 @@ class SolverReport:
         return self.cost_history[-1] if self.cost_history else np.nan
 
 
-def check_gradient_constants(cfg, gamma):
-    """Advisory check of the step/discrepancy restrictions for a known convexity constant."""
-    if cfg.tau <= 1.0 / gamma:
-        warnings.warn(f"tau={cfg.tau} violates tau > 1/gamma = {1.0 / gamma}")
-    bound1 = 2 * (gamma - 1.0 / cfg.tau)
-    bound2 = 2 * gamma / (1 + 1 / (gamma * cfg.tau - 1)) if gamma * cfg.tau > 1 else 0.0
-    if cfg.mu_max >= max(bound1, bound2):
-        warnings.warn(f"mu_max={cfg.mu_max} violates the step restrictions ({bound1}, {bound2})")
-
-
-def check_newton_constants(cfg, constants):
-    """Advisory check of the a-posteriori constant constraints for abc2 constants."""
-    ula, ulb, ola, olb = constants
-    if not (1 + ola / cfg.tau < cfg.sigma_lo + olb):
-        warnings.warn("constants violate 1 + a_up/tau < sigma_lo + b_up")
-    if not (cfg.sigma_hi + ulb < 1 + ula):
-        warnings.warn("constants violate sigma_hi + b_low < 1 + a_low")
-
-
 # -- projected gradient ----------------------------------------------------------
 
 
@@ -233,12 +213,14 @@ def projected_gradient(cost, constraint, x0, cfg, sink=None):
 # -- Newton-SQP -------------------------------------------------------------------
 
 
-def _estimate_curvature(hvp, constraint, v, iters=20):
-    """Deterministic power iteration for the largest curvature of the model
-    Hessian, started from the direction v (0 when v = 0)."""
-    if constraint.norm(v) == 0:
+def estimate_curvature(hvp, constraint, v, iters=20):
+    """Deterministic power iteration for the largest eigenvalue of the positive
+    semidefinite operator hvp in the constraint's geometry (a model Hessian, or
+    F'* F' for an operator norm), started from the direction v (0 when v = 0)."""
+    nv = constraint.norm(v)
+    if nv == 0:
         return 0.0
-    v = v * (1.0 / constraint.norm(v))
+    v = v * (1.0 / nv)
     lam = 0.0
     for _ in range(iters):
         w = hvp(v)
@@ -257,10 +239,10 @@ def _model_curvature(qm, constraint, x_init, center):
     the model (per constraint) and its probe products are made once.
     """
     if constraint.norm(qm.g) == 0:
-        return _estimate_curvature(qm.hvp, constraint, x_init - center)
+        return estimate_curvature(qm.hvp, constraint, x_init - center)
     kept = getattr(qm, "_curvature", None)
     if kept is None or kept[0] is not constraint:
-        qm._curvature = kept = (constraint, _estimate_curvature(qm.hvp, constraint, qm.g))
+        qm._curvature = kept = (constraint, estimate_curvature(qm.hvp, constraint, qm.g))
     return kept[1]
 
 

@@ -152,14 +152,27 @@ def test_misspelt_solver_setting_exit_2(tmp_path, capsys, setting):
     ("cases = I1", "cases = I99", "I99"),
     ("seed = 1", "seed = 1\niat_obs_variant = 3", "variant 3"),
     ("seed = 1", "seed = 1\niat_obs_variant = 1", "variant 1"),  # the reduced map has no psi
+    # a [verify] section makes it a verify run, refused before it samples a state
+    pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncondition = chain\nsamples = 0",
+                 "[verify] samples", id="verify-chain-samples"),
+    pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncondition = tcc\nsamples = 0",
+                 "[verify] samples", id="verify-tcc-samples"),
+    pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncondition = linear-toy\ndim = 0",
+                 "[verify] dim", id="verify-linear-toy-dim"),
+    pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncoarse_scale = 0",
+                 "scale must be >= 1", id="verify-coarse-scale"),
+    pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncase = I9", "I9", id="verify-case"),
+    pytest.param("max_iters = 5", "max_iters = 5\n[bounds]\nsigma_lower = 6\nsigma_upper = 1\n[verify]",
+                 "sigma bounds", id="verify-bounds"),
 ])
 def test_bad_run_value_exit_2(tmp_path, capsys, old, new, named):
-    # rejected while the configs are built: no cell runs, no table is written
+    # rejected while the configs are built: no cell runs, nothing is written
     cfgp = write_config(tmp_path / "run.ini", MINIMAL.replace(old, new))
     out = tmp_path / "x"
-    assert cli.main(["reconstruct", "--config", cfgp, "--out", str(out)]) == 2
+    sub = "verify" if "[verify]" in new else "reconstruct"
+    assert cli.main([sub, "--config", cfgp, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
-    assert not (out / "results.csv").exists()
+    assert not out.exists()
 
 
 def test_missing_config_exit_2(tmp_path, capsys):

@@ -334,7 +334,8 @@ def test_reduced_forward_voltage_antisymmetry(setup):
 def test_reduced_cost_zero_at_truth_matched_mesh(setup):
     mesh, exc, cs, sigma_ex, phi_ex, psi_ex, v_ex, H, flux = setup
     obs = fn.Observations("eit", 0.0, currents=exc.currents, voltages=v_ex)
-    value, grad = fn.reduced_cost(sigma_ex, obs, mesh, exc, "eit-reduced", constraints=cs)
+    cost = fn.combined_cost("eit-reduced", obs, mesh, exc, constraints=cs)
+    value, grad = cost.value_and_gradient(cost.space.state(sigma_ex))
     assert value <= 1e-16 * max(float(np.sum(v_ex**2)), 1e-30)
 
 

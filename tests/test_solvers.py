@@ -384,31 +384,6 @@ def test_newton_aposteriori_theory():
             assert 0.5 * np.linalg.norm(x) ** 2 <= r_dag * (1 + 1e-8)
 
 
-def test_newton_constants_warning():
-    import warnings
-
-    cfg = sv.NewtonConfig(schedule="a-posteriori", sigma_lo=0.2, sigma_hi=0.8, tau=1.2)
-    with warnings.catch_warnings(record=True) as w:
-        warnings.simplefilter("always")
-        sv.check_newton_constants(cfg, (1.0, 1.0, 1.0, 1.0))
-        assert any("1 + a_up/tau" in str(x.message) for x in w)
-    cfg2 = sv.NewtonConfig(schedule="a-posteriori", sigma_lo=0.2, sigma_hi=0.8, tau=10.0)
-    with warnings.catch_warnings(record=True) as w:
-        warnings.simplefilter("always")
-        sv.check_newton_constants(cfg2, (1.0, 1.0, 1.0, 1.0))
-        assert not w
-
-
-def test_gradient_constants_warning():
-    import warnings
-
-    cfg = sv.GradientConfig(tau=1.5, mu_max=1.0)
-    with warnings.catch_warnings(record=True) as w:
-        warnings.simplefilter("always")
-        sv.check_gradient_constants(cfg, gamma=0.5)
-        assert w  # tau = 1.5 < 1/0.5 = 2 violates the requirement
-
-
 # -- noise budget ---------------------------------------------------------------------------
 
 
