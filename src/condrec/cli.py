@@ -226,10 +226,10 @@ def cmd_verify(args):
     exploratory = _get(cfg, "verify", "exploratory", False)
     rng = np.random.default_rng(seed)
     if condition == "linear-toy":
-        n = _count(cfg, "dim", 6)
+        n, n_pairs = _count(cfg, "dim", 6), _count(cfg, "samples", 19)
         A = rng.normal(size=(n, n))
-        xs = [rng.normal(size=n) for _ in range(20)]
-        pairs = [(xs[i], xs[i + 1]) for i in range(19)]
+        xs = [rng.normal(size=n) for _ in range(n_pairs + 1)]
+        pairs = [(xs[i], xs[i + 1]) for i in range(n_pairs)]
         rep = conditions.check_tcc(conditions.LinearForward(A), pairs, rng.normal(size=n), 1e-10)
     elif condition in ("tcc", "chain", "eit-tcc"):
         rep = _mesh_condition(cfg, condition, rng)

@@ -115,7 +115,8 @@ def generate_synthetic(phantom, excitation, fine_mesh, coarse_mesh, electrodes=N
 
     Power densities transfer by exact child-area averaging; voltages are mesh-free;
     flux data is the fine potential gradient evaluated at the coarse quadrature
-    points.  A fine mesh other than the coarse one then drops its assembly arrays.
+    points.  The data mesh then drops its assembly arrays, so a matched mesh's
+    next CEM factor is again its layout's first and solves to the same bits.
     """
     electrodes = electrodes or fine_mesh.electrodes
     sigma_f = phantom.cell_field(fine_mesh)
@@ -125,8 +126,7 @@ def generate_synthetic(phantom, excitation, fine_mesh, coarse_mesh, electrodes=N
     H_c = fem.transfer_cell_field(H_f, fine_mesh, coarse_mesh)
     sigma_c = fem.transfer_cell_field(sigma_f, fine_mesh, coarse_mesh)
     flux = _eval_gradient_at(fine_mesh, coarse_mesh, sol.phi, coarse_mesh.qpoints)
-    if fine_mesh is not coarse_mesh:  # the data mesh assembles nothing more
-        fine_mesh.release_assembly()
+    fine_mesh.release_assembly()
     return SyntheticData(
         H=H_c.T.copy(), voltages=sol.voltages.copy(), flux=flux,
         sigma_fine=sigma_f, sigma_coarse=np.asarray(sigma_c, float),

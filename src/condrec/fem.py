@@ -6,21 +6,20 @@ CEM bilinear form (bulk conduction + contact-impedance coupling + grounding row)
 differential operators for P2 fields, the stream-potential construction, and the
 power density.
 
-Quadrature-point fields have shape (nel, nq, 2[, I]).  Each mesh carries one
-sparse gradient operator ``Mesh.G`` (CSR, n_elements * nq * 2 rows, n_nodes
-columns): row (e * nq + q) * 2 + a holds component a of the six P2 shape
-gradients of element e at quadrature point q, in the columns of its nodes.
-``gradient_field`` is ``G @ u`` reshaped to (nel, nq, 2[, I]).  The dual of
-a field v, sum_{e,q} w_eq v_eq . grad N_n, is the transpose with the
-quadrature weights, ``G.T @ (w v)`` (``gradient_dual``, on the transpose
-``Mesh.Gt`` stored once per mesh).  The perp-gradient operator ``Mesh.Gp``
-holds G's rows turned by a quarter turn, (-g2, g1) for each pair of rows, on
-G's index arrays; it is built on first use, with its transpose ``Mesh.Gpt``,
-and serves ``perp_gradient_field`` and its dual against perp-grad N_n,
-``perp_gradient_dual``.  ``Mesh.element_stiffness`` holds the unit-sigma local
-stiffness matrices A_e (nel, 6, 6), and ``Mesh.node_scatter`` sums rows of
-local vectors (nel * 6[, I]) into the nodes.  A_e, the mass matrices, the
-integral weights, G's data and the boundary line mass and moments are each the
+Quadrature-point fields have shape (nel, nq, 2[, I]) and are made element by
+element: gather, local tensor, scatter.  ``Mesh.shape_gradients`` (nel,
+nq * 2, 6) holds in row q * 2 + a component a of the six P2 shape gradients
+of element e at point q, and ``gradient_field`` applies it to the gathered
+values ``np.take(u, triangles, axis=0)``.  The dual of a field v, sum_{e,q}
+w_eq v_eq . grad N_n (``gradient_dual``), applies ``shape_gradient_duals``,
+the transpose times the quadrature weights, and sums into the nodes by
+``Mesh.node_scatter``.  The ``perp_`` tensors hold the rows turned by a
+quarter turn, (-g2, g1), for ``perp_gradient_field`` and
+``perp_gradient_dual``.  Each tensor is built on first use.
+``Mesh.element_stiffness`` holds the unit-sigma local stiffness matrices A_e
+(nel, 6, 6), and ``Mesh.node_scatter`` sums rows of local vectors
+(nel * 6[, I]) into the nodes.  A_e, the mass matrices, the integral weights,
+the shape gradients and the boundary line mass and moments are each the
 element's geometry (|e|, grad lambda, edge length) times a constant reference
 tensor (``_STIFF_REF`` etc.), one BLAS product or broadcast per array.
 
@@ -278,41 +277,9 @@ class Mesh:
         # grad(lambda_i) = rot(p_{i+1} - p_{i+2}) / (2A), rot(x, y) = (y, -x)
         d = verts[:, [1, 2, 0]] - verts[:, [2, 0, 1]]
         self.grad_lambda = np.stack([d[..., 1], -d[..., 0]], axis=-1) / (2.0 * self.element_areas[:, None, None])
-
-        # G: one row per (element, quad point, component), holding that component
-        # of the physical gradients of the element's 6 shapes in the columns of its nodes
-        grads = np.tensordot(self.grad_lambda, _GRAD_REF, axes=2)  # (nel, nq, 2, 6)
-        nrows = self.n_elements * len(QUAD_W) * 2
-        cols = np.broadcast_to(self.triangles[:, None, None, :], grads.shape)
-        self.G = sp.csr_matrix(
-            (grads.ravel(), cols.astype(np.int32).ravel(), np.arange(0, 6 * nrows + 1, 6, dtype=np.int32)),
-            shape=(nrows, self.n_nodes),
-        )
-        # Gt and Gp share G's arrays, so none may be changed in place (as scipy's
-        # canonicalizations do); the flags must be set before Gt is made on them
-        for a in (self.G.data, self.G.indices, self.G.indptr):
-            a.flags.writeable = False
-        self.Gt = self.G.T  # CSC on G's arrays
         self.qweights = self.element_areas[:, None] * QUAD_W[None, :]  # (nel, nq)
         self.qpoints = QUAD_BARY @ verts  # (nel, nq, 2)
         self.total_area = float(self.element_areas.sum())
-
-    @cached_property
-    def Gp(self):
-        """The perp-gradient operator: rows (-g2, g1) for G's rows (g1, g2), on G's index arrays.
-
-        The two rows of a quadrature point share their columns, so turning them
-        only permutes and negates G's data.
-        """
-        g = self.G.data.reshape(-1, 2, 6)
-        Gp = sp.csr_matrix((np.stack([-g[:, 1], g[:, 0]], axis=1).ravel(), self.G.indices, self.G.indptr),
-                           shape=self.G.shape)
-        Gp.data.flags.writeable = False
-        return Gp
-
-    @cached_property
-    def Gpt(self):
-        return self.Gp.T  # CSC on Gp's arrays
 
     # -- derived assemblies -------------------------------------------------
 
@@ -325,15 +292,38 @@ class Mesh:
         return ((self.element_areas[:, None] * gg.reshape(-1, 9)) @ _STIFF_REF).reshape(-1, 6, 6)
 
     @cached_property
+    def shape_gradients(self):
+        """The physical shape gradients at the quadrature points, (nel, nq * 2, 6): row q * 2 + a
+        holds component a of grad N_0..N_5 at point q; grad lambda against the reference tensor."""
+        return np.tensordot(self.grad_lambda, _GRAD_REF, axes=2).reshape(self.n_elements, -1, 6)
+
+    @cached_property
+    def perp_shape_gradients(self):
+        """shape_gradients with each point's two rows (g1, g2) turned to (-g2, g1)."""
+        g = self.shape_gradients.reshape(self.n_elements, -1, 2, 6)
+        return np.stack([-g[:, :, 1], g[:, :, 0]], axis=2).reshape(self.n_elements, -1, 6)
+
+    @cached_property
+    def shape_gradient_duals(self):
+        """The dual's tensor (nel, 6, nq * 2): shape_gradients transposed, times the quadrature weights."""
+        return _weighted_transpose(self.shape_gradients, self.qweights)
+
+    @cached_property
+    def perp_shape_gradient_duals(self):
+        """perp_shape_gradients transposed, times the quadrature weights."""
+        return _weighted_transpose(self.perp_shape_gradients, self.qweights)
+
+    @cached_property
     def node_scatter(self):
         """The element-to-node scatter (CSC, n_nodes x nel * 6): column 6 e + j is node j of element e."""
         return sp.csc_matrix((np.ones(self.triangles.size), self.triangles.ravel(),
                               np.arange(self.triangles.size + 1)), shape=(self.n_nodes, self.triangles.size))
 
     def release_assembly(self):
-        """Drop the cached CEM layout, element stiffness and node scatter; each is rebuilt on next use."""
+        """Drop the cached CEM layout and element arrays; each is rebuilt on next use."""
         self._cem_layout = None
-        for name in ("element_stiffness", "node_scatter"):
+        for name in ("element_stiffness", "node_scatter", "shape_gradients", "perp_shape_gradients",
+                     "shape_gradient_duals", "perp_shape_gradient_duals"):
             vars(self).pop(name, None)
 
     def stiffness(self, sigma=None):
@@ -835,41 +825,47 @@ def _nodal(phi, mesh):
     return a
 
 
-def _field(op, phi, mesh):
+def _weighted_transpose(local, qweights):
+    """The dual's tensor (nel, 6, nq * 2) of a field tensor (nel, nq * 2, 6): its transpose times the weights."""
+    return np.ascontiguousarray((local * np.repeat(qweights, 2, axis=1)[:, :, None]).transpose(0, 2, 1))
+
+
+def _field(local, phi, mesh):
     a = _nodal(phi, mesh)
-    return (op @ a).reshape(mesh.qweights.shape + (2,) + a.shape[1:])
+    g = local @ np.take(a.reshape(len(a), -1), mesh.triangles, axis=0)  # (nel, nq * 2, I)
+    return g.reshape(mesh.qweights.shape + (2,) + a.shape[1:])
 
 
-def _dual(op_t, v, mesh):
+def _dual(local_t, v, mesh):
     v = np.asarray(v, float)
-    w = mesh.qweights.reshape(mesh.qweights.shape + (1,) * (v.ndim - 2))
-    return op_t @ (w * v).reshape((op_t.shape[1],) + v.shape[3:])
+    local = local_t @ v.reshape(mesh.n_elements, local_t.shape[2], -1)  # (nel, 6, I)
+    return (mesh.node_scatter @ local.reshape(mesh.triangles.size, -1)).reshape((mesh.n_nodes,) + v.shape[3:])
 
 
 def gradient_field(phi, mesh):
     """Gradient of a P2 field at the quadrature points, shape (nel, nq, 2[, I])."""
-    return _field(mesh.G, phi, mesh)
+    return _field(mesh.shape_gradients, phi, mesh)
 
 
 def perp_gradient_field(psi, mesh):
-    """Rotated gradient (-d2, d1) of a P2 field at the quadrature points: Gp @ psi."""
-    return _field(mesh.Gp, psi, mesh)
+    """Rotated gradient (-d2, d1) of a P2 field at the quadrature points, on the turned shape gradients."""
+    return _field(mesh.perp_shape_gradients, psi, mesh)
 
 
 def gradient_dual(v, mesh):
-    """Nodal dual sum_{e,q} w_eq v_eq . grad N_n of a field (nel, nq, 2[, I]): G.T @ (w v).
+    """Nodal dual sum_{e,q} w_eq v_eq . grad N_n of a field (nel, nq, 2[, I]).
 
     The adjoint of gradient_field in the quadrature inner product.
     """
-    return _dual(mesh.Gt, v, mesh)
+    return _dual(mesh.shape_gradient_duals, v, mesh)
 
 
 def perp_gradient_dual(v, mesh):
-    """Nodal dual sum_{e,q} w_eq v_eq . perp-grad N_n of a field (nel, nq, 2[, I]): Gp.T @ (w v).
+    """Nodal dual sum_{e,q} w_eq v_eq . perp-grad N_n of a field (nel, nq, 2[, I]).
 
     The adjoint of perp_gradient_field in the quadrature inner product.
     """
-    return _dual(mesh.Gpt, v, mesh)
+    return _dual(mesh.perp_shape_gradient_duals, v, mesh)
 
 
 def field_dot(u, v):
@@ -877,10 +873,16 @@ def field_dot(u, v):
     return u[:, :, 0] * v[:, :, 0] + u[:, :, 1] * v[:, :, 1]
 
 
+def element_mean(f):
+    """Per-element quadrature average of a scalar quadrature-point field (nel, nq[, I]), shape (nel[, I]).
+    The data's and the model's power densities both take it of field_dot, so they share their bits."""
+    return np.einsum("q,eq...->e...", QUAD_W, f)
+
+
 def power_density(sigma, phi, mesh):
     """Per-element quadrature average of sigma |grad phi|^2, shape (nel[, I])."""
-    s = np.asarray(sigma, float)
-    return (np.einsum("q,eqa...->...e", QUAD_W, gradient_field(phi, mesh) ** 2) * s).T
+    g = gradient_field(phi, mesh)
+    return (np.asarray(sigma, float) * element_mean(field_dot(g, g)).T).T
 
 
 def psi_trace_values(mesh, excitation):

@@ -22,7 +22,8 @@ Psi), and the reduced cost is one reduced-map term.
 Conventions: sigma is piecewise constant per element; potentials are P2 nodal
 fields stored as (n_nodes, I) matrices; quadrature-point gradients
 (nel, nq, 2, I) come from fem.gradient_field and fem.perp_gradient_field,
-their duals from fem.gradient_dual and fem.perp_gradient_dual.  The reduced
+their duals from fem.gradient_dual and fem.perp_gradient_dual, all four
+element by element on the mesh's cached shape-gradient tensors.  The reduced
 maps differentiate and take adjoints, and the power density's derivative
 contracts, through the element stiffness action A_e phi_e instead (Point.Ku, on
 fem's Mesh.element_stiffness), so a reduced power-density or voltage product
@@ -125,7 +126,7 @@ class Point:
     @cached_property
     def mean_E2(self):
         """Per-element quadrature average of |grad phi_i|^2, (nel, I)."""
-        return _mean(fem.field_dot(self.E, self.E))
+        return fem.element_mean(fem.field_dot(self.E, self.E))
 
 
 def _plus(a, b):
@@ -256,11 +257,6 @@ class LsTerm(_QuadTerm):
         return d_sigma, x.sigma[:, None, None, None] * u, -u
 
 
-def _mean(f):
-    """Per-element quadrature average of a quadrature-point field (nel, nq, I)."""
-    return np.einsum("q,eqI->eI", fem.QUAD_W, f)
-
-
 class PowerTerm:
     """Power-density residual against piecewise-constant data H (I, n_elements).
 
@@ -292,14 +288,14 @@ class PowerTerm:
             return x.sigma[:, None] * x.mean_E2 - self.H.T
         if x.psis is None:
             raise FormulationMismatchError("variant 1 needs stream potentials")
-        return _mean(fem.field_dot(x.J, x.E)) - self.H.T
+        return fem.element_mean(fem.field_dot(x.J, x.E)) - self.H.T
 
     def derivative(self, x, h):
         if self.variant == 2:
             # 2 sigma mean_q grad phi . grad h_phi = 2 sigma / |e| h_phi_e . A_e phi_e
             dE2 = np.einsum("ejI,ejI->eI", x.Ku, np.take(h.phis, self.mesh.triangles, axis=0))
             return h.sigma[:, None] * x.mean_E2 + (2 * x.sigma / self.mesh.element_areas)[:, None] * dE2
-        return _mean(fem.field_dot(h.J, x.E) + fem.field_dot(x.J, h.E))
+        return fem.element_mean(fem.field_dot(h.J, x.E) + fem.field_dot(x.J, h.E))
 
     def adjoint(self, x, u):
         ub = u[:, None, None, :]

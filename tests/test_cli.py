@@ -159,6 +159,8 @@ def test_misspelt_solver_setting_exit_2(tmp_path, capsys, setting):
                  "[verify] samples", id="verify-tcc-samples"),
     pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncondition = linear-toy\ndim = 0",
                  "[verify] dim", id="verify-linear-toy-dim"),
+    pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncondition = linear-toy\nsamples = 0",
+                 "[verify] samples", id="verify-linear-toy-samples"),
     pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncoarse_scale = 0",
                  "scale must be >= 1", id="verify-coarse-scale"),
     pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncase = I9", "I9", id="verify-case"),
@@ -187,6 +189,18 @@ def test_verify_linear_toy(tmp_path, capsys):
     assert rc == 0
     text = (out / "linear-toy_report.txt").read_text()
     assert "pass: True" in text
+
+
+def test_verify_linear_toy_reads_samples(tmp_path):
+    # [verify] samples sets the pair count; the default, 19, keeps the report it always had
+    def report(name, extra):
+        cfgp = write_config(tmp_path / f"{name}.ini", "[verify]\ncondition = linear-toy\n" + extra)
+        assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "linear-toy_report.txt").read_text()
+
+    default = report("default", "")
+    assert "samples: 19\n" in default and report("nineteen", "samples = 19\n") == default
+    assert "samples: 5\n" in report("five", "samples = 5\n")
 
 
 def test_verify_gwf_tcc(tmp_path):

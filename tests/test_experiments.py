@@ -159,24 +159,25 @@ def test_transfer_is_exact_aggregation(synth):
     assert abs(tot_f - tot_c) < 1e-12 * abs(tot_f)
 
 
-def test_generate_synthetic_frees_the_data_mesh_assembly_but_not_the_coarse_one():
-    cells = {r: ex.build_cell(ex.ExperimentConfig(coarse_scale=1, fine_refine=r, allow_inverse_crime=True))
-             for r in (0, 1)}
-    fine, coarse = cells[1].fine, cells[1].coarse
-    # the refined data mesh keeps no CEM layout, element stiffness or node scatter
-    assert fine._cem_layout is None
-    assert "element_stiffness" not in vars(fine) and "node_scatter" not in vars(fine)
-    assert fine.checksum() == fem.refine_mesh(coarse, 1).checksum()
-    # and rebuilds them on demand, to the same bits
-    sigma = cells[1].data.sigma_fine
-    again = fem.assemble_cem(fine, sigma, cells[1].electrodes).matrix
-    fresh = fem.assemble_cem(fem.refine_mesh(coarse, 1), sigma, cells[1].electrodes).matrix
-    assert np.array_equal(again.data, fresh.data)
-    # fine_refine = 0: the data mesh is the coarse mesh, whose layout survives
-    same = cells[0]
-    assert same.fine is same.coarse and same.coarse._cem_layout is not None
-    assert "element_stiffness" in vars(same.coarse) and "node_scatter" in vars(same.coarse)
-    assert same.fine.checksum() == fem.disk_mesh_scale(1, same.electrodes).checksum()
+def test_generate_synthetic_frees_every_data_mesh():
+    # fine_refine 1 and 0 (the data mesh is the coarse mesh): neither keeps a CEM layout
+    # or an element array, the shape gradients that its power density built included,
+    # and each rebuilds them to the same bits
+    for refine in (1, 0):
+        cell = ex.build_cell(ex.ExperimentConfig(coarse_scale=1, fine_refine=refine, allow_inverse_crime=True))
+        fine = cell.fine
+        assert (fine is cell.coarse) == (refine == 0)
+        assert fine._cem_layout is None
+        assert not {"element_stiffness", "node_scatter", "shape_gradients", "perp_shape_gradients",
+                    "shape_gradient_duals", "perp_shape_gradient_duals"} & set(vars(fine))
+        fresh = fem.refine_mesh(fem.disk_mesh_scale(1, cell.electrodes), refine)
+        assert fine.checksum() == fresh.checksum()
+        sigma = cell.data.sigma_fine
+        again = fem.assemble_cem(fine, sigma, cell.electrodes).matrix
+        assert np.array_equal(again.data, fem.assemble_cem(fresh, sigma, cell.electrodes).matrix.data)
+        u = np.random.default_rng(8).normal(size=(fine.n_nodes, 2))
+        for field, dual in ((fem.gradient_field, fem.gradient_dual), (fem.perp_gradient_field, fem.perp_gradient_dual)):
+            assert np.array_equal(dual(field(u, fine), fine), dual(field(u, fresh), fresh))
 
 
 def test_flux_data_matches_fine_gradient_on_matched_mesh():
@@ -254,20 +255,22 @@ def test_bad_case_and_power_density_variant_are_rejected_by_the_config():
             ex.ExperimentConfig(custom_currents=bad)
 
 
-def test_degenerate_run_stops_immediately():
-    # constant phantom equal to the starting value, matched mesh, no noise:
-    # the start is the exact minimizer, so k* = 0 and the error vanishes
+@pytest.mark.parametrize("scale", [1, 2, 3])
+@pytest.mark.parametrize("case", ["I1", "I2", "I4"])
+def test_degenerate_run_stops_immediately(scale, case):
+    # constant phantom equal to the starting value, matched mesh, no noise: the start
+    # is the exact minimizer.  The data and the start solve the same system through
+    # the layout's first factor and share the power density's mean, so J = 0 exactly
     cfg = ex.ExperimentConfig(
-        formulation="iat-reduced", case="I1", delta=0.0, seed=0, coarse_scale=1,
+        formulation="iat-reduced", case=case, delta=0.0, seed=0, coarse_scale=scale,
         fine_refine=0, allow_inverse_crime=True, max_iters=50,
         phantom=ex.Phantom(background=3.5, inclusion_value=3.5),
     )
     res = ex.run_experiment(cfg)
     assert res.iterations == 0
-    # roundoff can leave a ~1e-36 gradient, which stops as stagnation rather
-    # than through the (tau * 0) discrepancy test; both are immediate stops
-    assert res.stop_reason in ("discrepancy", "stagnation")
-    assert res.l2_error < 1e-12
+    assert res.stop_reason == "discrepancy"
+    assert res.report.cost_history == [0.0]
+    assert res.l2_error == 0.0
 
 
 def test_run_experiment_custom_currents():

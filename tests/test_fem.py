@@ -331,11 +331,9 @@ def test_reference_tensors_match_the_quadrature_sums(scale):
     assert close(m.element_stiffness, kloc)
     assert close(m.mass().toarray(), _dense_scatter(m, mloc))
     assert close(m.integral_weights(), w)
-    assert close(m.G.data.reshape(grads.shape[:2] + (2, 6)), grads.transpose(0, 1, 3, 2))
+    assert close(m.shape_gradients.reshape(grads.shape[:2] + (2, 6)), grads.transpose(0, 1, 3, 2))
+    assert close(m.shape_gradient_duals.reshape(-1, 6, len(fem.QUAD_W), 2), np.einsum("eq,eqna->enqa", qw, grads))
     assert close(m.qpoints, np.einsum("qi,eia->eqa", fem.QUAD_BARY, verts))
-    # G keeps its layout and its read-only arrays
-    assert np.array_equal(m.G.indices.reshape(-1, 6), np.repeat(t, 2 * len(fem.QUAD_W), axis=0))
-    assert not any(a.flags.writeable for a in (m.G.data, m.G.indices, m.G.indptr))
 
     # the boundary line mass and moments per electrode, from the 3-point Gauss rule
     chord = m.nodes[m.bnodes[:, 2]] - m.nodes[m.bnodes[:, 0]]
@@ -713,8 +711,9 @@ def _reference_gradient(m, phi, bary):
 
 
 def test_gradient_operator_and_its_dual():
-    # gradient_field is G @ u and gradient_dual is G.T @ (w v): check both, and
-    # the perp dual perp_gradient_dual(v), against the from-scratch gradient
+    # gradient_field gathers u and applies the shape gradients, gradient_dual applies
+    # their weighted transpose to v and scatters: check both, and the perp dual
+    # perp_gradient_dual(v), against the from-scratch gradient
     m = fem.disk_mesh_scale(2)
     rng = np.random.default_rng(21)
     u = rng.normal(size=(m.n_nodes, 3))
@@ -728,10 +727,6 @@ def test_gradient_operator_and_its_dual():
         terms = m.qweights[:, :, None, None] * v * grad
         assert abs(np.sum(dual * u) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
     assert np.allclose(fem.gradient_dual(v[..., 1], m), d[:, 1], rtol=0, atol=1e-13 * np.abs(d).max())
-    # the stored transpose shares G's arrays and gives a fresh transpose's product bit for bit
-    assert all(np.shares_memory(a, b) for a, b in ((m.Gt.data, m.G.data), (m.Gt.indices, m.G.indices)))
-    wv = (m.qweights[:, :, None, None] * v).reshape(m.G.shape[0], 3)
-    assert np.array_equal(d, m.G.T @ wv)
 
 
 def _rotate(v):
@@ -744,44 +739,17 @@ def test_perp_operator_turns_the_gradient():
     rng = np.random.default_rng(23)
     u = rng.normal(size=(m.n_nodes, 3))
     v = rng.normal(size=(m.n_elements, len(fem.QUAD_W), 2, 3))
-    # Gp @ u sums the turned row's terms in G's order: the rotated gradient bit for bit
+    # a turned row sums its terms in the order of the row it came from: the rotated gradient bit for bit
     assert np.array_equal(fem.perp_gradient_field(u, m), _rotate(fem.gradient_field(u, m)))
     assert np.array_equal(fem.perp_gradient_field(u[:, 0], m), _rotate(fem.gradient_field(u[:, 0], m)))
-    # Gp.T @ (w v) adds the two rows of a quadrature point in the other order than
-    # -G.T @ (w rotate(v)), so the duals agree to the rounding of the sums
-    wv = (m.qweights[:, :, None, None] * v).reshape(m.G.shape[0], 3)
-    bound = 1e-15 * (abs(m.Gt.copy()) @ abs(wv))  # abs of Gt itself would sort G's shared indices in place
-    assert np.all(np.abs(fem.perp_gradient_dual(v, m) + fem.gradient_dual(_rotate(v), m)) <= bound)
-    assert np.array_equal(fem.perp_gradient_dual(v[..., 1], m), fem.perp_gradient_dual(v, m)[:, 1])
-
-
-def test_perp_operator_is_built_on_first_use_on_gs_index_arrays():
-    m = fem.disk_mesh_scale(1)
-    u = np.arange(float(m.n_nodes))
-    fem.gradient_dual(fem.gradient_field(u, m), m)
-    fem.solve_cem(fem.assemble_cem(m, np.ones(m.n_elements)), np.array([[1.0, 0, 0, 0, -1.0, 0, 0, 0]]))
-    assert "Gp" not in vars(m) and "Gpt" not in vars(m)
-    fem.perp_gradient_dual(fem.perp_gradient_field(u, m), m)
-    shared = ((m.Gp.indices, m.G.indices), (m.Gp.indptr, m.G.indptr), (m.Gpt.data, m.Gp.data),
-              (m.Gpt.indices, m.G.indices))
-    assert all(np.shares_memory(a, b) for a, b in shared)
-
-
-def test_gradient_operators_refuse_in_place_canonicalization():
-    # G, Gt, Gp and Gpt share index arrays: sorting one in place would scramble the others
-    m = fem.disk_mesh_scale(1)
-    v = np.random.default_rng(5).normal(size=(m.n_elements, len(fem.QUAD_W), 2, 2))
-    before = fem.gradient_dual(v, m), fem.perp_gradient_dual(v, m)
-    for op in (m.G, m.Gt, m.Gp, m.Gpt):
-        for canonicalize in (abs, type(op).sort_indices, type(op).sum_duplicates):
-            with pytest.raises(ValueError):
-                canonicalize(op)
-    assert np.array_equal(fem.gradient_dual(v, m), before[0])
-    assert np.array_equal(fem.perp_gradient_dual(v, m), before[1])
-    # products, transposed products and elementwise ones still work
-    u = np.arange(float(m.n_nodes))
-    assert np.allclose(m.Gt @ (m.G @ u), (m.Gt @ m.G) @ u)
-    assert m.G.multiply(m.G).nnz == m.G.nnz
+    # the perp dual adds the two rows of a quadrature point in the other order than
+    # -gradient_dual(rotate(v)), so the duals agree to the rounding of the sums
+    local = np.abs(m.shape_gradient_duals) @ np.abs(v).reshape(m.n_elements, -1, 3)
+    bound = 1e-15 * (m.node_scatter @ local.reshape(-1, 3))
+    pd = fem.perp_gradient_dual(v, m)
+    assert np.all(np.abs(pd + fem.gradient_dual(_rotate(v), m)) <= bound)
+    # BLAS sums one column in another order than three, as for gradient_dual
+    assert np.allclose(fem.perp_gradient_dual(v[..., 1], m), pd[:, 1], rtol=0, atol=1e-13 * np.abs(pd).max())
 
 
 def test_gradient_linear_and_quadratic_exactness():
