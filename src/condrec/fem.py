@@ -11,11 +11,11 @@ element: gather, local tensor, scatter.  ``Mesh.shape_gradients`` (nel,
 nq * 2, 6) holds in row q * 2 + a component a of the six P2 shape gradients
 of element e at point q, and ``gradient_field`` applies it to the gathered
 values ``np.take(u, triangles, axis=0)``.  The dual of a field v, sum_{e,q}
-w_eq v_eq . grad N_n (``gradient_dual``), applies ``shape_gradient_duals``,
-the transpose times the quadrature weights, and sums into the nodes by
-``Mesh.node_scatter``.  The ``perp_`` tensors hold the rows turned by a
-quarter turn, (-g2, g1), for ``perp_gradient_field`` and
-``perp_gradient_dual``.  Each tensor is built on first use.
+w_eq v_eq . grad N_n (``gradient_dual``), applies the transposed view of the
+same tensor to w v and sums into the nodes by ``Mesh.node_scatter``.
+``Mesh.perp_shape_gradients`` holds the rows turned by a quarter turn,
+(-g2, g1), for ``perp_gradient_field`` and ``perp_gradient_dual``.  Both
+tensors are built on first use.
 ``Mesh.element_stiffness`` holds the unit-sigma local stiffness matrices A_e
 (nel, 6, 6), and ``Mesh.node_scatter`` sums rows of local vectors
 (nel * 6[, I]) into the nodes.  A_e, the mass matrices, the integral weights,
@@ -304,16 +304,6 @@ class Mesh:
         return np.stack([-g[:, :, 1], g[:, :, 0]], axis=2).reshape(self.n_elements, -1, 6)
 
     @cached_property
-    def shape_gradient_duals(self):
-        """The dual's tensor (nel, 6, nq * 2): shape_gradients transposed, times the quadrature weights."""
-        return _weighted_transpose(self.shape_gradients, self.qweights)
-
-    @cached_property
-    def perp_shape_gradient_duals(self):
-        """perp_shape_gradients transposed, times the quadrature weights."""
-        return _weighted_transpose(self.perp_shape_gradients, self.qweights)
-
-    @cached_property
     def node_scatter(self):
         """The element-to-node scatter (CSC, n_nodes x nel * 6): column 6 e + j is node j of element e."""
         return sp.csc_matrix((np.ones(self.triangles.size), self.triangles.ravel(),
@@ -322,8 +312,7 @@ class Mesh:
     def release_assembly(self):
         """Drop the cached CEM layout and element arrays; each is rebuilt on next use."""
         self._cem_layout = None
-        for name in ("element_stiffness", "node_scatter", "shape_gradients", "perp_shape_gradients",
-                     "shape_gradient_duals", "perp_shape_gradient_duals"):
+        for name in ("element_stiffness", "node_scatter", "shape_gradients", "perp_shape_gradients"):
             vars(self).pop(name, None)
 
     def stiffness(self, sigma=None):
@@ -825,21 +814,22 @@ def _nodal(phi, mesh):
     return a
 
 
-def _weighted_transpose(local, qweights):
-    """The dual's tensor (nel, 6, nq * 2) of a field tensor (nel, nq * 2, 6): its transpose times the weights."""
-    return np.ascontiguousarray((local * np.repeat(qweights, 2, axis=1)[:, :, None]).transpose(0, 2, 1))
-
-
 def _field(local, phi, mesh):
     a = _nodal(phi, mesh)
     g = local @ np.take(a.reshape(len(a), -1), mesh.triangles, axis=0)  # (nel, nq * 2, I)
     return g.reshape(mesh.qweights.shape + (2,) + a.shape[1:])
 
 
-def _dual(local_t, v, mesh):
+def _dual(local, v, mesh):
     v = np.asarray(v, float)
-    local = local_t @ v.reshape(mesh.n_elements, local_t.shape[2], -1)  # (nel, 6, I)
-    return (mesh.node_scatter @ local.reshape(mesh.triangles.size, -1)).reshape((mesh.n_nodes,) + v.shape[3:])
+    x = v.reshape(mesh.qweights.shape + (2, -1))
+    n = x.shape[3]
+    # BLAS sums one column (gemv) in another order than several (gemm): one column
+    # goes in as the first of two, so a column's dual has the same bits in any stack
+    wv = np.zeros(x.shape[:3] + (2,)) if n == 1 else np.empty(x.shape)
+    np.multiply(mesh.qweights[:, :, None, None], x, out=wv[..., :n])
+    d = (local.transpose(0, 2, 1) @ wv.reshape(local.shape[:2] + (-1,)))[:, :, :n]  # (nel, 6, I)
+    return (mesh.node_scatter @ d.reshape(mesh.triangles.size, n)).reshape((mesh.n_nodes,) + v.shape[3:])
 
 
 def gradient_field(phi, mesh):
@@ -857,7 +847,7 @@ def gradient_dual(v, mesh):
 
     The adjoint of gradient_field in the quadrature inner product.
     """
-    return _dual(mesh.shape_gradient_duals, v, mesh)
+    return _dual(mesh.shape_gradients, v, mesh)
 
 
 def perp_gradient_dual(v, mesh):
@@ -865,7 +855,7 @@ def perp_gradient_dual(v, mesh):
 
     The adjoint of perp_gradient_field in the quadrature inner product.
     """
-    return _dual(mesh.perp_shape_gradient_duals, v, mesh)
+    return _dual(mesh.perp_shape_gradients, v, mesh)
 
 
 def field_dot(u, v):

@@ -168,8 +168,7 @@ def test_generate_synthetic_frees_every_data_mesh():
         fine = cell.fine
         assert (fine is cell.coarse) == (refine == 0)
         assert fine._cem_layout is None
-        assert not {"element_stiffness", "node_scatter", "shape_gradients", "perp_shape_gradients",
-                    "shape_gradient_duals", "perp_shape_gradient_duals"} & set(vars(fine))
+        assert not {"element_stiffness", "node_scatter", "shape_gradients", "perp_shape_gradients"} & set(vars(fine))
         fresh = fem.refine_mesh(fem.disk_mesh_scale(1, cell.electrodes), refine)
         assert fine.checksum() == fresh.checksum()
         sigma = cell.data.sigma_fine

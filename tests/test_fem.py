@@ -332,7 +332,6 @@ def test_reference_tensors_match_the_quadrature_sums(scale):
     assert close(m.mass().toarray(), _dense_scatter(m, mloc))
     assert close(m.integral_weights(), w)
     assert close(m.shape_gradients.reshape(grads.shape[:2] + (2, 6)), grads.transpose(0, 1, 3, 2))
-    assert close(m.shape_gradient_duals.reshape(-1, 6, len(fem.QUAD_W), 2), np.einsum("eq,eqna->enqa", qw, grads))
     assert close(m.qpoints, np.einsum("qi,eia->eqa", fem.QUAD_BARY, verts))
 
     # the boundary line mass and moments per electrode, from the 3-point Gauss rule
@@ -712,7 +711,7 @@ def _reference_gradient(m, phi, bary):
 
 def test_gradient_operator_and_its_dual():
     # gradient_field gathers u and applies the shape gradients, gradient_dual applies
-    # their weighted transpose to v and scatters: check both, and the perp dual
+    # their transpose to w v and scatters: check both, and the perp dual
     # perp_gradient_dual(v), against the from-scratch gradient
     m = fem.disk_mesh_scale(2)
     rng = np.random.default_rng(21)
@@ -726,7 +725,8 @@ def test_gradient_operator_and_its_dual():
     for dual, grad in ((d, gu), (fem.perp_gradient_dual(v, m), perp_gu)):
         terms = m.qweights[:, :, None, None] * v * grad
         assert abs(np.sum(dual * u) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
-    assert np.allclose(fem.gradient_dual(v[..., 1], m), d[:, 1], rtol=0, atol=1e-13 * np.abs(d).max())
+    # one column's dual is that column of the stack's, bit for bit
+    assert np.array_equal(fem.gradient_dual(v[..., 1], m), d[:, 1])
 
 
 def _rotate(v):
@@ -744,12 +744,12 @@ def test_perp_operator_turns_the_gradient():
     assert np.array_equal(fem.perp_gradient_field(u[:, 0], m), _rotate(fem.gradient_field(u[:, 0], m)))
     # the perp dual adds the two rows of a quadrature point in the other order than
     # -gradient_dual(rotate(v)), so the duals agree to the rounding of the sums
-    local = np.abs(m.shape_gradient_duals) @ np.abs(v).reshape(m.n_elements, -1, 3)
+    wv = m.qweights[:, :, None, None] * v
+    local = np.abs(m.shape_gradients).transpose(0, 2, 1) @ np.abs(wv).reshape(m.n_elements, -1, 3)
     bound = 1e-15 * (m.node_scatter @ local.reshape(-1, 3))
     pd = fem.perp_gradient_dual(v, m)
     assert np.all(np.abs(pd + fem.gradient_dual(_rotate(v), m)) <= bound)
-    # BLAS sums one column in another order than three, as for gradient_dual
-    assert np.allclose(fem.perp_gradient_dual(v[..., 1], m), pd[:, 1], rtol=0, atol=1e-13 * np.abs(pd).max())
+    assert np.array_equal(fem.perp_gradient_dual(v[..., 1], m), pd[:, 1])
 
 
 def test_gradient_linear_and_quadratic_exactness():
