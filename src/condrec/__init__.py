@@ -53,7 +53,6 @@ from .solvers import (
     alpha_a_priori,
     armijo_step,
     newton_sqp,
-    noise_budget,
     projected_gradient,
     solve_subproblem,
 )

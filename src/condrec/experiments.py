@@ -192,8 +192,8 @@ class ExperimentConfig:
             raise UnsupportedOperationError(f"unknown solver {self.solver!r}; valid: {', '.join(SOLVERS)}")
         self.excitation()
         functionals.check_power_density_variant(self.iat_obs_variant, self.formulation == "iat-reduced")
-        if self.delta < 0:
-            raise InvalidFieldError("delta must be >= 0")
+        if not 0 <= self.delta < 1:
+            raise InvalidFieldError(f"delta must lie in [0, 1), not {self.delta}")
         if self.fine_refine < 1 and not self.allow_inverse_crime:
             raise InvalidFieldError(
                 "fine mesh must be strictly finer than the reconstruction mesh "
@@ -283,12 +283,11 @@ def run_experiment(cfg):
     cell = build_cell(cfg)
     coarse, excitation, electrodes = cell.coarse, cell.excitation, cell.electrodes
     obs = _stage("cost", build_observations, cfg, cell.noisy, excitation)
-    eta = _stage("cost", solvers.noise_budget, obs, coarse, cfg.beta,
-                 cfg.formulation in ("eit-aao", "eit-elim-sigma"))
     trace, _ = fem.psi_trace_values(coarse, excitation)
     constraints = core.ConstraintSet(cfg.sigma_lower, cfg.sigma_upper, True, trace)
     cost = _stage("cost", functionals.combined_cost, cfg.formulation, obs, coarse,
                   excitation, electrodes, cfg.beta, constraints)
+    eta = _stage("cost", cost.noise_budget)
     feasible = solvers.FeasibleSet(cost.space, constraints)
 
     sigma0 = np.full(coarse.n_elements, 0.5 * (cfg.sigma_lower + cfg.sigma_upper))

@@ -215,10 +215,9 @@ class Mesh:
     loop, which becomes the boundary arrays of the module docstring.
     """
 
-    def __init__(self, vertices, triangles_p1, boundary, electrodes, parents=None, scale=None):
+    def __init__(self, vertices, triangles_p1, boundary, electrodes, scale=None):
         self.electrodes = electrodes
         self.scale = scale
-        self.parents = None if parents is None else np.asarray(parents, int)
         self._cem_layout = None  # the CemLayout of the last electrode set assembled
         self._build(np.asarray(vertices, float), np.asarray(triangles_p1, int), boundary)
 
@@ -444,8 +443,8 @@ def _symmetric_strip(inner, outer):
 def refine_mesh(mesh, times=1):
     """Subdivide each triangle into four; children tile parents exactly.
 
-    Parent links (child -> parent element) are stored on the result for exact
-    field transfer.
+    The children of element e are elements 4e..4e+3 of the result, which keeps
+    its parent mesh as ``parent_mesh`` for exact field transfer.
     """
     out = mesh
     for _ in range(times):
@@ -462,7 +461,7 @@ def _refine_once(mesh):
     # the P2 nodes become the vertices; each boundary edge (a, m, b) splits into (a, m), (m, b)
     boundary = (mesh.bnodes[:, [0, 1, 1, 2]], np.repeat(mesh.belectrode, 2), np.repeat(mesh.bindex, 2))
     child = Mesh(mesh.nodes, mesh.triangles[:, _CHILDREN].reshape(-1, 3), boundary, mesh.electrodes,
-                 parents=np.repeat(np.arange(mesh.n_elements), 4), scale=mesh.scale)
+                 scale=mesh.scale)
     child.parent_mesh = mesh
     return child
 
@@ -472,7 +471,7 @@ def nested_chain(fine_mesh, coarse_mesh):
     chain = []
     mesh = fine_mesh
     while mesh is not coarse_mesh:
-        if getattr(mesh, "parents", None) is None or not hasattr(mesh, "parent_mesh"):
+        if not hasattr(mesh, "parent_mesh"):
             raise InvalidMeshError("meshes are not nested")
         chain.append(mesh)
         mesh = mesh.parent_mesh
@@ -483,9 +482,9 @@ def transfer_cell_field(values, fine_mesh, coarse_mesh):
     """Area-weighted aggregation of per-element values (axis 0) from a refined mesh to an ancestor."""
     vals = np.asarray(values, float).T
     for mesh in reversed(nested_chain(fine_mesh, coarse_mesh)):
-        num = np.zeros(vals.shape[:-1] + (mesh.parent_mesh.n_elements,))
-        np.add.at(num.T, mesh.parents, (vals * mesh.element_areas).T)
-        vals = num / mesh.parent_mesh.element_areas
+        # the children of parent element e are 4e..4e+3
+        children = (vals * mesh.element_areas).reshape(vals.shape[:-1] + (-1, 4))
+        vals = children.sum(-1) / mesh.parent_mesh.element_areas
     return vals.T
 
 

@@ -17,7 +17,9 @@ quantities are written once:
 The all-at-once cost is the pairs (model, 1) and (observation, beta); the flux
 misfit ||grad phi - g||^2 carries no 1/2, so its term has weight 2 beta.  The
 eliminated-sigma cost is that sum at the lifted state (sigma(Phi, Psi), Phi,
-Psi), and the reduced cost is one reduced-map term.
+Psi), and the reduced cost is one reduced-map term.  A cost's discrepancy
+budget eta is its observation pair's misfit of the data's noisy part at the
+relative level delta/(1 - delta), in the same weight beta w and W product.
 
 Conventions: sigma is piecewise constant per element; potentials are P2 nodal
 fields stored as (n_nodes, I) matrices; quadrature-point gradients
@@ -44,6 +46,7 @@ from .errors import (
     InvalidFieldError,
     UnsupportedOperationError,
 )
+from .solvers import QuadraticModel
 
 FORMULATIONS = (
     "iat-aao",
@@ -85,8 +88,8 @@ class Observations:
     def __post_init__(self):
         if self.variant not in ("iat", "eit", "gwf"):
             raise FormulationMismatchError(f"unknown observation variant {self.variant!r}")
-        if self.delta < 0:
-            raise InvalidFieldError("noise level must be >= 0")
+        if not 0 <= self.delta < 1:
+            raise InvalidFieldError(f"noise level must lie in [0, 1), not {self.delta}")
         check_power_density_variant(self.iat_obs_variant)
         if self.variant == "gwf" and self.head_order not in (0, 1):
             raise UnsupportedOperationError("head misfit supports only Sobolev orders 0 and 1")
@@ -264,6 +267,7 @@ class PowerTerm:
     phi_i (variant 1).  It is projected to the space of H too: the residual is
     its per-element quadrature average minus H, (nel, I), weighted by the
     element areas, so it vanishes identically when H equals the computed density.
+    All of H carries noise: noisy_data is H as (nel, I).
 
     The potential duals are quadrature fields, which the all-at-once costs sum
     with the model term's field into one gradient_dual.  A nodal dual through
@@ -276,6 +280,7 @@ class PowerTerm:
         check_power_density_variant(variant)
         self.mesh = mesh
         self.H = np.asarray(H, float)
+        self.noisy_data = self.H.T
         self.variant = variant
 
     def inner(self, u, v):
@@ -327,14 +332,16 @@ class AffineTerm:
     """Residual r(x) = A x - y of a linear map A, so r' = A and r'^* = A^* W.
 
     apply(h) gives A h, transpose(u) the duals of h -> <u, A h>_W, and inner
-    is the W product.
+    is the W product.  noisy_data is the part of y that carries noise, all of
+    y unless given.
     """
 
-    def __init__(self, apply, transpose, inner, y):
+    def __init__(self, apply, transpose, inner, y, noisy_data=None):
         self.apply = apply
         self.transpose = transpose
         self.inner = inner
         self.y = y
+        self.noisy_data = y if noisy_data is None else noisy_data
 
     def residual(self, x):
         return self.apply(x) - self.y
@@ -383,10 +390,12 @@ def eit_trace_term(mesh, jbar, vbar, electrodes=None):
     electrode edge and psi - jbar at three samples per gap edge, with F the
     running arc-length integral of the phi trace from the electrode start,
     accumulated trapezoidally over the samples; W is Simpson's rule per edge.
+    Only the voltage ramp d v of vbar carries noise: the currents, hence jbar
+    and the offset z sum_{k<l} j_k, are exact.
     """
     electrodes = electrodes or mesh.electrodes
     c0, vslope = vbar
-    blocks = []  # (A_phi, A_psi, y, w) of each electrode and each gap
+    blocks = []  # (A_phi, A_psi, y, noisy part of y, w) of each electrode and each gap
     for ell in range(electrodes.count):
         for on in (True, False):
             k = np.flatnonzero((mesh.bindex == ell + 1) & (mesh.belectrode == on))
@@ -399,18 +408,19 @@ def eit_trace_term(mesh, jbar, vbar, electrodes=None):
                 T = np.cumsum(np.diag(q) + np.diag(q[1:], -1), axis=0)
                 s = mesh.bstart[k] - mesh.bstart[k[0]]  # arc from the electrode start to each edge
                 d = s[:, None] + mesh.blength[k, None] * np.array([0.0, 0.5, 1.0])
-                y = c0[:, ell][None, :] + np.outer(d.ravel(), vslope[:, ell])
-                blocks.append((sp.csr_matrix(T) @ S, -electrodes.impedances[ell] * S, y, w))
+                ramp = np.outer(d.ravel(), vslope[:, ell])
+                blocks.append((sp.csr_matrix(T) @ S, -electrodes.impedances[ell] * S,
+                               c0[:, ell][None, :] + ramp, ramp, w))
             else:
                 y = np.broadcast_to(jbar[:, ell], (S.shape[0], len(jbar)))
-                blocks.append((sp.csr_matrix(S.shape), S, y, w))
-    A_phi, A_psi, y, w = zip(*blocks)
+                blocks.append((sp.csr_matrix(S.shape), S, y, np.zeros(y.shape), w))
+    A_phi, A_psi, y, ramp, w = zip(*blocks)
     A_phi = sp.vstack(A_phi).tocsr()
     A_psi = sp.vstack(A_psi).tocsr()
     w = np.concatenate(w)[:, None]
     return AffineTerm(lambda h: A_phi @ h.phis + A_psi @ h.psis,
                       lambda u: (None, A_phi.T @ (w * u), A_psi.T @ (w * u)),
-                      lambda u, v: float(np.sum(w * u * v)), np.vstack(y))
+                      lambda u, v: float(np.sum(w * u * v)), np.vstack(y), np.vstack(ramp))
 
 
 class ReducedMap:
@@ -537,33 +547,33 @@ def reduced_forward(sigma, mesh, excitation, electrodes=None):
 # -- cost functional objects ------------------------------------------------------------
 
 
-class QuadraticModel:
-    """Q(x) = J0 + <g, x - x0> + 1/2 <H (x - x0), x - x0> in the space inner product."""
-
-    def __init__(self, space, x0, J0, g, hvp):
-        self.space = space
-        self.x0 = x0
-        self.J0 = J0
-        self.g = g
-        self.hvp = hvp
-
-    def value(self, x):
-        d = x - self.x0
-        return self.J0 + self.space.inner(self.g, d) + 0.5 * self.space.inner(self.hvp(d), d)
-
-    def gradient(self, x):
-        return self.g + self.hvp(x - self.x0)
-
-
 class CostFunctional:
     """Base for all formulation costs: value, Riesz gradient and Gauss-Newton
-    quadratic model of the (term, weight) pairs of ``self.residual``."""
+    quadratic model of the (term, weight) pairs of ``self.residual``, and the
+    discrepancy budget of its observation pair ``self.observation``."""
 
-    def __init__(self, formulation, space, constraints):
+    reduced = False  # whether the observation term reads a reduced map's point
+
+    def __init__(self, formulation, space, constraints, obs, beta, electrodes):
         self.formulation = formulation
         self.space = space
         self.constraints = constraints
         self.mesh = space.mesh
+        self.delta = obs.delta
+        term, weight = _observation_term(obs, self.mesh, electrodes, self.reduced)
+        self.observation = (term, beta * weight)
+
+    def noise_budget(self):
+        """The discrepancy budget eta = 1/2 (beta w) (delta / (1 - delta))^2 <y^delta, y^delta>_W.
+
+        It bounds the observation misfit at the exact solution under the noise
+        model |y^delta - y| <= delta |y| (componentwise), through ||y|| <=
+        ||y^delta|| / (1 - delta); y^delta is the term's noisy_data, W its inner
+        product.  delta = 0 gives 0.
+        """
+        term, weight = self.observation
+        y = term.noisy_data
+        return 0.5 * weight * (self.delta / (1.0 - self.delta)) ** 2 * term.inner(y, y)
 
     def value(self, x):
         return self.residual.linearize(x).value
@@ -599,10 +609,9 @@ class AllAtOnceCost(CostFunctional):
     """J = J_mod + beta * J_obs over x = (sigma, Phi, Psi)."""
 
     def __init__(self, formulation, space, constraints, obs, beta=1.0, electrodes=None):
-        super().__init__(formulation, space, constraints)
+        super().__init__(formulation, space, constraints, obs, beta, electrodes)
         model = LsTerm(self.mesh) if formulation == "gwf-aao-ls" else KvTerm(self.mesh)
-        term, weight = _observation_term(obs, self.mesh, electrodes)
-        self.residual = Residual([(model, 1.0), (term, beta * weight)], partial(Point, self.mesh))
+        self.residual = Residual([(model, 1.0), self.observation], partial(Point, self.mesh))
 
 
 class EliminatedSigmaCost(CostFunctional):
@@ -612,9 +621,8 @@ class EliminatedSigmaCost(CostFunctional):
     with h_sigma = 0)."""
 
     def __init__(self, formulation, space, constraints, obs, beta=1.0, electrodes=None):
-        super().__init__(formulation, space, constraints)
-        term, weight = _observation_term(obs, self.mesh, electrodes)
-        self.residual = Residual([(KvTerm(self.mesh), 1.0), (term, beta * weight)], self._lift)
+        super().__init__(formulation, space, constraints, obs, beta, electrodes)
+        self.residual = Residual([(KvTerm(self.mesh), 1.0), self.observation], self._lift)
 
     def _lift(self, sigma, phis, psis):
         x = Point(self.mesh, None, phis, psis)
@@ -654,11 +662,13 @@ class ReducedCost(CostFunctional):
     (discretize-then-optimize: exact gradients of the discrete cost).
     """
 
+    reduced = True
+
     def __init__(self, formulation, space, constraints, obs, excitation, beta=1.0, electrodes=None):
-        super().__init__(formulation, space, constraints)
-        term, weight = _observation_term(obs, self.mesh, electrodes, reduced=True)
+        super().__init__(formulation, space, constraints, obs, beta, electrodes)
+        term, weight = self.observation
         rmap = ReducedMap(term, self.mesh, excitation, electrodes)
-        self.residual = Residual([(rmap, beta * weight)], lambda sigma, phis, psis: rmap.lift(sigma))
+        self.residual = Residual([(rmap, weight)], lambda sigma, phis, psis: rmap.lift(sigma))
 
 
 def combined_cost(formulation, observations, mesh, excitation, electrodes=None,

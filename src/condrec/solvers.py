@@ -9,7 +9,9 @@ the inexact-Newton band sigma_lo <= Q_k(x_{k+1}(alpha))/J(x_k) <= sigma_hi.
 
 Solvers are generic over the unknown: they touch iterates only through
 arithmetic, ``constraint.project`` and ``constraint.inner``, so plain numpy
-vectors (with BoxFeasible) and PDE states (with FeasibleSet) both work.
+vectors (with BoxFeasible) and PDE states (with FeasibleSet) both work.  The
+noise budget eta is a number of the configuration; a cost computes it in its
+own observation norm.
 """
 from __future__ import annotations
 
@@ -211,6 +213,24 @@ def projected_gradient(cost, constraint, x0, cfg, sink=None):
 
 
 # -- Newton-SQP -------------------------------------------------------------------
+
+
+class QuadraticModel:
+    """Q(x) = J0 + <g, x - x0> + 1/2 <H (x - x0), x - x0> in the space inner product."""
+
+    def __init__(self, space, x0, J0, g, hvp):
+        self.space = space
+        self.x0 = x0
+        self.J0 = J0
+        self.g = g
+        self.hvp = hvp
+
+    def value(self, x):
+        d = x - self.x0
+        return self.J0 + self.space.inner(self.g, d) + 0.5 * self.space.inner(self.hvp(d), d)
+
+    def gradient(self, x):
+        return self.g + self.hvp(x - self.x0)
 
 
 def estimate_curvature(hvp, constraint, v, iters=20):
@@ -454,47 +474,6 @@ class QuadraticLeastSquares:
         return self.value_and_gradient(x)[1]
 
     def quadratic_model(self, x):
-        from .functionals import QuadraticModel
-
         J0, g = self.value_and_gradient(x)
         return QuadraticModel(self.geometry, np.array(x, float), J0, g, lambda h: self.A.T @ (self.A @ h))
 
-
-# -- noise budgets ------------------------------------------------------------------
-
-
-def noise_budget(observations, mesh=None, beta=1.0, trace_based=False):
-    """Upper bound eta(delta) on the cost at the exact solution under the
-    multiplicative noise model |y^delta - y| <= delta |y| (componentwise).
-
-    The bound substitutes ||y|| <= ||y^delta|| / (1 - delta); delta = 0 gives 0.
-    ``trace_based`` selects the electrode-trace variant of the voltage data
-    budget used by the all-at-once formulations.
-    """
-    o = observations
-    d = o.delta
-    if d == 0:
-        return 0.0
-    if d >= 1:
-        raise InvalidFieldError("relative noise level must be below 1")
-    amp = (d / (1.0 - d)) ** 2
-    if o.variant == "iat":
-        if mesh is None:
-            raise InvalidFieldError("power-density budget needs the mesh")
-        norm2 = float(np.einsum("e,eI->", mesh.element_areas, (o.H.T) ** 2))
-        return 0.5 * beta * amp * norm2
-    if o.variant == "eit":
-        if not trace_based:
-            return 0.5 * beta * amp * float(np.sum(o.voltages**2))
-        if mesh is None:
-            raise InvalidFieldError("trace-based budget needs the mesh")
-        return 0.5 * beta * amp * float(np.sum(o.voltages**2 * mesh.electrode_lengths[None, :] ** 3 / 3.0))
-    if o.flux is not None:
-        if mesh is None:
-            raise InvalidFieldError("flux budget needs the mesh")
-        norm2 = float(np.einsum("eq,eqaI->", mesh.qweights, o.flux**2))
-        return beta * amp * norm2  # the flux misfit carries no 1/2
-    if mesh is None:
-        raise InvalidFieldError("head budget needs the mesh")
-    M = mesh.mass() if o.head_order == 0 else (mesh.mass() + mesh.stiffness())
-    return 0.5 * beta * amp * float(np.sum(o.head * (M @ o.head)))

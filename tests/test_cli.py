@@ -152,6 +152,9 @@ def test_misspelt_solver_setting_exit_2(tmp_path, capsys, setting):
     ("cases = I1", "cases = I99", "I99"),
     ("seed = 1", "seed = 1\niat_obs_variant = 3", "variant 3"),
     ("seed = 1", "seed = 1\niat_obs_variant = 1", "variant 1"),  # the reduced map has no psi
+    # a noise level of 1 or more leaves no discrepancy budget: it used to fail every cell at stage cost
+    ("deltas = 0", "deltas = 1", "[0, 1)"),
+    ("deltas = 0", "deltas = 0.01, 1.5", "[0, 1)"),
     # a [verify] section makes it a verify run, refused before it samples a state
     pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncondition = chain\nsamples = 0",
                  "[verify] samples", id="verify-chain-samples"),
@@ -174,6 +177,15 @@ def test_bad_run_value_exit_2(tmp_path, capsys, old, new, named):
     sub = "verify" if "[verify]" in new else "reconstruct"
     assert cli.main([sub, "--config", cfgp, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_refuses_a_noise_level_of_one_exit_2(tmp_path, capsys):
+    # generate used to write data at delta = 1, which no reconstruction can use
+    cfgp = write_config(tmp_path / "run.ini", MINIMAL.replace("deltas = 0", "deltas = 1"))
+    out = tmp_path / "x"
+    assert cli.main(["generate", "--config", cfgp, "--out", str(out)]) == 2
+    assert "[0, 1)" in capsys.readouterr().err
     assert not out.exists()
 
 

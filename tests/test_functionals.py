@@ -4,8 +4,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from condrec import conditions as cd, core, fem, functionals as fn, solvers as sv
-from condrec.errors import AssemblyError, FormulationMismatchError, UnsupportedOperationError
+from condrec import conditions as cd, core, experiments as ex, fem, functionals as fn, solvers as sv
+from condrec.errors import AssemblyError, FormulationMismatchError, InvalidFieldError, UnsupportedOperationError
 
 
 @pytest.fixture(scope="module")
@@ -885,3 +885,97 @@ def test_values_gradients_and_projections_do_not_depend_on_memory_layout(setup, 
         outputs.append([value] + [b for s in states for b in (s.sigma, s.phis, s.psis) if b is not None])
     for a, b in zip(*outputs):
         assert np.array_equal(a, b)
+
+
+# -- discrepancy budget --------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def matched():
+    """Exact data on a scale-1 mesh, made on that mesh itself (no discretization error)."""
+    mesh = fem.disk_mesh_scale(1)
+    exc = ex.excitation_case("I2")
+    trace, _ = fem.psi_trace_values(mesh, exc)
+    return mesh, exc, core.ConstraintSet(1.0, 6.0, True, trace), ex.generate_synthetic(ex.Phantom(), exc, mesh, mesh)
+
+
+def _noisy_observations(family, data, exc, delta, seed=3):
+    if family == "iat":
+        return fn.Observations("iat", delta, H=ex.add_noise(data.H, delta, seed))
+    if family == "eit":
+        return fn.Observations("eit", delta, currents=exc.currents, voltages=ex.add_noise(data.voltages, delta, seed))
+    return fn.Observations("gwf", delta, flux=ex.add_noise(data.flux, delta, seed))
+
+
+def test_noise_budget_zero_delta():
+    mesh = fem.disk_mesh_scale(1)
+    exc = fem.ExcitationSet(np.array([[1.0, 0, 0, 0, -1.0, 0, 0, 0]]))
+    obs = fn.Observations("eit", 0.0, currents=exc.currents, voltages=np.ones((1, 8)))
+    for tag in ("eit-aao", "eit-reduced"):
+        assert fn.combined_cost(tag, obs, mesh, exc).noise_budget() == 0.0
+    # a noise level of 1 or more has no budget, and is refused where it enters
+    for delta in (1.0, 1.5):
+        with pytest.raises(InvalidFieldError):
+            fn.Observations("eit", delta, currents=exc.currents, voltages=np.ones((1, 8)))
+
+
+def test_noise_budget_formula():
+    # delta = 0.1, one observation with squared data norm 1: eta = 0.01/(2*0.81)
+    mesh = fem.disk_mesh_scale(1)
+    exc = fem.ExcitationSet(np.array([[1.0, 0, 0, 0, -1.0, 0, 0, 0]]))
+    H = np.zeros((1, mesh.n_elements))
+    H[0, 0] = 1.0 / np.sqrt(mesh.element_areas[0])  # ||H||_{L2}^2 = 1
+    obs = fn.Observations("iat", 0.1, H=H)
+    for tag in ("iat-aao", "iat-elim-sigma", "iat-reduced"):
+        eta = fn.combined_cost(tag, obs, mesh, exc).noise_budget()
+        assert abs(eta - 0.5 * 0.01 / 0.81) < 1e-12
+
+
+def test_noise_budget_dominates_cost_at_truth(matched):
+    # with data made on the reconstruction mesh, J(sigma_true) is the noise misfit alone
+    mesh, exc, cs, data = matched
+    for tag in ("iat-reduced", "eit-reduced", "gwf-reduced"):
+        for delta in (0.01, 0.1):
+            obs = _noisy_observations(tag.split("-")[0], data, exc, delta)
+            cost = fn.combined_cost(tag, obs, mesh, exc, constraints=cs)
+            J_truth = cost.value(cost.space.state(data.sigma_coarse))
+            assert 0 < J_truth <= cost.noise_budget(), (tag, delta)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.37])
+def test_trace_budget_bounds_the_noise_misfit(matched, beta):
+    # the electrode-trace term: only its voltage ramp carries noise, and
+    # r(y^delta) - r(y) = y - y^delta at every state
+    mesh, exc, cs, data = matched
+    for delta in (0.01, 0.1):
+        exact = fn.combined_cost("eit-aao", _noisy_observations("eit", data, exc, 0.0), mesh, exc, beta=beta)
+        noisy = fn.combined_cost("eit-aao", _noisy_observations("eit", data, exc, delta), mesh, exc, beta=beta)
+        (term, weight), (term_d, _) = exact.observation, noisy.observation
+        misfit = 0.5 * weight * term.inner(term.y - term_d.y, term.y - term_d.y)
+        assert 0 < misfit <= noisy.noise_budget(), delta
+
+
+def test_noise_budget_closed_forms(matched):
+    # each observation kind's budget, in the form it had before the cost owned it
+    mesh, exc, cs, data = matched
+    delta, beta = 0.01, 0.37
+    amp = (delta / (1.0 - delta)) ** 2
+
+    def eta(tag, obs):
+        return fn.combined_cost(tag, obs, mesh, exc, beta=beta, constraints=cs).noise_budget()
+
+    o = _noisy_observations("iat", data, exc, delta)
+    assert eta("iat-aao", o) == 0.5 * beta * amp * float(np.einsum("e,eI->", mesh.element_areas, o.H.T**2))
+    o = _noisy_observations("eit", data, exc, delta)
+    assert eta("eit-reduced", o) == 0.5 * beta * amp * float(np.sum(o.voltages**2))
+    trace_form = 0.5 * beta * amp * float(np.sum(o.voltages**2 * mesh.electrode_lengths[None, :] ** 3 / 3.0))
+    for tag in ("eit-aao", "eit-elim-sigma"):  # Simpson's rule of d^2 against its exact integral L^3/3
+        assert eta(tag, o) == pytest.approx(trace_form, rel=1e-15, abs=0)
+    o = _noisy_observations("gwf", data, exc, delta)
+    assert eta("gwf-aao-ls", o) == beta * amp * float(np.einsum("eq,eqaI->", mesh.qweights, o.flux**2))
+    phi, _, _, _, _ = fn.reduced_forward(data.sigma_coarse, mesh, exc)
+    p = ex.add_noise(phi, delta, 4)
+    M, K = mesh.mass(), mesh.stiffness()
+    assert eta("gwf-aao-ls", fn.Observations("gwf", delta, head=p)) == 0.5 * beta * amp * float(np.sum(p * (M @ p)))
+    assert (eta("gwf-aao-ls", fn.Observations("gwf", delta, head=p, head_order=1))
+            == 0.5 * beta * amp * float(np.sum(p * ((M + K) @ p))))

@@ -383,42 +383,3 @@ def test_newton_aposteriori_theory():
         for x in rep.iterates[1:]:
             assert 0.5 * np.linalg.norm(x) ** 2 <= r_dag * (1 + 1e-8)
 
-
-# -- noise budget ---------------------------------------------------------------------------
-
-
-def test_noise_budget_zero_delta():
-    from condrec import functionals as fn
-
-    obs = fn.Observations("eit", 0.0, currents=np.zeros((1, 8)), voltages=np.ones((1, 8)))
-    assert sv.noise_budget(obs) == 0.0
-
-
-def test_noise_budget_formula():
-    from condrec import fem, functionals as fn
-
-    # delta = 0.1, one observation with squared data norm 1: eta = 0.01/(2*0.81)
-    mesh = fem.disk_mesh_scale(1)
-    H = np.zeros((1, mesh.n_elements))
-    H[0, 0] = 1.0 / np.sqrt(mesh.element_areas[0])  # ||H||_{L2}^2 = 1
-    obs = fn.Observations("iat", 0.1, H=H)
-    eta = sv.noise_budget(obs, mesh)
-    assert abs(eta - 0.5 * 0.01 / 0.81) < 1e-12
-
-
-def test_noise_budget_dominates_cost_at_truth():
-    from condrec import core, fem, functionals as fn
-    from condrec.experiments import Phantom, add_noise, excitation_case, generate_synthetic
-
-    mesh = fem.disk_mesh_scale(1)
-    exc = excitation_case("I2")
-    data = generate_synthetic(Phantom(), exc, mesh, mesh)
-    for delta in (0.01, 0.1):
-        H = add_noise(data.H, delta, seed=3)
-        obs = fn.Observations("iat", delta, H=H)
-        eta = sv.noise_budget(obs, mesh)
-        trace, _ = fem.psi_trace_values(mesh, exc)
-        cs = core.ConstraintSet(1.0, 6.0, True, trace)
-        cost = fn.combined_cost("iat-reduced", obs, mesh, exc, constraints=cs)
-        J_truth = cost.value(cost.space.state(data.sigma_coarse))
-        assert J_truth <= eta
