@@ -155,8 +155,8 @@ def sample_feasible_states(space, constraints, x_dagger, radius, rng, n):
 # -- condition checks ----------------------------------------------------------------
 
 
-def check_tcc(forward, pairs, y_delta, claimed_constant):
-    """Weak tangential cone condition on sampled pairs.
+def check_tcc(forward, pairs, y_delta, claimed_constant, condition="tcc"):
+    """Weak tangential cone condition on sampled pairs, reported as ``condition``.
 
     ratio = |<F(x+) - F(x) - F'(x)(x+ - x), F(x) - y>| /
             (||F(x+) - F(x)|| ||F(x) - y||), with 0/0 -> 0.
@@ -177,7 +177,7 @@ def check_tcc(forward, pairs, y_delta, claimed_constant):
         worst = max(worst, ratio)
         if ratio > claimed_constant:
             violations.append({"sample": idx, "ratio": ratio})
-    return ConditionReport("tcc", len(pairs), worst, claimed_constant, violations)
+    return ConditionReport(condition, len(pairs), worst, claimed_constant, violations)
 
 
 def gwf_tcc_constant(constraints, forward, states, rng=None):

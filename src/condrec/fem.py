@@ -47,9 +47,9 @@ core's H1 Riesz and trace matrices, the stream-potential Laplacian).  Every
 matrix it factors is symmetric positive definite, so all are factored by one
 recipe: SuperLU in symmetric mode, a minimum-degree order of A + A^T applied
 to rows and columns alike, and the diagonal as every pivot.  Each factor is
-verified once, when it is made, by one solve of a fixed right-hand side with
-no zero-sum structure, and its solves return C-ordered rows in the matrix's
-own order.
+checked by its first solve, which carries a fixed right-hand side with no
+zero-sum structure as one more column, before it returns any solution; its
+solves return C-ordered rows in the matrix's own order.
 
 The CEM system A (N + L + 1 rows: the nodes, the L electrode voltages, the
 zero-mean multiplier) is a saddle point; its solves run on the SPD block left
@@ -58,19 +58,20 @@ rows, ``CemFactor``).  The symmetric order of that block is kept per layout
 (``CemLayout``, one per mesh and impedance set).  A is linear in the applied
 currents, which enter only the electrode rows n..n+L-1.  ``CemSystem.basis``
 is the electrode basis Z = A^-1 E, E the L unit columns at those rows: one
-checked solve of L columns per factorization.  A right-hand side that
-vanishes off the electrode rows and has more columns than electrodes (I > L)
-is solved as a product with Z: the currents of ``solve_cem``, whose residuals
-are read off A Z - E, and the voltage-data adjoint of the reduced maps, which
-functionals contracts through the element stiffness action A_e Z_e.  Up to L
-columns are solved directly.
+checked solve of L columns, and the new factor's probe, per factorization.
+A right-hand side that vanishes off the electrode rows and has more columns
+than electrodes (I > L) is solved as a product with Z: the currents of
+``solve_cem``, whose residuals are read off A Z - E, and the voltage-data
+adjoint of the reduced maps, which functionals contracts through the element
+stiffness action A_e Z_e.  Up to L columns are solved directly.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -564,9 +565,7 @@ class CemSystem:
         ``matrix``: raises AssemblyError when A Z - E exceeds SOLVE_RESIDUAL_BOUND.
         """
         if self._basis is None:
-            n, L = self.mesh.n_nodes, self.electrodes.count
-            E = np.zeros((self.matrix.shape[0], L))
-            E[n : n + L] = np.eye(L)
+            E = self.layout.unit_currents
             Z = self.lu.solve(E)
             R = self.matrix @ Z - E
             Factor.check(R, E, "electrode basis")
@@ -594,10 +593,12 @@ class Factor:
     The matrix SuperLU factors (``block``, by default the matrix itself) is
     SPD, so it is factored without pivoting in symmetric mode: a minimum-degree
     order of A + A^T for rows and columns alike, or, when ``ordered``, the
-    order it already has.  Verified once, when made: its solve of one fixed
-    right-hand side with no zero-sum structure must meet SOLVE_RESIDUAL_BOUND
-    against ``matrix``, so a factor of another matrix, or a CEM solve that
-    misses the grounding, raises AssemblyError, as a singular one does.
+    order it already has.  Checked by its first solve: that solve carries one
+    fixed right-hand side with no zero-sum structure (``probe``) as one more
+    column, whose residual must meet SOLVE_RESIDUAL_BOUND against ``matrix``
+    before any column is returned, so a factor of another matrix, or a CEM
+    solve that misses the grounding, raises AssemblyError.  The probe is
+    dropped only once it passes: a factor that failed raises on every solve.
     ``solve`` returns C-ordered rows in the matrix's own order.
     """
 
@@ -609,22 +610,44 @@ class Factor:
                                      diag_pivot_thresh=0, options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise AssemblyError(f"matrix is singular: {exc}") from exc
-        probe = np.sin(np.arange(1.0, matrix.shape[0] + 1))
-        self.check(matrix @ self.solve(probe) - probe, probe, "factor")
+        self.probe = _probe(matrix.shape[0])  # None once a solve has checked it
 
     def solve(self, rhs):
-        """x with A x = rhs for rhs (N,) or (N, k); unchecked, the factor was checked when made."""
+        """x with A x = rhs for rhs (N,) or (N, k).  The factor is checked by its first solve,
+        which carries the probe as one more column and returns only the caller's columns."""
+        if self.probe is None:
+            return self._solve(rhs)
+        x = self._solve(np.column_stack([rhs, self.probe]), probed=True)
+        self.check(self.matrix @ x[:, -1] - self.probe, self.probe, "factor")
+        self.probe = None
+        return np.ascontiguousarray(x[:, :-1].reshape(np.shape(rhs)))
+
+    def _solve(self, rhs, probed=False):
+        """The solve itself; ``probed`` says that the last column is the probe."""
         return np.ascontiguousarray(self.superlu.solve(rhs))
 
     @staticmethod
     def check(residual, rhs, what):
         """The relative residual ||r|| / ||b|| of each column (the absolute one where b = 0);
         raises AssemblyError when one is not finite or exceeds SOLVE_RESIDUAL_BOUND."""
-        scale = np.linalg.norm(rhs, axis=0)
-        rel = np.linalg.norm(residual, axis=0) / np.where(scale == 0, 1.0, scale)
-        if not np.all(rel <= SOLVE_RESIDUAL_BOUND):
+        scale = _column_norms(rhs)
+        rel = _column_norms(residual) / np.where(scale == 0, 1.0, scale)
+        if not (rel <= SOLVE_RESIDUAL_BOUND).all():
             raise AssemblyError(f"{what} residual {np.max(rel):.3e} exceeds {SOLVE_RESIDUAL_BOUND:g}")
         return rel
+
+
+@lru_cache(maxsize=8)
+def _probe(n):
+    """The fixed right-hand side sin(1..n) with which each factor's first solve checks it, read-only."""
+    probe = np.sin(np.arange(1.0, n + 1))
+    probe.flags.writeable = False
+    return probe
+
+
+def _column_norms(a):
+    """The 2-norm of each column of a (N[, k]): np.linalg.norm(a, axis=0) at under half its cost."""
+    return np.sqrt(np.einsum("i...,i...->...", a, a))
 
 
 class CemFactor(Factor):
@@ -651,10 +674,16 @@ class CemFactor(Factor):
         """lam = 1^T b / |Omega| over the node and electrode rows of rhs."""
         return rhs[:-1].sum(axis=0) / self.area
 
-    def solve(self, rhs):
-        lam = self.multiplier(rhs)
+    def _solve(self, rhs, probed=False):
+        # numpy sums one column in another order than several, and BLAS takes w^T y in
+        # an order that depends on the column count: the probe's column (the last, when
+        # probed) is reduced on its own, so the caller's keep the bits they have without it
+        def reduced(f, a):
+            return np.concatenate((f(a[:, :-1]), f(a[:, -1:]))) if probed else f(a)
+
+        lam = reduced(self.multiplier, rhs)
         y = self.superlu.solve(rhs[self.rows] - np.multiply.outer(self.weights, lam))
-        t = (rhs[-1] - self.weights @ y) / self.area
+        t = (rhs[-1] - reduced(lambda a: self.weights @ a, y)) / self.area
         x = np.empty(rhs.shape)
         x[self.rows] = y + t
         x[-2:] = t, lam  # the grounded voltage, shifted; the multiplier
@@ -686,22 +715,39 @@ class CemLayout:
     linear in sigma); C0 holds the electrode, multiplier and integral-weight
     blocks.  ``area`` is |Omega| = 1^T w for the integral weights w, and
     ``weights`` is w on the rows of the grounded block (zero on its electrode
-    rows), in its factored order.  Built once per mesh and impedances.
+    rows), in its factored order.  ``unit_currents`` (N, L), read-only, holds
+    the unit columns at the electrode rows, the right-hand side E of every
+    factor's electrode basis.  Built once per mesh and impedances.
     """
 
     def __init__(self, key, S, C0, w):
         self.key, self.S, self.C0 = key, S, C0
         self.area = w.sum()
-        m = C0.shape[0] - 2  # the grounded block: every row but the last voltage and the multiplier
+        N, L = C0.shape[0], key[0]
+        self.unit_currents = np.zeros((N, L))
+        self.unit_currents[N - L - 1 : N - 1] = np.eye(L)
+        self.unit_currents.flags.writeable = False
+        m = N - 2  # the grounded block: every row but the last voltage and the multiplier
         self.weights = np.concatenate([w, np.zeros(m - len(w))])
         self.order = None  # symmetric order of the first factor: it factored P B P^T = B[order][:, order]
         positions = sp.csc_matrix((np.arange(C0.nnz), C0.indices, C0.indptr), shape=C0.shape)
-        self._block = positions[:m, :m]  # the grounded block, holding its entries' positions in A.data
+        self._set_block(positions[:m, :m])
+
+    def _set_block(self, positions):
+        """Keep the grounded block's pattern, holding its entries' positions in A.data, and a
+        matrix on it whose data ``block`` overwrites."""
+        self._block = positions
+        self._work = sp.csc_matrix((np.empty(positions.nnz), positions.indices, positions.indptr),
+                                   shape=positions.shape)
 
     def block(self, matrix):
-        """The grounded block of a matrix on this layout, in the kept order once there is one."""
-        b = self._block
-        return sp.csc_matrix((matrix.data[b.data], b.indices, b.indptr), shape=b.shape)
+        """The grounded block of a matrix on this layout, in the kept order once there is one.
+
+        One matrix per layout, overwritten by the next call: it lives only until SuperLU,
+        which copies what it factors, has factored it (CemFactor).  A layout belongs to
+        one mesh, and each experiment cell builds its own, so one thread factors it."""
+        np.take(matrix.data, self._block.data, out=self._work.data)
+        return self._work
 
     def factorize(self, matrix):
         """The CemFactor of a matrix on this layout.
@@ -718,8 +764,9 @@ class CemLayout:
         if self.order is None:
             self.order = np.argsort(factor.superlu.perm_c)
             self.weights = self.weights[self.order]
-            self._block = self._block[self.order][:, self.order]
-            self._block.sort_indices()
+            block = self._block[self.order][:, self.order]
+            block.sort_indices()
+            self._set_block(block)
         return factor
 
 
@@ -776,8 +823,8 @@ def assemble_cem(mesh, sigma, electrodes=None):
         raise CoercivityError("sigma must be strictly positive for coercivity")
 
     layout = _cem_layout(mesh, electrodes)
-    C0 = layout.C0
-    matrix = sp.csc_matrix((layout.S @ s + C0.data, C0.indices, C0.indptr), shape=C0.shape)
+    matrix = copy.copy(layout.C0)  # C0's pattern arrays, shared as csc_matrix((data, indices, indptr)) shares them
+    matrix.data = layout.S @ s + layout.C0.data
     return CemSystem(mesh, electrodes, matrix, layout)
 
 

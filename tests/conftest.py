@@ -25,7 +25,8 @@ class _SolveSpy:
 def cem_solves(monkeypatch):
     """The column count of every solve made with a factor fem makes from now on.
 
-    Every factor first solves its one-column probe (fem.Factor), logged as 1.
+    A factor's first solve carries its probe (fem.Factor) as one more column,
+    which the count includes.
     """
     log = []
     splu = spla.splu

@@ -201,6 +201,9 @@ def test_verify_linear_toy(tmp_path, capsys):
     assert rc == 0
     text = (out / "linear-toy_report.txt").read_text()
     assert "pass: True" in text
+    # the report and its summary line are named after the condition that ran
+    assert text.startswith("condition: linear-toy\n")
+    assert capsys.readouterr().out.startswith("linear-toy: pass;")
 
 
 def test_verify_linear_toy_reads_samples(tmp_path):

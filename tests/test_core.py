@@ -263,10 +263,16 @@ def test_nonfinite_rejected_where_values_enter(setup):
 
 
 def test_state_space_with_a_wrong_h1_factor_raises(wrong_factors):
-    # the Riesz map and the trace projection solve on factors checked when the space is built
+    # the H1 factor is checked by its first solve, the first Riesz map, and raises on every later one
     mesh = fem.disk_mesh_scale(1)
+    space = core.StateSpace(mesh, n_excitations=2)
+    dual = random_state(space, np.random.default_rng(11))
     wrong_factors("another matrix")
-    with pytest.raises(AssemblyError, match="factor residual"):
+    space.h1 = fem.Factor(space.h1.matrix)
+    for _ in range(2):
+        with pytest.raises(AssemblyError, match="factor residual"):
+            space.riesz(dual)
+    with pytest.raises(AssemblyError, match="factor residual"):  # the trace extension's solve is the first
         core.StateSpace(mesh, n_excitations=2)
     core.StateSpace(mesh, n_excitations=0, with_potentials=False)  # sigma alone factors nothing
 
@@ -303,7 +309,7 @@ def test_state_space_with_a_wrong_interior_factor_raises(monkeypatch, wrong_fact
 
 
 def test_state_space_checks_its_trace_extension(monkeypatch):
-    # a factor that passes its one-column probe but solves the extension's columns wrongly
+    # a factor that passes its probe but returns the extension's columns wrongly
     solve = fem.Factor.solve
     monkeypatch.setattr(fem.Factor, "solve", lambda self, rhs: solve(self, rhs) * (1 + 1e-6 * (np.ndim(rhs) == 2)))
     with pytest.raises(AssemblyError, match="trace extension residual"):

@@ -468,15 +468,60 @@ def test_solve_with_foreign_factor_raises():
 @pytest.mark.parametrize("kind", ["another matrix", "no projection"])
 def test_wrong_factor_fails_both_cem_solve_paths(wrong_factors, kind):
     # a solve that skips the multiplier would still meet zero-sum currents to round-off, but
-    # not the probe, which does not sum to zero: both kinds fail when the factor is made
+    # not the probe, which does not sum to zero: both kinds fail the factor's first solve
     m = fem.disk_mesh_scale(2)
     rng = np.random.default_rng(12)
     wrong_factors(kind)
     for drive in (two_electrode_drive(I=2, row=1), all_pairs_drive()):  # I <= L solves directly, I > L on the basis
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
-        with pytest.raises(AssemblyError):
-            fem.solve_cem(system, drive)
-        assert system._lu is None and system._basis is None
+        for _ in range(2):  # a factor that failed its probe raises on every later solve too
+            with pytest.raises(AssemblyError, match="factor residual"):
+                fem.solve_cem(system, drive)
+        assert system._basis is None
+
+
+@pytest.mark.parametrize("kind", ["another matrix", "no projection"])
+def test_wrong_factor_fails_a_bare_first_solve(wrong_factors, kind):
+    # a solve of the factor itself, with no check of its own, is the first: the probe rides on it
+    m = fem.disk_mesh_scale(1)
+    wrong_factors(kind)
+    system = fem.assemble_cem(m, np.random.default_rng(13).uniform(1, 6, m.n_elements))
+    rhs = np.zeros((system.matrix.shape[0], 3))
+    rhs[m.n_nodes : m.n_nodes + 8] = two_electrode_drive(I=3).currents.T
+    for cols in (rhs, rhs[:, 0], rhs):
+        with pytest.raises(AssemblyError, match="factor residual"):
+            system.lu.solve(cols)
+    assert system.lu.probe is not None
+
+
+def test_a_factor_checks_its_probe_once():
+    m = fem.disk_mesh_scale(1)
+    system = fem.assemble_cem(m, np.random.default_rng(14).uniform(1, 6, m.n_elements))
+    lu = system.lu
+    assert lu.probe is not None
+    system.basis
+    assert lu.probe is None and system.lu is lu
+    K = m.stiffness()[1:, 1:].tocsc()  # SPD once one node is held
+    factor = fem.Factor(K)
+    b = np.random.default_rng(15).standard_normal(K.shape[0])
+    x = factor.solve(b)  # one column (N,) beside the probe; the same bits as a later solve
+    assert factor.probe is None and x.shape == b.shape and x.flags.c_contiguous
+    assert np.array_equal(x, factor.solve(b))
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 8])
+def test_a_cem_solve_keeps_its_bits_beside_the_probe(k):
+    # numpy sums one column in another order than several, and gemv sums a column of
+    # one, of two or three and of four or more columns each in its own order; the probe
+    # column is reduced on its own, so a factor's first solve has the bits of a later one
+    m = fem.disk_mesh_scale(2)
+    rng = np.random.default_rng(16 + k)
+    rhs = rng.standard_normal((m.n_nodes + 9, k))
+    for cols in (rhs, rhs[:, 0]) if k == 1 else (rhs,):  # a lone column as (N, 1) and as (N,)
+        system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+        first = system.lu.solve(cols)
+        assert system.lu.probe is None and first.shape == cols.shape and first.flags.c_contiguous
+        assert np.array_equal(first, system.lu.solve(cols))
 
 
 @pytest.mark.parametrize("scale", [1, 2])
@@ -515,10 +560,10 @@ def test_electrode_basis_is_one_L_column_solve_per_factor(cem_solves):
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
         fem.solve_cem(system, all_pairs_drive())
         fem.solve_cem(system, fem.ExcitationSet(-all_pairs_drive().currents[::-1]))
-        # the new factor's one-column probe, then the basis: both solves are products with it
-        assert solves[2 * k:] == [1, 8]
+        # the basis, with the new factor's probe as its ninth column: both solves are products with it
+        assert solves[k:] == [9]
     fem.solve_cem(system, two_electrode_drive(I=4))
-    assert solves[4:] == [4]  # up to L columns are solved directly
+    assert solves[2:] == [4]  # up to L columns are solved directly
 
 
 def test_up_to_L_excitations_solve_as_before():
@@ -597,6 +642,22 @@ def test_grounded_block_is_spd_and_gathered_in_the_kept_order():
         rows = np.arange(M) if layout.order is None else layout.order
         assert np.array_equal(layout.block(A).toarray(), B[rows][:, rows])
         fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
+
+
+def test_a_factor_outlives_the_next_factorization_of_its_layout():
+    # the layout gathers each grounded block into one matrix, which SuperLU copies when it
+    # factors: factoring the next matrix of the layout leaves an earlier factor as it was
+    sigmas = np.random.default_rng(17).uniform(1, 6, (3, fem.disk_mesh_scale(1).n_elements))
+
+    def bases(factor_all_first):
+        m = fem.disk_mesh_scale(1)
+        systems = [fem.assemble_cem(m, sigma) for sigma in sigmas]
+        if factor_all_first:
+            assert len({id(s.lu) for s in systems}) == 3
+        return [s.basis for s in systems]
+
+    for late, at_once in zip(bases(True), bases(False)):
+        assert np.array_equal(late, at_once)
 
 
 @pytest.mark.parametrize("scale", [1, 2])

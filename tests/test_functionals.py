@@ -695,9 +695,9 @@ def test_eit_reduced_makes_one_L_column_solve_per_factorization(all_pairs, cem_s
     for k, value in enumerate((2.0, 3.0)):
         x = cost.space.state(np.full(mesh.n_elements, value))
         cost.value(x)
-        assert solves == [1, 8] * (k + 1)  # the forward map: the new factor's probe, then its basis
+        assert solves == [9] * (k + 1)  # the forward map: its basis, with the new factor's probe
         cost.gradient(x)
-        assert solves == [1, 8] * (k + 1)  # the gradient makes no solve
+        assert solves == [9] * (k + 1)  # the gradient makes no solve
 
 
 def test_eit_reduced_gradient_with_a_foreign_factor_raises(all_pairs):
@@ -712,8 +712,8 @@ def test_eit_reduced_gradient_with_a_foreign_factor_raises(all_pairs):
 
 @pytest.mark.parametrize("kind", ["another matrix", "no projection"])
 def test_iat_reduced_derivative_and_adjoint_with_a_wrong_factor_raise(wrong_factors, kind):
-    # I = 2 <= L at scale 2: every factor is checked when made, before the forward,
-    # sensitivity and adjoint solves run on it
+    # I = 2 <= L at scale 2: every factor is checked by its first solve, the forward one,
+    # before the sensitivity and adjoint solves run on it
     data_mesh, mesh = fem.disk_mesh_scale(2), fem.disk_mesh_scale(2)  # the cost's mesh is factored only when wrong
     exc = fem.ExcitationSet(np.array([[1.0, 0, 0, 0, -1.0, 0, 0, 0], [0, 0, 1.0, 0, 0, 0, -1.0, 0]]))
     sigma_ex = np.random.default_rng(34).uniform(2, 5, mesh.n_elements)
