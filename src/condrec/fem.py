@@ -55,15 +55,17 @@ The CEM system A (N + L + 1 rows: the nodes, the L electrode voltages, the
 zero-mean multiplier) is a saddle point; its solves run on the SPD block left
 when the last electrode is grounded and the multiplier dropped (N + L - 1
 rows, ``CemFactor``).  The symmetric order of that block is kept per layout
-(``CemLayout``, one per mesh and impedance set).  A is linear in the applied
-currents, which enter only the electrode rows n..n+L-1.  ``CemSystem.basis``
-is the electrode basis Z = A^-1 E, E the L unit columns at those rows: one
-checked solve of L columns, and the new factor's probe, per factorization.
-A right-hand side that vanishes off the electrode rows and has more columns
-than electrodes (I > L) is solved as a product with Z: the currents of
-``solve_cem``, whose residuals are read off A Z - E, and the voltage-data
-adjoint of the reduced maps, which functionals contracts through the element
-stiffness action A_e Z_e.  Up to L columns are solved directly.
+(``CemLayout``, one per mesh and impedance set, built by one argsort of its
+entries' CSC keys), which permutes its grounded pattern into that order only
+when it gathers a second matrix.  A is linear in the applied currents, which
+enter only the electrode rows n..n+L-1.  ``CemSystem.basis`` is the electrode
+basis Z = A^-1 E, E the L unit columns at those rows: one checked solve of L
+columns, and the new factor's probe, per factorization.  A right-hand side
+that vanishes off the electrode rows and has more columns than electrodes
+(I > L) is solved as a product with Z: the currents of ``solve_cem``, whose
+residuals are read off A Z - E, and the voltage-data adjoint of the reduced
+maps, which functionals contracts through the element stiffness action
+A_e Z_e.  Up to L columns are solved directly.
 """
 from __future__ import annotations
 
@@ -666,9 +668,10 @@ class CemFactor(Factor):
     """
 
     def __init__(self, matrix, layout):
+        # the block first: the layout's second gather puts its pattern and weights in the kept order
+        super().__init__(matrix, layout.block(matrix), ordered=layout.order is not None)
         self.order, self.weights, self.area = layout.order, layout.weights, layout.area
         self.rows = np.s_[: len(self.weights)] if self.order is None else self.order
-        super().__init__(matrix, layout.block(matrix), ordered=self.order is not None)
 
     def multiplier(self, rhs):
         """lam = 1^T b / |Omega| over the node and electrode rows of rhs."""
@@ -691,54 +694,48 @@ class CemFactor(Factor):
 
 
 def boundary_matrices(mesh, electrodes):
-    """Electrode trace mass matrix M_e, moment vectors m_e, and lengths per electrode."""
+    """The electrode edges in loop order: each one's 0-based electrode (ne,), nodes (ne, 3), line
+    mass int N_i N_j (ne, 3, 3) and moments int N_i (ne, 3); and the electrode lengths (L,)."""
     if len(mesh.electrode_lengths) != electrodes.count:
         raise InvalidMeshError(f"the mesh has {len(mesh.electrode_lengths)} electrodes, "
                                f"the electrode configuration {electrodes.count}")
-    n, b = mesh.n_nodes, mesh.bnodes
-    mloc = np.multiply.outer(mesh.blength, _LINE_MASS_REF)
-    mom = np.multiply.outer(mesh.blength, _LINE_MOMENT_REF)
-    Ms, ms = [], []
-    for ell in range(1, electrodes.count + 1):
-        k = np.flatnonzero(mesh.belectrode & (mesh.bindex == ell))
-        rows, cols = np.repeat(b[k], 3, axis=1).ravel(), np.tile(b[k], 3).ravel()
-        Ms.append(sp.coo_matrix((mloc[k].ravel(), (rows, cols)), shape=(n, n)).tocsr())
-        ms.append(np.bincount(b[k].ravel(), weights=mom[k].ravel(), minlength=n))
-    return Ms, ms, mesh.electrode_lengths
+    on = mesh.belectrode
+    length = mesh.blength[on]
+    return (mesh.bindex[on] - 1, mesh.bnodes[on], np.multiply.outer(length, _LINE_MASS_REF),
+            np.multiply.outer(length, _LINE_MOMENT_REF), mesh.electrode_lengths)
 
 
 class CemLayout:
     """The sigma-independent part (S, C0) of the CEM system, its grounded pattern and its symmetric order.
 
-    The matrix for sigma has C0's CSC pattern and the data S @ sigma + C0.data.
-    S has one column per element, holding its stiffness entries (the block is
-    linear in sigma); C0 holds the electrode, multiplier and integral-weight
-    blocks.  ``area`` is |Omega| = 1^T w for the integral weights w, and
-    ``weights`` is w on the rows of the grounded block (zero on its electrode
-    rows), in its factored order.  ``unit_currents`` (N, L), read-only, holds
-    the unit columns at the electrode rows, the right-hand side E of every
-    factor's electrode basis.  Built once per mesh and impedances.
+    The matrix for sigma has C0's CSC pattern and the data S @ sigma + C0.data.  S has
+    one column per element, holding its stiffness entries (the block is linear in
+    sigma); C0 holds the electrode, multiplier and integral-weight blocks.  ``area`` is
+    |Omega| = 1^T w for the integral weights w, and ``weights`` is w on the rows of the
+    grounded block (zero on its electrode rows), in the order of its pattern.
+    ``unit_currents`` (N, L), read-only, holds the unit columns at the electrode rows,
+    the right-hand side E of every factor's electrode basis.  Built once per mesh and
+    impedances.  The grounded pattern, read off C0's CSC arrays, and ``weights`` are
+    permuted into the kept order by the second ``block``: a layout factored once never is.
     """
 
     def __init__(self, key, S, C0, w):
         self.key, self.S, self.C0 = key, S, C0
         self.area = w.sum()
         N, L = C0.shape[0], key[0]
-        self.unit_currents = np.zeros((N, L))
-        self.unit_currents[N - L - 1 : N - 1] = np.eye(L)
+        self.unit_currents = np.eye(N, L, L + 1 - N)  # ones at the electrode rows N - L - 1 .. N - 2
         self.unit_currents.flags.writeable = False
         m = N - 2  # the grounded block: every row but the last voltage and the multiplier
         self.weights = np.concatenate([w, np.zeros(m - len(w))])
         self.order = None  # symmetric order of the first factor: it factored P B P^T = B[order][:, order]
-        positions = sp.csc_matrix((np.arange(C0.nnz), C0.indices, C0.indptr), shape=C0.shape)
-        self._set_block(positions[:m, :m])
+        self._permuted = False  # whether the pattern and weights are in that order yet
+        at = np.flatnonzero(C0.indices[: C0.indptr[m]] < m)  # C0's entries in the block's rows and columns
+        self._set_block(sp.csc_matrix((at, C0.indices[at], np.searchsorted(at, C0.indptr[: m + 1])), shape=(m, m)))
 
     def _set_block(self, positions):
-        """Keep the grounded block's pattern, holding its entries' positions in A.data, and a
-        matrix on it whose data ``block`` overwrites."""
-        self._block = positions
-        self._work = sp.csc_matrix((np.empty(positions.nnz), positions.indices, positions.indptr),
-                                   shape=positions.shape)
+        """Keep the grounded pattern, holding its entries' positions in A.data, and a matrix on it."""
+        self._block, self._work = positions, copy.copy(positions)  # the copy shares the pattern arrays
+        self._work.data = np.empty(positions.nnz)
 
     def block(self, matrix):
         """The grounded block of a matrix on this layout, in the kept order once there is one.
@@ -746,27 +743,25 @@ class CemLayout:
         One matrix per layout, overwritten by the next call: it lives only until SuperLU,
         which copies what it factors, has factored it (CemFactor).  A layout belongs to
         one mesh, and each experiment cell builds its own, so one thread factors it."""
+        if self.order is not None and not self._permuted:
+            self._permuted, self.weights = True, self.weights[self.order]
+            self._set_block(self._block[self.order][:, self.order].sorted_indices())
         np.take(matrix.data, self._block.data, out=self._work.data)
         return self._work
 
     def factorize(self, matrix):
         """The CemFactor of a matrix on this layout.
 
-        The minimum-degree order depends only on the pattern, which every
-        matrix of the layout shares, so the first factorization orders the
-        grounded block and the layout keeps a copy of the order (keeping
-        perm_c itself would keep that factor's L and U alive).  perm_c holds
-        SuperLU's elimination-tree postorder too, so P B P^T, gathered onto a
-        pattern permuted once, has the same fill in its natural order, which
-        later factors use.
+        The minimum-degree order depends only on the pattern, which every matrix of the
+        layout shares, so the first factorization orders the grounded block and the layout
+        keeps a copy of the order (keeping perm_c itself would keep that factor's L and U
+        alive).  perm_c holds SuperLU's elimination-tree postorder too, so P B P^T, gathered
+        onto the pattern permuted once (by the next ``block``), has the same fill in its
+        natural order, which later factors use.
         """
         factor = CemFactor(matrix, self)
         if self.order is None:
             self.order = np.argsort(factor.superlu.perm_c)
-            self.weights = self.weights[self.order]
-            block = self._block[self.order][:, self.order]
-            block.sort_indices()
-            self._set_block(block)
         return factor
 
 
@@ -776,28 +771,33 @@ _ZERO_COUPLINGS = ([0, 4, 1, 5, 2, 3], [4, 0, 5, 1, 3, 2])
 
 
 def _cem_layout(mesh, electrodes):
-    """The mesh's CemLayout for these electrodes, built on first use and kept for the last impedance set."""
+    """The mesh's CemLayout for these electrodes, built on first use and kept for the last impedance set.
+    One argsort of every entry's key col * N + row gives the CSC pattern and each entry's position;
+    C0's data sums the constant entries there and rounds each sum as M_l / z_l, -m_l / z_l or lengths / z_l."""
     key = (electrodes.count, electrodes.impedances.tobytes())
     if mesh._cem_layout is not None and mesh._cem_layout.key == key:
         return mesh._cem_layout
-    L, z = electrodes.count, electrodes.impedances
-    Ms, ms, lens = boundary_matrices(mesh, electrodes)
-    C = np.stack([-ms[l] / z[l] for l in range(L)], axis=1)
-    w = mesh.integral_weights()
-    const = sp.bmat([[sum(Ms[l] / z[l] for l in range(L)), C, w[:, None]],
-                     [C.T, sp.diags(lens / z), None],
-                     [w[None, :], None, None]], format="coo")
-    N = const.shape[0]
+    L, z, n, t = electrodes.count, electrodes.impedances, mesh.n_nodes, mesh.triangles
+    ell, b, mass, moments, lens = boundary_matrices(mesh, electrodes)
+    N, v, w, nodes = n + L + 1, n + ell[:, None], mesh.integral_weights(), np.arange(n)
     live = np.ones((6, 6), bool)
     live[_ZERO_COUPLINGS] = False
-    t = mesh.triangles
-    # column-major keys col * N + row sort the entries into CSC order
     kkeys = (t[:, None, :] * N + t[:, :, None])[:, live].ravel()
-    ckeys = const.col.astype(np.int64) * N + const.row
-    keys, pos = np.unique(np.concatenate([kkeys, ckeys]), return_inverse=True)
-    per_element = np.arange(0, len(kkeys) + 1, live.sum())
-    S = sp.csc_matrix((mesh.element_stiffness[:, live].ravel(), pos[: len(kkeys)], per_element), (len(keys), len(t)))
-    c0 = np.bincount(pos[len(kkeys) :], weights=const.data, minlength=len(keys))
+    allkeys = np.concatenate([kkeys, b[:, None, :] * N + b[:, :, None], v * N + b, b * N + v,
+                              (n + np.arange(L)) * (N + 1), (N - 1) * N + nodes, nodes * N + N - 1], axis=None)
+    perm = np.argsort(allkeys)
+    keys = allkeys[perm]
+    first = np.diff(keys, prepend=-1) != 0
+    keys, pos = keys[first], np.empty_like(perm)
+    pos[perm] = np.cumsum(first) - 1
+    nk, nm, nc = len(kkeys), mass.size, 2 * moments.size + L
+    per_element = np.arange(0, nk + 1, live.sum())
+    S = sp.csc_matrix((mesh.element_stiffness[:, live].ravel(), pos[:nk], per_element), (len(keys), len(t)))
+    # line mass, C, C^T, lengths and w, w^T, as keyed; M_l / z_l multiplies by 1 / z_l, the others divide
+    const = np.concatenate([mass.ravel(), moments.ravel(), moments.ravel(), lens, w, w])
+    c0 = np.bincount(pos[nk:], weights=const, minlength=len(keys))
+    c0[pos[nk : nk + nm]] *= np.repeat(1.0 / z[ell], 9)
+    c0[pos[nk + nm : nk + nm + nc]] /= np.concatenate([np.tile(np.repeat(-z[ell], 3), 2), z])
     C0 = sp.csc_matrix((c0, keys % N, np.searchsorted(keys, np.arange(N + 1) * N)), shape=(N, N))
     mesh._cem_layout = CemLayout(key, S, C0, w)
     return mesh._cem_layout

@@ -337,14 +337,18 @@ def test_reference_tensors_match_the_quadrature_sums(scale):
     lw = np.linalg.norm(chord, axis=1)[:, None] * fem.LINE_QW
     phi = fem.line_shape(fem.LINE_QP)
     lmass, lmom = np.einsum("kq,qi,qj->kij", lw, phi, phi), lw @ phi
-    Ms, ms, _ = fem.boundary_matrices(m, m.electrodes)
+    edge_ell, nodes, mass, moments, _ = fem.boundary_matrices(m, m.electrodes)
     for ell in range(m.electrodes.count):
         k = np.flatnonzero(m.belectrode & (m.bindex == ell + 1))
         b = m.bnodes[k]
         M = np.zeros((m.n_nodes, m.n_nodes))
         np.add.at(M, (b[:, :, None], b[:, None, :]), lmass[k])
-        assert close(Ms[ell].toarray(), M)
-        assert close(ms[ell], np.bincount(b.ravel(), weights=lmom[k].ravel(), minlength=m.n_nodes))
+        mine = edge_ell == ell  # M_l and m_l rebuilt from the edge-local arrays
+        got = np.zeros((m.n_nodes, m.n_nodes))
+        np.add.at(got, (nodes[mine][:, :, None], nodes[mine][:, None, :]), mass[mine])
+        assert close(got, M)
+        assert close(np.bincount(nodes[mine].ravel(), weights=moments[mine].ravel(), minlength=m.n_nodes),
+                     np.bincount(b.ravel(), weights=lmom[k].ravel(), minlength=m.n_nodes))
 
     # K_e 1 = 0 (the constants have no gradient), 1^T M_e 1 = |e| and sum w = |Omega|
     K = m.element_stiffness
@@ -414,10 +418,76 @@ def test_current_conservation():
     assert abs(computed.sum()) < 1e-9
 
 
+def _reference_boundary_matrices(mesh, electrodes):
+    """Electrode trace mass matrix M_e, moment vectors m_e, and lengths per electrode."""
+    n, b = mesh.n_nodes, mesh.bnodes
+    mloc = np.multiply.outer(mesh.blength, fem._LINE_MASS_REF)
+    mom = np.multiply.outer(mesh.blength, fem._LINE_MOMENT_REF)
+    Ms, ms = [], []
+    for ell in range(1, electrodes.count + 1):
+        k = np.flatnonzero(mesh.belectrode & (mesh.bindex == ell))
+        rows, cols = np.repeat(b[k], 3, axis=1).ravel(), np.tile(b[k], 3).ravel()
+        Ms.append(sp.coo_matrix((mloc[k].ravel(), (rows, cols)), shape=(n, n)).tocsr())
+        ms.append(np.bincount(b[k].ravel(), weights=mom[k].ravel(), minlength=n))
+    return Ms, ms, mesh.electrode_lengths
+
+
+def _reference_layout(mesh, electrodes):
+    """(S, C0, w) built blockwise: one sparse matrix per electrode, the blocks stacked by
+    sp.bmat, and the stiffness and constant keys sorted by np.unique."""
+    L, z = electrodes.count, electrodes.impedances
+    Ms, ms, lens = _reference_boundary_matrices(mesh, electrodes)
+    C = np.stack([-ms[l] / z[l] for l in range(L)], axis=1)
+    w = mesh.integral_weights()
+    const = sp.bmat([[sum(Ms[l] / z[l] for l in range(L)), C, w[:, None]],
+                     [C.T, sp.diags(lens / z), None],
+                     [w[None, :], None, None]], format="coo")
+    N = const.shape[0]
+    live = np.ones((6, 6), bool)
+    live[fem._ZERO_COUPLINGS] = False
+    t = mesh.triangles
+    # column-major keys col * N + row sort the entries into CSC order
+    kkeys = (t[:, None, :] * N + t[:, :, None])[:, live].ravel()
+    ckeys = const.col.astype(np.int64) * N + const.row
+    keys, pos = np.unique(np.concatenate([kkeys, ckeys]), return_inverse=True)
+    per_element = np.arange(0, len(kkeys) + 1, live.sum())
+    S = sp.csc_matrix((mesh.element_stiffness[:, live].ravel(), pos[: len(kkeys)], per_element), (len(keys), len(t)))
+    c0 = np.bincount(pos[len(kkeys) :], weights=const.data, minlength=len(keys))
+    C0 = sp.csc_matrix((c0, keys % N, np.searchsorted(keys, np.arange(N + 1) * N)), shape=(N, N))
+    return S, C0, w
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3, 4])
+@pytest.mark.parametrize("refine", [0, 1])
+def test_cem_layout_is_bit_identical_to_the_blockwise_build(scale, refine):
+    # the symmetric order, the fill and so every iterate follow from S and C0's exact
+    # arrays, so the one-sort build must reproduce the blockwise one bit for bit
+    m = fem.refine_mesh(fem.disk_mesh_scale(scale), refine)
+    rng = np.random.default_rng(60 + scale)
+    sigma = rng.uniform(1, 6, m.n_elements)
+    for impedances in (0.1, rng.uniform(0.05, 0.5, 8)):
+        electrodes = fem.ElectrodeConfig(count=8, impedances=impedances)
+        S, C0, w = _reference_layout(m, electrodes)
+        layout = fem._cem_layout(m, electrodes)
+        for got, ref in ((layout.S, S), (layout.C0, C0)):
+            assert got.shape == ref.shape
+            for a, b in ((got.data, ref.data), (got.indices, ref.indices), (got.indptr, ref.indptr)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        reference = fem.CemLayout(layout.key, S, C0, w)
+        fills = []
+        for lay in (layout, reference):
+            matrix = fem.assemble_cem(m, sigma, electrodes).matrix
+            factor = lay.factorize(matrix)
+            fills.append(factor.superlu.L.nnz + factor.superlu.U.nnz)
+            assert not lay._permuted  # a layout that factors once never permutes its pattern
+        assert np.array_equal(layout.order, reference.order)
+        assert fills[0] == fills[1]
+
+
 def _reference_cem_matrix(m, sigma, electrodes):
     """From-scratch CEM matrix: stiffness plus the boundary blocks, stacked blockwise."""
     L, z = electrodes.count, electrodes.impedances
-    Ms, ms, lens = fem.boundary_matrices(m, electrodes)
+    Ms, ms, lens = _reference_boundary_matrices(m, electrodes)
     A = m.stiffness(sigma) + sum(Ms[l] / z[l] for l in range(L))
     C = np.stack([-ms[l] / z[l] for l in range(L)], axis=1)
     w = m.integral_weights()[:, None]
