@@ -208,10 +208,10 @@ def gwf_tcc_constant(constraints, forward, states, rng=None):
     }
 
 
-def _model_increment(cost, inner, x, d):
-    """G(x) d + 1/2 H(x)(d, d) from the cost's quadratic model."""
-    qm = cost.quadratic_model(x)
-    return inner(qm.g, d) + 0.5 * inner(qm.hvp(d), d), qm
+def _model_increment(qm, inner, d):
+    """G(x) d + 1/2 H(x)(d, d) from the quadratic model qm at x: the slope <g, d> in
+    ``inner``, the curvature from qm.quadratic_form, which makes no product H d."""
+    return inner(qm.g, d) + 0.5 * qm.quadratic_form(d)
 
 
 def implication_chain(cost, inner, pairs, x_dagger, tol=1e-10):
@@ -224,9 +224,8 @@ def implication_chain(cost, inner, pairs, x_dagger, tol=1e-10):
     worst_c = 0.0
     for idx, (x, xp) in enumerate(pairs):
         Jx, Jp = cost.value(x), cost.value(xp)
-        T, qm = _model_increment(cost, inner, x, xp - x)
-        dd = x_dagger - x
-        Td = inner(qm.g, dd) + 0.5 * inner(qm.hvp(dd), dd)
+        qm = cost.quadratic_model(x)
+        T, Td = (_model_increment(qm, inner, y - x) for y in (xp, x_dagger))
 
         def ratio(defect, a, b):
             total = a + b

@@ -30,7 +30,7 @@ from .errors import FormulationMismatchError, InvalidFieldError
 
 
 def _check_finite(a, what):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidFieldError(f"{what} contains non-finite values")
 
 

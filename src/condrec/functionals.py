@@ -7,12 +7,13 @@ maps, which compose an observation residual with the CEM solve.  Linearized at
 a point x, a term gives r, the derivative h -> r'h and the adjoint u -> r'^* W u,
 the duals (d_sigma, d_phi, d_psi) of h -> <u, r'h>_W; a potential slot may hold
 a quadrature-point field, and the fields of all terms are assembled once
-(_sum_duals).  A cost is a list of (term, weight) pairs, and its three
+(_sum_duals).  A cost is a list of (term, weight) pairs, and its four
 quantities are written once:
 
     value      sum_k w_k 1/2 <r_k, W r_k>
     gradient   sum_k w_k r_k'^* W r_k        (Riesz-mapped)
     product    sum_k w_k r_k'^* W r_k' h     (Gauss-Newton, the quadratic model's hvp)
+    form       sum_k w_k <r_k' h, W r_k' h>  (<product, h>, from derivatives alone)
 
 The all-at-once cost is the pairs (model, 1) and (observation, beta); the flux
 misfit ||grad phi - g||^2 carries no 1/2, so its term has weight 2 beta.  The
@@ -592,7 +593,13 @@ class CostFunctional:
         def hvp(h):
             return self._riesz_from_duals(lin.adjoint(lin.derivative(self._direction(h))))
 
-        return QuadraticModel(self.space, x.copy(), J0, g, hvp)
+        def quadratic_form(h):
+            u = lin.derivative(self._direction(h))
+            q = self.residual.inner(u, u)
+            core._check_finite(q, "quadratic form <H d, d>")  # as riesz checks the product's dual
+            return q
+
+        return QuadraticModel(self.space, x.copy(), J0, g, hvp, quadratic_form)
 
     def _gradient_duals(self, lin):
         return lin.adjoint(lin.r)

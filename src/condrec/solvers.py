@@ -216,18 +216,20 @@ def projected_gradient(cost, constraint, x0, cfg, sink=None):
 
 
 class QuadraticModel:
-    """Q(x) = J0 + <g, x - x0> + 1/2 <H (x - x0), x - x0> in the space inner product."""
+    """Q(x) = J0 + <g, d> + 1/2 <H d, d> with d = x - x0 in the space inner product: hvp(d) gives
+    the vector H d for the subproblem solver, quadratic_form(d) the number <H d, d> alone for Q."""
 
-    def __init__(self, space, x0, J0, g, hvp):
+    def __init__(self, space, x0, J0, g, hvp, quadratic_form):
         self.space = space
         self.x0 = x0
         self.J0 = J0
         self.g = g
         self.hvp = hvp
+        self.quadratic_form = quadratic_form
 
     def value(self, x):
         d = x - self.x0
-        return self.J0 + self.space.inner(self.g, d) + 0.5 * self.space.inner(self.hvp(d), d)
+        return self.J0 + self.space.inner(self.g, d) + 0.5 * self.quadratic_form(d)
 
     def gradient(self, x):
         return self.g + self.hvp(x - self.x0)
@@ -475,5 +477,6 @@ class QuadraticLeastSquares:
 
     def quadratic_model(self, x):
         J0, g = self.value_and_gradient(x)
-        return QuadraticModel(self.geometry, np.array(x, float), J0, g, lambda h: self.A.T @ (self.A @ h))
+        return QuadraticModel(self.geometry, np.array(x, float), J0, g, lambda h: self.A.T @ (self.A @ h),
+                              lambda h: float(np.sum((self.A @ h) ** 2)))
 

@@ -32,8 +32,13 @@ def test_tracer_sees_reduced_cost_layers():
         x = cost.space.state(np.linspace(2.0, 4.0, mesh.n_elements))
         cost.value(x)
         cost.value_and_gradient(x)
-        cost.quadratic_model(x).hvp(cost.space.state(np.ones(mesh.n_elements)))
-    spans = tracer.take()
+        qm = cost.quadratic_model(x)
+        qm.hvp(cost.space.state(np.ones(mesh.n_elements)))
+        spans = tracer.take()
+        # the model's value takes <H d, d> from one forward-sensitivity solve, with no product
+        qm.value(cost.space.state(np.linspace(3.0, 2.0, mesh.n_elements)))
+        names = [span[tracing.NAME] for span in tracer.take()]
+        assert names.count("fem.lu_solve") == 1 and "functionals.hvp" not in names
     named = {(span[tracing.NAME], span[tracing.TAG]) for span in spans}
     for name in ("value", "value_and_gradient", "quadratic_model"):
         assert (f"functionals.{name}", "ReducedCost") in named

@@ -114,7 +114,9 @@ class _Cubic1d:
 
         J0, g = self.value_and_gradient(x)
         box = sv.BoxFeasible()
-        return QuadraticModel(box, np.array(x, float), J0, g, lambda h: (2.0 + 30.0 * x[0]) * h)
+        curvature = 2.0 + 30.0 * x[0]
+        return QuadraticModel(box, np.array(x, float), J0, g, lambda h: curvature * h,
+                              lambda h: float(curvature * h[0] ** 2))
 
 
 def test_chain_measured_constant_always_closes():

@@ -387,11 +387,31 @@ def test_quadratic_model_psd_and_symmetric(setup):
         qm = cost.quadratic_model(x)
         hs = [_random_state(cost.space, rng, mesh, 2) for _ in range(5)]
         for h in hs:
-            assert cost.space.inner(qm.hvp(h), h) >= -1e-10
+            hh = cost.space.inner(qm.hvp(h), h)
+            assert hh >= -1e-10
+            # the model's value takes <H h, h> from the derivatives alone, with no product
+            q = qm.quadratic_form(h)
+            assert q >= 0 and abs(q - hh) <= 1e-12 * abs(hh), tag
         a, b = hs[0], hs[1]
         s1 = cost.space.inner(qm.hvp(a), b)
         s2 = cost.space.inner(a, qm.hvp(b))
         assert abs(s1 - s2) < 1e-8 * max(abs(s1), 1.0)
+
+
+@pytest.mark.parametrize("tag", ["gwf-aao-ls", "iat-reduced"])
+def test_quadratic_form_refuses_a_non_finite_value(setup, tag):
+    # a finite direction of size 1e300 overflows <H h, h>: the form raises, where
+    # the model's value returned nan without a word
+    mesh = setup[0]
+    cost = _all_costs(setup)[tag]
+    rng = np.random.default_rng(5)
+    qm = cost.quadratic_model(_random_state(cost.space, rng, mesh, 2))
+    h = _random_state(cost.space, rng, mesh, 2) * 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidFieldError, match="quadratic form"):
+            qm.quadratic_form(h)
+        with pytest.raises(InvalidFieldError, match="quadratic form"):
+            qm.value(qm.x0 + h)
 
 
 def _hvp_fd_error(cost, x, h, t=1e-4):
