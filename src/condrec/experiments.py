@@ -106,8 +106,7 @@ def _eval_gradient_at(fine_mesh, coarse_mesh, phis, points_per_element):
         elem = children[np.arange(len(p)), lam.min(axis=2).argmax(axis=1)]
     dl = fem.p2_shape_dl(_barycentric(fine_mesh, elem, p))  # (points, 6, 3)
     grads = dl @ fine_mesh.grad_lambda[elem]  # (points, 6, 2): the shape gradients at each point
-    g = grads.transpose(0, 2, 1) @ phis[fine_mesh.triangles[elem]]
-    return g.reshape(nel_c, nq, 2, phis.shape[1])
+    return fem._local_product(grads.transpose(0, 2, 1), phis, fine_mesh.triangles[elem]).reshape(nel_c, nq, 2, -1)
 
 
 def generate_synthetic(phantom, excitation, fine_mesh, coarse_mesh, electrodes=None):

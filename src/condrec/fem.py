@@ -49,7 +49,11 @@ recipe: SuperLU in symmetric mode, a minimum-degree order of A + A^T applied
 to rows and columns alike, and the diagonal as every pivot.  Each factor is
 checked by its first solve, which carries a fixed right-hand side with no
 zero-sum structure as one more column, before it returns any solution; its
-solves return C-ordered rows in the matrix's own order.
+solves return C-ordered rows in the matrix's own order.  A column's result
+does not depend on the columns stacked beside it (the probe, other excitations):
+each column sum is numpy's pairwise sum over a row of the transpose, not an order
+BLAS or numpy set by the column count (``_column_sums``), and a lone column enters
+an element-local product as the first of two columns (``_local_product``).
 
 The CEM system A (N + L + 1 rows: the nodes, the L electrode voltages, the
 zero-mean multiplier) is a saddle point; its solves run on the SPD block left
@@ -153,7 +157,7 @@ _STIFF_REF = np.einsum("q,qjl,qkm->lmjk", QUAD_W, _DL_Q, _DL_Q).reshape(9, 36)
 # shape gradients [l, a, q, b, n] = dN_n/dlambda_l at q times delta_ab, against grad lambda (nel, 3, 2)
 _GRAD_REF = np.einsum("qnl,ab->laqbn", _DL_Q, np.eye(2))
 _MASS_REF = np.einsum("q,qj,qk->jk", QUAD_W, p2_shape(QUAD_BARY), p2_shape(QUAD_BARY))  # against |e|
-_WEIGHT_REF = _MASS_REF.sum(axis=1)  # int_e N_j / |e|, as the shapes sum to one
+_WEIGHT_REF = np.array([0, 0, 0, 1, 1, 1]) / 3  # int_e N_j / |e|: zero at the vertices, exactly
 _LINE_MASS_REF = np.einsum("q,qi,qj->ij", LINE_QW, line_shape(LINE_QP), line_shape(LINE_QP))  # against the length
 _LINE_MOMENT_REF = _LINE_MASS_REF.sum(axis=1)
 
@@ -599,9 +603,9 @@ class Factor:
     fixed right-hand side with no zero-sum structure (``probe``) as one more
     column, whose residual must meet SOLVE_RESIDUAL_BOUND against ``matrix``
     before any column is returned, so a factor of another matrix, or a CEM
-    solve that misses the grounding, raises AssemblyError.  The probe is
-    dropped only once it passes: a factor that failed raises on every solve.
-    ``solve`` returns C-ordered rows in the matrix's own order.
+    solve that misses the grounding, raises AssemblyError; a factor that failed
+    raises on every solve.  ``solve`` returns C-ordered rows in the matrix's own
+    order, each column with the bits it has alone: the probe changes none.
     """
 
     def __init__(self, matrix, block=None, ordered=False):
@@ -615,17 +619,15 @@ class Factor:
         self.probe = _probe(matrix.shape[0])  # None once a solve has checked it
 
     def solve(self, rhs):
-        """x with A x = rhs for rhs (N,) or (N, k).  The factor is checked by its first solve,
-        which carries the probe as one more column and returns only the caller's columns."""
+        """x with A x = rhs for rhs (N,) or (N, k); the first solve carries the probe as one more column."""
         if self.probe is None:
             return self._solve(rhs)
-        x = self._solve(np.column_stack([rhs, self.probe]), probed=True)
+        x = self._solve(np.column_stack([rhs, self.probe]))
         self.check(self.matrix @ x[:, -1] - self.probe, self.probe, "factor")
         self.probe = None
         return np.ascontiguousarray(x[:, :-1].reshape(np.shape(rhs)))
 
-    def _solve(self, rhs, probed=False):
-        """The solve itself; ``probed`` says that the last column is the probe."""
+    def _solve(self, rhs):
         return np.ascontiguousarray(self.superlu.solve(rhs))
 
     @staticmethod
@@ -661,10 +663,10 @@ class CemFactor(Factor):
     Grounding the last electrode voltage and dropping the multiplier leaves an
     SPD block, which is factored in the layout's order (``order``, None for
     the layout's first factor, which finds it).  A solve of A x = b takes three
-    steps: the multiplier lam = 1^T b / |Omega| over the node and electrode
-    rows, the one value for which e^T (b - w lam) = 0, so that A0 can meet it;
-    the grounded block's solve of b - w lam, with the grounded voltage 0; and a
-    shift by a constant t e so that w^T x meets the last row.
+    steps: lam = 1^T b / |Omega| over the node and electrode rows, the one value
+    for which e^T (b - w lam) = 0, so that A0 can meet it; the grounded block's
+    solve y of b - w lam, grounded voltage 0; and a shift by t e so that w^T x
+    meets the last row.  1^T b and w^T y are ``_column_sums``, in a fixed order.
     """
 
     def __init__(self, matrix, layout):
@@ -673,24 +675,20 @@ class CemFactor(Factor):
         self.order, self.weights, self.area = layout.order, layout.weights, layout.area
         self.rows = np.s_[: len(self.weights)] if self.order is None else self.order
 
-    def multiplier(self, rhs):
-        """lam = 1^T b / |Omega| over the node and electrode rows of rhs."""
-        return rhs[:-1].sum(axis=0) / self.area
-
-    def _solve(self, rhs, probed=False):
-        # numpy sums one column in another order than several, and BLAS takes w^T y in
-        # an order that depends on the column count: the probe's column (the last, when
-        # probed) is reduced on its own, so the caller's keep the bits they have without it
-        def reduced(f, a):
-            return np.concatenate((f(a[:, :-1]), f(a[:, -1:]))) if probed else f(a)
-
-        lam = reduced(self.multiplier, rhs)
+    def _solve(self, rhs):
+        lam = _column_sums(rhs[:-1]) / self.area
         y = self.superlu.solve(rhs[self.rows] - np.multiply.outer(self.weights, lam))
-        t = (rhs[-1] - reduced(lambda a: self.weights @ a, y)) / self.area
+        t = (rhs[-1] - _column_sums(y, self.weights)) / self.area
         x = np.empty(rhs.shape)
         x[self.rows] = y + t
         x[-2:] = t, lam  # the grounded voltage, shifted; the multiplier
         return x
+
+
+def _column_sums(a, w=None):
+    """The sum of each column of a (N[, k]), weighted by w (N,) if given: pairwise, over a row of a^T."""
+    rows = np.ascontiguousarray(a.T)
+    return (rows if w is None else rows * w).sum(axis=-1)
 
 
 def boundary_matrices(mesh, electrodes):
@@ -860,22 +858,25 @@ def _nodal(phi, mesh):
     return a
 
 
+def _local_product(local, cols, index=None):
+    """local @ np.take(cols, index, axis=0), or local @ cols; a lone column goes in as the first of two."""
+    lone = cols.shape[-1] == 1
+    cols = np.concatenate([cols, cols], axis=-1) if lone else cols
+    out = local @ (cols if index is None else np.take(cols, index, axis=0))
+    return out[..., :1] if lone else out
+
+
 def _field(local, phi, mesh):
     a = _nodal(phi, mesh)
-    g = local @ np.take(a.reshape(len(a), -1), mesh.triangles, axis=0)  # (nel, nq * 2, I)
+    g = _local_product(local, a.reshape(len(a), -1), mesh.triangles)  # (nel, nq * 2, I)
     return g.reshape(mesh.qweights.shape + (2,) + a.shape[1:])
 
 
 def _dual(local, v, mesh):
     v = np.asarray(v, float)
-    x = v.reshape(mesh.qweights.shape + (2, -1))
-    n = x.shape[3]
-    # BLAS sums one column (gemv) in another order than several (gemm): one column
-    # goes in as the first of two, so a column's dual has the same bits in any stack
-    wv = np.zeros(x.shape[:3] + (2,)) if n == 1 else np.empty(x.shape)
-    np.multiply(mesh.qweights[:, :, None, None], x, out=wv[..., :n])
-    d = (local.transpose(0, 2, 1) @ wv.reshape(local.shape[:2] + (-1,)))[:, :, :n]  # (nel, 6, I)
-    return (mesh.node_scatter @ d.reshape(mesh.triangles.size, n)).reshape((mesh.n_nodes,) + v.shape[3:])
+    wv = mesh.qweights[:, :, None, None] * v.reshape(mesh.qweights.shape + (2, -1))
+    d = _local_product(local.transpose(0, 2, 1), wv.reshape(local.shape[:2] + (-1,)))  # (nel, 6, I)
+    return (mesh.node_scatter @ d.reshape(mesh.triangles.size, -1)).reshape((mesh.n_nodes,) + v.shape[3:])
 
 
 def gradient_field(phi, mesh):

@@ -48,7 +48,8 @@ def wrong_factors(monkeypatch):
     lam = 1^T b / |Omega|, so the grounded block solves b itself, which it
     cannot meet unless b sums to zero over the node and electrode rows.
     """
-    splu = spla.splu
+    splu, sums = spla.splu, fem._column_sums  # the multiplier's sum 1^T b is the one without weights
     kinds = {"another matrix": (fem.spla, "splu", lambda a, **kw: splu(_other_matrix(a), **kw)),
-             "no projection": (fem.CemFactor, "multiplier", lambda self, rhs: np.zeros(np.shape(rhs)[1:]))}
+             "no projection": (fem, "_column_sums", lambda a, w=None: np.zeros(np.shape(a)[1:]) if w is None
+                               else sums(a, w))}
     return lambda kind: monkeypatch.setattr(*kinds[kind])

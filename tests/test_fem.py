@@ -4,7 +4,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from condrec import fem
+from condrec import experiments, fem
 from condrec.errors import (
     AssemblyError,
     CoercivityError,
@@ -355,7 +355,8 @@ def test_reference_tensors_match_the_quadrature_sums(scale):
     assert np.abs(K.sum(axis=2)).max() <= 1e-14 * np.abs(K).max()
     assert close(np.ones(m.n_nodes) @ m.mass() @ np.ones(m.n_nodes), area.sum())
     assert close(m.element_areas * fem._MASS_REF.sum(), area)  # M_e = |e| M_ref
-    assert abs(m.integral_weights().sum() - m.total_area) <= 1e-14 * m.total_area
+    w = m.integral_weights()  # int N_i = 0 at the vertices, exactly
+    assert not w[: m.n_vertices].any() and abs(w.sum() - m.total_area) <= 1e-15 * m.total_area
 
 
 def test_zero_currents_zero_solution():
@@ -439,9 +440,10 @@ def _reference_layout(mesh, electrodes):
     Ms, ms, lens = _reference_boundary_matrices(mesh, electrodes)
     C = np.stack([-ms[l] / z[l] for l in range(L)], axis=1)
     w = mesh.integral_weights()
-    const = sp.bmat([[sum(Ms[l] / z[l] for l in range(L)), C, w[:, None]],
+    wcol = sp.coo_matrix((w, (np.arange(len(w)), np.zeros(len(w), int))))  # keeps the vertices' exact zeros
+    const = sp.bmat([[sum(Ms[l] / z[l] for l in range(L)), C, wcol],
                      [C.T, sp.diags(lens / z), None],
-                     [w[None, :], None, None]], format="coo")
+                     [wcol.T, None, None]], format="coo")
     N = const.shape[0]
     live = np.ones((6, 6), bool)
     live[fem._ZERO_COUPLINGS] = False
@@ -581,9 +583,9 @@ def test_a_factor_checks_its_probe_once():
 
 @pytest.mark.parametrize("k", [1, 3, 7, 8])
 def test_a_cem_solve_keeps_its_bits_beside_the_probe(k):
-    # numpy sums one column in another order than several, and gemv sums a column of
-    # one, of two or three and of four or more columns each in its own order; the probe
-    # column is reduced on its own, so a factor's first solve has the bits of a later one
+    # a CEM solve sums each column on its own, in a fixed order, so the probe that rides
+    # on a factor's first solve changes none of the caller's columns: the first solve has
+    # the bits of a later one, and each column those it has when solved alone
     m = fem.disk_mesh_scale(2)
     rng = np.random.default_rng(16 + k)
     rhs = rng.standard_normal((m.n_nodes + 9, k))
@@ -592,6 +594,49 @@ def test_a_cem_solve_keeps_its_bits_beside_the_probe(k):
         first = system.lu.solve(cols)
         assert system.lu.probe is None and first.shape == cols.shape and first.flags.c_contiguous
         assert np.array_equal(first, system.lu.solve(cols))
+        for j in range(k):
+            assert np.array_equal(first.reshape(len(rhs), k)[:, j], system.lu.solve(rhs[:, j]))
+
+
+def _assert_stack_invariant(f, cols, lone_vector=True):
+    """f of each column alone (as (..., 1) and, if lone_vector, as (...,)) and of the first 2, 3
+    and 4 columns has, bit for bit, the columns of f of the whole stack; cols and f's result
+    hold their columns on the last axis."""
+    whole = f(cols)
+    for k in (2, 3, 4):
+        assert np.array_equal(f(cols[..., :k]), whole[..., :k])
+    for j in range(cols.shape[-1]):
+        assert np.array_equal(f(cols[..., j : j + 1]), whole[..., j : j + 1])
+        if lone_vector:
+            assert np.array_equal(f(cols[..., j]), whole[..., j])
+
+
+@pytest.mark.parametrize("scale", [1, 4])
+def test_a_column_keeps_its_bits_in_any_stack(scale):
+    # each column's sums run in one fixed order, and a lone column goes into the
+    # element-local products as the first of two: a result does not depend on how
+    # many columns are stacked beside it (OpenBLAS orders 1, 2-3 and 4+ differently)
+    m = fem.disk_mesh_scale(scale)
+    rng = np.random.default_rng(30 + scale)
+    system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
+    _assert_stack_invariant(system.lu.solve, rng.standard_normal((system.matrix.shape[0], 9)))
+
+    J = rng.standard_normal((8, 8))
+    J -= J.mean(axis=1, keepdims=True)
+    stacks = {k: fem.solve_cem(system, J[:k]) for k in (1, 2, 3, 4, 8)}
+    for j in range(8):
+        alone = fem.solve_cem(system, J[j : j + 1])
+        for sol in (sol for k, sol in stacks.items() if j < k):
+            assert np.array_equal(sol.phi[:, j], alone.phi[:, 0])
+            assert np.array_equal(sol.voltages[j], alone.voltages[0])
+
+    u = rng.standard_normal((m.n_nodes, 9))
+    for op in (fem.gradient_field, fem.perp_gradient_field):
+        _assert_stack_invariant(lambda a: op(a, m), u)
+    _assert_stack_invariant(lambda v: fem.gradient_dual(v, m), rng.standard_normal(m.qweights.shape + (2, 9)))
+    fine = fem.refine_mesh(m)
+    _assert_stack_invariant(lambda a: experiments._eval_gradient_at(fine, m, a, m.qpoints),
+                            rng.standard_normal((fine.n_nodes, 9)), lone_vector=False)
 
 
 @pytest.mark.parametrize("scale", [1, 2])
@@ -848,7 +893,7 @@ def test_gradient_operator_and_its_dual():
     v = rng.normal(size=(m.n_elements, len(fem.QUAD_W), 2, 3))
     gu = _reference_gradient(m, u, fem.QUAD_BARY)
     assert np.abs(fem.gradient_field(u, m) - gu).max() <= 1e-13 * np.abs(gu).max()
-    assert np.allclose(fem.gradient_field(u[:, 1], m), gu[..., 1], rtol=0, atol=1e-13 * np.abs(gu).max())
+    assert np.array_equal(fem.gradient_field(u[:, 1], m), fem.gradient_field(u, m)[..., 1])
     perp_gu = np.stack([-gu[:, :, 1], gu[:, :, 0]], axis=2)
     d = fem.gradient_dual(v, m)
     for dual, grad in ((d, gu), (fem.perp_gradient_dual(v, m), perp_gu)):
