@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, manifests, determinism."""
 import argparse
+import itertools
 import json
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 
 from condrec import cli
 from condrec import experiments as ex
+from condrec import functionals as fn
 from condrec import solvers as sv
 
 
@@ -461,3 +463,30 @@ def test_reconstruct_newton_cell(tmp_path):
     assert 1 <= int(cell["iterations"]) <= 2
     stem = "iat-reduced_I1_d0.0_s1"
     assert (out / f"{stem}_sigma.txt").exists() and (out / f"{stem}_iters.csv").exists()
+
+
+def test_every_accepted_configuration_runs_alike_through_the_config_file(tmp_path, capsys):
+    # the cells of test_experiments' configuration matrix, each written as an INI file and
+    # run by the console entry point under --jobs 1 and --jobs 2 (one cell per delta)
+    accepted = 0
+    for tag, solver in itertools.product(fn.FORMULATIONS, ex.SOLVERS):
+        for variant in (1, 2) if tag.startswith("iat") else (2,):
+            name = f"{tag}-{solver}-{variant}"
+            cfgp = write_config(tmp_path / f"{name}.ini",
+                                f"[run]\nformulation = {tag}\niat_obs_variant = {variant}\ncase = I2\n"
+                                "deltas = 0, 0.01\nseed = 5\ncoarse_scale = 1\nfine_refine = 1\n"
+                                f"[solver]\nmethod = {solver}\nmax_iters = 2\n")
+            tables = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{name}-jobs{jobs}"
+                rc = cli.main(["reconstruct", "--config", cfgp, "--out", str(out), "--jobs", jobs])
+                if (tag, variant) == ("iat-reduced", 1):  # the one combination the configuration refuses
+                    assert rc == 2 and "config error" in capsys.readouterr().err
+                    break
+                assert rc == 0, name
+                tables.append((out / "results.csv").read_text())
+            else:
+                accepted += 1
+                assert len(tables[0].strip().split("\n")) == 3 and "error:" not in tables[0], name
+                assert ex.mask_timing_columns(tables[0]) == ex.mask_timing_columns(tables[1]), name
+    assert accepted == 22

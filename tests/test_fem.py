@@ -4,7 +4,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from condrec import experiments, fem
+from condrec import core, experiments, fem
 from condrec.errors import (
     AssemblyError,
     CoercivityError,
@@ -698,9 +698,15 @@ def test_up_to_L_excitations_solve_as_before():
 
 
 def test_factorizations_after_the_first_reuse_the_column_order(monkeypatch):
-    specs = []
+    specs, kernels = [], []
     splu = spla.splu
-    monkeypatch.setattr(fem.spla, "splu", lambda a, **kw: specs.append(kw.get("permc_spec")) or splu(a, **kw))
+
+    def spy(a, **kw):
+        specs.append(kw.get("permc_spec"))
+        kernels.append((kw.get("relax"), kw.get("panel_size")))
+        return splu(a, **kw)
+
+    monkeypatch.setattr(fem.spla, "splu", spy)
     m = fem.disk_mesh_scale(1)
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -711,6 +717,47 @@ def test_factorizations_after_the_first_reuse_the_column_order(monkeypatch):
     for _ in range(2):
         fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements), other).lu
     assert specs[3:] == ["MMD_AT_PLUS_A", "NATURAL"]  # a new impedance set is a new layout, ordered again
+    assert kernels == [(1, 1)] * 5  # every factor takes the unrelaxed one-column-panel kernel
+
+
+@pytest.mark.parametrize("scale, refine", [(1, 0), (2, 0), (3, 0), (4, 0), (2, 1)])
+def test_the_factor_kernel_keeps_the_fill_and_solves_of_the_default_one(monkeypatch, scale, refine):
+    # every kind of matrix condrec factors, each factored beside a default-kernel splu
+    # (scipy's relaxed supernodes and panels) of the same matrix while that still lives
+    m = fem.refine_mesh(fem.disk_mesh_scale(scale), refine)
+    splu, factors = spla.splu, []
+
+    def spy(a, **kw):
+        default = {k: v for k, v in kw.items() if k not in ("relax", "panel_size")}
+        factors.append((a.shape[0], kw, splu(a, **kw), splu(a, **default)))
+        return factors[-1][2]
+
+    monkeypatch.setattr(fem.spla, "splu", spy)
+    rng = np.random.default_rng(11)
+    exc = experiments.excitation_case("I2")
+    for _ in range(2):  # the layout's first, minimum-degree factor, then a kept-order one
+        sigma = rng.uniform(1, 6, m.n_elements)
+        phi = fem.solve_cem(fem.assemble_cem(m, sigma), exc).phi
+    core.StateSpace(m, 2)  # the H1 Gram factor and its trace-extension block
+    fem.stream_potential(sigma, phi, m, exc)  # the interior Laplacian
+    M = m.n_nodes + len(m.electrode_lengths) - 1  # the grounded CEM block
+    n_interior = m.n_nodes - len(m.boundary_dofs)
+    assert [n for n, *_ in factors] == [M, M, m.n_nodes, n_interior, n_interior]
+    for _, kw, lu, default in factors:
+        assert (kw["relax"], kw["panel_size"]) == (1, 1)
+        assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
+        b = rng.standard_normal((lu.shape[0], 3))
+        got, ref = lu.solve(b), default.solve(b)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_the_factor_kernel_runs_many_factor_and_solve_cycles():
+    m = fem.disk_mesh_scale(2)
+    rng = np.random.default_rng(12)
+    exc = experiments.excitation_case("I2")
+    for _ in range(200):
+        sol = fem.solve_cem(fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)), exc)
+        assert sol.residuals.max() <= fem.SOLVE_RESIDUAL_BOUND
 
 
 @pytest.mark.parametrize("scale", [1, 2])
