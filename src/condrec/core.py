@@ -10,7 +10,9 @@ The projection onto fixed psi traces corrects the interior by the discrete
 harmonic extension X = H_ii^-1 H_ib of the boundary defect, for the H1 Gram
 matrix H.  X does not depend on sigma, so a space solves for it once, when it
 is built (one checked solve of one column per boundary dof), and every
-projection is a product with it.
+projection is a product with it.  A Riesz representative g = H^-1 d carries
+the dual d it was mapped from, and the space pairs it as <g, h> = sum d h, with
+no Gram product; every other State carries no dual, so none goes stale.
 
 A State holds finite float arrays of its space's shapes.  That is checked only
 where values enter: StateSpace.state copies and checks the caller's blocks,
@@ -104,15 +106,21 @@ class StateSpace:
     # -- geometry -----------------------------------------------------------
 
     def inner(self, a, b):
-        """L2 on sigma + full H1 on each potential column; symmetric and PD."""
+        """L2 on sigma + full H1 on each potential column; symmetric and PD.  The potentials
+        pair as sum d h with the dual d that a Riesz representative carries, else as sum a H b."""
         self._compat(a)
         self._compat(b)
         tot = 0.0
         if self.with_sigma:
             tot += float(np.sum(a.sigma * b.sigma * self.areas))
         if self.with_potentials:
-            tot += float(np.sum(a.phis * (self.h1.matrix @ b.phis)))
-            tot += float(np.sum(a.psis * (self.h1.matrix @ b.psis)))
+            d, h = (a.dual, b) if a.dual is not None else (b.dual, a)
+            if d is not None:
+                tot += float(np.sum(d[0] * h.phis))
+                tot += float(np.sum(d[1] * h.psis))
+            else:
+                tot += float(np.sum(a.phis * (self.h1.matrix @ b.phis)))
+                tot += float(np.sum(a.psis * (self.h1.matrix @ b.psis)))
         return tot
 
     def norm(self, a):
@@ -121,7 +129,8 @@ class StateSpace:
     def riesz(self, dual):
         """Map an assembled derivative (dual coefficients) to its Riesz representative.
 
-        Raises InvalidFieldError when the dual holds a non-finite value.
+        The representative holds the dual's potential blocks, uncopied, as ``dual``, for
+        ``inner`` to pair it by.  Raises InvalidFieldError when the dual holds a non-finite value.
         """
         self._compat(dual)
         for block in (dual.sigma, dual.phis, dual.psis):
@@ -129,7 +138,7 @@ class StateSpace:
                 _check_finite(block, "dual")
         sig = dual.sigma / self.areas if self.with_sigma else None
         if self.with_potentials:
-            return State(self, sig, self.h1.solve(dual.phis), self.h1.solve(dual.psis))
+            return State(self, sig, self.h1.solve(dual.phis), self.h1.solve(dual.psis), (dual.phis, dual.psis))
         return State(self, sig)
 
     def project(self, x, constraints):
@@ -192,16 +201,18 @@ class State:
     """Aggregate unknown; arithmetic acts componentwise so solvers stay generic.
 
     Holds the arrays it is given, unchecked and uncopied: build a State from
-    outside values with StateSpace.state.
+    outside values with StateSpace.state.  ``dual`` is None except on a Riesz
+    representative, which holds the potential blocks it was mapped from.
     """
 
-    __slots__ = ("space", "sigma", "phis", "psis")
+    __slots__ = ("space", "sigma", "phis", "psis", "dual")
 
-    def __init__(self, space, sigma=None, phis=None, psis=None):
+    def __init__(self, space, sigma=None, phis=None, psis=None, dual=None):
         self.space = space
         self.sigma = sigma
         self.phis = phis
         self.psis = psis
+        self.dual = dual
 
     def copy(self):
         sig = self.sigma.copy() if self.space.with_sigma else None

@@ -374,6 +374,9 @@ def test_criterion_11_determinism():
         _reduced_cell(0.1, max_iters=300),
         ex.ExperimentConfig(formulation="eit-reduced", case="I28", delta=0.0, seed=5,
                             coarse_scale=2, fine_refine=1, max_iters=150, mu_max=8.0),
+        # the all-at-once projected-gradient path, whose gradients pair by their duals
+        ex.ExperimentConfig(formulation="iat-aao", case="I28", delta=0.01, seed=3,
+                            coarse_scale=2, fine_refine=1, max_iters=100, mu_max=8.0),
     ]
     _, t1 = ex.run_table(cells)
     _, t2 = ex.run_table(cells)

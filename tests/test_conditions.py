@@ -64,6 +64,19 @@ def test_gwf_tcc_sampled_bound(gwf_setup):
     assert rep.passed, rep.summary()
 
 
+def test_operator_norm_pairs_by_the_dual_as_by_the_gram_form(gwf_setup, monkeypatch):
+    # the power iteration's iterates are Riesz maps, paired by their duals; copies carry
+    # none and pair by the Gram form
+    mesh, exc, cs, space, x_d, flux = gwf_setup
+    fwd = cd.GwfLsForward(space)
+    x = cd.sample_feasible_states(space, cs, x_d, 0.3, np.random.default_rng(14), 1)[0]
+    by_dual = fwd.operator_norm(x)
+    riesz = core.StateSpace.riesz
+    monkeypatch.setattr(core.StateSpace, "riesz", lambda self, dual: riesz(self, dual).copy())
+    by_gram = fwd.operator_norm(x)
+    assert by_dual > 0 and abs(by_dual - by_gram) <= 1e-12 * by_gram
+
+
 def test_gwf_tcc_constant_degenerate_box(gwf_setup):
     mesh, exc, cs, space, x_d, flux = gwf_setup
     fwd = cd.GwfLsForward(space)

@@ -183,6 +183,85 @@ def test_riesz_inverts_inner_product(setup):
     assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), abs(rhs))
 
 
+# -- a Riesz representative pairs by its dual ----------------------------------------
+
+
+def gram_inner(space, a, b):
+    """The space's inner product in its Gram form: L2 on sigma, sum a H b on each potential."""
+    H = space.h1.matrix
+    tot = float(np.sum(a.sigma * b.sigma * space.areas)) if space.with_sigma else 0.0
+    return tot + float(np.sum(a.phis * (H @ b.phis))) + float(np.sum(a.psis * (H @ b.psis)))
+
+
+@pytest.mark.parametrize("with_sigma", [True, False], ids=["full", "eliminated-sigma"])
+@pytest.mark.parametrize("n_exc", [1, 28])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_a_riesz_representative_pairs_by_its_dual_as_by_the_gram_form(scale, n_exc, with_sigma):
+    # <H^-1 d, h>_H = sum d h: the dual pairing and the Gram form agree to round-off, measured
+    # against the Cauchy-Schwarz scale ||g|| ||h|| of the pairing (random h cancels in the sum)
+    mesh = fem.disk_mesh_scale(scale)
+    space = core.StateSpace(mesh, n_excitations=n_exc, with_sigma=with_sigma)
+    rng = np.random.default_rng(40 + n_exc)
+    shape = (mesh.n_nodes, n_exc)
+
+    def draw():
+        return space.state(rng.normal(size=mesh.n_elements) if with_sigma else None,
+                           rng.normal(size=shape), rng.normal(size=shape))
+
+    dual, h = draw(), draw()
+    g = space.riesz(dual)
+    assert g.dual[0] is dual.phis and g.dual[1] is dual.psis  # held, not copied
+    scale_gh = np.sqrt(gram_inner(space, g, g) * gram_inner(space, h, h))
+    assert abs(space.inner(g, h) - gram_inner(space, g, h)) <= 1e-13 * scale_gh
+    assert abs(space.inner(h, g) - gram_inner(space, h, g)) <= 1e-13 * scale_gh
+    want = np.sqrt(gram_inner(space, g, g))
+    assert abs(space.norm(g) - want) <= 1e-13 * want
+
+
+class _NoProducts:
+    """A Gram matrix that raises on any product."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a product with the Gram matrix")
+
+    __matmul__ = __rmatmul__ = dot = _refuse
+
+
+def test_a_riesz_representative_pairs_with_no_gram_product():
+    mesh = fem.disk_mesh_scale(1)
+    space = core.StateSpace(mesh, n_excitations=2)
+    rng = np.random.default_rng(41)
+    dual, h = random_state(space, rng), random_state(space, rng)
+    g = space.riesz(dual)  # the H1 factor's first solve, checked against its matrix
+    want = (space.inner(g, h), space.inner(h, g), space.norm(g))
+    space.h1.matrix = _NoProducts()
+    g = space.riesz(dual)
+    assert (space.inner(g, h), space.inner(h, g), space.norm(g)) == want
+    with pytest.raises(AssertionError, match="Gram matrix"):  # a pair of plain states still takes the Gram form
+        space.inner(h, h)
+
+
+def test_only_a_riesz_map_makes_a_state_with_a_dual(setup):
+    mesh, _, cs, space = setup
+    rng = np.random.default_rng(42)
+    g, x = space.riesz(random_state(space, rng)), random_state(space, rng)
+    assert g.dual is not None and x.dual is None and space.zeros().dual is None
+    made = (g + x, x + g, g - x, x - g, g * 2.0, 2.0 * g, -g, g.copy(), space.project(g, cs),
+            space.state(g.sigma, g.phis, g.psis))
+    assert all(s.dual is None for s in made)
+
+
+def test_a_sigma_only_space_pairs_by_the_l2_formula_alone(setup):
+    mesh = setup[0]
+    space = core.StateSpace(mesh, with_potentials=False)
+    rng = np.random.default_rng(43)
+    g = space.riesz(space.state(rng.normal(size=mesh.n_elements)))
+    x = space.state(rng.normal(size=mesh.n_elements))
+    assert g.dual is None
+    for a, b in ((g, x), (x, g), (g, g), (x, x)):
+        assert space.inner(a, b) == float(np.sum(a.sigma * b.sigma * space.areas))
+
+
 def test_blocks_are_c_ordered(setup):
     # reductions over a block (np.sum in inner, weights @ phis in project) round in
     # memory order, so the all-at-once space (sigma, phi, psi) hands out C-ordered

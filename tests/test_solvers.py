@@ -9,7 +9,7 @@ inequality with epsilon = 1/2 on the cross term).
 import numpy as np
 import pytest
 
-from condrec import solvers as sv
+from condrec import core, experiments as ex, solvers as sv
 from condrec.errors import BracketFailureError
 
 
@@ -183,6 +183,30 @@ def test_pg_keeps_the_trials_of_each_line_search():
     rep = sv.projected_gradient(stuck, box, np.ones(3), sv.GradientConfig())
     assert rep.stop_reason == "stagnation" and rep.step_history == []
     assert rep.trials_history == [34]  # mu = 2^-k for k = 0..33, the last >= eps_mu = 1e-10
+
+
+def test_pg_pairs_a_gradient_by_its_dual_as_by_the_gram_form(monkeypatch):
+    # a Riesz map's gradient pairs by the dual it carries (core.StateSpace.inner); its copy
+    # carries none, so the second run pairs every gradient by the Gram form instead
+    cfg = ex.ExperimentConfig(formulation="iat-aao", case="I4", delta=0.01, seed=0, coarse_scale=1,
+                              fine_refine=1, max_iters=30, mu_max=8.0)
+    riesz, carried = core.StateSpace.riesz, []
+
+    def spy(self, dual):
+        g = riesz(self, dual)
+        carried.append(g.dual is not None)
+        return g
+
+    monkeypatch.setattr(core.StateSpace, "riesz", spy)
+    by_dual = ex.run_experiment(cfg).report
+    monkeypatch.setattr(core.StateSpace, "riesz", lambda self, dual: riesz(self, dual).copy())
+    by_gram = ex.run_experiment(cfg).report
+    assert len(carried) == 31 and all(carried)
+    assert by_dual.stop_reason == by_gram.stop_reason == "max-iters"
+    assert by_dual.trials_history == by_gram.trials_history
+    for a, b in ((by_dual.cost_history, by_gram.cost_history),
+                 (by_dual.gradnorm_sq_history, by_gram.gradnorm_sq_history)):
+        assert np.allclose(a, b, rtol=1e-12, atol=0)
 
 
 # -- alpha rules ------------------------------------------------------------------------
