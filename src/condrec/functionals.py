@@ -234,12 +234,16 @@ class KvTerm(_QuadTerm):
 
     @staticmethod
     def _d_sigma(x):
+        """The field dr/dsigma at x; a derivative keeps it on the point, a gradient alone does not."""
+        if hasattr(x, "kv_d_sigma"):
+            return x.kv_d_sigma
         s4 = x.sigma[:, None, None, None]
         return x.E / (2 * np.sqrt(s4)) + x.J / (2 * s4**1.5)
 
     def derivative(self, x, h):
         s4 = x.sigma[:, None, None, None]
-        return h.sigma[:, None, None, None] * self._d_sigma(x) + np.sqrt(s4) * h.E - h.J / np.sqrt(s4)
+        x.kv_d_sigma = self._d_sigma(x)
+        return h.sigma[:, None, None, None] * x.kv_d_sigma + np.sqrt(s4) * h.E - h.J / np.sqrt(s4)
 
     def adjoint(self, x, u):
         s4 = x.sigma[:, None, None, None]

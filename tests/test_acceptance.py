@@ -377,9 +377,14 @@ def test_criterion_11_determinism():
         # the all-at-once projected-gradient path, whose gradients pair by their duals
         ex.ExperimentConfig(formulation="iat-aao", case="I28", delta=0.01, seed=3,
                             coarse_scale=2, fine_refine=1, max_iters=100, mu_max=8.0),
+        # SQP-Newton with the a-posteriori rule: the subproblem's inner loop, whose momentum
+        # products are combinations of its iterates' products
+        ex.ExperimentConfig(formulation="iat-reduced", case="I4", delta=0.01, seed=1,
+                            coarse_scale=2, fine_refine=1, max_iters=2, solver="newton",
+                            newton=sv.NewtonConfig(schedule="a-posteriori")),
     ]
     _, t1 = ex.run_table(cells)
     _, t2 = ex.run_table(cells)
     assert ex.mask_timing_columns(t1) == ex.mask_timing_columns(t2)
-    ok(11, f"byte-identical CSVs for criteria 9-10 cells at identical seeds "
+    ok(11, f"byte-identical CSVs for criteria 9-10 cells and an SQP-Newton cell at identical seeds "
            f"({time.time() - t0:.0f}s)")

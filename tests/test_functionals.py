@@ -454,6 +454,24 @@ def test_gauss_newton_product_is_hessian_at_zero_residual_aao(setup, tag):
     assert _hvp_fd_error(cost, x, h) < 1e-7
 
 
+@pytest.mark.parametrize("tag", ["iat-aao", "gwf-aao-kv", "iat-elim-sigma"])
+def test_kv_sigma_field_is_kept_on_the_point_once_a_derivative_asks(setup, tag):
+    # a gradient alone (all projected gradient asks for) keeps nothing on the point; the first
+    # product keeps dr/dsigma there, and a gradient that reads it has the bits of a fresh build
+    mesh = setup[0]
+    cost = _all_costs(setup)[tag]
+    rng = np.random.default_rng(41)
+    x, h = (_random_state(cost.space, rng, mesh, 2) for _ in range(2))
+    g = cost.gradient(x)
+    point = cost.residual.linearize(x).x
+    assert not hasattr(point, "kv_d_sigma")
+    cost.quadratic_model(x).hvp(h)
+    assert hasattr(point, "kv_d_sigma")
+    kept = cost.gradient(x)
+    for a, b in ((g.sigma, kept.sigma), (g.phis, kept.phis), (g.psis, kept.psis)):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
 def test_quadratic_model_exact_in_psi_block(setup):
     # GWF-LS is quadratic along psi: Q matches J exactly in those directions
     mesh, exc = setup[0], setup[1]

@@ -9,8 +9,8 @@ inequality with epsilon = 1/2 on the cross term).
 import numpy as np
 import pytest
 
-from condrec import core, experiments as ex, solvers as sv
-from condrec.errors import BracketFailureError
+from condrec import core, experiments as ex, fem, functionals, solvers as sv
+from condrec.errors import BracketFailureError, NonconvergenceError
 
 
 def make_instance(seed, n=8, noise=0.0):
@@ -351,6 +351,101 @@ def test_curvature_is_estimated_once_per_model():
     n_first = len(calls)
     sv.solve_subproblem(flat, center, 0.37, box, x0)
     assert n_first >= 20 and len(calls) == 2 * n_first
+
+
+def _direct_product_subproblem(qm, center, alpha, constraint, x_init, tol=1e-8, budget=10000):
+    """Reference for solve_subproblem: the same iteration with a fresh qm.hvp at every
+    gradient (the momentum point, a restart's point and each checked iterate).
+    Returns the solution, the iterations run and the restarts made."""
+    lam = sv._model_curvature(qm, constraint, x_init, center)
+    L = 1.5 * lam + alpha
+    step = 1.0 / L
+
+    def grad(x):
+        return qm.g + qm.hvp(x - qm.x0) + alpha * (x - center)
+
+    def pg_residual(x, gx):
+        return constraint.norm(x - constraint.project(x - step * gx)) / step
+
+    x = constraint.project(x_init)
+    y = x
+    t = 1.0
+    r0 = pg_residual(x, grad(x))
+    target = max(tol * r0, 1e-13 * L * (1.0 + constraint.norm(x)))
+    if r0 <= target:
+        return x, 0, 0
+    x_prev, restarts = x, 0
+    for it in range(budget):
+        gy = grad(y)
+        x_new = constraint.project(y - step * gy)
+        if constraint.inner(gy, x_new - x_prev) > 0:
+            y, t = x_prev, 1.0
+            restarts += 1
+            gy = grad(y)
+            x_new = constraint.project(y - step * gy)
+        t_new = 0.5 * (1 + np.sqrt(1 + 4 * t * t))
+        y = x_new + ((t - 1) / t_new) * (x_new - x_prev)
+        x_prev, t = x_new, t_new
+        if it % 5 == 0 or it == budget - 1:
+            if pg_residual(x_new, grad(x_new)) <= target:
+                return x_new, it + 1, restarts
+    residual = pg_residual(x_prev, grad(x_prev))
+    if residual <= 10 * target:
+        return x_prev, budget, restarts
+    raise NonconvergenceError(
+        f"subproblem: residual {residual:.3e} above target {target:.3e} after {budget} iterations")
+
+
+def _box_case():
+    # the unconstrained minimizer leaves the box, so the solution sits on some of its faces
+    A, x_true, e, _, _, x0 = make_instance(2, noise=0.05)
+    box = sv.BoxFeasible(-0.2, 0.2)
+    cost = sv.QuadraticLeastSquares(A, A @ x_true + e, box)
+    return cost.quadratic_model(box.project(x0)), box, np.zeros_like(x0), 0.01
+
+
+def _pde_case(formulation):
+    """The quadratic model of an I4, delta = 0.01, scale-1 cell at sigma = 3.5, centred there."""
+    cfg = ex.ExperimentConfig(formulation=formulation, case="I4", delta=0.01, seed=0, coarse_scale=1)
+    cell = ex.build_cell(cfg)
+    obs = ex.build_observations(cfg, cell.noisy, cell.excitation)
+    trace, _ = fem.psi_trace_values(cell.coarse, cell.excitation)
+    cs = core.ConstraintSet(cfg.sigma_lower, cfg.sigma_upper, True, trace)
+    cost = functionals.combined_cost(formulation, obs, cell.coarse, cell.excitation, cell.electrodes, 1.0, cs)
+    sigma0 = np.full(cell.coarse.n_elements, 3.5)
+    if cost.space.with_potentials:
+        phi0, psi0, *_ = functionals.reduced_forward(sigma0, cell.coarse, cell.excitation, cell.electrodes)
+        x0 = cost.space.state(sigma0, phi0, psi0)
+    else:
+        x0 = cost.space.state(sigma0)
+    return cost.quadratic_model(x0), sv.FeasibleSet(cost.space, cs), x0, 0.1
+
+
+@pytest.mark.parametrize("case", ["box", "iat-reduced", "iat-aao"])
+def test_subproblem_keeps_each_iterates_product(case):
+    # one product per inner iteration, plus one at the projected start, gives the direct
+    # loop's solution up to round-off, with fewer products: its restarts and checks are free
+    qm, constraint, center, alpha = _box_case() if case == "box" else _pde_case(case)
+    x_init = qm.x0
+    sv._model_curvature(qm, constraint, x_init, center)  # its 20 probe products are kept on the model
+    calls = _count_hvp(qm)
+    ref, iterations, restarts = _direct_product_subproblem(qm, center, alpha, constraint, x_init)
+    n_ref = len(calls)
+    x = sv.solve_subproblem(qm, center, alpha, constraint, x_init)
+    assert restarts >= 1 and iterations > 5
+    assert constraint.norm(x - ref) <= 1e-12 * constraint.norm(ref)
+    assert len(calls) - n_ref == 1 + iterations < n_ref
+    if case == "box":
+        assert np.any(np.abs(ref) == 0.2)  # the box binds
+
+
+def test_subproblem_budget_exhaustion_reports_the_residual():
+    qm, box, center, alpha = _box_case()
+    with pytest.raises(NonconvergenceError, match=r"residual \S+ above target \S+ after 7 iterations") as err:
+        sv.solve_subproblem(qm, center, alpha, box, qm.x0, tol=1e-12, budget=7)
+    with pytest.raises(NonconvergenceError) as ref_err:
+        _direct_product_subproblem(qm, center, alpha, box, qm.x0, tol=1e-12, budget=7)
+    assert str(err.value) == str(ref_err.value)
 
 
 # -- newton_sqp ---------------------------------------------------------------------------
