@@ -19,7 +19,7 @@ cfg = ex.ExperimentConfig(
 )
 res = ex.run_experiment(cfg)
 
-coarse = fem.disk_mesh_scale(2, fem.ElectrodeConfig(count=8, impedances=cfg.impedance))
+coarse = fem.disk_mesh_scale(cfg.coarse_scale, cfg.electrodes())
 truth = cfg.phantom.cell_field(coarse)
 inclusion = truth > 0.5 * (cfg.phantom.background + cfg.phantom.inclusion_value)
 mean_inc = res.sigma_final[inclusion].mean()

@@ -5,14 +5,13 @@ import numpy as np
 
 from condrec import fem
 
-electrodes = fem.ElectrodeConfig(count=8, impedances=0.1)
-mesh = fem.disk_mesh_scale(3, electrodes)
+mesh = fem.disk_mesh_scale(3, fem.ElectrodeConfig(count=8, impedances=0.1))  # the mesh carries its electrodes
 print(f"mesh: {mesh.n_elements} elements, {mesh.n_nodes} P2 nodes, "
       f"area = {mesh.element_areas.sum():.6f} (disk: {np.pi:.6f})")
 
 rng = np.random.default_rng(0)
 sigma = rng.uniform(1.0, 6.0, mesh.n_elements)
-system = fem.assemble_cem(mesh, sigma, electrodes)
+system = fem.assemble_cem(mesh, sigma)
 print("assembled CEM system, symmetric to",
       abs(system.matrix - system.matrix.T).max())
 
@@ -39,7 +38,7 @@ on = mesh.belectrode  # the electrode edges of the boundary loop
 ell = mesh.bindex[on] - 1
 vals = sol.phi[mesh.bnodes[on], 0] @ phi_t.T  # trace at the line quadrature points
 contact = np.sum(fem.LINE_QW * mesh.blength[on, None] *
-                 (vals - sol.voltages[0, ell, None]) ** 2 / electrodes.impedances[ell, None])
+                 (vals - sol.voltages[0, ell, None]) ** 2 / mesh.electrodes.impedances[ell, None])
 injected = float(drive @ sol.voltages[0])
 print(f"energy balance: interior {interior:.8f} + contact {contact:.8f} "
       f"= {interior + contact:.8f} vs injected {injected:.8f}")

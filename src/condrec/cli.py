@@ -176,19 +176,19 @@ def _mesh_condition(cfg, condition, rng):
 
     Only the cost (eit-aao for eit-tcc, else gwf-aao-ls) and the verdict differ."""
     n_pairs = _count(cfg, "samples", 50 if condition == "eit-tcc" else 100)
-    # a value the library rejects while the mesh, drive and box are set up is a
-    # configuration error, not a runtime failure
+    # the cell of a reconstruction on a matched mesh; a value its configuration
+    # rejects is a configuration error, not a runtime failure
     try:
-        mesh = fem.disk_mesh_scale(_get(cfg, "verify", "coarse_scale", 1))
-        excitation = experiments.excitation_case(_get(cfg, "verify", "case", "I1"))
-        trace, _ = fem.psi_trace_values(mesh, excitation)
-        bounds = _fields(cfg, core.ConstraintSet, {"bounds": _CELL_KEYS["bounds"]})
-        cs = core.ConstraintSet(psi_dirichlet=trace, **bounds)
+        bounds = _fields(cfg, experiments.ExperimentConfig, {"bounds": _CELL_KEYS["bounds"]})
+        setup = experiments.ExperimentConfig(case=_get(cfg, "verify", "case", "I1"),
+                                             coarse_scale=_get(cfg, "verify", "coarse_scale", 1),
+                                             fine_refine=0, allow_inverse_crime=True, **bounds)
     except CondrecError as exc:
         raise ConfigError(str(exc)) from exc
-    phantom = experiments.Phantom()
-    data = experiments.generate_synthetic(phantom, excitation, mesh, mesh)
-    sigma_ex = phantom.cell_field(mesh)
+    cell = experiments.build_cell(setup)
+    mesh, excitation, data, sigma_ex = cell.coarse, cell.excitation, cell.data, cell.data.sigma_coarse
+    trace, _ = fem.psi_trace_values(mesh, excitation)
+    cs = core.ConstraintSet(setup.sigma_lower, setup.sigma_upper, True, trace)
     phi, psi, _, _, _ = functionals.reduced_forward(sigma_ex, mesh, excitation)
     if condition == "eit-tcc":
         obs = functionals.Observations("eit", 0.0, currents=excitation.currents, voltages=data.voltages)

@@ -50,8 +50,9 @@ class ConstraintSet:
     psi_dirichlet: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.sigma_lower <= self.sigma_upper:
-            raise InvalidFieldError("sigma bounds must satisfy lower <= upper")
+        if not -np.inf < self.sigma_lower <= self.sigma_upper < np.inf:
+            raise InvalidFieldError(f"sigma bounds must be finite with lower <= upper, not "
+                                    f"[{self.sigma_lower}, {self.sigma_upper}]")
 
 
 class StateSpace:

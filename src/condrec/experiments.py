@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core, fem, functionals, solvers
-from .errors import (CondrecError, ExperimentError, InvalidExcitationError, InvalidFieldError,
+from .errors import (CondrecError, ExperimentError, InvalidExcitationError, InvalidFieldError, InvalidMeshError,
                      UnsupportedOperationError)
 
 
@@ -109,7 +109,7 @@ def _eval_gradient_at(fine_mesh, coarse_mesh, phis, points_per_element):
     return fem._local_product(grads.transpose(0, 2, 1), phis, fine_mesh.triangles[elem]).reshape(nel_c, nq, 2, -1)
 
 
-def generate_synthetic(phantom, excitation, fine_mesh, coarse_mesh, electrodes=None):
+def generate_synthetic(phantom, excitation, fine_mesh, coarse_mesh):
     """Solve the CEM forward problem on the fine mesh and project the data.
 
     Power densities transfer by exact child-area averaging; voltages are mesh-free;
@@ -117,9 +117,8 @@ def generate_synthetic(phantom, excitation, fine_mesh, coarse_mesh, electrodes=N
     points.  The data mesh then drops its assembly arrays, so a matched mesh's
     next CEM factor is again its layout's first and solves to the same bits.
     """
-    electrodes = electrodes or fine_mesh.electrodes
     sigma_f = phantom.cell_field(fine_mesh)
-    system = fem.assemble_cem(fine_mesh, sigma_f, electrodes)
+    system = fem.assemble_cem(fine_mesh, sigma_f)
     sol = fem.solve_cem(system, excitation)
     H_f = fem.power_density(sigma_f, sol.phi, fine_mesh)  # (nel_f, I)
     H_c = fem.transfer_cell_field(H_f, fine_mesh, coarse_mesh)
@@ -190,9 +189,15 @@ class ExperimentConfig:
         if self.solver not in SOLVERS:
             raise UnsupportedOperationError(f"unknown solver {self.solver!r}; valid: {', '.join(SOLVERS)}")
         self.excitation()
+        self.electrodes()
+        core.ConstraintSet(self.sigma_lower, self.sigma_upper)
         functionals.check_power_density_variant(self.iat_obs_variant, self.formulation == "iat-reduced")
         if not 0 <= self.delta < 1:
             raise InvalidFieldError(f"delta must lie in [0, 1), not {self.delta}")
+        if not 0 < self.beta < np.inf:
+            raise InvalidFieldError(f"beta must be positive and finite, not {self.beta}")
+        if self.coarse_scale < 1:
+            raise InvalidMeshError(f"coarse scale must be >= 1, not {self.coarse_scale}")
         if self.fine_refine < 1 and not self.allow_inverse_crime:
             raise InvalidFieldError(
                 "fine mesh must be strictly finer than the reconstruction mesh "
@@ -214,6 +219,10 @@ class ExperimentConfig:
         if cur.ndim != 2 or cur.shape[0] < 1 or cur.shape[1] != 8:
             raise InvalidExcitationError(f"custom currents must have shape (I >= 1, 8), not {cur.shape}")
         return fem.ExcitationSet(cur)
+
+    def electrodes(self):
+        """The cell's ElectrodeConfig, which its meshes carry: 8 electrodes of contact impedance ``impedance``."""
+        return fem.ElectrodeConfig(count=8, impedances=self.impedance)
 
 
 @dataclass
@@ -251,7 +260,6 @@ def build_observations(cfg, data_noisy, excitation):
 class Cell:
     """The inputs of one experiment cell: meshes, excitation, exact and noisy data."""
 
-    electrodes: fem.ElectrodeConfig
     coarse: fem.Mesh
     fine: fem.Mesh
     excitation: fem.ExcitationSet
@@ -260,39 +268,36 @@ class Cell:
 
 
 def build_cell(cfg):
-    """Electrodes, coarse and fine meshes, excitation, exact and noisy data of one cell.
+    """Coarse and fine meshes (each carries ``cfg.electrodes()``), excitation, exact and noisy data of one cell.
 
     A failing step raises ``ExperimentError`` naming its stage.
     """
-    electrodes = fem.ElectrodeConfig(count=8, impedances=cfg.impedance)
-    coarse = _stage("mesh", fem.disk_mesh_scale, cfg.coarse_scale, electrodes)
+    coarse = _stage("mesh", fem.disk_mesh_scale, cfg.coarse_scale, cfg.electrodes())
     fine = _stage("mesh", fem.refine_mesh, coarse, cfg.fine_refine) if cfg.fine_refine > 0 else coarse
     excitation = _stage("data", cfg.excitation)
-    data = _stage("data", generate_synthetic, cfg.phantom, excitation, fine, coarse, electrodes)
+    data = _stage("data", generate_synthetic, cfg.phantom, excitation, fine, coarse)
     noisy = {
         "H": _stage("data", add_noise, data.H, cfg.delta, cfg.seed),
         "voltages": _stage("data", add_noise, data.voltages, cfg.delta, cfg.seed + 1),
         "flux": _stage("data", add_noise, data.flux, cfg.delta, cfg.seed + 2),
     }
-    return Cell(electrodes, coarse, fine, excitation, data, noisy)
+    return Cell(coarse, fine, excitation, data, noisy)
 
 
 def run_experiment(cfg):
     """Generate data, build the formulation, reconstruct, and report the L2 error."""
     cell = build_cell(cfg)
-    coarse, excitation, electrodes = cell.coarse, cell.excitation, cell.electrodes
+    coarse, excitation = cell.coarse, cell.excitation
     obs = _stage("cost", build_observations, cfg, cell.noisy, excitation)
     trace, _ = fem.psi_trace_values(coarse, excitation)
     constraints = core.ConstraintSet(cfg.sigma_lower, cfg.sigma_upper, True, trace)
-    cost = _stage("cost", functionals.combined_cost, cfg.formulation, obs, coarse,
-                  excitation, electrodes, cfg.beta, constraints)
+    cost = _stage("cost", functionals.combined_cost, cfg.formulation, obs, coarse, excitation, cfg.beta, constraints)
     eta = _stage("cost", cost.noise_budget)
     feasible = solvers.FeasibleSet(cost.space, constraints)
 
     sigma0 = np.full(coarse.n_elements, 0.5 * (cfg.sigma_lower + cfg.sigma_upper))
     if cost.space.with_potentials:
-        phi0, psi0, _, _, _ = _stage("cost", functionals.reduced_forward, sigma0, coarse,
-                                     excitation, electrodes)
+        phi0, psi0, _, _, _ = _stage("cost", functionals.reduced_forward, sigma0, coarse, excitation)
         x0 = cost.space.state(sigma0 if cost.space.with_sigma else None, phi0, psi0)
     else:
         x0 = cost.space.state(sigma0)

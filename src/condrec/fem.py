@@ -59,7 +59,7 @@ The CEM system A (N + L + 1 rows: the nodes, the L electrode voltages, the
 zero-mean multiplier) is a saddle point; its solves run on the SPD block left
 when the last electrode is grounded and the multiplier dropped (N + L - 1
 rows, ``CemFactor``).  The symmetric order of that block is kept per layout
-(``CemLayout``, one per mesh and impedance set, built by one argsort of its
+(``CemLayout``, one per mesh and its electrodes, built by one argsort of its
 entries' CSC keys), which permutes its grounded pattern into that order only
 when it gathers a second matrix.  A is linear in the applied currents, which
 enter only the electrode rows n..n+L-1.  ``CemSystem.basis`` is the electrode
@@ -174,8 +174,8 @@ class ElectrodeConfig:
         if self.count < 2:
             raise InvalidMeshError("need at least two electrodes")
         z = np.broadcast_to(np.asarray(self.impedances, float), (self.count,)).copy()
-        if np.any(z <= 0):
-            raise InvalidMeshError("contact impedances must be positive")
+        if not np.all(np.isfinite(z) & (z > 0)):
+            raise InvalidMeshError(f"contact impedances must be positive and finite, not {z}")
         self.impedances = z
         if not 0 < self.coverage_fraction < 1:
             raise InvalidMeshError("coverage fraction must lie in (0, 1)")
@@ -220,13 +220,16 @@ class Mesh:
     node order [v1, v2, v3, m12, m23, m31].  ``boundary`` is (ends (nb, 2),
     on-electrode mask (nb,), 1-based segment number (nb,)) for the CCW boundary
     loop, which becomes the boundary arrays of the module docstring.
+    ``electrodes`` is the ElectrodeConfig of every CEM system on the mesh; its
+    count must be the number of electrode segments of the boundary.
     """
 
-    def __init__(self, vertices, triangles_p1, boundary, electrodes, scale=None):
+    def __init__(self, vertices, triangles_p1, boundary, electrodes):
         self.electrodes = electrodes
-        self.scale = scale
-        self._cem_layout = None  # the CemLayout of the last electrode set assembled
         self._build(np.asarray(vertices, float), np.asarray(triangles_p1, int), boundary)
+        if len(self.electrode_lengths) != electrodes.count:
+            raise InvalidMeshError(f"the mesh has {len(self.electrode_lengths)} electrodes, "
+                                   f"the electrode configuration {electrodes.count}")
 
     # -- construction -----------------------------------------------------
 
@@ -315,10 +318,14 @@ class Mesh:
         return sp.csc_matrix((np.ones(self.triangles.size), self.triangles.ravel(),
                               np.arange(self.triangles.size + 1)), shape=(self.n_nodes, self.triangles.size))
 
+    @cached_property
+    def cem_layout(self):
+        """The CemLayout of the mesh's electrodes: the sigma-independent part of its CEM systems."""
+        return _cem_layout(self)
+
     def release_assembly(self):
         """Drop the cached CEM layout and element arrays; each is rebuilt on next use."""
-        self._cem_layout = None
-        for name in ("element_stiffness", "node_scatter", "shape_gradients", "perp_shape_gradients"):
+        for name in ("cem_layout", "element_stiffness", "node_scatter", "shape_gradients", "perp_shape_gradients"):
             vars(self).pop(name, None)
 
     def stiffness(self, sigma=None):
@@ -358,7 +365,7 @@ def disk_mesh_scale(k, electrodes=None):
     first electrode's midpoint and about its perpendicular, so symmetric drives
     produce symmetric discrete fields exactly.
     """
-    electrodes = electrodes or ElectrodeConfig()
+    electrodes = ElectrodeConfig() if electrodes is None else electrodes
     L = electrodes.count
     cov = electrodes.coverage_fraction
     k = int(k)
@@ -398,7 +405,7 @@ def disk_mesh_scale(k, electrodes=None):
     bnd_ids = rings[-1][0] + np.arange(m_bnd)
     sector, within = np.divmod(np.arange(m_bnd), m_bnd // L)
     boundary = (np.column_stack([bnd_ids, np.roll(bnd_ids, -1)]), within < elec_edges, sector + 1)
-    mesh = Mesh(np.array(verts), tris, boundary, electrodes, scale=k)
+    mesh = Mesh(np.array(verts), tris, boundary, electrodes)
     if mesh.n_elements != len(tris):
         raise InvalidMeshError("internal: strip triangulation lost elements")
     return mesh
@@ -467,8 +474,7 @@ _CHILDREN = [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]
 def _refine_once(mesh):
     # the P2 nodes become the vertices; each boundary edge (a, m, b) splits into (a, m), (m, b)
     boundary = (mesh.bnodes[:, [0, 1, 1, 2]], np.repeat(mesh.belectrode, 2), np.repeat(mesh.bindex, 2))
-    child = Mesh(mesh.nodes, mesh.triangles[:, _CHILDREN].reshape(-1, 3), boundary, mesh.electrodes,
-                 scale=mesh.scale)
+    child = Mesh(mesh.nodes, mesh.triangles[:, _CHILDREN].reshape(-1, 3), boundary, mesh.electrodes)
     child.parent_mesh = mesh
     return child
 
@@ -531,7 +537,8 @@ def load_mesh(path, electrodes=None):
     nodes, tris, bnd = tables
     nodes = nodes[np.argsort(nodes[:, 0].astype(int)), 1:].astype(float)
     boundary = (bnd[:, [0, 2]].astype(int), bnd[:, 3] == "electrode", bnd[:, 4].astype(int))
-    electrodes = electrodes or ElectrodeConfig(count=int(boundary[2][boundary[1]].max()))
+    if electrodes is None:
+        electrodes = ElectrodeConfig(count=int(boundary[2][boundary[1]].max()))
     mesh = Mesh(nodes[:n_verts], tris[:, :3].astype(int), boundary, electrodes)
     if mesh.n_nodes != len(nodes):
         raise InvalidMeshError("P2 node count mismatch after reload")
@@ -546,7 +553,6 @@ class CemSystem:
     """Assembled CEM Galerkin system for a fixed conductivity."""
 
     mesh: Mesh
-    electrodes: ElectrodeConfig
     # (N + L + 1) symmetric, the zero-mean multiplier appended: every solve's contract and
     # check is against it, while its factor is made on the grounded SPD block (CemFactor)
     matrix: sp.csc_matrix
@@ -696,12 +702,9 @@ def _column_sums(a, w=None):
     return (rows if w is None else rows * w).sum(axis=-1)
 
 
-def boundary_matrices(mesh, electrodes):
+def boundary_matrices(mesh):
     """The electrode edges in loop order: each one's 0-based electrode (ne,), nodes (ne, 3), line
     mass int N_i N_j (ne, 3, 3) and moments int N_i (ne, 3); and the electrode lengths (L,)."""
-    if len(mesh.electrode_lengths) != electrodes.count:
-        raise InvalidMeshError(f"the mesh has {len(mesh.electrode_lengths)} electrodes, "
-                               f"the electrode configuration {electrodes.count}")
     on = mesh.belectrode
     length = mesh.blength[on]
     return (mesh.bindex[on] - 1, mesh.bnodes[on], np.multiply.outer(length, _LINE_MASS_REF),
@@ -717,15 +720,15 @@ class CemLayout:
     |Omega| = 1^T w for the integral weights w, and ``weights`` is w on the rows of the
     grounded block (zero on its electrode rows), in the order of its pattern.
     ``unit_currents`` (N, L), read-only, holds the unit columns at the electrode rows,
-    the right-hand side E of every factor's electrode basis.  Built once per mesh and
-    impedances.  The grounded pattern, read off C0's CSC arrays, and ``weights`` are
-    permuted into the kept order by the second ``block``: a layout factored once never is.
+    the right-hand side E of every factor's electrode basis.  Built once per mesh, as
+    ``Mesh.cem_layout``.  The grounded pattern, read off C0's CSC arrays, and ``weights``
+    are permuted into the kept order by the second ``block``: a layout factored once never is.
     """
 
-    def __init__(self, key, S, C0, w):
-        self.key, self.S, self.C0 = key, S, C0
+    def __init__(self, S, C0, w):
+        self.S, self.C0 = S, C0
         self.area = w.sum()
-        N, L = C0.shape[0], key[0]
+        N, L = C0.shape[0], C0.shape[0] - len(w) - 1  # the rows: the nodes (w), the electrodes, the multiplier
         self.unit_currents = np.eye(N, L, L + 1 - N)  # ones at the electrode rows N - L - 1 .. N - 2
         self.unit_currents.flags.writeable = False
         m = N - 2  # the grounded block: every row but the last voltage and the multiplier
@@ -773,15 +776,12 @@ class CemLayout:
 _ZERO_COUPLINGS = ([0, 4, 1, 5, 2, 3], [4, 0, 5, 1, 3, 2])
 
 
-def _cem_layout(mesh, electrodes):
-    """The mesh's CemLayout for these electrodes, built on first use and kept for the last impedance set.
+def _cem_layout(mesh):
+    """The CemLayout of the mesh's electrodes, which ``Mesh.cem_layout`` keeps.
     One argsort of every entry's key col * N + row gives the CSC pattern and each entry's position;
     C0's data sums the constant entries there and rounds each sum as M_l / z_l, -m_l / z_l or lengths / z_l."""
-    key = (electrodes.count, electrodes.impedances.tobytes())
-    if mesh._cem_layout is not None and mesh._cem_layout.key == key:
-        return mesh._cem_layout
-    L, z, n, t = electrodes.count, electrodes.impedances, mesh.n_nodes, mesh.triangles
-    ell, b, mass, moments, lens = boundary_matrices(mesh, electrodes)
+    L, z, n, t = mesh.electrodes.count, mesh.electrodes.impedances, mesh.n_nodes, mesh.triangles
+    ell, b, mass, moments, lens = boundary_matrices(mesh)
     N, v, w, nodes = n + L + 1, n + ell[:, None], mesh.integral_weights(), np.arange(n)
     live = np.ones((6, 6), bool)
     live[_ZERO_COUPLINGS] = False
@@ -802,11 +802,10 @@ def _cem_layout(mesh, electrodes):
     c0[pos[nk : nk + nm]] *= np.repeat(1.0 / z[ell], 9)
     c0[pos[nk + nm : nk + nm + nc]] /= np.concatenate([np.tile(np.repeat(-z[ell], 3), 2), z])
     C0 = sp.csc_matrix((c0, keys % N, np.searchsorted(keys, np.arange(N + 1) * N)), shape=(N, N))
-    mesh._cem_layout = CemLayout(key, S, C0, w)
-    return mesh._cem_layout
+    return CemLayout(S, C0, w)
 
 
-def assemble_cem(mesh, sigma, electrodes=None):
+def assemble_cem(mesh, sigma):
     """Assemble the CEM system for piecewise-constant sigma.
 
     Bilinear form: int sigma grad(phi).grad(p) + sum_l z_l^-1 int_{e_l}
@@ -816,7 +815,6 @@ def assemble_cem(mesh, sigma, electrodes=None):
     CemFactor).  The matrix data is one sparse matvec on the mesh's cached
     layout (see CemLayout).
     """
-    electrodes = electrodes or mesh.electrodes
     s = np.asarray(sigma, float)
     if s.shape != (mesh.n_elements,):
         raise InvalidFieldError("sigma must hold one value per element")
@@ -825,10 +823,10 @@ def assemble_cem(mesh, sigma, electrodes=None):
     if np.any(s <= 0):
         raise CoercivityError("sigma must be strictly positive for coercivity")
 
-    layout = _cem_layout(mesh, electrodes)
+    layout = mesh.cem_layout
     matrix = copy.copy(layout.C0)  # C0's pattern arrays, shared as csc_matrix((data, indices, indptr)) shares them
     matrix.data = layout.S @ s + layout.C0.data
-    return CemSystem(mesh, electrodes, matrix, layout)
+    return CemSystem(mesh, matrix, layout)
 
 
 def solve_cem(system, excitation):
@@ -837,7 +835,7 @@ def solve_cem(system, excitation):
     electrode basis, and A (Z J^T) - E J^T = R J^T reads its residuals off R = A Z - E."""
     if isinstance(excitation, np.ndarray):
         excitation = ExcitationSet(excitation)
-    n, L = system.mesh.n_nodes, system.electrodes.count
+    n, L = system.mesh.n_nodes, system.mesh.electrodes.count
     if excitation.n_electrodes != L:
         raise InvalidExcitationError("excitation width does not match electrode count")
     J = excitation.currents

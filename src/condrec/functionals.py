@@ -388,7 +388,7 @@ def eit_trace_data(currents, voltages, impedances):
     return -np.cumsum(j, axis=1), (impedances[None, :] * prev, np.asarray(voltages, float))
 
 
-def eit_trace_term(mesh, jbar, vbar, electrodes=None):
+def eit_trace_term(mesh, jbar, vbar):
     """Electrode/gap trace residual of the EIT observation functional.
 
     Per excitation it stacks F(phi) - z psi - vbar at three samples per
@@ -398,10 +398,9 @@ def eit_trace_term(mesh, jbar, vbar, electrodes=None):
     Only the voltage ramp d v of vbar carries noise: the currents, hence jbar
     and the offset z sum_{k<l} j_k, are exact.
     """
-    electrodes = electrodes or mesh.electrodes
     c0, vslope = vbar
     blocks = []  # (A_phi, A_psi, y, noisy part of y, w) of each electrode and each gap
-    for ell in range(electrodes.count):
+    for ell in range(mesh.electrodes.count):
         for on in (True, False):
             k = np.flatnonzero((mesh.bindex == ell + 1) & (mesh.belectrode == on))
             S = mesh.B[(3 * k[:, None] + np.arange(3)).ravel()]  # the edges' nodes, in loop order
@@ -414,7 +413,7 @@ def eit_trace_term(mesh, jbar, vbar, electrodes=None):
                 s = mesh.bstart[k] - mesh.bstart[k[0]]  # arc from the electrode start to each edge
                 d = s[:, None] + mesh.blength[k, None] * np.array([0.0, 0.5, 1.0])
                 ramp = np.outer(d.ravel(), vslope[:, ell])
-                blocks.append((sp.csr_matrix(T) @ S, -electrodes.impedances[ell] * S,
+                blocks.append((sp.csr_matrix(T) @ S, -mesh.electrodes.impedances[ell] * S,
                                c0[:, ell][None, :] + ramp, ramp, w))
             else:
                 y = np.broadcast_to(jbar[:, ell], (S.shape[0], len(jbar)))
@@ -445,16 +444,15 @@ class ReducedMap:
     term's field dual is assembled by _sum_duals.
     """
 
-    def __init__(self, obs, mesh, excitation, electrodes=None):
+    def __init__(self, obs, mesh, excitation):
         self.obs = obs
         self.inner = obs.inner
         self.residual = obs.residual
         self.mesh = mesh
         self.excitation = excitation
-        self.electrodes = electrodes or mesh.electrodes
 
     def lift(self, sigma):
-        system = fem.assemble_cem(self.mesh, sigma, self.electrodes)
+        system = fem.assemble_cem(self.mesh, sigma)
         sol = fem.solve_cem(system, self.excitation)
         x = Point(self.mesh, sigma, sol.phi, sol.voltages)
         x.system = system
@@ -462,7 +460,7 @@ class ReducedMap:
 
     def _solve(self, x, d_phi, d_volt):
         """The factor's solve for a right-hand side with potential rows d_phi and electrode rows d_volt."""
-        n, L = self.mesh.n_nodes, self.electrodes.count
+        n, L = self.mesh.n_nodes, self.mesh.electrodes.count
         rhs = np.zeros((n + L + 1, self.excitation.n_excitations))
         if d_phi is not None:
             rhs[:n] = d_phi
@@ -479,7 +477,7 @@ class ReducedMap:
         d_sigma, d_phi, d_volt = _sum_duals(self.mesh, [(self.obs.adjoint(x, u), 1.0)])
         d = np.zeros(self.mesh.n_elements) if d_sigma is None else d_sigma
         J = self.excitation.currents
-        if d_phi is None and J.shape[0] > self.electrodes.count:
+        if d_phi is None and J.shape[0] > self.mesh.electrodes.count:
             # lam = Z D^T and Phi = Z J^T on the basis Z, so sum_i lam_i,e . A_e phi_i,e
             # is sum_kl z_k,e . A_e z_l,e M_kl with M = D^T J (L x L)
             Z = np.take(x.system.basis, self.mesh.triangles, axis=0)  # (nel, 6, L)
@@ -490,7 +488,7 @@ class ReducedMap:
         return d, None, None
 
 
-def _observation_term(obs, mesh, electrodes=None, reduced=False):
+def _observation_term(obs, mesh, reduced=False):
     """The observation residual for ``obs`` and its weight relative to beta.
 
     A reduced map reads the CEM solution, so there EIT data is compared with
@@ -504,8 +502,7 @@ def _observation_term(obs, mesh, electrodes=None, reduced=False):
     if obs.variant == "eit":
         if reduced:
             return voltage_term(obs.voltages), 1.0
-        impedances = (electrodes or mesh.electrodes).impedances
-        return eit_trace_term(mesh, *eit_trace_data(obs.currents, obs.voltages, impedances), electrodes), 1.0
+        return eit_trace_term(mesh, *eit_trace_data(obs.currents, obs.voltages, mesh.electrodes.impedances)), 1.0
     if obs.flux is not None:
         return flux_term(mesh, obs.flux), 2.0
     if obs.head is not None:
@@ -535,7 +532,7 @@ def _eliminate(E, J, lower, upper):
     return np.clip(ratio, lower, upper), (A, B)
 
 
-def reduced_forward(sigma, mesh, excitation, electrodes=None):
+def reduced_forward(sigma, mesh, excitation):
     """Forward map sigma -> (Phi, Psi, voltages) through the CEM solve.
 
     Phi and the voltages solve the grounded Galerkin system; Psi is the stream
@@ -543,7 +540,7 @@ def reduced_forward(sigma, mesh, excitation, electrodes=None):
     formulation's current field is sigma grad Phi exactly, so the model misfit
     evaluated with that field is identically zero.
     """
-    system = fem.assemble_cem(mesh, sigma, electrodes)
+    system = fem.assemble_cem(mesh, sigma)
     sol = fem.solve_cem(system, excitation)
     psis = fem.stream_potential(sigma, sol.phi, mesh, excitation)
     return sol.phi, psis, sol.voltages, system, sol
@@ -559,13 +556,13 @@ class CostFunctional:
 
     reduced = False  # whether the observation term reads a reduced map's point
 
-    def __init__(self, formulation, space, constraints, obs, beta, electrodes):
+    def __init__(self, formulation, space, constraints, obs, beta):
         self.formulation = formulation
         self.space = space
         self.constraints = constraints
         self.mesh = space.mesh
         self.delta = obs.delta
-        term, weight = _observation_term(obs, self.mesh, electrodes, self.reduced)
+        term, weight = _observation_term(obs, self.mesh, self.reduced)
         self.observation = (term, beta * weight)
 
     def noise_budget(self):
@@ -619,8 +616,8 @@ class CostFunctional:
 class AllAtOnceCost(CostFunctional):
     """J = J_mod + beta * J_obs over x = (sigma, Phi, Psi)."""
 
-    def __init__(self, formulation, space, constraints, obs, beta=1.0, electrodes=None):
-        super().__init__(formulation, space, constraints, obs, beta, electrodes)
+    def __init__(self, formulation, space, constraints, obs, beta=1.0):
+        super().__init__(formulation, space, constraints, obs, beta)
         model = LsTerm(self.mesh) if formulation == "gwf-aao-ls" else KvTerm(self.mesh)
         self.residual = Residual([(model, 1.0), self.observation], partial(Point, self.mesh))
 
@@ -631,8 +628,8 @@ class EliminatedSigmaCost(CostFunctional):
     model term.  The quadratic model freezes sigma (the all-at-once product
     with h_sigma = 0)."""
 
-    def __init__(self, formulation, space, constraints, obs, beta=1.0, electrodes=None):
-        super().__init__(formulation, space, constraints, obs, beta, electrodes)
+    def __init__(self, formulation, space, constraints, obs, beta=1.0):
+        super().__init__(formulation, space, constraints, obs, beta)
         self.residual = Residual([(KvTerm(self.mesh), 1.0), self.observation], self._lift)
 
     def _lift(self, sigma, phis, psis):
@@ -675,21 +672,20 @@ class ReducedCost(CostFunctional):
 
     reduced = True
 
-    def __init__(self, formulation, space, constraints, obs, excitation, beta=1.0, electrodes=None):
-        super().__init__(formulation, space, constraints, obs, beta, electrodes)
+    def __init__(self, formulation, space, constraints, obs, excitation, beta=1.0):
+        super().__init__(formulation, space, constraints, obs, beta)
         term, weight = self.observation
-        rmap = ReducedMap(term, self.mesh, excitation, electrodes)
+        rmap = ReducedMap(term, self.mesh, excitation)
         self.residual = Residual([(rmap, weight)], lambda sigma, phis, psis: rmap.lift(sigma))
 
 
-def combined_cost(formulation, observations, mesh, excitation, electrodes=None,
-                  beta=1.0, constraints=None):
+def combined_cost(formulation, observations, mesh, excitation, beta=1.0, constraints=None):
     """Build the CostFunctional for a formulation tag (see FORMULATIONS)."""
     if formulation not in FORMULATIONS:
         raise UnsupportedOperationError(
             f"unknown formulation {formulation!r}; valid tags: {', '.join(FORMULATIONS)}")
-    if beta <= 0:
-        raise InvalidFieldError("beta must be positive")
+    if not 0 < beta < np.inf:
+        raise InvalidFieldError(f"beta must be positive and finite, not {beta}")
     fam = formulation.split("-")[0]
     if fam != observations.variant:
         raise FormulationMismatchError(
@@ -698,9 +694,9 @@ def combined_cost(formulation, observations, mesh, excitation, electrodes=None,
     cs = constraints or core.ConstraintSet()
     if formulation.endswith("-reduced"):
         space = core.StateSpace(mesh, with_potentials=False)
-        return ReducedCost(formulation, space, cs, observations, excitation, beta, electrodes)
+        return ReducedCost(formulation, space, cs, observations, excitation, beta)
     if formulation.endswith("-elim-sigma"):
         space = core.StateSpace(mesh, n_excitations=nI, with_sigma=False)
-        return EliminatedSigmaCost(formulation, space, cs, observations, beta, electrodes)
+        return EliminatedSigmaCost(formulation, space, cs, observations, beta)
     space = core.StateSpace(mesh, n_excitations=nI)
-    return AllAtOnceCost(formulation, space, cs, observations, beta, electrodes)
+    return AllAtOnceCost(formulation, space, cs, observations, beta)

@@ -338,14 +338,11 @@ def alpha_a_posteriori(qm, center, J_k, constraint, cfg, x_init, alpha_start=1.0
     if J_k <= 0:
         raise InvalidFieldError("a-posteriori rule needs J(x_k) > 0")
     samples = []
-    cache = {}
 
-    def sigma_of(alpha, warm):
-        if alpha not in cache:
-            x_a = solve_subproblem(qm, center, alpha, constraint, warm, cfg.inner_tol, cfg.inner_budget)
-            cache[alpha] = (x_a, qm.value(x_a) / J_k)
-            samples.append((alpha, cache[alpha][1]))
-        return cache[alpha]
+    def sigma_of(alpha, warm):  # every alpha is new: expansion goes one way, each midpoint lies inside
+        x_a = solve_subproblem(qm, center, alpha, constraint, warm, cfg.inner_tol, cfg.inner_budget)
+        samples.append((alpha, qm.value(x_a) / J_k))
+        return x_a, samples[-1][1]
 
     lo_b, hi_b = cfg.alpha_bracket
     alpha = min(max(alpha_start, lo_b), hi_b)

@@ -157,6 +157,14 @@ def test_misspelt_solver_setting_exit_2(tmp_path, capsys, setting):
     # a noise level of 1 or more leaves no discrepancy budget: it used to fail every cell at stage cost
     ("deltas = 0", "deltas = 1", "[0, 1)"),
     ("deltas = 0", "deltas = 0.01, 1.5", "[0, 1)"),
+    # each of these used to fail every cell, or the whole table at exit 3 with an empty output directory
+    *(pytest.param("seed = 1", f"seed = 1\nimpedance = {z}", "contact impedances", id=f"impedance-{z}")
+      for z in ("0", "-1", "nan", "inf")),
+    *(pytest.param("max_iters = 5", f"max_iters = 5\n[bounds]\n{bounds}", "sigma bounds", id=f"bounds-{name}")
+      for name, bounds in (("crossed", "sigma_lower = 7\nsigma_upper = 6"), ("upper-inf", "sigma_upper = inf"),
+                           ("lower-nan", "sigma_lower = nan"))),
+    pytest.param("coarse_scale = 1", "coarse_scale = 0", "scale must be >= 1", id="coarse-scale-0"),
+    *(pytest.param("max_iters = 5", f"max_iters = 5\nbeta = {b}", "beta", id=f"beta-{b}") for b in ("0", "nan")),
     # a [verify] section makes it a verify run, refused before it samples a state
     pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncondition = chain\nsamples = 0",
                  "[verify] samples", id="verify-chain-samples"),
@@ -173,13 +181,14 @@ def test_misspelt_solver_setting_exit_2(tmp_path, capsys, setting):
                  "sigma bounds", id="verify-bounds"),
 ])
 def test_bad_run_value_exit_2(tmp_path, capsys, old, new, named):
-    # rejected while the configs are built: no cell runs, nothing is written
+    # rejected while the configs are built: no cell runs, nothing is written, whatever the command
     cfgp = write_config(tmp_path / "run.ini", MINIMAL.replace(old, new))
     out = tmp_path / "x"
-    sub = "verify" if "[verify]" in new else "reconstruct"
-    assert cli.main([sub, "--config", cfgp, "--out", str(out)]) == 2
-    assert named in capsys.readouterr().err
-    assert not out.exists()
+    runs = [["verify"]] if "[verify]" in new else [["reconstruct"], ["reconstruct", "--jobs", "2"], ["generate"]]
+    for run in runs:
+        assert cli.main(run + ["--config", cfgp, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_generate_refuses_a_noise_level_of_one_exit_2(tmp_path, capsys):

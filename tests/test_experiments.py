@@ -103,20 +103,18 @@ def test_noise_determinism():
 
 @pytest.fixture(scope="module")
 def synth():
-    electrodes = fem.ElectrodeConfig(count=8, impedances=0.1)
-    coarse = fem.disk_mesh_scale(1, electrodes)
+    coarse = fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=8, impedances=0.1))
     fine = fem.refine_mesh(coarse, 1)
     exc = ex.excitation_case("I1")
-    data = ex.generate_synthetic(ex.Phantom(), exc, fine, coarse, electrodes)
-    return electrodes, coarse, fine, exc, data
+    data = ex.generate_synthetic(ex.Phantom(), exc, fine, coarse)
+    return coarse, fine, exc, data
 
 
 def test_homogeneous_phantom_mirror_symmetric_power_density():
-    electrodes = fem.ElectrodeConfig(count=8, impedances=0.1)
-    mesh = fem.disk_mesh_scale(1, electrodes)
+    mesh = fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=8, impedances=0.1))
     exc = ex.excitation_case("I1")
     hom = ex.Phantom(background=3.0, inclusion_value=3.0)
-    data = ex.generate_synthetic(hom, exc, mesh, mesh, electrodes)
+    data = ex.generate_synthetic(hom, exc, mesh, mesh)
     H = data.H[0]
     cent = np.array([mesh.nodes[t[:3]].mean(axis=0) for t in mesh.triangles])
     th0 = np.pi / 16  # drive axis through the electrode-1 and electrode-5 midpoints
@@ -128,9 +126,9 @@ def test_homogeneous_phantom_mirror_symmetric_power_density():
 
 
 def test_energy_identity_on_generated_data(synth):
-    electrodes, coarse, fine, exc, data = synth
+    coarse, fine, exc, data = synth
     sigma_f = data.sigma_fine
-    system = fem.assemble_cem(fine, sigma_f, electrodes)
+    system = fem.assemble_cem(fine, sigma_f)
     sol = fem.solve_cem(system, exc)
     H = fem.power_density(sigma_f, sol.phi[:, 0], fine)
     lhs = float(np.sum(H * fine.element_areas))
@@ -139,19 +137,19 @@ def test_energy_identity_on_generated_data(synth):
     ell = fine.bindex[on] - 1
     vals = sol.phi[fine.bnodes[on], 0] @ phi_t.T  # trace at the line quadrature points
     dissip = np.sum(fem.LINE_QW * fine.blength[on, None] * (vals - sol.voltages[0, ell, None]) ** 2
-                    / electrodes.impedances[ell, None])
+                    / fine.electrodes.impedances[ell, None])
     rhs = float(exc.currents[0] @ sol.voltages[0]) - dissip
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
 
 def test_inverse_crime_guard_active(synth):
-    electrodes, coarse, fine, exc, data = synth
-    regen = ex.generate_synthetic(ex.Phantom(), exc, coarse, coarse, electrodes)
+    coarse, fine, exc, data = synth
+    regen = ex.generate_synthetic(ex.Phantom(), exc, coarse, coarse)
     assert not np.allclose(regen.voltages, data.voltages, rtol=1e-12, atol=0)
 
 
 def test_transfer_is_exact_aggregation(synth):
-    electrodes, coarse, fine, exc, data = synth
+    coarse, fine, exc, data = synth
     sigma_c = data.sigma_coarse
     # aggregated sigma integrates to the same total as the fine field
     tot_f = float(np.sum(data.sigma_fine * fine.element_areas))
@@ -167,25 +165,24 @@ def test_generate_synthetic_frees_every_data_mesh():
         cell = ex.build_cell(ex.ExperimentConfig(coarse_scale=1, fine_refine=refine, allow_inverse_crime=True))
         fine = cell.fine
         assert (fine is cell.coarse) == (refine == 0)
-        assert fine._cem_layout is None
-        assert not {"element_stiffness", "node_scatter", "shape_gradients", "perp_shape_gradients"} & set(vars(fine))
-        fresh = fem.refine_mesh(fem.disk_mesh_scale(1, cell.electrodes), refine)
-        assert fine.checksum() == fresh.checksum()
+        assert not ({"cem_layout", "element_stiffness", "node_scatter", "shape_gradients", "perp_shape_gradients"}
+                    & set(vars(fine)))
+        fresh = fem.refine_mesh(fem.disk_mesh_scale(1, cell.coarse.electrodes), refine)
+        assert fine.electrodes is cell.coarse.electrodes and fine.checksum() == fresh.checksum()
         sigma = cell.data.sigma_fine
-        again = fem.assemble_cem(fine, sigma, cell.electrodes).matrix
-        assert np.array_equal(again.data, fem.assemble_cem(fresh, sigma, cell.electrodes).matrix.data)
+        again = fem.assemble_cem(fine, sigma).matrix
+        assert np.array_equal(again.data, fem.assemble_cem(fresh, sigma).matrix.data)
         u = np.random.default_rng(8).normal(size=(fine.n_nodes, 2))
         for field, dual in ((fem.gradient_field, fem.gradient_dual), (fem.perp_gradient_field, fem.perp_gradient_dual)):
             assert np.array_equal(dual(field(u, fine), fine), dual(field(u, fresh), fresh))
 
 
 def test_flux_data_matches_fine_gradient_on_matched_mesh():
-    electrodes = fem.ElectrodeConfig(count=8, impedances=0.1)
-    mesh = fem.disk_mesh_scale(1, electrodes)
+    mesh = fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=8, impedances=0.1))
     exc = ex.excitation_case("I1")
-    data = ex.generate_synthetic(ex.Phantom(), exc, mesh, mesh, electrodes)
+    data = ex.generate_synthetic(ex.Phantom(), exc, mesh, mesh)
     sigma = ex.Phantom().cell_field(mesh)
-    sol = fem.solve_cem(fem.assemble_cem(mesh, sigma, electrodes), exc)
+    sol = fem.solve_cem(fem.assemble_cem(mesh, sigma), exc)
     g = fem.gradient_field(sol.phi, mesh)
     assert np.allclose(data.flux, g, atol=1e-10)
 
@@ -396,14 +393,13 @@ def test_eliminated_model_term_never_exceeds_the_all_at_once_one():
     # for every feasible sigma, and the two costs are equal at sigma(Phi, Psi) itself.
     # The whole costs are not ordered: the power-density term depends on sigma too, and
     # near sigma(Phi, Psi) the all-at-once cost can be the lower one
-    electrodes = fem.ElectrodeConfig(count=8, impedances=0.1)
-    mesh = fem.disk_mesh_scale(1, electrodes)
+    mesh = fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=8, impedances=0.1))
     exc = ex.excitation_case("I2")
-    data = ex.generate_synthetic(ex.Phantom(), exc, mesh, mesh, electrodes)
+    data = ex.generate_synthetic(ex.Phantom(), exc, mesh, mesh)
     obs = fn.Observations("iat", 0.0, H=data.H)
     trace, _ = fem.psi_trace_values(mesh, exc)
     cs = core.ConstraintSet(1.0, 6.0, True, trace)
-    aao, elim = (fn.combined_cost(tag, obs, mesh, exc, electrodes, 1.0, cs) for tag in ("iat-aao", "iat-elim-sigma"))
+    aao, elim = (fn.combined_cost(tag, obs, mesh, exc, 1.0, cs) for tag in ("iat-aao", "iat-elim-sigma"))
     sigma0 = np.full(mesh.n_elements, 3.5)
     phi0, psi0, _, _, _ = fn.reduced_forward(sigma0, mesh, exc)
     x_ref = aao.space.state(sigma0, phi0, psi0)

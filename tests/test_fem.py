@@ -173,8 +173,24 @@ def test_reloaded_mesh_keeps_its_electrode_count(tmp_path):
     m2 = fem.load_mesh(tmp_path / "mesh.txt")
     assert m2.electrodes.count == 4 and m2.checksum() == m.checksum()
     fem.solve_cem(fem.assemble_cem(m2, np.ones(m2.n_elements)), np.array([[1.0, 0, -1.0, 0]]))
-    with pytest.raises(InvalidMeshError):  # an electrode configuration that does not fit the boundary
-        fem.assemble_cem(m2, np.ones(m2.n_elements), fem.ElectrodeConfig(count=8))
+    # an electrode configuration that does not fit the boundary is refused when the file is loaded
+    with pytest.raises(InvalidMeshError, match="the mesh has 4 electrodes, the electrode configuration 8"):
+        fem.load_mesh(tmp_path / "mesh.txt", fem.ElectrodeConfig(count=8))
+
+
+def test_mesh_and_load_mesh_refuse_an_electrode_count_the_boundary_does_not_have(tmp_path):
+    # the boundary of the unit square has two electrode segments
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    boundary = ([[0, 1], [1, 2], [2, 3], [3, 0]], [True, False, True, False], [1, 1, 2, 2])
+    for count in (3, 4):
+        with pytest.raises(InvalidMeshError, match=f"the mesh has 2 electrodes, the electrode configuration {count}"):
+            fem.Mesh(verts, [[0, 1, 2], [0, 2, 3]], boundary, fem.ElectrodeConfig(count=count))
+    assert fem.Mesh(verts, [[0, 1, 2], [0, 2, 3]], boundary, fem.ElectrodeConfig(count=2)).electrodes.count == 2
+    fem.save_mesh(fem.disk_mesh_scale(1), tmp_path / "mesh.txt")  # eight electrodes
+    for count in (4, 9):
+        with pytest.raises(InvalidMeshError, match=f"the mesh has 8 electrodes, the electrode configuration {count}"):
+            fem.load_mesh(tmp_path / "mesh.txt", fem.ElectrodeConfig(count=count))
+    assert fem.load_mesh(tmp_path / "mesh.txt", fem.ElectrodeConfig(count=8, impedances=0.2)).electrodes.count == 8
 
 
 def prolong_cell_field(values, coarse_mesh, fine_mesh):
@@ -286,7 +302,7 @@ def test_cem_layout_holds_the_element_stiffness_and_integral_weights_bits():
     # from the mesh's arrays unchanged; the two tests around this one check
     # those arrays against the quadrature sums at 1e-14
     m = fem.disk_mesh_scale(2)
-    layout = fem._cem_layout(m, m.electrodes)
+    layout = m.cem_layout
     live = np.ones((6, 6), bool)
     live[fem._ZERO_COUPLINGS] = False
     assert np.array_equal(layout.S.data, m.element_stiffness[:, live].ravel())
@@ -337,7 +353,7 @@ def test_reference_tensors_match_the_quadrature_sums(scale):
     lw = np.linalg.norm(chord, axis=1)[:, None] * fem.LINE_QW
     phi = fem.line_shape(fem.LINE_QP)
     lmass, lmom = np.einsum("kq,qi,qj->kij", lw, phi, phi), lw @ phi
-    edge_ell, nodes, mass, moments, _ = fem.boundary_matrices(m, m.electrodes)
+    edge_ell, nodes, mass, moments, _ = fem.boundary_matrices(m)
     for ell in range(m.electrodes.count):
         k = np.flatnonzero(m.belectrode & (m.bindex == ell + 1))
         b = m.bnodes[k]
@@ -387,8 +403,8 @@ def test_scaling_doubling_sigma_halving_z():
     sig = rng.uniform(1, 6, m.n_elements)
     exc = two_electrode_drive()
     v1 = fem.solve_cem(fem.assemble_cem(m, sig), exc).voltages
-    ec2 = fem.ElectrodeConfig(count=8, impedances=0.05)
-    v2 = fem.solve_cem(fem.assemble_cem(m, 2 * sig, ec2), exc).voltages
+    m2 = fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=8, impedances=0.05))  # the same mesh, z halved
+    v2 = fem.solve_cem(fem.assemble_cem(m2, 2 * sig), exc).voltages
     assert np.allclose(v2, v1 / 2, rtol=1e-10, atol=1e-12)
 
 
@@ -409,7 +425,7 @@ def test_current_conservation():
     exc = two_electrode_drive()
     sol = fem.solve_cem(sys_, exc)
     phi_t = fem.line_shape(fem.LINE_QP)
-    z = sys_.electrodes.impedances
+    z = m.electrodes.impedances
     on = m.belectrode
     ell = m.bindex[on] - 1
     vals = sol.phi[m.bnodes[on], 0] @ phi_t.T  # trace at the line quadrature points
@@ -419,13 +435,13 @@ def test_current_conservation():
     assert abs(computed.sum()) < 1e-9
 
 
-def _reference_boundary_matrices(mesh, electrodes):
+def _reference_boundary_matrices(mesh):
     """Electrode trace mass matrix M_e, moment vectors m_e, and lengths per electrode."""
     n, b = mesh.n_nodes, mesh.bnodes
     mloc = np.multiply.outer(mesh.blength, fem._LINE_MASS_REF)
     mom = np.multiply.outer(mesh.blength, fem._LINE_MOMENT_REF)
     Ms, ms = [], []
-    for ell in range(1, electrodes.count + 1):
+    for ell in range(1, mesh.electrodes.count + 1):
         k = np.flatnonzero(mesh.belectrode & (mesh.bindex == ell))
         rows, cols = np.repeat(b[k], 3, axis=1).ravel(), np.tile(b[k], 3).ravel()
         Ms.append(sp.coo_matrix((mloc[k].ravel(), (rows, cols)), shape=(n, n)).tocsr())
@@ -433,11 +449,11 @@ def _reference_boundary_matrices(mesh, electrodes):
     return Ms, ms, mesh.electrode_lengths
 
 
-def _reference_layout(mesh, electrodes):
+def _reference_layout(mesh):
     """(S, C0, w) built blockwise: one sparse matrix per electrode, the blocks stacked by
     sp.bmat, and the stiffness and constant keys sorted by np.unique."""
-    L, z = electrodes.count, electrodes.impedances
-    Ms, ms, lens = _reference_boundary_matrices(mesh, electrodes)
+    L, z = mesh.electrodes.count, mesh.electrodes.impedances
+    Ms, ms, lens = _reference_boundary_matrices(mesh)
     C = np.stack([-ms[l] / z[l] for l in range(L)], axis=1)
     w = mesh.integral_weights()
     wcol = sp.coo_matrix((w, (np.arange(len(w)), np.zeros(len(w), int))))  # keeps the vertices' exact zeros
@@ -464,21 +480,21 @@ def _reference_layout(mesh, electrodes):
 def test_cem_layout_is_bit_identical_to_the_blockwise_build(scale, refine):
     # the symmetric order, the fill and so every iterate follow from S and C0's exact
     # arrays, so the one-sort build must reproduce the blockwise one bit for bit
-    m = fem.refine_mesh(fem.disk_mesh_scale(scale), refine)
+    m = fem.refine_mesh(fem.disk_mesh_scale(scale), refine)  # contact impedance 0.1
     rng = np.random.default_rng(60 + scale)
     sigma = rng.uniform(1, 6, m.n_elements)
-    for impedances in (0.1, rng.uniform(0.05, 0.5, 8)):
-        electrodes = fem.ElectrodeConfig(count=8, impedances=impedances)
-        S, C0, w = _reference_layout(m, electrodes)
-        layout = fem._cem_layout(m, electrodes)
+    spread = fem.ElectrodeConfig(count=8, impedances=rng.uniform(0.05, 0.5, 8))
+    for m in (m, fem.refine_mesh(fem.disk_mesh_scale(scale, spread), refine)):
+        S, C0, w = _reference_layout(m)
+        layout = m.cem_layout
         for got, ref in ((layout.S, S), (layout.C0, C0)):
             assert got.shape == ref.shape
             for a, b in ((got.data, ref.data), (got.indices, ref.indices), (got.indptr, ref.indptr)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-        reference = fem.CemLayout(layout.key, S, C0, w)
+        reference = fem.CemLayout(S, C0, w)
         fills = []
         for lay in (layout, reference):
-            matrix = fem.assemble_cem(m, sigma, electrodes).matrix
+            matrix = fem.assemble_cem(m, sigma).matrix
             factor = lay.factorize(matrix)
             fills.append(factor.superlu.L.nnz + factor.superlu.U.nnz)
             assert not lay._permuted  # a layout that factors once never permutes its pattern
@@ -486,10 +502,10 @@ def test_cem_layout_is_bit_identical_to_the_blockwise_build(scale, refine):
         assert fills[0] == fills[1]
 
 
-def _reference_cem_matrix(m, sigma, electrodes):
+def _reference_cem_matrix(m, sigma):
     """From-scratch CEM matrix: stiffness plus the boundary blocks, stacked blockwise."""
-    L, z = electrodes.count, electrodes.impedances
-    Ms, ms, lens = _reference_boundary_matrices(m, electrodes)
+    L, z = m.electrodes.count, m.electrodes.impedances
+    Ms, ms, lens = _reference_boundary_matrices(m)
     A = m.stiffness(sigma) + sum(Ms[l] / z[l] for l in range(L))
     C = np.stack([-ms[l] / z[l] for l in range(L)], axis=1)
     w = m.integral_weights()[:, None]
@@ -497,14 +513,13 @@ def _reference_cem_matrix(m, sigma, electrodes):
 
 
 def test_assemble_cem_matches_reference_assembly():
-    m = fem.disk_mesh_scale(2)
     rng = np.random.default_rng(3)
     for impedances in (0.1, rng.uniform(0.05, 0.5, 8)):
-        ec = fem.ElectrodeConfig(count=8, impedances=impedances)
+        m = fem.disk_mesh_scale(2, fem.ElectrodeConfig(count=8, impedances=impedances))
         for _ in range(3):
             sig = rng.uniform(1, 6, m.n_elements)
-            got = fem.assemble_cem(m, sig, ec).matrix
-            ref = _reference_cem_matrix(m, sig, ec)
+            got = fem.assemble_cem(m, sig).matrix
+            ref = _reference_cem_matrix(m, sig)
             assert got.has_canonical_format
             assert np.abs(got.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -517,8 +532,14 @@ def test_second_assembly_reuses_boundary_blocks(monkeypatch):
     fem.assemble_cem(m, np.full(m.n_elements, 2.0))
     fem.assemble_cem(m, np.full(m.n_elements, 3.0))
     assert len(calls) == 1
-    fem.assemble_cem(m, np.full(m.n_elements, 3.0), fem.ElectrodeConfig(count=8, impedances=0.05))
+    other = fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=8, impedances=0.05))
+    fem.assemble_cem(other, np.full(m.n_elements, 3.0))
     assert len(calls) == 2
+    fem.assemble_cem(m, np.full(m.n_elements, 2.0))  # each mesh keeps its own layout
+    assert len(calls) == 2
+    m.release_assembly()  # which drops it with the element arrays
+    fem.assemble_cem(m, np.full(m.n_elements, 2.0))
+    assert len(calls) == 3
 
 
 def test_solve_with_foreign_factor_raises():
@@ -713,10 +734,10 @@ def test_factorizations_after_the_first_reuse_the_column_order(monkeypatch):
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
         assert system.lu is system.lu
     assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]  # minimum degree once, then the kept order
-    other = fem.ElectrodeConfig(count=8, impedances=0.05)
+    other = fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=8, impedances=0.05))
     for _ in range(2):
-        fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements), other).lu
-    assert specs[3:] == ["MMD_AT_PLUS_A", "NATURAL"]  # a new impedance set is a new layout, ordered again
+        fem.assemble_cem(other, rng.uniform(1, 6, m.n_elements)).lu
+    assert specs[3:] == ["MMD_AT_PLUS_A", "NATURAL"]  # a second mesh has its own layout, ordered afresh
     assert kernels == [(1, 1)] * 5  # every factor takes the unrelaxed one-column-panel kernel
 
 
@@ -794,7 +815,7 @@ def test_reused_order_factor_matches_a_fresh_factorization(scale):
 def test_grounded_block_is_spd_and_gathered_in_the_kept_order():
     m = fem.disk_mesh_scale(1)
     rng = np.random.default_rng(13)
-    layout = fem._cem_layout(m, m.electrodes)
+    layout = m.cem_layout
     for k in range(2):  # the natural order of the first factor, then the kept order
         A = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).matrix
         M = A.shape[0] - 2
@@ -842,7 +863,7 @@ def test_kept_column_order_owns_its_data():
     # a view of perm_c would keep the first factor's L and U alive with the mesh
     m = fem.disk_mesh_scale(1)
     first = fem.assemble_cem(m, np.full(m.n_elements, 2.0)).lu
-    order = fem._cem_layout(m, m.electrodes).order
+    order = m.cem_layout.order
     assert order.base is None
     assert not np.shares_memory(order, first.superlu.perm_c)
     assert np.array_equal(first.superlu.perm_c[order], np.arange(len(order)))
@@ -1143,6 +1164,6 @@ def test_energy_identity():
     ell = m.bindex[on] - 1
     vals = sol.phi[m.bnodes[on], 0] @ phi_t.T  # trace at the line quadrature points
     dissip = np.sum(fem.LINE_QW * m.blength[on, None] * (vals - sol.voltages[0, ell, None]) ** 2
-                    / sys_.electrodes.impedances[ell, None])
+                    / m.electrodes.impedances[ell, None])
     rhs = exc.currents[0] @ sol.voltages[0] - dissip
     assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), abs(rhs))

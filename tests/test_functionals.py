@@ -699,7 +699,7 @@ def _direct_adjoint_duals(lin):
     """The reduced eit gradient's sigma dual with its adjoint solved column by column,
     contracted through the element stiffness action: -w sum_i lam_i,e . A_e phi_i,e."""
     (rmap, w), = lin.pairs
-    x, mesh, L = lin.x, rmap.mesh, rmap.electrodes.count
+    x, mesh, L = lin.x, rmap.mesh, rmap.mesh.electrodes.count
     n, t = mesh.n_nodes, mesh.triangles
     rhs = np.zeros((n + L + 1, rmap.excitation.n_excitations))
     rhs[n : n + L] = lin.r[0].T
@@ -816,7 +816,7 @@ def _field_reduced_adjoint(rmap, x, u):
         d_sigma, d_phi, d_volt = fn._sum_duals(mesh, [(rmap.obs.adjoint(x, u), 1.0)])
     d = np.zeros(mesh.n_elements) if d_sigma is None else d_sigma
     J = rmap.excitation.currents
-    if d_phi is None and J.shape[0] > rmap.electrodes.count:
+    if d_phi is None and J.shape[0] > rmap.mesh.electrodes.count:
         gZ = fem.gradient_field(x.system.basis[: mesh.n_nodes], mesh)  # (nel, nq, 2, L)
         s = np.einsum("eqak,eqak->eqa", gZ, gZ @ (d_volt.T @ J).T)
         return d - np.einsum("eq,eqa->e", mesh.qweights, s)

@@ -411,10 +411,10 @@ def _pde_case(formulation):
     obs = ex.build_observations(cfg, cell.noisy, cell.excitation)
     trace, _ = fem.psi_trace_values(cell.coarse, cell.excitation)
     cs = core.ConstraintSet(cfg.sigma_lower, cfg.sigma_upper, True, trace)
-    cost = functionals.combined_cost(formulation, obs, cell.coarse, cell.excitation, cell.electrodes, 1.0, cs)
+    cost = functionals.combined_cost(formulation, obs, cell.coarse, cell.excitation, 1.0, cs)
     sigma0 = np.full(cell.coarse.n_elements, 3.5)
     if cost.space.with_potentials:
-        phi0, psi0, *_ = functionals.reduced_forward(sigma0, cell.coarse, cell.excitation, cell.electrodes)
+        phi0, psi0, *_ = functionals.reduced_forward(sigma0, cell.coarse, cell.excitation)
         x0 = cost.space.state(sigma0, phi0, psi0)
     else:
         x0 = cost.space.state(sigma0)
