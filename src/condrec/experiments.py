@@ -202,6 +202,22 @@ class ExperimentConfig:
             raise InvalidFieldError(
                 "fine mesh must be strictly finer than the reconstruction mesh "
                 "(set allow_inverse_crime to override)")
+        self.solver_config()
+
+    def solver_config(self, eta=0.0, x0=None):
+        """The cell's GradientConfig, or ``newton`` given this config's tau and max_iters, the noise budget
+        eta and, unless it has one, the regularization center x0.  __post_init__ builds it too."""
+        if self.solver == "projected-gradient":
+            return solvers.GradientConfig(mu_max=self.mu_max, armijo_shrink=self.armijo_shrink,
+                                          armijo_slope=self.armijo_slope, tau=self.tau, eta=eta,
+                                          max_iters=self.max_iters, eps_mu=self.eps_mu, step_growth=self.step_growth)
+        base = self.newton or solvers.NewtonConfig()
+        own = [key for key in ("tau", "eta", "max_iters") if getattr(base, key) != getattr(solvers.NewtonConfig, key)]
+        if own:
+            raise InvalidFieldError(f"ExperimentConfig.newton sets {', '.join(own)}: a cell takes tau and max_iters "
+                                    "from ExperimentConfig.tau and .max_iters, and eta from its noise budget")
+        center = x0 if base.reg_center is None else base.reg_center
+        return replace(base, eta=eta, tau=self.tau, max_iters=self.max_iters, reg_center=center)
 
     @property
     def stem(self):
@@ -302,23 +318,10 @@ def run_experiment(cfg):
     else:
         x0 = cost.space.state(sigma0)
 
-    iter_rows = [] if (cfg.log_iterations and cfg.out_dir) else None
-    sink = None if iter_rows is None else iter_rows.append
-
+    scfg = _stage("solve", cfg.solver_config, eta, x0)
+    solve = solvers.projected_gradient if cfg.solver == "projected-gradient" else solvers.newton_sqp
     t_solve = time.perf_counter()
-    if cfg.solver == "projected-gradient":
-        gcfg = solvers.GradientConfig(mu_max=cfg.mu_max,
-                                      armijo_shrink=cfg.armijo_shrink,
-                                      armijo_slope=cfg.armijo_slope,
-                                      tau=cfg.tau, eta=eta,
-                                      max_iters=cfg.max_iters, eps_mu=cfg.eps_mu,
-                                      step_growth=cfg.step_growth)
-        report = _stage("solve", solvers.projected_gradient, cost, feasible, x0, gcfg, sink)
-    else:
-        base = cfg.newton or solvers.NewtonConfig()
-        center = x0 if base.reg_center is None else base.reg_center
-        ncfg = replace(base, eta=eta, tau=cfg.tau, max_iters=cfg.max_iters, reg_center=center)
-        report = _stage("solve", solvers.newton_sqp, cost, feasible, x0, ncfg, sink)
+    report = _stage("solve", solve, cost, feasible, x0, scfg)
     wall = time.perf_counter() - t_solve
 
     x_end = report.x_final
@@ -336,11 +339,11 @@ def run_experiment(cfg):
         stop_reason=report.stop_reason, config=cfg,
     )
     if cfg.out_dir:
-        _stage("output", _write_outputs, result, coarse, cfg, iter_rows)
+        _stage("output", _write_outputs, result, coarse, cfg)
     return result
 
 
-def _write_outputs(result, mesh, cfg, iter_rows):
+def _write_outputs(result, mesh, cfg):
     """The sigma snapshot, its raster if asked for, and the iteration log if kept."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     snap = os.path.join(cfg.out_dir, f"{cfg.stem}_sigma.txt")
@@ -353,14 +356,23 @@ def _write_outputs(result, mesh, cfg, iter_rows):
         png = os.path.join(cfg.out_dir, f"{cfg.stem}_sigma.png")
         write_field_png(png, mesh, result.sigma_final,
                         vmin=cfg.sigma_lower, vmax=cfg.sigma_upper)
-    if iter_rows is not None:
-        with open(os.path.join(cfg.out_dir, f"{cfg.stem}_iters.csv"), "w") as f:
-            f.write("k,cost,grad_sq,step,trials,wall_s\n")
-            for r in iter_rows:
-                gs = "" if r["grad_sq"] is None else f"{r['grad_sq']:.17g}"
-                st = "" if r["step"] is None else f"{r['step']:.17g}"
-                tr = "" if r["trials"] is None else r["trials"]
-                f.write(f"{r['k']},{r['cost']:.17g},{gs},{st},{tr},{r['wall']:.6f}\n")
+    if cfg.log_iterations:
+        _write_iterations(os.path.join(cfg.out_dir, f"{cfg.stem}_iters.csv"), result.report)
+
+
+def _write_iterations(path, report):
+    """The report's histories, one row per iterate k: its cost, its squared gradient norm, and the
+    step (projected gradient) or alpha (Newton) that made it with that step's Armijo trials."""
+    steps = report.step_history or report.alpha_history
+
+    def entry(history, k, fmt=".17g"):  # history[k], or empty where there is none
+        return format(history[k], fmt) if 0 <= k < len(history) else ""
+
+    with open(path, "w") as f:
+        f.write("k,cost,grad_sq,step,trials,wall_s\n")
+        for k, (J, wall) in enumerate(zip(report.cost_history, report.wall_history)):
+            f.write(f"{k},{J:.17g},{entry(report.gradnorm_sq_history, k)},{entry(steps, k - 1)},"
+                    f"{entry(report.trials_history, k - 1, 'd')},{wall:.6f}\n")
 
 
 TABLE_COLUMNS = "formulation,solver,variant,I,delta,seed,iterations,l2_error,wall_s,s_per_iter,stop_reason"

@@ -61,10 +61,12 @@ when the last electrode is grounded and the multiplier dropped (N + L - 1
 rows, ``CemFactor``).  The symmetric order of that block is kept per layout
 (``CemLayout``, one per mesh and its electrodes, built by one argsort of its
 entries' CSC keys), which permutes its grounded pattern into that order only
-when it gathers a second matrix.  A is linear in the applied currents, which
-enter only the electrode rows n..n+L-1.  ``CemSystem.basis`` is the electrode
-basis Z = A^-1 E, E the L unit columns at those rows: one checked solve of L
-columns, and the new factor's probe, per factorization.  A right-hand side
+when it gathers a second matrix.  ``assemble_cem`` returns the CemFactor of A
+for sigma, whose ``matrix`` is A: every system condrec assembles is solved.
+A is linear in the applied currents, which enter only the electrode rows
+n..n+L-1.  ``CemFactor.basis`` is the electrode basis Z = A^-1 E, E the L unit
+columns at those rows: one checked solve of L columns, and the new factor's
+probe, per factorization.  A right-hand side
 that vanishes off the electrode rows and has more columns than electrodes
 (I > L) is solved as a product with Z: the currents of ``solve_cem``, whose
 residuals are read off A Z - E, and the voltage-data adjoint of the reduced
@@ -76,7 +78,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -549,43 +551,6 @@ def load_mesh(path, electrodes=None):
 
 
 @dataclass
-class CemSystem:
-    """Assembled CEM Galerkin system for a fixed conductivity."""
-
-    mesh: Mesh
-    # (N + L + 1) symmetric, the zero-mean multiplier appended: every solve's contract and
-    # check is against it, while its factor is made on the grounded SPD block (CemFactor)
-    matrix: sp.csc_matrix
-    layout: CemLayout  # the mesh's sigma-independent part, which also orders the factorization
-    _lu: Factor | None = field(default=None, repr=False)
-    _basis: np.ndarray | None = field(default=None, repr=False)
-    _basis_residual: np.ndarray | None = field(default=None, repr=False)  # A Z - E
-
-    @property
-    def lu(self):
-        """The CemFactor of ``matrix``, in the symmetric order of its layout."""
-        if self._lu is None:
-            self._lu = self.layout.factorize(self.matrix)
-        return self._lu
-
-    @property
-    def basis(self):
-        """The electrode basis Z = A^-1 E (N + L + 1, L), one solve of L columns per factor.
-
-        E holds the unit columns at the electrode rows n..n+L-1, so column k is
-        the solution for a unit current into electrode k.  Checked once against
-        ``matrix``: raises AssemblyError when A Z - E exceeds SOLVE_RESIDUAL_BOUND.
-        """
-        if self._basis is None:
-            E = self.layout.unit_currents
-            Z = self.lu.solve(E)
-            R = self.matrix @ Z - E
-            Factor.check(R, E, "electrode basis")
-            self._basis, self._basis_residual = Z, R
-        return self._basis
-
-
-@dataclass
 class CemSolution:
     """Potentials (one column per excitation) and electrode voltages."""
 
@@ -685,6 +650,22 @@ class CemFactor(Factor):
         super().__init__(matrix, layout.block(matrix), ordered=layout.order is not None)
         self.order, self.weights, self.area = layout.order, layout.weights, layout.area
         self.rows = np.s_[: len(self.weights)] if self.order is None else self.order
+        self.unit_currents = layout.unit_currents
+
+    @cached_property
+    def basis(self):
+        """The electrode basis Z = A^-1 E (N + L + 1, L) and its residual A Z - E, one solve of L columns.
+
+        E holds the unit columns at the electrode rows n..n+L-1, so column k is
+        the solution for a unit current into electrode k.  Checked once against
+        ``matrix``: raises AssemblyError, and keeps nothing, when A Z - E exceeds
+        SOLVE_RESIDUAL_BOUND.
+        """
+        E = self.unit_currents
+        Z = self.solve(E)
+        R = self.matrix @ Z - E
+        self.check(R, E, "electrode basis")
+        return Z, R
 
     def _solve(self, rhs):
         lam = _column_sums(rhs[:-1]) / self.area
@@ -714,7 +695,7 @@ def boundary_matrices(mesh):
 class CemLayout:
     """The sigma-independent part (S, C0) of the CEM system, its grounded pattern and its symmetric order.
 
-    The matrix for sigma has C0's CSC pattern and the data S @ sigma + C0.data.  S has
+    The matrix for sigma (``matrix``) has C0's CSC pattern and the data S @ sigma + C0.data.  S has
     one column per element, holding its stiffness entries (the block is linear in
     sigma); C0 holds the electrode, multiplier and integral-weight blocks.  ``area`` is
     |Omega| = 1^T w for the integral weights w, and ``weights`` is w on the rows of the
@@ -754,6 +735,13 @@ class CemLayout:
             self._set_block(self._block[self.order][:, self.order].sorted_indices())
         np.take(matrix.data, self._block.data, out=self._work.data)
         return self._work
+
+    def matrix(self, sigma):
+        """The CEM matrix for sigma (n_elements,): C0's pattern arrays, shared as
+        csc_matrix((data, indices, indptr)) shares them, with the data S @ sigma + C0.data."""
+        matrix = copy.copy(self.C0)
+        matrix.data = self.S @ sigma + self.C0.data
+        return matrix
 
     def factorize(self, matrix):
         """The CemFactor of a matrix on this layout.
@@ -806,14 +794,14 @@ def _cem_layout(mesh):
 
 
 def assemble_cem(mesh, sigma):
-    """Assemble the CEM system for piecewise-constant sigma.
+    """The CemFactor of the CEM matrix for piecewise-constant sigma, checked by its first solve.
 
     Bilinear form: int sigma grad(phi).grad(p) + sum_l z_l^-1 int_{e_l}
     (phi - v_l)(p - xi_l); the kernel (constants) is removed by appending the
     zero-mean constraint as a symmetric Lagrange-multiplier row, so the matrix
     has N + L + 1 rows.  Its factor grounds the last electrode instead (see
     CemFactor).  The matrix data is one sparse matvec on the mesh's cached
-    layout (see CemLayout).
+    layout (``CemLayout.matrix``), which also orders the factorization.
     """
     s = np.asarray(sigma, float)
     if s.shape != (mesh.n_elements,):
@@ -824,27 +812,27 @@ def assemble_cem(mesh, sigma):
         raise CoercivityError("sigma must be strictly positive for coercivity")
 
     layout = mesh.cem_layout
-    matrix = copy.copy(layout.C0)  # C0's pattern arrays, shared as csc_matrix((data, indices, indptr)) shares them
-    matrix.data = layout.S @ s + layout.C0.data
-    return CemSystem(mesh, matrix, layout)
+    return layout.factorize(layout.matrix(s))
 
 
 def solve_cem(system, excitation):
-    """Solve the CEM system for every excitation row; raises AssemblyError
+    """Solve the CEM system (a CemFactor) for every excitation row; raises AssemblyError
     on a residual above SOLVE_RESIDUAL_BOUND.  With I > L the solution is Z J^T on the
     electrode basis, and A (Z J^T) - E J^T = R J^T reads its residuals off R = A Z - E."""
     if isinstance(excitation, np.ndarray):
         excitation = ExcitationSet(excitation)
-    n, L = system.mesh.n_nodes, system.mesh.electrodes.count
+    N, L = system.unit_currents.shape
+    n = N - L - 1
     if excitation.n_electrodes != L:
         raise InvalidExcitationError("excitation width does not match electrode count")
     J = excitation.currents
     if len(J) > L:
-        sol, residual = system.basis @ J.T, system._basis_residual @ J.T
+        Z, R = system.basis
+        sol, residual = Z @ J.T, R @ J.T
     else:
-        rhs = np.zeros((n + L + 1, len(J)))
+        rhs = np.zeros((N, len(J)))
         rhs[n : n + L] = J.T
-        sol = system.lu.solve(rhs)
+        sol = system.solve(rhs)
         residual = system.matrix @ sol - rhs
     rel = Factor.check(residual, J.T, "CEM solve")  # the right-hand side's norms are J's
     return CemSolution(phi=sol[:n], voltages=sol[n : n + L].T, residuals=rel)

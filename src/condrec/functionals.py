@@ -432,7 +432,7 @@ class ReducedMap:
 
     lift(sigma) assembles, factorizes and solves once; its point carries the
     potentials Phi, in the third slot (Psi in the all-at-once state) the
-    electrode voltages U (I, L), and the CemSystem.  The derivative is one
+    electrode voltages U (I, L), and the CemFactor as ``system``.  The derivative is one
     forward-sensitivity solve and the adjoint one adjoint solve on that point's
     factor (discretize-then-optimize: exact derivatives of the discrete map).
     Both contract the element stiffness action A_e phi_e (Point.Ku): A(sigma) is
@@ -466,7 +466,7 @@ class ReducedMap:
             rhs[:n] = d_phi
         if d_volt is not None:
             rhs[n : n + L] = d_volt.T
-        u = x.system.lu.solve(rhs)
+        u = x.system.solve(rhs)
         return u[:n], u[n : n + L].T
 
     def derivative(self, x, h):
@@ -480,7 +480,7 @@ class ReducedMap:
         if d_phi is None and J.shape[0] > self.mesh.electrodes.count:
             # lam = Z D^T and Phi = Z J^T on the basis Z, so sum_i lam_i,e . A_e phi_i,e
             # is sum_kl z_k,e . A_e z_l,e M_kl with M = D^T J (L x L)
-            Z = np.take(x.system.basis, self.mesh.triangles, axis=0)  # (nel, 6, L)
+            Z = np.take(x.system.basis[0], self.mesh.triangles, axis=0)  # (nel, 6, L)
             d -= np.einsum("ejk,ejk->e", Z, (self.mesh.element_stiffness @ Z) @ (d_volt.T @ J).T)
             return d, None, None
         lam, _ = self._solve(x, d_phi, d_volt)

@@ -75,16 +75,15 @@ class GradientConfig:
     store_iterates: bool = False
 
     def __post_init__(self):
-        if not self.mu_max > 0:
-            raise InvalidFieldError("step bound mu_max must be positive")
+        if not 0 < self.mu_max < np.inf:
+            raise InvalidFieldError(f"step bound mu_max must be positive and finite, not {self.mu_max}")
         if not 0 < self.armijo_shrink < 1 or not 0 < self.armijo_slope < 1:
             raise InvalidFieldError("Armijo factors must lie in (0, 1)")
-        if self.tau <= 1:
-            raise InvalidFieldError("discrepancy constant tau must exceed 1")
-        if self.eps_mu <= 0:
-            raise InvalidFieldError("stagnation threshold must be positive")
-        if self.eta < 0:
-            raise InvalidFieldError("noise budget must be >= 0")
+        if not (1 < self.tau < np.inf and 0 <= self.eta < np.inf):
+            raise InvalidFieldError(f"need finite tau > 1 and eta >= 0, not tau = {self.tau}, eta = {self.eta}")
+        if not (0 < self.eps_mu < np.inf and 0 < self.step_growth < np.inf):
+            raise InvalidFieldError("eps_mu and step_growth must be positive and finite, "
+                                    f"not eps_mu = {self.eps_mu}, step_growth = {self.step_growth}")
 
 
 @dataclass
@@ -111,8 +110,10 @@ class NewtonConfig:
             raise InvalidFieldError("theta must lie in (0, 1)")
         if not 0 < self.sigma_lo < self.sigma_hi < 1:
             raise InvalidFieldError("need 0 < sigma_lo < sigma_hi < 1")
-        if self.tau <= 1:
-            raise InvalidFieldError("discrepancy constant tau must exceed 1")
+        if not 0 < self.alpha0 < np.inf:
+            raise InvalidFieldError(f"alpha0 must be positive and finite, not {self.alpha0}")
+        if not (1 < self.tau < np.inf and 0 <= self.eta < np.inf):
+            raise InvalidFieldError(f"need finite tau > 1 and eta >= 0, not tau = {self.tau}, eta = {self.eta}")
 
 
 @dataclass
@@ -123,6 +124,7 @@ class SolverReport:
     # Armijo trials of each line search; on stagnation the last entry is the search that failed
     trials_history: list = field(default_factory=list)
     alpha_history: list = field(default_factory=list)
+    wall_history: list = field(default_factory=list)  # seconds from the solver's start to each iterate's record
     iterates: list | None = None
     stop_reason: str = ""
     k_star: int = 0
@@ -167,7 +169,7 @@ def armijo_step(cost, x, g, cfg, constraint, J=None, mu_start=None):
     return ArmijoResult(None, x, J, True, trials)
 
 
-def projected_gradient(cost, constraint, x0, cfg, sink=None):
+def projected_gradient(cost, constraint, x0, cfg):
     """Projected gradient with Armijo backtracking and discrepancy stopping.
 
     Stops at the first k with ||grad J(x_k)||^2 <= tau * eta (noisy data; with
@@ -184,12 +186,9 @@ def projected_gradient(cost, constraint, x0, cfg, sink=None):
         gn2 = constraint.inner(g, g)
         report.cost_history.append(J)
         report.gradnorm_sq_history.append(gn2)
+        report.wall_history.append(time.perf_counter() - t0)
         if cfg.store_iterates:
             report.iterates.append(x)
-        if sink is not None:
-            sink({"k": k, "cost": J, "grad_sq": gn2, "step": mu_prev,
-                  "trials": report.trials_history[-1] if report.trials_history else None,
-                  "wall": time.perf_counter() - t0})
         if gn2 <= cfg.tau * cfg.eta:
             report.stop_reason = "discrepancy"
             break
@@ -386,7 +385,7 @@ def alpha_a_posteriori(qm, center, J_k, constraint, cfg, x_init, alpha_start=1.0
     raise BracketFailureError("bisection failed to reach the band", samples)
 
 
-def newton_sqp(cost, constraint, x0, cfg, sink=None):
+def newton_sqp(cost, constraint, x0, cfg):
     """SQP-type constrained Newton iteration with discrepancy stopping.
 
     Per iteration: build the quadratic model, choose alpha by the configured
@@ -406,12 +405,9 @@ def newton_sqp(cost, constraint, x0, cfg, sink=None):
     fell_back = False
     while True:
         report.cost_history.append(J)
+        report.wall_history.append(time.perf_counter() - t0)
         if cfg.store_iterates:
             report.iterates.append(x)
-        if sink is not None:
-            sink({"k": k, "cost": J, "grad_sq": None,
-                  "step": report.alpha_history[-1] if report.alpha_history else None, "trials": None,
-                  "wall": time.perf_counter() - t0})
         if J <= cfg.tau * cfg.eta:
             report.stop_reason = "discrepancy"
             break

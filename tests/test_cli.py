@@ -164,6 +164,14 @@ def test_misspelt_solver_setting_exit_2(tmp_path, capsys, setting):
       for name, bounds in (("crossed", "sigma_lower = 7\nsigma_upper = 6"), ("upper-inf", "sigma_upper = inf"),
                            ("lower-nan", "sigma_lower = nan"))),
     pytest.param("coarse_scale = 1", "coarse_scale = 0", "scale must be >= 1", id="coarse-scale-0"),
+    # each of these used to end the table at exit 3 with no results.csv, fail or stagnate every cell
+    # (mu_max = inf scaled the state by inf), or (tau = nan) run with the discrepancy stop silently off
+    *(pytest.param("max_iters = 5", f"max_iters = 5\n{setting}", named, id=setting.replace("\n", "-"))
+      for setting, named in (("tau = 0.5", "tau"), ("tau = nan", "tau"), ("mu_max = 0", "mu_max"),
+                             ("mu_max = inf", "mu_max"), ("armijo_shrink = 2", "Armijo"), ("eps_mu = 0", "eps_mu"),
+                             ("eps_mu = nan", "eps_mu"), ("step_growth = 0", "step_growth"),
+                             ("method = newton\ntau = 0.5", "tau"),
+                             ("method = newton\nalpha0 = 0", "alpha0"), ("method = newton\nalpha0 = nan", "alpha0"))),
     *(pytest.param("max_iters = 5", f"max_iters = 5\nbeta = {b}", "beta", id=f"beta-{b}") for b in ("0", "nan")),
     # a [verify] section makes it a verify run, refused before it samples a state
     pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncondition = chain\nsamples = 0",

@@ -170,8 +170,8 @@ def test_generate_synthetic_frees_every_data_mesh():
         fresh = fem.refine_mesh(fem.disk_mesh_scale(1, cell.coarse.electrodes), refine)
         assert fine.electrodes is cell.coarse.electrodes and fine.checksum() == fresh.checksum()
         sigma = cell.data.sigma_fine
-        again = fem.assemble_cem(fine, sigma).matrix
-        assert np.array_equal(again.data, fem.assemble_cem(fresh, sigma).matrix.data)
+        again = fine.cem_layout.matrix(sigma)
+        assert np.array_equal(again.data, fresh.cem_layout.matrix(sigma).data)
         u = np.random.default_rng(8).normal(size=(fine.n_nodes, 2))
         for field, dual in ((fem.gradient_field, fem.gradient_dual), (fem.perp_gradient_field, fem.perp_gradient_dual)):
             assert np.array_equal(dual(field(u, fine), fine), dual(field(u, fresh), fresh))
@@ -217,6 +217,17 @@ def test_shared_newton_config_is_not_mutated():
                                   coarse_scale=scale, solver="newton", max_iters=1, newton=shared)
         assert ex.run_experiment(cfg).iterations <= 1
     assert shared == before and shared.reg_center is None
+
+
+def test_a_newton_config_may_not_set_the_cells_own_values():
+    # run_experiment used to replace them silently with the cell's tau, max_iters and noise budget
+    for key, value in (("tau", 2.0), ("eta", 0.1), ("max_iters", 5)):
+        with pytest.raises(InvalidFieldError, match=f"ExperimentConfig.newton sets {key}"):
+            ex.ExperimentConfig(solver="newton", newton=sv.NewtonConfig(**{key: value}))
+    # the defaults, which every caller passes, take the cell's values
+    cfg = ex.ExperimentConfig(solver="newton", tau=2.0, max_iters=7, newton=sv.NewtonConfig(schedule="a-posteriori"))
+    ncfg = cfg.solver_config(eta=0.25, x0="x0")
+    assert (ncfg.tau, ncfg.max_iters, ncfg.eta, ncfg.reg_center, ncfg.schedule) == (2.0, 7, 0.25, "x0", "a-posteriori")
 
 
 def test_experiment_config_validation():

@@ -220,18 +220,18 @@ def test_refinement_nesting_and_transfer():
 def test_system_symmetric():
     m = fem.disk_mesh_scale(1)
     rng = np.random.default_rng(0)
-    sys_ = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
-    asym = abs(sys_.matrix - sys_.matrix.T).max()
-    assert asym < 1e-12 * abs(sys_.matrix).max()
+    A = m.cem_layout.matrix(rng.uniform(1, 6, m.n_elements))
+    asym = abs(A - A.T).max()
+    assert asym < 1e-12 * abs(A).max()
 
 
 def test_constants_in_ungrounded_kernel():
     m = fem.disk_mesh_scale(1)
-    sys_ = fem.assemble_cem(m, np.full(m.n_elements, 2.5))
+    A = m.cem_layout.matrix(np.full(m.n_elements, 2.5))
     n, L = m.n_nodes, 8
-    core_block = sys_.matrix[: n + L, : n + L]
+    core_block = A[: n + L, : n + L]
     ones = np.ones(n + L)
-    scale = abs(sys_.matrix).max()
+    scale = abs(A).max()
     assert np.abs(core_block @ ones).max() < 1e-12 * scale
 
 
@@ -494,8 +494,7 @@ def test_cem_layout_is_bit_identical_to_the_blockwise_build(scale, refine):
         reference = fem.CemLayout(S, C0, w)
         fills = []
         for lay in (layout, reference):
-            matrix = fem.assemble_cem(m, sigma).matrix
-            factor = lay.factorize(matrix)
+            factor = lay.factorize(lay.matrix(sigma))
             fills.append(factor.superlu.L.nnz + factor.superlu.U.nnz)
             assert not lay._permuted  # a layout that factors once never permutes its pattern
         assert np.array_equal(layout.order, reference.order)
@@ -547,15 +546,17 @@ def test_solve_with_foreign_factor_raises():
     # one drive solves its columns directly, all 28 pairs go through the electrode basis
     for ordered, drive in [(False, two_electrode_drive()), (True, two_electrode_drive()),
                            (False, all_pairs_drive()), (True, all_pairs_drive())]:
-        m = fem.disk_mesh_scale(1)
+        m, twin = fem.disk_mesh_scale(1), fem.disk_mesh_scale(1)
         if ordered:  # the mesh's first factor orders; the foreign one then reuses that order
-            fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
+            fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
         sys_ = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
-        sys_._lu = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
-        assert (sys_._lu.order is not None) == ordered
+        # a factor of another matrix in the same order: the same mesh's next one, or the twin mesh's first
+        foreign = fem.assemble_cem(m if ordered else twin, rng.uniform(1, 6, m.n_elements))
+        assert (sys_.order is not None) == (foreign.order is not None) == ordered
+        sys_.superlu = foreign.superlu
         with pytest.raises(AssemblyError, match="residual"):
             fem.solve_cem(sys_, drive)
-        assert sys_._basis is None  # a basis that failed its check is not kept
+        assert "basis" not in vars(sys_)  # a basis that failed its check is not kept
 
 
 @pytest.mark.parametrize("kind", ["another matrix", "no projection"])
@@ -570,7 +571,7 @@ def test_wrong_factor_fails_both_cem_solve_paths(wrong_factors, kind):
         for _ in range(2):  # a factor that failed its probe raises on every later solve too
             with pytest.raises(AssemblyError, match="factor residual"):
                 fem.solve_cem(system, drive)
-        assert system._basis is None
+        assert "basis" not in vars(system)
 
 
 @pytest.mark.parametrize("kind", ["another matrix", "no projection"])
@@ -583,17 +584,16 @@ def test_wrong_factor_fails_a_bare_first_solve(wrong_factors, kind):
     rhs[m.n_nodes : m.n_nodes + 8] = two_electrode_drive(I=3).currents.T
     for cols in (rhs, rhs[:, 0], rhs):
         with pytest.raises(AssemblyError, match="factor residual"):
-            system.lu.solve(cols)
-    assert system.lu.probe is not None
+            system.solve(cols)
+    assert system.probe is not None
 
 
 def test_a_factor_checks_its_probe_once():
     m = fem.disk_mesh_scale(1)
     system = fem.assemble_cem(m, np.random.default_rng(14).uniform(1, 6, m.n_elements))
-    lu = system.lu
-    assert lu.probe is not None
-    system.basis
-    assert lu.probe is None and system.lu is lu
+    assert system.probe is not None
+    Z, _ = system.basis
+    assert system.probe is None and system.basis[0] is Z
     K = m.stiffness()[1:, 1:].tocsc()  # SPD once one node is held
     factor = fem.Factor(K)
     b = np.random.default_rng(15).standard_normal(K.shape[0])
@@ -612,11 +612,11 @@ def test_a_cem_solve_keeps_its_bits_beside_the_probe(k):
     rhs = rng.standard_normal((m.n_nodes + 9, k))
     for cols in (rhs, rhs[:, 0]) if k == 1 else (rhs,):  # a lone column as (N, 1) and as (N,)
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
-        first = system.lu.solve(cols)
-        assert system.lu.probe is None and first.shape == cols.shape and first.flags.c_contiguous
-        assert np.array_equal(first, system.lu.solve(cols))
+        first = system.solve(cols)
+        assert system.probe is None and first.shape == cols.shape and first.flags.c_contiguous
+        assert np.array_equal(first, system.solve(cols))
         for j in range(k):
-            assert np.array_equal(first.reshape(len(rhs), k)[:, j], system.lu.solve(rhs[:, j]))
+            assert np.array_equal(first.reshape(len(rhs), k)[:, j], system.solve(rhs[:, j]))
 
 
 def _assert_stack_invariant(f, cols, lone_vector=True):
@@ -640,7 +640,7 @@ def test_a_column_keeps_its_bits_in_any_stack(scale):
     m = fem.disk_mesh_scale(scale)
     rng = np.random.default_rng(30 + scale)
     system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
-    _assert_stack_invariant(system.lu.solve, rng.standard_normal((system.matrix.shape[0], 9)))
+    _assert_stack_invariant(system.solve, rng.standard_normal((system.matrix.shape[0], 9)))
 
     J = rng.standard_normal((8, 8))
     J -= J.mean(axis=1, keepdims=True)
@@ -668,14 +668,14 @@ def test_electrode_basis_solves_match_direct_solves(scale):
     exc = all_pairs_drive()
     for k in range(2):  # the layout's first factor, then one in the kept order
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
-        Z = system.basis
-        assert Z.shape == (n + L + 1, L) and system.basis is Z
+        Z, R = system.basis
+        assert Z.shape == R.shape == (n + L + 1, L) and system.basis[0] is Z
         E = np.zeros_like(Z)
         E[n : n + L] = np.eye(L)
         assert np.linalg.norm(system.matrix @ Z - E, axis=0).max() < 1e-12
         rhs = np.zeros((n + L + 1, exc.n_excitations))
         rhs[n : n + L] = exc.currents.T
-        ref = system.lu.solve(rhs)
+        ref = system.solve(rhs)
         sol = fem.solve_cem(system, exc)
         assert sol.residuals.shape == (28,) and sol.residuals.max() < 1e-12
         assert np.abs(sol.phi - ref[:n]).max() <= 1e-12 * np.abs(ref[:n]).max()
@@ -684,7 +684,7 @@ def test_electrode_basis_solves_match_direct_solves(scale):
         rows = rng.standard_normal((L, 12))
         rhs = np.zeros((n + L + 1, 12))
         rhs[n : n + L] = rows
-        got, ref = system.basis @ rows, system.lu.solve(rhs)
+        got, ref = Z @ rows, system.solve(rhs)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -712,10 +712,10 @@ def test_up_to_L_excitations_solve_as_before():
         exc = fem.ExcitationSet(np.roll(all_pairs_drive().currents[:I], I, axis=1))
         rhs = np.zeros((n + L + 1, I))
         rhs[n : n + L] = exc.currents.T
-        ref = system.lu.solve(rhs)
+        ref = system.solve(rhs)
         sol = fem.solve_cem(system, exc)
         assert np.array_equal(sol.phi, ref[:n]) and np.array_equal(sol.voltages, ref[n : n + L].T)
-        assert system._basis is None
+        assert "basis" not in vars(system)
 
 
 def test_factorizations_after_the_first_reuse_the_column_order(monkeypatch):
@@ -731,12 +731,11 @@ def test_factorizations_after_the_first_reuse_the_column_order(monkeypatch):
     m = fem.disk_mesh_scale(1)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
-        assert system.lu is system.lu
+        fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
     assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]  # minimum degree once, then the kept order
     other = fem.disk_mesh_scale(1, fem.ElectrodeConfig(count=8, impedances=0.05))
     for _ in range(2):
-        fem.assemble_cem(other, rng.uniform(1, 6, m.n_elements)).lu
+        fem.assemble_cem(other, rng.uniform(1, 6, m.n_elements))
     assert specs[3:] == ["MMD_AT_PLUS_A", "NATURAL"]  # a second mesh has its own layout, ordered afresh
     assert kernels == [(1, 1)] * 5  # every factor takes the unrelaxed one-column-panel kernel
 
@@ -792,12 +791,11 @@ def test_reused_order_factor_matches_a_fresh_factorization(scale):
     w = m.integral_weights()
     for k in range(4):
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
-        lu = system.lu
-        assert (lu.order is not None) == (k > 0)
+        assert (system.order is not None) == (k > 0)
         M = system.matrix.shape[0] - 2
         fresh = spla.splu(system.matrix[:M, :M].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                           options=dict(SymmetricMode=True))
-        assert lu.superlu.L.nnz + lu.superlu.U.nnz == fresh.L.nnz + fresh.U.nnz
+        assert system.superlu.L.nnz + system.superlu.U.nnz == fresh.L.nnz + fresh.U.nnz
         # the currents sum to zero, so the multiplier is 0: ground, solve B, shift to zero mean
         rhs = np.zeros((M, 2))
         rhs[n:] = exc.currents.T[:-1]
@@ -808,7 +806,7 @@ def test_reused_order_factor_matches_a_fresh_factorization(scale):
         assert np.abs(sol.voltages - ref[n:].T).max() <= 1e-12 * np.abs(ref[n:]).max()
         # a right-hand side over every row of B, in the factor's own order
         b = rng.standard_normal((M, 3))
-        got, ref = lu.superlu.solve(b[lu.rows]), fresh.solve(b)[lu.rows]
+        got, ref = system.superlu.solve(b[system.rows]), fresh.solve(b)[system.rows]
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -817,14 +815,14 @@ def test_grounded_block_is_spd_and_gathered_in_the_kept_order():
     rng = np.random.default_rng(13)
     layout = m.cem_layout
     for k in range(2):  # the natural order of the first factor, then the kept order
-        A = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).matrix
+        A = layout.matrix(rng.uniform(1, 6, m.n_elements))
         M = A.shape[0] - 2
         B = A[:M, :M].toarray()
         np.linalg.cholesky(B)  # raises unless SPD
         assert np.linalg.eigvalsh(A.toarray()).min() < 0  # the full matrix is a saddle point
         rows = np.arange(M) if layout.order is None else layout.order
         assert np.array_equal(layout.block(A).toarray(), B[rows][:, rows])
-        fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements)).lu
+        layout.factorize(layout.matrix(rng.uniform(1, 6, m.n_elements)))
 
 
 def test_a_factor_outlives_the_next_factorization_of_its_layout():
@@ -834,10 +832,11 @@ def test_a_factor_outlives_the_next_factorization_of_its_layout():
 
     def bases(factor_all_first):
         m = fem.disk_mesh_scale(1)
-        systems = [fem.assemble_cem(m, sigma) for sigma in sigmas]
         if factor_all_first:
-            assert len({id(s.lu) for s in systems}) == 3
-        return [s.basis for s in systems]
+            systems = [fem.assemble_cem(m, sigma) for sigma in sigmas]
+            assert len({id(s.superlu) for s in systems}) == 3
+            return [s.basis[0] for s in systems]
+        return [fem.assemble_cem(m, sigma).basis[0] for sigma in sigmas]
 
     for late, at_once in zip(bases(True), bases(False)):
         assert np.array_equal(late, at_once)
@@ -850,19 +849,19 @@ def test_grounded_solves_match_a_dense_solve_of_the_full_matrix(scale):
     n, L = m.n_nodes, 8
     for k in range(2):  # the layout's first factor, then one in the kept order
         system = fem.assemble_cem(m, rng.uniform(1, 6, m.n_elements))
-        assert (system.lu.order is not None) == (k > 0)
+        assert (system.order is not None) == (k > 0)
         currents = np.zeros((n + L + 1, 28))
         currents[n : n + L] = all_pairs_drive().currents.T  # zero-sum: the multiplier is 0
         generic = rng.standard_normal((n + L + 1, 3))  # every row, the multiplier's too
         for b in (currents, generic, generic[:, 0]):
             ref = np.linalg.solve(system.matrix.toarray(), b)
-            assert np.abs(system.lu.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(system.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_kept_column_order_owns_its_data():
     # a view of perm_c would keep the first factor's L and U alive with the mesh
     m = fem.disk_mesh_scale(1)
-    first = fem.assemble_cem(m, np.full(m.n_elements, 2.0)).lu
+    first = fem.assemble_cem(m, np.full(m.n_elements, 2.0))
     order = m.cem_layout.order
     assert order.base is None
     assert not np.shares_memory(order, first.superlu.perm_c)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from condrec import core, experiments as ex, fem, functionals, solvers as sv
-from condrec.errors import BracketFailureError, NonconvergenceError
+from condrec.errors import BracketFailureError, InvalidFieldError, NonconvergenceError
 
 
 def make_instance(seed, n=8, noise=0.0):
@@ -163,26 +163,51 @@ def test_pg_determinism():
     assert r1.stop_reason == r2.stop_reason
 
 
-def test_progress_sink_records():
-    A, x_true, e, box, cost, x0 = make_instance(1)
-    rows = []
-    cfg = sv.GradientConfig(max_iters=5)
-    sv.projected_gradient(cost, box, x0, cfg, sink=rows.append)
-    assert len(rows) == 6
-    assert {"k", "cost", "grad_sq", "step", "trials", "wall"} <= set(rows[0])
+@pytest.mark.parametrize("cls, key, value", [
+    *((sv.GradientConfig, "tau", v) for v in (0.5, np.nan, np.inf)),
+    *((sv.NewtonConfig, "tau", v) for v in (0.5, np.nan, np.inf)),
+    *((cls, "eta", v) for cls in (sv.GradientConfig, sv.NewtonConfig) for v in (-1.0, np.nan, np.inf)),
+    *((sv.GradientConfig, "eps_mu", v) for v in (0.0, np.nan, np.inf)),
+    *((sv.GradientConfig, "step_growth", v) for v in (0.0, -2.0, np.nan, np.inf)),
+    *((sv.NewtonConfig, "alpha0", v) for v in (0.0, -1.0, np.nan, np.inf)),
+])
+def test_solver_configs_refuse_values_they_cannot_run(cls, key, value):
+    # tau = nan turned the discrepancy stop off, step_growth = 0 and eps_mu = nan stagnated, alpha0 = 0 failed
+    with pytest.raises(InvalidFieldError, match=key):
+        cls(**{key: value})
 
 
-def test_pg_keeps_the_trials_of_each_line_search():
+def test_report_records_every_iterate():
     A, x_true, e, box, cost, x0 = make_instance(1)
-    rows = []
-    rep = sv.projected_gradient(cost, box, x0, sv.GradientConfig(mu_max=64.0, max_iters=5), sink=rows.append)
+    rep = sv.projected_gradient(cost, box, x0, sv.GradientConfig(max_iters=5))
+    assert len(rep.cost_history) == len(rep.gradnorm_sq_history) == len(rep.wall_history) == 6
+    assert len(rep.step_history) == len(rep.trials_history) == 5
+    assert 0 <= rep.wall_history[0] and rep.wall_history == sorted(rep.wall_history)
+    rep = sv.newton_sqp(cost, box, x0, sv.NewtonConfig(max_iters=3))
+    assert len(rep.cost_history) == len(rep.wall_history) == len(rep.alpha_history) + 1 == 4
+
+
+def _logged_trials(tmp_path, rep):
+    """The trials column of the iteration log written from rep."""
+    path = tmp_path / "iters.csv"
+    ex._write_iterations(path, rep)
+    header, *rows = path.read_text().strip().split("\n")
+    assert header == "k,cost,grad_sq,step,trials,wall_s" and len(rows) == len(rep.cost_history)
+    return [row.split(",")[4] for row in rows]
+
+
+def test_pg_keeps_the_trials_of_each_line_search(tmp_path):
+    A, x_true, e, box, cost, x0 = make_instance(1)
+    rep = sv.projected_gradient(cost, box, x0, sv.GradientConfig(mu_max=64.0, max_iters=5))
     assert len(rep.trials_history) == len(rep.step_history) == 5 and max(rep.trials_history) > 1
-    assert [r["trials"] for r in rows] == [None] + rep.trials_history  # row k holds the step that made it
+    # log row k holds the step that made it
+    assert _logged_trials(tmp_path, rep) == [""] + [str(t) for t in rep.trials_history]
     # the minimizer lies outside the box and x0 on its face: no trial decreases, the search runs to eps_mu
     stuck = sv.QuadraticLeastSquares(np.eye(3), np.full(3, 2.0), box)
     rep = sv.projected_gradient(stuck, box, np.ones(3), sv.GradientConfig())
     assert rep.stop_reason == "stagnation" and rep.step_history == []
     assert rep.trials_history == [34]  # mu = 2^-k for k = 0..33, the last >= eps_mu = 1e-10
+    assert _logged_trials(tmp_path, rep) == [""]  # the search that failed made no iterate
 
 
 def test_pg_pairs_a_gradient_by_its_dual_as_by_the_gram_form(monkeypatch):
