@@ -5,8 +5,9 @@ Subcommands: generate, reconstruct, verify, report; only reconstruct takes
 ``[run]``, ``[bounds]``, ``[solver]`` or ``[phantom]`` key sets the field of
 ``ExperimentConfig``, ``NewtonConfig`` or ``Phantom`` named in ``_CELL_KEYS`` and
 its neighbours, with that field's default and type; a boolean is one of
-1/yes/true/on or 0/no/false/off.  Exit codes: 0 success, 2 configuration error,
-3 runtime failure.
+1/yes/true/on or 0/no/false/off.  A key the command does not read is refused
+(``_refuse_unread``).  Exit codes: 0 success, 2 configuration error, 3 runtime
+failure.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ def _load_config(path):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
+    parser.asked = set()  # the (section, key) pairs _get has asked for
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -40,6 +42,7 @@ def _get(cfg, section, key, default):
     A bool takes configparser's boolean words, and a list takes one or more
     comma- or space-separated items cast like its first item.
     """
+    cfg.asked.add((section, key))
     if not cfg.has_option(section, key):
         return default
     raw = cfg.get(section, key)
@@ -56,14 +59,23 @@ def _get(cfg, section, key, default):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
+def _refuse_unread(cfg, *sections):
+    """Raise ConfigError naming each key of ``sections`` that ``_get`` never asked for: a misspelt key, or one
+    this command does not read (the projected-gradient keys are read only under that method, the Newton keys
+    only under newton, and verify reads its condition's [verify] keys and, for a mesh condition, [bounds])."""
+    unread = [f"[{s}] {k}" for s in sections if cfg.has_section(s) for k in cfg.options(s) if (s, k) not in cfg.asked]
+    if unread:
+        raise ConfigError(f"unknown or unused key(s): {', '.join(unread)}")
+
+
 # [section] -> the INI keys that set a dataclass field: the field of the key's name,
 # or of the name _RENAMED gives it
 _CELL_KEYS = {  # ExperimentConfig
     "run": ("formulation", "coarse_scale", "fine_refine", "allow_inverse_crime", "impedance", "iat_obs_variant"),
     "bounds": ("sigma_lower", "sigma_upper"),
-    "solver": ("method", "beta", "max_iters", "tau", "eps_mu", "mu_max", "armijo_shrink", "armijo_slope",
-               "step_growth"),
+    "solver": ("method", "beta", "max_iters", "tau"),
 }
+_GRADIENT_KEYS = {"solver": ("eps_mu", "mu_max", "armijo_shrink", "armijo_slope", "step_growth")}  # ExperimentConfig
 _NEWTON_KEYS = {"solver": ("schedule", "alpha0", "theta", "sigma_lo", "sigma_hi")}
 _PHANTOM_KEYS = {"phantom": ("background", "inclusion_value", "radius")}
 _RENAMED = {"method": "solver", "radius": "inclusion_radius"}
@@ -83,13 +95,16 @@ def _experiment_configs(cfg, args, emit_png=False):
     Experiment = experiments.ExperimentConfig
     cases = _get(cfg, "run", "cases", [_get(cfg, "run", "case", Experiment.case)])
     deltas = _get(cfg, "run", "deltas", [_get(cfg, "run", "delta", Experiment.delta)])
-    seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", Experiment.seed)
-    out = args.out or _get(cfg, "run", "out", "results")  # the CLI always writes; out_dir=None writes nothing
+    # read even when a flag overrides them; the CLI always writes (out_dir=None would write nothing)
+    out, seed = _get(cfg, "run", "out", "results"), _get(cfg, "run", "seed", Experiment.seed)
+    out, seed = args.out or out, seed if args.seed is None else args.seed
     # a value the library rejects is a configuration error, not a runtime failure
     try:
         common = _fields(cfg, Experiment, _CELL_KEYS)
         if common["solver"] == "newton":
             common["newton"] = solvers.NewtonConfig(**_fields(cfg, solvers.NewtonConfig, _NEWTON_KEYS))
+        else:
+            common.update(_fields(cfg, Experiment, _GRADIENT_KEYS))
         center = tuple(_get(cfg, "phantom", key, c)
                        for key, c in zip(("center_x", "center_y"), experiments.Phantom.inclusion_center))
         phantom = experiments.Phantom(inclusion_center=center,
@@ -101,6 +116,7 @@ def _experiment_configs(cfg, args, emit_png=False):
                    for case in cases for d in deltas]
     except CondrecError as exc:
         raise ConfigError(str(exc)) from exc
+    _refuse_unread(cfg, "run", "bounds", "solver", "phantom")
     return configs, out
 
 
@@ -176,6 +192,7 @@ def _mesh_condition(cfg, condition, rng):
 
     Only the cost (eit-aao for eit-tcc, else gwf-aao-ls) and the verdict differ."""
     n_pairs = _count(cfg, "samples", 50 if condition == "eit-tcc" else 100)
+    radius = _get(cfg, "verify", "radius", 0.3)
     # the cell of a reconstruction on a matched mesh; a value its configuration
     # rejects is a configuration error, not a runtime failure
     try:
@@ -185,6 +202,7 @@ def _mesh_condition(cfg, condition, rng):
                                              fine_refine=0, allow_inverse_crime=True, **bounds)
     except CondrecError as exc:
         raise ConfigError(str(exc)) from exc
+    _refuse_unread(cfg, "verify", "bounds")
     cell = experiments.build_cell(setup)
     mesh, excitation, data, sigma_ex = cell.coarse, cell.excitation, cell.data, cell.data.sigma_coarse
     trace, _ = fem.psi_trace_values(mesh, excitation)
@@ -198,7 +216,6 @@ def _mesh_condition(cfg, condition, rng):
         cost = functionals.combined_cost("gwf-aao-ls", obs, mesh, excitation, constraints=cs)
     space = cost.space
     x_d = space.project(space.state(sigma_ex, phi, psi), cs)
-    radius = _get(cfg, "verify", "radius", 0.3)
     states = conditions.sample_feasible_states(space, cs, x_d, radius, rng, 2 * n_pairs)
     pairs = [(states[2 * i], states[2 * i + 1]) for i in range(n_pairs)]
     if condition == "tcc":
@@ -221,13 +238,14 @@ def _mesh_condition(cfg, condition, rng):
 
 def cmd_verify(args):
     cfg = _load_config(args.config)
-    out = args.out or _get(cfg, "verify", "out", "reports")
+    out, seed = _get(cfg, "verify", "out", "reports"), _get(cfg, "verify", "seed", 0)  # read even when a flag overrides
+    out, seed = args.out or out, seed if args.seed is None else args.seed
     condition = _get(cfg, "verify", "condition", "tcc")
-    seed = args.seed if args.seed is not None else _get(cfg, "verify", "seed", 0)
     exploratory = _get(cfg, "verify", "exploratory", False)
     rng = np.random.default_rng(seed)
     if condition == "linear-toy":
         n, n_pairs = _count(cfg, "dim", 6), _count(cfg, "samples", 19)
+        _refuse_unread(cfg, "verify")
         A = rng.normal(size=(n, n))
         xs = [rng.normal(size=n) for _ in range(n_pairs + 1)]
         pairs = [(xs[i], xs[i + 1]) for i in range(n_pairs)]

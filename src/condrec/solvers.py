@@ -5,7 +5,9 @@ the gradient discrepancy principle ||grad J||^2 <= tau * eta (noisy data) or by
 step stagnation (exact data), and an SQP-type constrained Newton method that
 minimizes a quadratic model plus alpha_k * R over the admissible set, with the
 regularization weight chosen a priori (alpha0 * theta^k) or a posteriori through
-the inexact-Newton band sigma_lo <= Q_k(x_{k+1}(alpha))/J(x_k) <= sigma_hi.
+the inexact-Newton band sigma_lo <= Q_k(x_{k+1}(alpha))/J(x_k) <= sigma_hi, found
+by one loop of subproblem solves that brackets the band by factors of 8 and then
+bisects it in log alpha.
 
 Solvers are generic over the unknown: they touch iterates only through
 arithmetic, ``constraint.project`` and ``constraint.inner``, so plain numpy
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +87,8 @@ class GradientConfig:
         if not (0 < self.eps_mu < np.inf and 0 < self.step_growth < np.inf):
             raise InvalidFieldError("eps_mu and step_growth must be positive and finite, "
                                     f"not eps_mu = {self.eps_mu}, step_growth = {self.step_growth}")
+        if self.max_iters < 0:
+            raise InvalidFieldError(f"max_iters must be >= 0, not {self.max_iters}")
 
 
 @dataclass
@@ -114,6 +119,13 @@ class NewtonConfig:
             raise InvalidFieldError(f"alpha0 must be positive and finite, not {self.alpha0}")
         if not (1 < self.tau < np.inf and 0 <= self.eta < np.inf):
             raise InvalidFieldError(f"need finite tau > 1 and eta >= 0, not tau = {self.tau}, eta = {self.eta}")
+        if self.max_iters < 0 or self.inner_budget < 1:
+            raise InvalidFieldError(f"need max_iters >= 0, inner_budget >= 1, not {self.max_iters}, {self.inner_budget}")
+        for key in ("bisect_tol", "inner_tol"):  # 0 or nan never narrows the bracket or meets the target
+            if not 0 < getattr(self, key) < np.inf:
+                raise InvalidFieldError(f"{key} must be positive and finite, not {getattr(self, key)}")
+        if len(self.alpha_bracket) != 2 or not 0 < self.alpha_bracket[0] < self.alpha_bracket[1] < np.inf:
+            raise InvalidFieldError(f"alpha_bracket must be (lo, hi), 0 < lo < hi < inf, not {self.alpha_bracket}")
 
 
 @dataclass
@@ -230,6 +242,12 @@ class QuadraticModel:
         d = x - self.x0
         return self.J0 + self.space.inner(self.g, d) + 0.5 * self.quadratic_form(d)
 
+    @cached_property
+    def curvature(self):
+        """The largest eigenvalue of H in the model's geometry, by power iteration from g (0 when g = 0):
+        the same for every subproblem solved on the model, so its probe products are made once."""
+        return estimate_curvature(self.hvp, self.space, self.g)
+
 
 def estimate_curvature(hvp, constraint, v, iters=20):
     """Deterministic power iteration for the largest eigenvalue of the positive
@@ -250,20 +268,6 @@ def estimate_curvature(hvp, constraint, v, iters=20):
     return lam
 
 
-def _model_curvature(qm, constraint, x_init, center):
-    """The curvature estimate of qm, started from qm.g, or from x_init - center when g = 0.
-
-    Started from g it is the same on every call on one model, so it is kept on
-    the model (per constraint) and its probe products are made once.
-    """
-    if constraint.norm(qm.g) == 0:
-        return estimate_curvature(qm.hvp, constraint, x_init - center)
-    kept = getattr(qm, "_curvature", None)
-    if kept is None or kept[0] is not constraint:
-        qm._curvature = kept = (constraint, estimate_curvature(qm.hvp, constraint, qm.g))
-    return kept[1]
-
-
 def solve_subproblem(qm, center, alpha, constraint, x_init, tol=1e-8, budget=10000):
     """Minimize Q(x) + alpha R(x), R(x) = 1/2 ||x - center||^2, over the admissible set.
 
@@ -272,10 +276,12 @@ def solve_subproblem(qm, center, alpha, constraint, x_init, tol=1e-8, budget=100
     checked every fifth iteration, drops below tol relative to its initial value.
     H is linear, so each iterate keeps its product H(x - x0): one qm.hvp per
     iteration, and the momentum point's product combines its iterates' products.
+    The step comes from the model's curvature; when g = 0 it is estimated afresh
+    from x_init - center and not kept.  The constraint must pair as qm.space does.
     """
     if alpha <= 0:
         raise InvalidFieldError("alpha must be positive")
-    lam = _model_curvature(qm, constraint, x_init, center)
+    lam = estimate_curvature(qm.hvp, constraint, x_init - center) if constraint.norm(qm.g) == 0 else qm.curvature
     L = 1.5 * lam + alpha  # R has curvature 1
     step = 1.0 / L
 
@@ -328,61 +334,44 @@ def alpha_a_priori(k, cfg):
 
 
 def alpha_a_posteriori(qm, center, J_k, constraint, cfg, x_init, alpha_start=1.0):
-    """Find alpha with sigma_lo <= Q(x(alpha))/J_k <= sigma_hi by bracketing + bisection.
+    """Find alpha with sigma_lo <= Q(x(alpha))/J_k <= sigma_hi, relying on alpha -> Q(x(alpha)) increasing.
 
-    Uses the monotonicity of alpha -> Q(x(alpha)).  Returns (alpha, x(alpha),
-    sigma, samples); raises BracketFailureError with the sampled (alpha, sigma)
-    pairs when the band cannot be bracketed inside cfg.alpha_bracket.
+    Each pass solves one subproblem, warm-started from the last, and records
+    (alpha, sigma).  Until a sigma above the band has been seen alpha grows by 8,
+    until one below has been seen it shrinks by 8, and then it is the geometric
+    midpoint of the bracket.  Returns (alpha, x(alpha), sigma) for the first
+    sigma in the band, or for the midpoint of a bracket that a bisection left
+    narrower than bisect_tol (in log10 alpha).  Raises BracketFailureError with
+    the samples when alpha leaves cfg.alpha_bracket or after 200 solves.
     """
     if J_k <= 0:
         raise InvalidFieldError("a-posteriori rule needs J(x_k) > 0")
     samples = []
-
-    def sigma_of(alpha, warm):  # every alpha is new: expansion goes one way, each midpoint lies inside
-        x_a = solve_subproblem(qm, center, alpha, constraint, warm, cfg.inner_tol, cfg.inner_budget)
-        samples.append((alpha, qm.value(x_a) / J_k))
-        return x_a, samples[-1][1]
-
     lo_b, hi_b = cfg.alpha_bracket
     alpha = min(max(alpha_start, lo_b), hi_b)
-    x_w = x_init
-    x_w, sig = sigma_of(alpha, x_w)
-    # expand until the band is reached or bracketed
-    lo_alpha = hi_alpha = None
-    for _ in range(200):
-        if cfg.sigma_lo <= sig <= cfg.sigma_hi:
-            return alpha, x_w, sig, samples
-        if sig < cfg.sigma_lo:
-            lo_alpha = alpha
-            if hi_alpha is not None:
-                break
-            alpha = alpha * 8.0
+    x = x_init
+    lo = hi = None  # the largest alpha with sigma below the band, the smallest with sigma above
+    narrow = False
+    for _ in range(200):  # every alpha is new: expansion goes one way, each midpoint lies inside
+        x = solve_subproblem(qm, center, alpha, constraint, x, cfg.inner_tol, cfg.inner_budget)
+        sig = qm.value(x) / J_k
+        samples.append((alpha, sig))
+        if cfg.sigma_lo <= sig <= cfg.sigma_hi or narrow:
+            return alpha, x, sig
+        bisected = lo is not None and hi is not None
+        lo, hi = (alpha, hi) if sig < cfg.sigma_lo else (lo, alpha)
+        if hi is None:
+            alpha *= 8.0
             if alpha > hi_b:
                 raise BracketFailureError("sigma stays below the band up to the alpha cap", samples)
-        else:
-            hi_alpha = alpha
-            if lo_alpha is not None:
-                break
-            alpha = alpha / 8.0
+        elif lo is None:
+            alpha /= 8.0
             if alpha < lo_b:
                 raise BracketFailureError("sigma stays above the band down to the alpha floor", samples)
-        x_w, sig = sigma_of(alpha, x_w)
-    if lo_alpha is None or hi_alpha is None:
-        raise BracketFailureError("could not bracket the inexact-Newton band", samples)
-    # bisect in log space
-    for _ in range(200):
-        mid = float(np.sqrt(lo_alpha * hi_alpha))
-        x_w, sig = sigma_of(mid, x_w)
-        if cfg.sigma_lo <= sig <= cfg.sigma_hi:
-            return mid, x_w, sig, samples
-        if sig < cfg.sigma_lo:
-            lo_alpha = mid
         else:
-            hi_alpha = mid
-        if np.log10(hi_alpha / lo_alpha) < cfg.bisect_tol:
-            x_w, sig = sigma_of(float(np.sqrt(lo_alpha * hi_alpha)), x_w)
-            return float(np.sqrt(lo_alpha * hi_alpha)), x_w, sig, samples
-    raise BracketFailureError("bisection failed to reach the band", samples)
+            narrow = bisected and np.log10(hi / lo) < cfg.bisect_tol
+            alpha = float(np.sqrt(lo * hi))
+    raise BracketFailureError(f"no alpha in the band after {len(samples)} subproblem solves", samples)
 
 
 def newton_sqp(cost, constraint, x0, cfg):
@@ -390,9 +379,11 @@ def newton_sqp(cost, constraint, x0, cfg):
 
     Per iteration: build the quadratic model, choose alpha by the configured
     schedule, and minimize Q_k + alpha_k R over the admissible set.  In the
-    a-posteriori mode, when the inexact-Newton band cannot be reached because
-    Q_k(x*)/J_k <= sigma_lo, the iterate falls back to the regularization
-    center x*.
+    a-posteriori mode the search starts from the last alpha it chose; when
+    Q_k(x*)/J_k <= sigma_lo no alpha reaches the band, and the iterate falls back
+    to the regularization center x* (alpha recorded as nan).  The next model is
+    then built at x*, where d = 0 gives Q(x*)/J = 1, so the search runs from x*,
+    and raises BracketFailureError at the alpha floor when x* minimizes J.
     """
     t0 = time.perf_counter()
     report = SolverReport(iterates=[] if cfg.store_iterates else None)
@@ -402,7 +393,6 @@ def newton_sqp(cost, constraint, x0, cfg):
     J = cost.value(x)
     k = 0
     alpha_prev = cfg.alpha0
-    fell_back = False
     while True:
         report.cost_history.append(J)
         report.wall_history.append(time.perf_counter() - t0)
@@ -418,22 +408,11 @@ def newton_sqp(cost, constraint, x0, cfg):
         if cfg.schedule == "a-priori":
             alpha = alpha_a_priori(k, cfg)
             x_next = solve_subproblem(qm, x_star, alpha, constraint, x, cfg.inner_tol, cfg.inner_budget)
+        elif not cfg.sigma_lo < qm.value(x_star) / J:
+            x_next, alpha = x_star, np.nan
         else:
-            q_star = qm.value(x_star)
-            if not (cfg.sigma_lo < q_star / J):
-                # the band is unreachable for any alpha: fall back to the center
-                if fell_back and constraint.norm(x - x_star) == 0.0:
-                    report.stop_reason = "fallback-to-center"
-                    break
-                x_next = x_star
-                alpha = np.nan
-                fell_back = True
-            else:
-                alpha, x_next, _, _ = alpha_a_posteriori(
-                    qm, x_star, J, constraint, cfg, x, alpha_start=alpha_prev if np.isfinite(alpha_prev) else 1.0
-                )
-                alpha_prev = alpha
-                fell_back = False
+            alpha, x_next, _ = alpha_a_posteriori(qm, x_star, J, constraint, cfg, x, alpha_start=alpha_prev)
+            alpha_prev = alpha
         report.alpha_history.append(alpha)
         x = x_next
         J = cost.value(x)

@@ -4,9 +4,10 @@ import itertools
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from condrec import cli
+from condrec import cli, conditions
 from condrec import experiments as ex
 from condrec import functionals as fn
 from condrec import solvers as sv
@@ -75,6 +76,30 @@ def test_generate_delta_list_three_datasets(tmp_path):
     assert cli.main(["generate", "--config", cfgp, "--out", str(out)]) == 0
     files = [p.name for p in out.iterdir() if p.name.endswith("_H.txt")]
     assert len(files) == 3
+
+
+@pytest.mark.parametrize("formulation, files", [
+    ("eit-reduced", {"v": ("eit-voltages", lambda cell: cell.noisy["voltages"]),
+                     "j": ("eit-currents", lambda cell: cell.excitation.currents)}),
+    ("gwf-aao-ls", {"g": ("gwf-flux", lambda cell: cell.noisy["flux"].reshape(cell.coarse.n_elements, -1))}),
+])
+def test_generate_writes_the_data_of_eit_and_gwf_cells(tmp_path, formulation, files):
+    # voltages and currents of an eit cell, the flux of a gwf cell: each headed by its kind, the
+    # coarse mesh's checksum, delta and seed, with one row per excitation (flux: per coarse element)
+    cfgp = write_config(tmp_path / "run.ini", MINIMAL.replace("iat-reduced", formulation).replace("I1", "I2"))
+    out = tmp_path / "data"
+    assert cli.main(["generate", "--config", cfgp, "--out", str(out)]) == 0
+    cell = ex.build_cell(ex.ExperimentConfig(formulation=formulation, case="I2", seed=1, coarse_scale=1))
+    checksum = json.loads((out / "manifest.json").read_text())["mesh_checksums"]["coarse"]
+    assert checksum == cell.coarse.checksum()
+    stem = f"{formulation}_I2_d0.0_s1"
+    assert sorted(p.name for p in out.glob("*.txt")) == sorted(f"{stem}_{suffix}.txt" for suffix in files)
+    for suffix, (kind, data) in files.items():
+        *header, arr = ex.load_matrix(str(out / f"{stem}_{suffix}.txt"))
+        assert header == [kind, checksum, 0.0, 1]
+        expected = data(cell)
+        assert arr.shape == expected.shape and expected.shape[0] in (2, cell.coarse.n_elements)
+        assert np.array_equal(arr, expected)
 
 
 def test_generate_rerun_identical_hashes(tmp_path):
@@ -173,6 +198,20 @@ def test_misspelt_solver_setting_exit_2(tmp_path, capsys, setting):
                              ("method = newton\ntau = 0.5", "tau"),
                              ("method = newton\nalpha0 = 0", "alpha0"), ("method = newton\nalpha0 = nan", "alpha0"))),
     *(pytest.param("max_iters = 5", f"max_iters = 5\nbeta = {b}", "beta", id=f"beta-{b}") for b in ("0", "nan")),
+    # max_iters = -3 ran no iteration and exited 0 with stop max-iters, under either method
+    pytest.param("max_iters = 5", "max_iters = -3", "max_iters", id="max-iters-negative"),
+    pytest.param("max_iters = 5", "max_iters = -3\nmethod = newton", "max_iters", id="max-iters-negative-newton"),
+    # a key no run reads, or one of the other method, used to be ignored
+    *(pytest.param(old, f"{old}\n{setting}", named, id=named.replace(" ", "-"))
+      for old, setting, named in (
+          ("max_iters = 5", "mu_maxx = 0", "[solver] mu_maxx"),
+          ("max_iters = 5", "method = newton\nmu_max = 0", "[solver] mu_max"),
+          ("max_iters = 5", "method = newton\nstep_growth = 2", "[solver] step_growth"),
+          ("max_iters = 5", "alpha0 = nan", "[solver] alpha0"),
+          ("max_iters = 5", "schedule = a-posteriori", "[solver] schedule"),
+          ("seed = 1", "formulaton = iat-aao", "[run] formulaton"),
+          ("max_iters = 5", "[bounds]\nsigma_low = 2", "[bounds] sigma_low"),
+          ("max_iters = 5", "[phantom]\nbackgruond = 3", "[phantom] backgruond"))),
     # a [verify] section makes it a verify run, refused before it samples a state
     pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncondition = chain\nsamples = 0",
                  "[verify] samples", id="verify-chain-samples"),
@@ -187,6 +226,12 @@ def test_misspelt_solver_setting_exit_2(tmp_path, capsys, setting):
     pytest.param("max_iters = 5", "max_iters = 5\n[verify]\ncase = I9", "I9", id="verify-case"),
     pytest.param("max_iters = 5", "max_iters = 5\n[bounds]\nsigma_lower = 6\nsigma_upper = 1\n[verify]",
                  "sigma bounds", id="verify-bounds"),
+    # a [verify] key the condition does not read
+    *(pytest.param("max_iters = 5", f"max_iters = 5\n[verify]\ncondition = {condition}\n{key} = 5",
+                   f"[verify] {key}", id=f"verify-{condition}-{key}")
+      for condition, key in (("linear-toy", "sampels"), ("linear-toy", "radius"), ("tcc", "dim"), ("chain", "radiuss"))),
+    pytest.param("max_iters = 5", "max_iters = 5\n[bounds]\nsigma_lowr = 2\n[verify]\ncondition = tcc",
+                 "[bounds] sigma_lowr", id="verify-tcc-bounds-key"),
 ])
 def test_bad_run_value_exit_2(tmp_path, capsys, old, new, named):
     # rejected while the configs are built: no cell runs, nothing is written, whatever the command
@@ -235,6 +280,18 @@ def test_verify_linear_toy_reads_samples(tmp_path):
     default = report("default", "")
     assert "samples: 19\n" in default and report("nineteen", "samples = 19\n") == default
     assert "samples: 5\n" in report("five", "samples = 5\n")
+
+
+def test_verify_exit_3_when_a_check_fails(tmp_path, capsys, monkeypatch):
+    # a failing non-exploratory check writes its report and exits 3; exploratory = true exits 0
+    failing = conditions.ConditionReport("linear-toy", 19, 2.0, 1e-10, [{"pair": 0, "ratio": 2.0}])
+    monkeypatch.setattr(cli.conditions, "check_tcc", lambda *args, **kwargs: failing)
+    for exploratory, rc in (("false", 3), ("true", 0)):
+        cfgp = write_config(tmp_path / "v.ini", f"[verify]\ncondition = linear-toy\nexploratory = {exploratory}\n")
+        out = tmp_path / f"rep-{exploratory}"
+        assert cli.main(["verify", "--config", cfgp, "--out", str(out)]) == rc
+        assert "pass: False" in (out / "linear-toy_report.txt").read_text()
+        assert capsys.readouterr().out.startswith("linear-toy: FAIL (1 violations)")
 
 
 def test_verify_gwf_tcc(tmp_path):
@@ -388,15 +445,20 @@ def test_every_ini_key_reaches_its_dataclass_field(tmp_path):
     (default,) = _configs(tmp_path, "")
     assert default == ex.ExperimentConfig(out_dir="results", log_iterations=True)
     reference = replace(default, newton=sv.NewtonConfig())
-    mapped = {(s, k) for keys in (cli._CELL_KEYS, cli._NEWTON_KEYS, cli._PHANTOM_KEYS)
+    mapped = {(s, k) for keys in (cli._CELL_KEYS, cli._GRADIENT_KEYS, cli._NEWTON_KEYS, cli._PHANTOM_KEYS)
               for s, names in keys.items() for k in names}
     assert mapped <= set(EVERY_KEY)
-    text = "".join(f"[{s}]\n" + "".join(f"{k} = {raw}\n" for (s2, k), (raw, _, _) in EVERY_KEY.items() if s2 == s)
-                   for s in ("run", "bounds", "solver", "phantom"))
-    (cfg,) = _configs(tmp_path, text)
-    for key, (raw, path, value) in EVERY_KEY.items():
-        assert _resolve(cfg, path) == value != _resolve(reference, path), key
-        assert type(_resolve(cfg, path)) is type(_resolve(reference, path)), key
+    # one projected-gradient file and one Newton file: a run refuses the other method's keys
+    newton_only = {("solver", "method")} | {("solver", k) for k in cli._NEWTON_KEYS["solver"]}
+    gradient_only = {("solver", k) for k in cli._GRADIENT_KEYS["solver"]}
+    for left_out in (newton_only, gradient_only):
+        keys = {key: v for key, v in EVERY_KEY.items() if key not in left_out}
+        text = "".join(f"[{s}]\n" + "".join(f"{k} = {raw}\n" for (s2, k), (raw, _, _) in keys.items() if s2 == s)
+                       for s in ("run", "bounds", "solver", "phantom"))
+        (cfg,) = _configs(tmp_path, text)
+        for key, (raw, path, value) in keys.items():
+            assert _resolve(cfg, path) == value != _resolve(reference, path), key
+            assert type(_resolve(cfg, path)) is type(_resolve(reference, path)), key
     # the one-cell spellings of the grid keys
     (cfg,) = _configs(tmp_path, "[run]\ncase = I28\ndelta = 0.2\n")
     assert (cfg.case, cfg.delta) == ("I28", 0.2)

@@ -6,6 +6,8 @@ condition holds with computable constants: gamma = 1/||A||^2 when e = 0,
 and gamma = 1/(2 ||A||^2) with eta = ||e||^2 / 2 otherwise (Young's
 inequality with epsilon = 1/2 on the cross term).
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,9 +172,15 @@ def test_pg_determinism():
     *((sv.GradientConfig, "eps_mu", v) for v in (0.0, np.nan, np.inf)),
     *((sv.GradientConfig, "step_growth", v) for v in (0.0, -2.0, np.nan, np.inf)),
     *((sv.NewtonConfig, "alpha0", v) for v in (0.0, -1.0, np.nan, np.inf)),
+    *((cls, "max_iters", -3) for cls in (sv.GradientConfig, sv.NewtonConfig)),
+    *((sv.NewtonConfig, key, v) for key in ("bisect_tol", "inner_tol") for v in (0.0, -1e-3, np.nan, np.inf)),
+    *((sv.NewtonConfig, "alpha_bracket", v)
+      for v in ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1e-12, np.inf), (np.nan, 1.0), (1e-12, np.nan), (1.0,))),
+    *((sv.NewtonConfig, "inner_budget", v) for v in (0, -1)),
 ])
 def test_solver_configs_refuse_values_they_cannot_run(cls, key, value):
-    # tau = nan turned the discrepancy stop off, step_growth = 0 and eps_mu = nan stagnated, alpha0 = 0 failed
+    # tau = nan turned the discrepancy stop off, step_growth = 0 and eps_mu = nan stagnated, alpha0 = 0 failed;
+    # max_iters = -3 ran no iteration and reported max-iters; bisect_tol = 0 or nan bisected to the search's cap
     with pytest.raises(InvalidFieldError, match=key):
         cls(**{key: value})
 
@@ -256,7 +264,7 @@ def test_alpha_a_posteriori_matches_1d_closed_form():
     J_k = cost.value(x_k)
     cfg = sv.NewtonConfig(schedule="a-posteriori", sigma_lo=0.3, sigma_hi=0.31,
                           bisect_tol=1e-9, inner_tol=1e-12, inner_budget=100000)
-    alpha, x_a, sig, _ = sv.alpha_a_posteriori(qm, center, J_k, box, cfg, x_k)
+    alpha, x_a, sig = sv.alpha_a_posteriori(qm, center, J_k, box, cfg, x_k)
     # sigma(a) = (a/(1+a))^2 = s  =>  a = sqrt(s)/(1 - sqrt(s))
     target = np.sqrt(sig)
     alpha_exact = target / (1 - target)
@@ -287,7 +295,7 @@ def test_alpha_band_near_zero_limit_returns_small_alpha():
     center = np.zeros(1)
     cfg = sv.NewtonConfig(schedule="a-posteriori", sigma_lo=1e-6, sigma_hi=4e-6,
                           bisect_tol=1e-6, inner_tol=1e-12, inner_budget=100000)
-    alpha, _, sig, _ = sv.alpha_a_posteriori(qm, center, cost.value(np.zeros(1)), box, cfg, np.zeros(1))
+    alpha, _, sig = sv.alpha_a_posteriori(qm, center, cost.value(np.zeros(1)), box, cfg, np.zeros(1))
     assert 1e-6 <= sig <= 4e-6
     assert alpha < 1e-2
 
@@ -310,6 +318,68 @@ def test_alpha_bracket_failure_reports_samples():
     with pytest.raises(BracketFailureError) as err:
         sv.alpha_a_posteriori(qm, center, cost.value(x0), box, cfg, x0)
     assert err.value.samples
+
+
+def _closed_form_case():
+    """J(x) = 1/2 (x - 2)^2 modelled at x_k = 0, centred at 0: sigma(a) = Q(x(a))/J_k = (a / (1 + a))^2."""
+    box = sv.BoxFeasible(-10, 10)
+    cost = sv.QuadraticLeastSquares(np.eye(1), np.array([2.0]), box)
+    return cost.quadratic_model(np.zeros(1)), box, cost.value(np.zeros(1))
+
+
+def _spy_alphas(monkeypatch):
+    """The alpha of every subproblem the search solves, in order."""
+    alphas = []
+    solve = sv.solve_subproblem
+
+    def spy(qm, center, alpha, *args):
+        alphas.append(alpha)
+        return solve(qm, center, alpha, *args)
+
+    monkeypatch.setattr(sv, "solve_subproblem", spy)
+    return alphas
+
+
+def _search(monkeypatch, **band):
+    qm, box, J_k = _closed_form_case()
+    cfg = sv.NewtonConfig(schedule="a-posteriori", inner_tol=1e-12, inner_budget=100000, **band)
+    alphas = _spy_alphas(monkeypatch)
+    return alphas, lambda: sv.alpha_a_posteriori(qm, np.zeros(1), J_k, box, cfg, np.zeros(1))
+
+
+def test_alpha_search_returns_the_midpoint_once_a_bisection_leaves_the_bracket_narrow(monkeypatch):
+    # a band too narrow to be hit: sigma(1) = 0.25 is below it and sigma(8) = 0.79 above, so [1, 8]
+    # is bisected in log10(alpha) until a bisection leaves it narrower than bisect_tol; the midpoint
+    # of that bracket is solved once more and returned, outside the band
+    alphas, search = _search(monkeypatch, sigma_lo=0.3, sigma_hi=0.3 + 1e-15, bisect_tol=0.01)
+    alpha, x_a, sig = search()
+    expected, lo, hi = [1.0, 8.0], 1.0, 8.0
+    while not expected[2:] or np.log10(hi / lo) >= 0.01:  # the first midpoint is never the last
+        expected.append(float(np.sqrt(lo * hi)))
+        lo, hi = (expected[-1], hi) if (expected[-1] / (1 + expected[-1])) ** 2 < 0.3 else (lo, expected[-1])
+    expected.append(float(np.sqrt(lo * hi)))
+    assert alphas == expected and len(expected) == 10 and alpha == expected[-1]
+    assert not 0.3 <= sig <= 0.3 + 1e-15 and abs(sig - 0.3) < 0.01
+    assert abs(x_a[0] - 2 / (1 + alpha)) < 1e-6
+
+
+def test_alpha_search_fails_when_sigma_stays_below_the_band_up_to_the_alpha_cap(monkeypatch):
+    # sigma(alpha) < 0.9 for every alpha up to the cap 10 (sigma(10) = 0.83): 8 is tried, 64 is not
+    alphas, search = _search(monkeypatch, sigma_lo=0.9, sigma_hi=0.95, alpha_bracket=(1e-6, 10.0))
+    with pytest.raises(BracketFailureError, match="sigma stays below the band up to the alpha cap") as err:
+        search()
+    assert alphas == [1.0, 8.0] == [a for a, _ in err.value.samples]
+    assert np.allclose([s for _, s in err.value.samples], [0.25, (8 / 9) ** 2], rtol=1e-9, atol=0)
+
+
+def test_alpha_search_fails_after_its_cap_of_subproblem_solves(monkeypatch):
+    # a band two floats wide and a bisect_tol below the float resolution of log10(alpha): the
+    # bracket never narrows enough, so the search stops with every sample after 200 solves
+    alphas, search = _search(monkeypatch, sigma_lo=0.3, sigma_hi=np.nextafter(0.3, 1.0), bisect_tol=1e-300)
+    with pytest.raises(BracketFailureError, match="no alpha in the band after 200 subproblem solves") as err:
+        search()
+    assert len(alphas) == 200 and [a for a, _ in err.value.samples] == alphas
+    assert alphas[:2] == [1.0, 8.0] and all(1.0 <= a <= 8.0 for a in alphas)
 
 
 # -- subproblem --------------------------------------------------------------------------
@@ -369,6 +439,8 @@ def test_curvature_is_estimated_once_per_model():
     assert len(calls) - n_first == n_first - 20
     assert np.array_equal(first, second)
     assert np.array_equal(second, sv.solve_subproblem(cost.quadratic_model(x0), center, 0.37, box, x0))
+    # the estimate is the model's own, in its own geometry, started from g
+    assert vars(qm)["curvature"] == sv.estimate_curvature(cost.quadratic_model(x0).hvp, box, qm.g) > 0
     # with g = 0 the probe is x_init - center, which may change between calls: nothing is kept
     flat = sv.QuadraticLeastSquares(A, A @ x0, box).quadratic_model(x0)
     calls = _count_hvp(flat)
@@ -376,13 +448,14 @@ def test_curvature_is_estimated_once_per_model():
     n_first = len(calls)
     sv.solve_subproblem(flat, center, 0.37, box, x0)
     assert n_first >= 20 and len(calls) == 2 * n_first
+    assert "curvature" not in vars(flat)
 
 
 def _direct_product_subproblem(qm, center, alpha, constraint, x_init, tol=1e-8, budget=10000):
     """Reference for solve_subproblem: the same iteration with a fresh qm.hvp at every
     gradient (the momentum point, a restart's point and each checked iterate).
     Returns the solution, the iterations run and the restarts made."""
-    lam = sv._model_curvature(qm, constraint, x_init, center)
+    lam = qm.curvature  # every model given here has g != 0
     L = 1.5 * lam + alpha
     step = 1.0 / L
 
@@ -452,7 +525,7 @@ def test_subproblem_keeps_each_iterates_product(case):
     # loop's solution up to round-off, with fewer products: its restarts and checks are free
     qm, constraint, center, alpha = _box_case() if case == "box" else _pde_case(case)
     x_init = qm.x0
-    sv._model_curvature(qm, constraint, x_init, center)  # its 20 probe products are kept on the model
+    assert qm.curvature > 0  # its 20 probe products are kept on the model
     calls = _count_hvp(qm)
     ref, iterations, restarts = _direct_product_subproblem(qm, center, alpha, constraint, x_init)
     n_ref = len(calls)
@@ -527,3 +600,24 @@ def test_newton_aposteriori_theory():
         for x in rep.iterates[1:]:
             assert 0.5 * np.linalg.norm(x) ** 2 <= r_dag * (1 + 1e-8)
 
+
+def test_newton_falls_back_to_the_center_when_it_minimizes_the_model():
+    # the center is the least-squares minimizer: Q_0(x*)/J_0 <= sigma_lo, so no alpha reaches the
+    # band, and the step goes to the center with alpha nan
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(12, 4))
+    b = A @ rng.uniform(-0.5, 0.5, 4) + rng.normal(size=12) * 0.1
+    cost = sv.QuadraticLeastSquares(A, b)
+    center = np.linalg.lstsq(A, b, rcond=None)[0]
+    x0 = np.zeros(4)
+    cfg = sv.NewtonConfig(schedule="a-posteriori", reg_center=center, max_iters=1, alpha_bracket=(1e-2, 1e2))
+    assert cost.quadratic_model(x0).value(center) / cost.value(x0) <= cfg.sigma_lo
+    rep = sv.newton_sqp(cost, cost.geometry, x0, cfg)
+    assert len(rep.alpha_history) == 1 and np.isnan(rep.alpha_history[0])
+    assert np.array_equal(rep.x_final, center) and rep.stop_reason == "max-iters" and rep.k_star == 1
+    # at the center d = 0, so Q_1 there is J_1 exactly and the ratio is 1: there is no second
+    # fallback; the search runs from the center, every subproblem returns it, and sigma stays 1
+    # down to the alpha floor
+    with pytest.raises(BracketFailureError, match="stays above the band down to the alpha floor") as err:
+        sv.newton_sqp(cost, cost.geometry, x0, replace(cfg, max_iters=2))
+    assert err.value.samples == [(1.0, 1.0), (0.125, 1.0), (0.015625, 1.0)]
